@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import (Adam, EntropySchedule, Mlp, masked_entropy,
-                     masked_softmax, policy_logit_grad, value_grad)
+from .approx import (Adam, EntropySchedule, Mlp, masked_softmax, policy_loss,
+                     value_grad)
 from .errors import TrainingDiverged
 from .mediation import COMMITTED
 
@@ -36,16 +36,18 @@ class AgentBatch:
 
     ``reward_sum`` holds the plain reward for 1-step targets and the
     discounted within-window sum for commit decisions with k > 1;
-    ``bootstrap_coef`` is the matching gamma power, zero at episode end.
+    ``bootstrap_coef`` is the matching gamma power of the value at record
+    ``boot_rows``, zero at episode end. The actor activations and policy are
+    the ones the rollout sampled with at these steps.
     """
 
-    actor_obs: np.ndarray      # (M, actor_dim)
-    critic_obs: np.ndarray     # (M, base_dim)
-    actions: np.ndarray        # (M,)
-    masks: np.ndarray          # (M, num_actions) bool
-    reward_sum: np.ndarray     # (M,)
-    bootstrap_obs: np.ndarray  # (M, base_dim)
+    critic_obs: np.ndarray      # (M, base_dim)
+    actions: np.ndarray         # (M,)
+    reward_sum: np.ndarray      # (M,)
+    boot_rows: np.ndarray       # (M,) record whose value bootstraps the target
     bootstrap_coef: np.ndarray  # (M,)
+    actor_acts: list[np.ndarray]  # per layer, input first: (M, width)
+    probs: np.ndarray           # (M, num_actions) masked policy
 
     def __len__(self) -> int:
         return self.actions.shape[0]
@@ -55,12 +57,13 @@ def td_targets(critic: Mlp, batch: AgentBatch
                ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Current values, bootstrapped targets, and the critic forward cache.
 
+    One forward pass gives both: every bootstrap step is itself a record.
     Targets carry no gradient: the bootstrap term is a constant.
     """
-    values, cache = critic.forward_cached(batch.critic_obs)
-    boot = critic.forward(batch.bootstrap_obs)[:, 0]
-    targets = batch.reward_sum + batch.bootstrap_coef * boot
-    return values[:, 0], targets, cache
+    out, cache = critic.forward_cached(batch.critic_obs)
+    values = out[:, 0]
+    targets = batch.reward_sum + batch.bootstrap_coef * values[batch.boot_rows]
+    return values, targets, cache
 
 
 def critic_loss(critic: Mlp, batch: AgentBatch) -> tuple[float, np.ndarray]:
@@ -76,17 +79,11 @@ def actor_loss(actor: Mlp, batch: AgentBatch, advantages: np.ndarray,
     """Negated policy gradient with entropy bonus, and its parameter gradient.
 
     ``advantages`` are treated as constants (no gradient flows through the
-    critic); log-probabilities are taken under the legal-action mask.
+    critic); log-probabilities are taken under the legal-action mask the
+    rollout sampled with, from its cached activations.
     """
-    logits, cache = actor.forward_cached(batch.actor_obs)
-    probs = masked_softmax(logits, batch.masks)
-    m = len(batch)
-    rows = np.arange(m)
-    logp = np.log(probs[rows, batch.actions])
-    loss = float(np.mean(-advantages * logp - beta * masked_entropy(probs)))
-    upstream = policy_logit_grad(probs, batch.actions, advantages, beta) / m
-    grad = actor.backward(cache, upstream)
-    return loss, grad
+    return policy_loss(actor, batch.actor_acts, batch.probs, batch.actions,
+                       advantages, beta)
 
 
 def filter_trainable_steps(statuses: np.ndarray) -> np.ndarray:

@@ -56,8 +56,14 @@ class Mlp:
         out, _ = self.forward_cached(x)
         return out
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Forward pass that also returns the activations needed by backward."""
+    def forward_cached(self, x: np.ndarray, out: list[np.ndarray] | None = None
+                       ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Forward pass that also returns the activations needed by backward.
+
+        ``out``, if given, holds one preallocated (B, d_out) array per layer
+        that receives that layer's output, so a caller can fill slices of
+        larger buffers.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ContractError(
@@ -67,8 +73,10 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = z if li == last else np.tanh(z)
+            h = np.matmul(h, w, out=None if out is None else out[li])
+            h += b
+            if li != last:
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
@@ -140,17 +148,30 @@ class Adam:
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Probabilities proportional to exp(logit) over legal actions.
 
-    Illegal actions get probability exactly 0. Rows of ``mask`` must have at
-    least one legal action.
+    Actions run along the last axis. Illegal actions get probability exactly
+    0. Rows of ``mask`` must have at least one legal action.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-    if not mask.any(axis=1).all():
-        raise ContractError("masked_softmax: some row has no legal action")
     z = np.where(mask, logits, NEG_INF)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)  # exp(-inf) == 0 exactly
-    return e / e.sum(axis=1, keepdims=True)
+    # Action counts are small, so reduce column by column: NumPy's reductions
+    # along a short last axis are slow. Adding columns left to right is the
+    # order np.sum uses on rows shorter than 8, so results match it exactly.
+    actions = range(1, z.shape[-1])
+    legal = mask[..., 0].copy()
+    top = z[..., 0].copy()
+    for a in actions:
+        legal |= mask[..., a]
+        np.maximum(top, z[..., a], out=top)
+    if not legal.all():
+        raise ContractError("masked_softmax: some row has no legal action")
+    z -= top[..., None]
+    np.exp(z, out=z)  # exp(-inf) == 0 exactly
+    total = z[..., 0].copy()
+    for a in actions:
+        total += z[..., a]
+    z /= total[..., None]
+    return z
 
 
 def masked_entropy(probs: np.ndarray) -> np.ndarray:
@@ -161,10 +182,19 @@ def masked_entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one action per row. Zero-probability actions are never drawn."""
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random((probs.shape[0], 1))
-    return np.minimum((cdf < u).sum(axis=1), probs.shape[1] - 1)
+    """Draw one action per row (actions along the last axis), one uniform per
+    row in C order. Zero-probability actions are never drawn.
+
+    The draw is the number of running sums below the uniform, capped at the
+    last action in case rounding leaves the total below it.
+    """
+    u = rng.random(probs.shape[:-1])
+    cdf = probs[..., 0].copy()
+    draw = np.zeros(u.shape, dtype=np.int64)
+    for a in range(1, probs.shape[-1]):
+        draw += cdf < u
+        cdf += probs[..., a]
+    return draw
 
 
 def policy_logit_grad(probs: np.ndarray, actions: np.ndarray,
@@ -186,6 +216,22 @@ def policy_logit_grad(probs: np.ndarray, actions: np.ndarray,
         ent = -(p * logp).sum(axis=1, keepdims=True)
         g += beta * p * (logp + ent)
     return g
+
+
+def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
+                actions: np.ndarray, weights: np.ndarray,
+                beta: float) -> tuple[float, np.ndarray]:
+    """Mean of  -weight * log pi(action) - beta * H(pi)  over rows, and its
+    gradient w.r.t. the policy network's parameters.
+
+    ``acts`` and ``probs`` are the activations and masked policy of the
+    forward pass that chose ``actions``; ``weights`` are constants.
+    """
+    m = actions.shape[0]
+    logp = np.log(probs[np.arange(m), actions])
+    loss = float(np.mean(-weights * logp - beta * masked_entropy(probs)))
+    upstream = policy_logit_grad(probs, actions, weights, beta) / m
+    return loss, net.backward(acts, upstream)
 
 
 def value_grad(values: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -37,7 +37,13 @@ def _add_oracle_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--k", type=int, default=1)
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def _resolve_run_config(args: argparse.Namespace) -> harness.RunConfig:
+    """Config file or defaults, overridden by every flag given; a flag given
+    as 0 counts as given, so validation can reject it."""
     if args.config:
         config = harness.load_config_file(args.config)
     else:
@@ -47,9 +53,9 @@ def _resolve_run_config(args: argparse.Namespace) -> harness.RunConfig:
         base = harness.default_config(
             args.env,
             mediator_mode=args.mediator or config.mediator_mode,
-            k=args.k or config.k,
-            num_agents=args.num_agents or config.num_agents,
-            multiplier=args.multiplier or config.multiplier)
+            k=_given(args.k, config.k),
+            num_agents=_given(args.num_agents, config.num_agents),
+            multiplier=_given(args.multiplier, config.multiplier))
         config = base if not args.config else replace(
             config, env=base.env, num_agents=base.num_agents,
             multiplier=base.multiplier, agent=base.agent,
@@ -61,15 +67,15 @@ def _resolve_run_config(args: argparse.Namespace) -> harness.RunConfig:
                                config.multiplier)
         updates["symmetric_mediator"] = (
             spec.kind is games.GameKind.ONE_SHOT_PGG and args.mediator != "none")
-    if args.k:
+    if args.k is not None:
         updates["k"] = args.k
     if args.iters is not None:
         updates["iterations"] = args.iters
-    if args.seeds:
+    if args.seeds is not None:
         updates["seeds"] = tuple(range(args.seeds))
-    if args.num_agents:
+    if args.num_agents is not None:
         updates["num_agents"] = args.num_agents
-    if args.multiplier:
+    if args.multiplier is not None:
         updates["multiplier"] = args.multiplier
     return replace(config, **updates)
 

@@ -61,6 +61,16 @@ class RunConfig:
             raise ConfigError("k must be >= 1")
         if self.batch_size < 1 or self.iterations < 0:
             raise ConfigError("batch_size must be positive, iterations >= 0")
+        if self.eval_episodes < 1:
+            raise ConfigError("eval_episodes must be >= 1")
+        if self.log_every < 0:
+            raise ConfigError("log_every must be >= 0 (0 disables the history)")
+        if not self.seeds:
+            raise ConfigError("seeds must name at least one seed")
+        if self.num_agents < 2:
+            raise ConfigError("num_agents must be >= 2")
+        if not self.multiplier > 0.0:
+            raise ConfigError("multiplier must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
         spec = games.make_spec(self.env, self.num_agents, self.multiplier)
@@ -224,28 +234,11 @@ def train(config: RunConfig, seed: int) -> RunReport:
 
     try:
         for it in range(config.iterations):
-            traj = sample_batch(spec, config.k, agents, mediator,
-                                config.batch_size, rng)
-            beta_agent = config.agent.entropy.coef(it)
-            for agent in agents:
-                batch = build_agent_batch(traj, agent, config.k, config.gamma)
-                agent.update(batch, beta_agent)
-            if mediator is not None:
-                mode = "constrained" if constrained else "naive"
-                med_batch = build_mediator_batch(traj, mediator)
-                med_stats = mediator.update(
-                    med_batch, config.mediator.entropy.coef(it), mode, config.k)
-                if constrained:
-                    lambda_ic.append(mediator.lagrange.lambda_ic.tolist())
-                    lambda_e.append(mediator.lagrange.lambda_e.tolist())
-            if config.log_every and it % config.log_every == 0:
-                entry = {
-                    "iteration": it,
-                    "mean_reward": float(traj.reward.sum(axis=0).mean()),
-                    "commit_rate": _empirical_commit_rate(traj, config.k),
-                }
-                if mediator is not None:
-                    entry.update(med_stats)
+            entry = _train_iteration(config, spec, agents, mediator, rng, it)
+            if constrained:
+                lambda_ic.append(mediator.lagrange.lambda_ic.tolist())
+                lambda_e.append(mediator.lagrange.lambda_e.tolist())
+            if entry is not None:
                 history.append(entry)
     except TrainingDiverged as exc:
         aborted = True
@@ -262,6 +255,39 @@ def train(config: RunConfig, seed: int) -> RunReport:
         lambda_ic=lambda_ic, lambda_e=lambda_e, history=history,
         wall_clock_s=time.perf_counter() - start,
         aborted=aborted, abort_reason=abort_reason)
+
+
+def _train_iteration(config: RunConfig, spec: PayoffSpec,
+                     agents: list[AgentLearner],
+                     mediator: MediatorLearner | None,
+                     rng: np.random.Generator, it: int) -> dict | None:
+    """Sample one batch and take one gradient step per network on it.
+
+    Returns the history entry on logged iterations. The batch and the
+    activations it caches are released on return, before the next sample.
+    """
+    traj = sample_batch(spec, config.k, agents, mediator, config.batch_size, rng)
+    beta_agent = config.agent.entropy.coef(it)
+    for agent in agents:
+        agent.update(build_agent_batch(traj, agent, config.k, config.gamma),
+                     beta_agent)
+        # Its activations are spent; free them before the mediator's update.
+        traj.agent_acts[agent.index].clear()
+    if mediator is not None:
+        mode = "constrained" if config.mediator_mode == "constrained" else "naive"
+        med_stats = mediator.update(build_mediator_batch(traj, mediator),
+                                    config.mediator.entropy.coef(it), mode,
+                                    config.k)
+    if not (config.log_every and it % config.log_every == 0):
+        return None
+    entry = {
+        "iteration": it,
+        "mean_reward": float(traj.reward.sum(axis=0).mean()),
+        "commit_rate": _empirical_commit_rate(traj, config.k),
+    }
+    if mediator is not None:
+        entry.update(med_stats)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +474,13 @@ def _train_entry(args: tuple[RunConfig, int]) -> RunReport:
 
 def worker_count() -> int:
     value = os.environ.get(WORKER_ENV_VAR, "")
-    if value:
+    if not value:
+        return 1
+    try:
         return max(1, int(value))
-    return 1
+    except ValueError:
+        raise ConfigError(
+            f"{WORKER_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def sweep(config: RunConfig, seeds: tuple[int, ...] | None = None) -> SweepReport:

@@ -65,13 +65,21 @@ def legal_action_mask(status: int, num_env_actions: int) -> np.ndarray:
     return mask
 
 
-def legal_action_mask_batch(statuses: np.ndarray, num_env_actions: int) -> np.ndarray:
-    """Vectorized mask over a (...,) array of statuses -> (..., A+1) bools."""
+def legal_action_mask_batch(statuses: np.ndarray,
+                            num_env_actions: int | np.ndarray) -> np.ndarray:
+    """Vectorized mask over a (...,) array of statuses -> (..., A+1) bools.
+
+    ``num_env_actions`` may be an array broadcasting against ``statuses``
+    (agents with unequal action sets); each row then has its commit action at
+    its own index, A is the largest count, and the columns past a row's
+    commit action are illegal padding.
+    """
     s = np.asarray(statuses)
-    mask = np.empty(s.shape + (num_env_actions + 1,), dtype=bool)
-    mask[..., :num_env_actions] = (s != COMMITTED)[..., None]
-    mask[..., num_env_actions] = s != LOCKED_OUT
-    return mask
+    a = np.asarray(num_env_actions)[..., None]
+    cols = np.arange(a.max() + 1)
+    env_ok = (cols < a) & (s != COMMITTED)[..., None]
+    commit_ok = (cols == a) & (s != LOCKED_OUT)[..., None]
+    return env_ok | commit_ok
 
 
 def form_coalition(agent_choices: np.ndarray, prev: CommitmentState,

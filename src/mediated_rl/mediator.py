@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import LearnerParams
-from .approx import (Adam, Mlp, masked_entropy, masked_softmax,
-                     policy_logit_grad)
+from .approx import Adam, Mlp, masked_softmax, policy_loss
 from .errors import ContractError, TrainingDiverged
 
 MODES = ("naive", "ic", "e", "constrained")
@@ -101,18 +100,17 @@ class MediatorBatch:
     """Stacked transition data for one training iteration.
 
     Steps are flattened time-major: flat index = t * batch + b, so windowed
-    reductions can slice along t. ``critic_next`` rows at terminal steps are
-    placeholders (masked by ``terminal``).
+    reductions can slice along t, and step s bootstraps from step s + batch
+    except on the last step of an episode. Actor samples are the rollout's
+    (step, member) draws with the activations and policy it sampled with.
     """
 
     critic_cur: np.ndarray    # (S, critic_dim)
-    critic_next: np.ndarray   # (S, critic_dim)
-    terminal: np.ndarray      # (S,) bool
     rewards: np.ndarray       # (S, N)
     member: np.ndarray        # (S, N) bool
-    actor_in: np.ndarray      # (R, actor_dim)
+    actor_acts: list[np.ndarray]  # per layer, input first: (R, width)
+    actor_probs: np.ndarray   # (R, max_env_actions) masked policy
     actor_actions: np.ndarray  # (R,)
-    actor_masks: np.ndarray   # (R, max_env_actions) bool
     actor_agent: np.ndarray   # (R,) agent index per sample
     actor_step: np.ndarray    # (R,) flat step index per sample
     horizon: int
@@ -157,9 +155,12 @@ class MediatorLearner:
         return (np.arange(self.max_env_actions)[None, :]
                 < self.num_env_actions[agent_rows][:, None])
 
-    def policy(self, actor_in: np.ndarray, agent_rows: np.ndarray) -> np.ndarray:
-        return masked_softmax(self.actor.forward(actor_in),
-                              self.action_masks(agent_rows))
+    def policy(self, actor_in: np.ndarray, agent_rows: np.ndarray,
+               out: list[np.ndarray] | None = None) -> np.ndarray:
+        """Masked policy per sample; ``out`` receives the actor's layer
+        outputs (see ``Mlp.forward_cached``)."""
+        logits, _ = self.actor.forward_cached(actor_in, out)
+        return masked_softmax(logits, self.action_masks(agent_rows))
 
     # -- values ------------------------------------------------------------
 
@@ -170,62 +171,47 @@ class MediatorLearner:
             return np.where(member, critic_out[:, :1], critic_out[:, 1:])
         return critic_out
 
-    def _critic_input_flip(self, critic_cur: np.ndarray, member: np.ndarray,
-                           flip_to_member: bool) -> tuple[np.ndarray, ...]:
-        """Counterfactual critic inputs with one agent's membership flipped.
+    def counterfactual_values(self, critic_cur: np.ndarray, member: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """Actual values and values with each agent's membership flipped.
 
-        Returns (rows of flipped inputs, step index, agent index) for every
-        (step, agent) pair whose current membership is ``not flip_to_member``.
+        Returns (actual, flipped), both (S, N): ``actual[s, i]`` is
+        V_i(o, C) and ``flipped[s, i]`` is V_i(o, C xor {i}), so a member is
+        evaluated as if it had stayed out (IC) and an outsider as if it had
+        joined (E). Observations are identical; only the coalition encoding
+        differs. One forward pass serves the actual coalitions and one every
+        flip.
         """
-        steps, agents = np.nonzero(member != flip_to_member)
+        actual = self.agent_values(self.critic.forward(critic_cur), member)
+        s, n = member.shape
         if self.symmetric:
-            frac = critic_cur[steps, 0]
-            shift = (1.0 if flip_to_member else -1.0) / self.num_agents
-            inputs = (frac + shift)[:, None]
+            # Members all see |C|-1 agents, outsiders all |C|+1.
+            frac = critic_cur[:, 0]
+            inputs = np.stack([frac - 1.0 / n, frac + 1.0 / n], axis=1)
+            out = self.critic.forward(inputs.reshape(2 * s, 1)).reshape(s, 2, 2)
+            flipped = np.where(member, out[:, 0, 1:], out[:, 1, :1])
         else:
-            inputs = critic_cur[steps].copy()
-            col = self.num_agents * self.base_dim + agents
-            inputs[np.arange(steps.size), col] = 1.0 if flip_to_member else 0.0
-        return inputs, steps, agents
-
-    def counterfactual_values(self, critic_cur: np.ndarray, member: np.ndarray,
-                              direction: str) -> tuple[np.ndarray, np.ndarray,
-                                                       np.ndarray, np.ndarray]:
-        """Actual and flipped-membership values for membership queries.
-
-        ``direction='remove'`` evaluates coalition members as if each had
-        stayed out (IC); ``'add'`` evaluates outsiders as if each had joined
-        (E). Observations are identical; only the coalition encoding differs.
-        Returns (actual, counterfactual, step index, agent index).
-        """
-        if direction not in ("remove", "add"):
-            raise ContractError(f"direction must be remove|add, got {direction!r}")
-        to_member = direction == "add"
-        inputs, steps, agents = self._critic_input_flip(
-            critic_cur, member, flip_to_member=to_member)
-        values = self.agent_values(self.critic.forward(critic_cur), member)
-        actual = values[steps, agents]
-        flipped_out = self.critic.forward(inputs)
-        if self.symmetric:
-            counter = flipped_out[:, 0] if to_member else flipped_out[:, 1]
-        else:
-            counter = flipped_out[np.arange(steps.size), agents]
-        return actual, counter, steps, agents
+            inputs = np.repeat(critic_cur, n, axis=0)  # row s * n + i
+            rows = np.arange(s * n)
+            agents = np.tile(np.arange(n), s)
+            inputs[rows, n * self.base_dim + agents] = ~member.reshape(-1)
+            flipped = self.critic.forward(inputs)[rows, agents].reshape(s, n)
+        return actual, flipped
 
     # -- training ----------------------------------------------------------
 
     def td_residuals(self, batch: MediatorBatch
                      ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Per-agent TD residuals (S, N) plus the critic cache for backprop."""
+        """Per-agent TD residuals (S, N) plus the critic cache for backprop.
+
+        The bootstrap value of step s is this pass's value at step s + batch
+        under that step's coalition; the last step of an episode has none.
+        """
         out_cur, cache = self.critic.forward_cached(batch.critic_cur)
         v_cur = self.agent_values(out_cur, batch.member)
-        next_member = np.empty_like(batch.member)
-        next_member[:-batch.batch] = batch.member[batch.batch:]
-        next_member[-batch.batch:] = batch.member[-batch.batch:]
-        v_next = self.agent_values(self.critic.forward(batch.critic_next),
-                                   next_member)
-        alive = ~batch.terminal[:, None]
-        deltas = batch.rewards + self.gamma * alive * v_next - v_cur
+        v_next = np.zeros_like(v_cur)
+        v_next[:-batch.batch] = v_cur[batch.batch:]
+        deltas = batch.rewards + self.gamma * v_next - v_cur
         return deltas, cache
 
     def update(self, batch: MediatorBatch, beta: float, mode: str,
@@ -243,7 +229,9 @@ class MediatorLearner:
         if not np.isfinite(critic_loss):
             raise TrainingDiverged("mediator critic loss non-finite")
         upstream = self._critic_upstream(deltas, batch.member, s)
-        self.critic_opt.step(self.critic.theta, self.critic.backward(cache, upstream))
+        grad = self.critic.backward(cache, upstream)
+        del cache  # not needed by the passes below
+        self.critic_opt.step(self.critic.theta, grad)
 
         stats = {"critic_loss": critic_loss, "actor_loss": 0.0}
         r = batch.actor_actions.shape[0]
@@ -251,15 +239,12 @@ class MediatorLearner:
             lam_ic, lam_e = self._lambdas(mode)
             weights = actor_head_weights(deltas, batch.member, lam_ic, lam_e,
                                          mode, batch.actor_step, batch.actor_agent)
-            logits, acache = self.actor.forward_cached(batch.actor_in)
-            probs = masked_softmax(logits, batch.actor_masks)
-            logp = np.log(probs[np.arange(r), batch.actor_actions])
-            actor_loss = float(np.mean(-weights * logp
-                                       - beta * masked_entropy(probs)))
+            actor_loss, grad = policy_loss(
+                self.actor, batch.actor_acts, batch.actor_probs,
+                batch.actor_actions, weights, beta)
             if not np.isfinite(actor_loss):
                 raise TrainingDiverged("mediator actor loss non-finite")
-            up = policy_logit_grad(probs, batch.actor_actions, weights, beta) / r
-            self.actor_opt.step(self.actor.theta, self.actor.backward(acache, up))
+            self.actor_opt.step(self.actor.theta, grad)
             stats["actor_loss"] = actor_loss
 
         if self.lagrange is not None and mode in ("ic", "e", "constrained"):
@@ -285,33 +270,39 @@ class MediatorLearner:
         return up
 
     def _dual_step(self, batch: MediatorBatch, k: int, mode: str) -> None:
-        ic_gaps, ic_valid = self._window_gaps(batch, k, direction="remove")
-        e_gaps, e_valid = self._window_gaps(batch, k, direction="add")
+        ic_gaps, ic_valid, e_gaps, e_valid = self._constraint_gaps(batch, k)
         if mode == "ic":
             e_valid = np.zeros_like(e_valid)
         elif mode == "e":
             ic_valid = np.zeros_like(ic_valid)
         self.lagrange.apply(ic_gaps, ic_valid, e_gaps, e_valid)
 
-    def _window_gaps(self, batch: MediatorBatch, k: int,
-                     direction: str) -> tuple[np.ndarray, np.ndarray]:
-        """Batch-mean discounted window sums of counterfactual value gaps.
+    def _constraint_gaps(self, batch: MediatorBatch, k: int
+                         ) -> tuple[np.ndarray, ...]:
+        """(ic_gaps, ic_valid, e_gaps, e_valid) from the current critic.
 
-        For IC ('remove') the gap per step is V_i(o, C) - V_i(o, C \\ {i}) at
-        coalition members; for E ('add') it is V_j(o, C u {j}) - V_j(o, C) at
-        outsiders. Sums run over each commitment window with weights
+        The IC gap per step is V_i(o, C) - V_i(o, C \\ {i}) at coalition
+        members; the E gap is V_j(o, C u {j}) - V_j(o, C) at outsiders.
+        """
+        actual, flipped = self.counterfactual_values(batch.critic_cur,
+                                                     batch.member)
+        member = batch.member
+        ic_gaps, ic_valid = self._window_gaps(
+            np.where(member, actual - flipped, 0.0), member, batch, k)
+        e_gaps, e_valid = self._window_gaps(
+            np.where(member, 0.0, flipped - actual), ~member, batch, k)
+        return ic_gaps, ic_valid, e_gaps, e_valid
+
+    def _window_gaps(self, gap_step: np.ndarray, side: np.ndarray,
+                     batch: MediatorBatch, k: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Batch-mean discounted window sums of per-step gaps (S, N).
+
+        ``side`` flags the (step, agent) pairs the constraint concerns; gaps
+        elsewhere are zero. Sums run over each commitment window with weights
         gamma^(t mod k); means run over window occurrences per agent.
         """
         n = self.num_agents
-        actual, counter, steps, agents = self.counterfactual_values(
-            batch.critic_cur, batch.member, direction)
-        gap_step = np.zeros((batch.horizon * batch.batch, n))
-        if direction == "remove":
-            gap_step[steps, agents] = actual - counter
-            side = batch.member
-        else:
-            gap_step[steps, agents] = counter - actual
-            side = ~batch.member
         gap_tb = gap_step.reshape(batch.horizon, batch.batch, n)
         phase_w = self.gamma ** (np.arange(batch.horizon) % k)
         weighted = gap_tb * phase_w[:, None, None]

@@ -23,17 +23,26 @@ def make_agent(seed=0, base_dim=1, num_env_actions=2, mediated=True,
                         **kwargs)
 
 
-def single_step_batch(agent, reward, coef=0.0, action=0):
-    num = agent.num_actions
+def constant_batch(agent, rewards, actions, masks, coefs=None):
+    """Records on a constant observation, with the actor activations and
+    policy a rollout would have cached; each bootstraps from itself."""
+    m = len(rewards)
+    _, acts = agent.actor.forward_cached(np.ones((m, 1)))
     return AgentBatch(
-        actor_obs=np.ones((1, 1)),
-        critic_obs=np.ones((1, 1)),
-        actions=np.array([action]),
-        masks=np.ones((1, num), dtype=bool),
-        reward_sum=np.array([float(reward)]),
-        bootstrap_obs=np.ones((1, 1)),
-        bootstrap_coef=np.array([float(coef)]),
+        critic_obs=np.ones((m, 1)),
+        actions=np.asarray(actions),
+        reward_sum=np.asarray(rewards, dtype=float),
+        boot_rows=np.arange(m),
+        bootstrap_coef=np.zeros(m) if coefs is None else np.asarray(coefs),
+        actor_acts=acts,
+        probs=masked_softmax(acts[-1], masks),
     )
+
+
+def single_step_batch(agent, reward, coef=0.0, action=0, mask=None):
+    if mask is None:
+        mask = np.ones((1, agent.num_actions), dtype=bool)
+    return constant_batch(agent, [reward], [action], mask, [coef])
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +82,8 @@ def test_critic_converges_to_expected_reward():
     # Fixed deterministic data: value should approach the mean reward.
     agent = make_agent(seed=3)
     rewards = np.array([1.0, 1.0, 0.0, 2.0] * 8)
-    batch = AgentBatch(
-        actor_obs=np.ones((32, 1)),
-        critic_obs=np.ones((32, 1)),
-        actions=np.zeros(32, dtype=np.int64),
-        masks=np.ones((32, 3), dtype=bool),
-        reward_sum=rewards,
-        bootstrap_obs=np.ones((32, 1)),
-        bootstrap_coef=np.zeros(32),
-    )
+    batch = constant_batch(agent, rewards, np.zeros(32, dtype=np.int64),
+                           np.ones((32, 3), dtype=bool))
     for _ in range(2000):
         loss, grad = critic_loss(agent.critic, batch)
         agent.critic_opt.step(agent.critic.theta, grad)
@@ -103,10 +105,11 @@ def test_actor_zero_advantage_zero_entropy_zero_gradient():
 def test_positive_advantage_raises_action_probability():
     agent = make_agent(seed=1)
     batch = single_step_batch(agent, reward=1.0, action=1)
-    before = agent.policy(batch.actor_obs, batch.masks)[0, 1]
+    masks = np.ones((1, 3), dtype=bool)
+    before = agent.policy(np.ones((1, 1)), masks)[0, 1]
     _, grad = actor_loss(agent.actor, batch, np.array([1.0]), beta=0.0)
     agent.actor_opt.step(agent.actor.theta, grad)
-    after = agent.policy(batch.actor_obs, batch.masks)[0, 1]
+    after = agent.policy(np.ones((1, 1)), masks)[0, 1]
     assert after > before
 
 
@@ -115,8 +118,8 @@ def test_entropy_gradient_zero_at_uniform():
     # zero advantage the policy gradient vanishes.
     agent = make_agent()
     agent.actor.theta[:] = 0.0
-    batch = single_step_batch(agent, reward=0.0, action=0)
-    batch.masks[:] = [[True, True, False]]
+    batch = single_step_batch(agent, reward=0.0, action=0,
+                              mask=np.array([[True, True, False]]))
     _, grad = actor_loss(agent.actor, batch, np.zeros(1), beta=0.5)
     assert np.abs(grad).max() < 1e-12
 
@@ -124,15 +127,12 @@ def test_entropy_gradient_zero_at_uniform():
 def test_entropy_drives_masked_policy_to_uniform():
     agent = make_agent(seed=5)
     mask = np.array([[True, True, False]])
-    batch = AgentBatch(
-        actor_obs=np.ones((1, 1)), critic_obs=np.ones((1, 1)),
-        actions=np.array([0]), masks=mask,
-        reward_sum=np.zeros(1), bootstrap_obs=np.ones((1, 1)),
-        bootstrap_coef=np.zeros(1))
     for _ in range(3000):
+        # One fresh rollout per step, as in training.
+        batch = single_step_batch(agent, reward=0.0, mask=mask)
         _, grad = actor_loss(agent.actor, batch, np.zeros(1), beta=0.1)
         agent.actor_opt.step(agent.actor.theta, grad)
-    probs = agent.policy(batch.actor_obs, mask)[0]
+    probs = agent.policy(np.ones((1, 1)), mask)[0]
     assert probs[0] == pytest.approx(0.5, abs=1e-3)
     assert probs[1] == pytest.approx(0.5, abs=1e-3)
     assert probs[2] == 0.0
@@ -162,12 +162,8 @@ def test_filter_keeps_locked_out_steps():
 
 def test_update_empty_batch_is_noop():
     agent = make_agent()
-    empty = AgentBatch(
-        actor_obs=np.zeros((0, 1)), critic_obs=np.zeros((0, 1)),
-        actions=np.zeros(0, dtype=np.int64),
-        masks=np.zeros((0, 3), dtype=bool),
-        reward_sum=np.zeros(0), bootstrap_obs=np.zeros((0, 1)),
-        bootstrap_coef=np.zeros(0))
+    empty = constant_batch(agent, np.zeros(0), np.zeros(0, dtype=np.int64),
+                           np.zeros((0, 3), dtype=bool))
     theta = agent.actor.theta.copy()
     agent.update(empty, beta=0.1)
     np.testing.assert_array_equal(agent.actor.theta, theta)

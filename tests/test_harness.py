@@ -1,5 +1,6 @@
 """Config handling, report emission, determinism, and sweep aggregation."""
 
+import collections
 import json
 import textwrap
 from dataclasses import replace
@@ -7,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mediated_rl import harness
+from mediated_rl import cli, harness
+from mediated_rl.approx import Mlp
 from mediated_rl.errors import ConfigError
 from mediated_rl.harness import (RunConfig, RunReport, SweepReport,
                                  default_config, emit, load_config_file,
@@ -59,6 +61,35 @@ def test_validate_rejects_bad_modes_and_k():
         replace(tiny_config("pd"), k=2).validate()  # k > horizon
     with pytest.raises(ConfigError):
         replace(tiny_config("pd"), symmetric_mediator=True).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eval_episodes", 0), ("eval_episodes", -3), ("log_every", -1),
+    ("seeds", ()), ("num_agents", 0), ("multiplier", 0.0)])
+def test_validate_rejects_values_that_cannot_run(field, value):
+    # eval_episodes=0 used to give NaN metrics; an empty seed list, an empty
+    # game or a zero multiplier has nothing to train.
+    with pytest.raises(ConfigError):
+        replace(tiny_config(), **{field: value}).validate()
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--k", "--num-agents",
+                                  "--multiplier"])
+def test_cli_zero_flag_is_a_configuration_error(flag, capsys):
+    # A flag given as 0 is not the same as a flag left out.
+    status = cli.main(["run", "--env", "pgg", "--mediator", "naive",
+                       "--iters", "0", flag, "0"])
+    assert status == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_non_integer_worker_count_is_a_configuration_error(monkeypatch, capsys):
+    monkeypatch.setenv(harness.WORKER_ENV_VAR, "abc")
+    with pytest.raises(ConfigError):
+        harness.worker_count()
+    status = cli.main(["run", "--env", "pd", "--iters", "0", "--seeds", "1"])
+    assert status == 2
+    assert harness.WORKER_ENV_VAR in capsys.readouterr().err
 
 
 def test_config_file_round_trip(tmp_path):
@@ -139,6 +170,68 @@ def test_lambda_history_logged_every_iteration():
     assert all(len(row) == config.num_agents for row in report.lambda_ic)
     naive = train(tiny_config("pgg", "naive", iterations=3), seed=1)
     assert naive.lambda_ic is None
+
+
+def test_each_network_sees_each_row_once_per_iteration(monkeypatch):
+    # Agent actors run only while sampling, each agent critic runs once, and
+    # the mediator critic runs three times: TD values, post-step values, and
+    # one pass over every flipped coalition.
+    config = replace(default_config("pgg-iter", "constrained", k=10),
+                     batch_size=32)
+    spec = config.validate()
+    rng = np.random.default_rng(0)
+    agents, mediator = harness._build_learners(config, spec, rng)
+    calls = collections.Counter()
+    rows = collections.Counter()
+    state = {"phase": "update", "depth": 0}
+
+    def counted(name):
+        original = getattr(Mlp, name)
+
+        def wrapper(net, x, *args):
+            if state["depth"] == 0:
+                calls[id(net), state["phase"]] += 1
+                rows[id(net), state["phase"]] += np.shape(x)[0]
+            state["depth"] += 1
+            try:
+                return original(net, x, *args)
+            finally:
+                state["depth"] -= 1
+        monkeypatch.setattr(Mlp, name, wrapper)
+
+    counted("forward")
+    counted("forward_cached")
+    real_sample = harness.sample_batch
+
+    def sampling(*args):
+        state["phase"] = "rollout"
+        try:
+            return real_sample(*args)
+        finally:
+            state["phase"] = "update"
+    monkeypatch.setattr(harness, "sample_batch", sampling)
+    trainable = []
+    real_build = harness.build_agent_batch
+
+    def building(*args):
+        batch = real_build(*args)
+        trainable.append(len(batch))
+        return batch
+    monkeypatch.setattr(harness, "build_agent_batch", building)
+
+    harness._train_iteration(config, spec, agents, mediator, rng, 0)
+    for agent, m in zip(agents, trainable):
+        assert calls[id(agent.actor), "rollout"] == spec.horizon
+        assert rows[id(agent.actor), "rollout"] == m
+        assert calls[id(agent.actor), "update"] == 0
+        assert calls[id(agent.critic), "update"] == 1
+        assert rows[id(agent.critic), "update"] == m
+        assert calls[id(agent.critic), "rollout"] == 0
+    assert calls[id(mediator.actor), "update"] == 0
+    assert calls[id(mediator.critic), "rollout"] == 0
+    assert calls[id(mediator.critic), "update"] == 3
+    steps = spec.horizon * config.batch_size
+    assert rows[id(mediator.critic), "update"] == steps * (2 + spec.num_agents)
 
 
 def test_report_probabilities_in_unit_interval():

@@ -40,6 +40,19 @@ def test_mask_batch_matches_scalar():
         np.testing.assert_array_equal(row, legal_action_mask(int(s), 3))
 
 
+def test_mask_batch_pads_agents_with_fewer_actions():
+    # Agents with 2 and 3 env actions: each row is that agent's own mask,
+    # padded with illegal columns up to the largest action count.
+    statuses = np.array([[-1, 0, 1], [1, -1, 0]])  # (agents, batch)
+    counts = np.array([2, 3])
+    batched = legal_action_mask_batch(statuses, counts[:, None])
+    assert batched.shape == (2, 3, 4)
+    for i, a in enumerate(counts):
+        for s, row in zip(statuses[i], batched[i]):
+            np.testing.assert_array_equal(row[:a + 1], legal_action_mask(int(s), a))
+            assert not row[a + 1:].any()
+
+
 def test_statuses_at_window_boundary_are_zero():
     state = CommitmentState(coalition=np.array([True, False]), k=2, t=2)
     np.testing.assert_array_equal(state.statuses(), [0, 0])

@@ -28,7 +28,8 @@ def make_mediator(seed=0, symmetric=False, constrained=True, spec=None):
 
 
 def one_shot_batch(mediator, spec, member, rewards, actions):
-    """Single-step terminal batch with explicit coalition and actions."""
+    """Single-step terminal batch with explicit coalition and actions, with
+    the actor activations and policy a rollout would have cached."""
     from mediated_rl.rollout import (mediator_actor_inputs,
                                      mediator_critic_inputs)
     n = spec.num_agents
@@ -37,15 +38,14 @@ def one_shot_batch(mediator, spec, member, rewards, actions):
     critic_cur = mediator_critic_inputs(mediator, base, member)
     rows_b, rows_i = np.nonzero(member)
     actor_in = mediator_actor_inputs(mediator, base, member, rows_b, rows_i)
+    _, acts = mediator.actor.forward_cached(actor_in)
     return MediatorBatch(
         critic_cur=critic_cur,
-        critic_next=critic_cur.copy(),
-        terminal=np.array([True]),
         rewards=np.asarray(rewards, dtype=float)[None, :],
         member=member,
-        actor_in=actor_in,
+        actor_acts=acts,
+        actor_probs=masked_softmax(acts[-1], mediator.action_masks(rows_i)),
         actor_actions=np.asarray(actions),
-        actor_masks=mediator.action_masks(rows_i),
         actor_agent=rows_i,
         actor_step=np.zeros(rows_i.size, dtype=np.int64),
         horizon=1,
@@ -77,8 +77,9 @@ def test_critic_zero_rewards_zero_values_zero_loss():
 def test_critic_converges_to_coalition_values():
     # Fixed all-commit episodes with rewards (2, 2): values approach (2, 2).
     mediator, spec = make_mediator(seed=2)
-    batch = one_shot_batch(mediator, spec, [True, True], [2.0, 2.0], [1, 1])
     for _ in range(2500):
+        # One fresh rollout per step, as in training.
+        batch = one_shot_batch(mediator, spec, [True, True], [2.0, 2.0], [1, 1])
         mediator.update(batch, beta=0.0, mode="naive", k=1)
     values = mediator.agent_values(
         mediator.critic.forward(batch.critic_cur), batch.member)
@@ -212,8 +213,7 @@ def test_dual_descent_direction_through_update():
     mediator.update(batch, beta=0.0, mode="constrained", k=1)
     after_ic = mediator.lagrange.log_ic
     after_e = mediator.lagrange.log_e
-    ic_gaps, ic_valid = mediator._window_gaps(batch, 1, "remove")
-    e_gaps, e_valid = mediator._window_gaps(batch, 1, "add")
+    ic_gaps, ic_valid, e_gaps, e_valid = mediator._constraint_gaps(batch, 1)
     for i in range(2):
         if ic_valid[i]:
             assert np.sign(before_ic[i] - after_ic[i]) == np.sign(ic_gaps[i]) \
@@ -232,43 +232,45 @@ def test_dual_descent_direction_through_update():
 
 
 def test_counterfactual_remove_flips_one_hot():
+    # Each agent's flipped value is the critic at the input with only that
+    # agent's coalition bit flipped: cleared for members, set for outsiders.
     mediator, spec = make_mediator(seed=5)
-    member = np.array([[True, True]])
-    critic_cur = np.concatenate([np.ones((1, 2)), member.astype(float)], axis=1)
-    inputs, steps, agents_idx = mediator._critic_input_flip(
-        critic_cur, member, flip_to_member=False)
-    np.testing.assert_array_equal(inputs[0], [1.0, 1.0, 0.0, 1.0])
-    np.testing.assert_array_equal(inputs[1], [1.0, 1.0, 1.0, 0.0])
+    member = np.array([[True, True], [True, False]])
+    critic_cur = np.concatenate([np.ones((2, 2)), member.astype(float)], axis=1)
+    actual, flipped = mediator.counterfactual_values(critic_cur, member)
+    value = mediator.critic.forward
+    np.testing.assert_array_equal(actual, value(critic_cur))
+    np.testing.assert_allclose(
+        flipped[0], [value(np.array([[1.0, 1.0, 0.0, 1.0]]))[0, 0],
+                     value(np.array([[1.0, 1.0, 1.0, 0.0]]))[0, 1]], rtol=1e-12)
+    np.testing.assert_allclose(
+        flipped[1], [value(np.array([[1.0, 1.0, 0.0, 0.0]]))[0, 0],
+                     value(np.array([[1.0, 1.0, 1.0, 1.0]]))[0, 1]], rtol=1e-12)
 
 
 def test_counterfactual_symmetric_fraction_shift():
+    # Members are valued as non-members of the coalition without them,
+    # outsiders as members of the coalition with them.
     mediator, spec = make_mediator(seed=6, symmetric=True)
     member = np.array([[True, True, False]])
     critic_cur = np.array([[2.0 / 3.0]])
-    inputs, steps, agents_idx = mediator._critic_input_flip(
-        critic_cur, member, flip_to_member=False)
-    np.testing.assert_allclose(inputs, [[1.0 / 3.0], [1.0 / 3.0]])
-    inputs, _, agents_idx = mediator._critic_input_flip(
-        critic_cur, member, flip_to_member=True)
-    np.testing.assert_allclose(inputs, [[1.0]])
-    np.testing.assert_array_equal(agents_idx, [2])
+    actual, flipped = mediator.counterfactual_values(critic_cur, member)
+    out = mediator.critic.forward(critic_cur)[0]
+    np.testing.assert_array_equal(actual[0], [out[0], out[0], out[1]])
+    smaller = mediator.critic.forward(np.array([[1.0 / 3.0]]))[0]
+    larger = mediator.critic.forward(np.array([[1.0]]))[0]
+    np.testing.assert_allclose(flipped[0], [smaller[1], smaller[1], larger[0]],
+                               rtol=1e-12)
 
 
 def test_counterfactual_determinism():
     mediator, spec = make_mediator(seed=7)
     member = np.array([[True, False]])
     critic_cur = np.concatenate([np.ones((1, 2)), member.astype(float)], axis=1)
-    a1 = mediator.counterfactual_values(critic_cur, member, "remove")
-    a2 = mediator.counterfactual_values(critic_cur, member, "remove")
+    a1 = mediator.counterfactual_values(critic_cur, member)
+    a2 = mediator.counterfactual_values(critic_cur, member)
     np.testing.assert_array_equal(a1[0], a2[0])
     np.testing.assert_array_equal(a1[1], a2[1])
-
-
-def test_counterfactual_rejects_bad_direction():
-    mediator, spec = make_mediator(seed=8)
-    with pytest.raises(ContractError):
-        mediator.counterfactual_values(np.ones((1, 4)),
-                                       np.array([[True, False]]), "sideways")
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 
 from mediated_rl import games
 from mediated_rl.agents import AgentLearner, LearnerParams
-from mediated_rl.approx import EntropySchedule
+from mediated_rl.approx import (EntropySchedule, masked_softmax, policy_loss,
+                               sample_categorical)
 from mediated_rl.harness import _build_learners, default_config
-from mediated_rl.mediation import FREE
+from mediated_rl.mediation import FREE, legal_action_mask_batch
 from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
+                                 mediator_actor_inputs, sample_agent_actions,
                                  sample_batch, window_reward_sums)
 
 
@@ -172,15 +174,23 @@ def test_mediator_batch_layout_and_next_inputs():
     traj = sample_batch(spec, 1, agents, mediator, 16, rng)
     batch = build_mediator_batch(traj, mediator)
     assert batch.critic_cur.shape[0] == 2 * 16
-    # terminal flags mark the last step of every episode
-    assert not batch.terminal[:16].any()
-    assert batch.terminal[16:].all()
     # actor rows correspond exactly to coalition members
     assert batch.actor_actions.shape[0] == int(traj.member.sum())
     assert np.all(batch.actor_actions >= 0)
+    # step s bootstraps from step s + batch; the last step of every episode
+    # does not bootstrap
+    deltas, _ = mediator.td_residuals(batch)
+    values = mediator.agent_values(mediator.critic.forward(batch.critic_cur),
+                                   batch.member)
+    np.testing.assert_allclose(
+        deltas[:16], batch.rewards[:16] + 0.99 * values[16:] - values[:16],
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(deltas[16:], batch.rewards[16:] - values[16:],
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_mediator_batch_actor_masks_heterogeneous_actions():
+    # The cached policy gives agent 0's missing sacrifice action no mass.
     config, spec, rng, agents, mediator = learners_for("pds")
     traj = sample_batch(spec, 1, agents, mediator, 64, rng)
     batch = build_mediator_batch(traj, mediator)
@@ -188,6 +198,151 @@ def test_mediator_batch_actor_masks_heterogeneous_actions():
     agent1_rows = batch.actor_agent == 1
     if agent0_rows.any():
         np.testing.assert_array_equal(
-            batch.actor_masks[agent0_rows][:, 2], False)
+            batch.actor_probs[agent0_rows][:, 2], 0.0)
     if agent1_rows.any():
-        assert batch.actor_masks[agent1_rows].all()
+        assert (batch.actor_probs[agent1_rows] > 0.0).all()
+    np.testing.assert_allclose(batch.actor_probs.sum(axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Cached activations: same draws and same gradients as fresh passes
+
+
+def reference_rollout(spec, k, agents, mediator, batch, rng):
+    """The per-agent sampling loop: each agent's masked policy and draw in
+    turn, then the mediator's. Returns (choice, med_action)."""
+    t_max, n = spec.horizon, spec.num_agents
+    choice = np.empty((t_max, batch, n), dtype=np.int64)
+    med_action = np.full((t_max, batch, n), -1, dtype=np.int64)
+    endow = (np.ones((batch, n))
+             if spec.kind is games.GameKind.ITERATIVE_PGG else None)
+    coalition = np.zeros((batch, n), dtype=bool)
+    for t in range(t_max):
+        base = games.base_obs_batch(spec, t, endow, batch)
+        status = (np.zeros((batch, n), dtype=np.int64) if t % k == 0
+                  else np.where(coalition, 1, -1))
+        for i, agent in enumerate(agents):
+            obs = base[:, i]
+            if agent.status_feature:
+                obs = np.concatenate([obs, status[:, i, None]], axis=1)
+            if mediator is None:
+                masks = np.ones((batch, agent.num_actions), dtype=bool)
+            else:
+                masks = legal_action_mask_batch(status[:, i],
+                                                agent.num_env_actions)
+            choice[t, :, i] = sample_categorical(agent.policy(obs, masks), rng)
+        env_action = choice[t].copy()
+        if mediator is not None:
+            if t % k == 0:
+                coalition = choice[t] == np.asarray(spec.num_actions)
+            rows_b, rows_i = np.nonzero(coalition)
+            if rows_b.size:
+                actor_in = mediator_actor_inputs(mediator, base, coalition,
+                                                 rows_b, rows_i)
+                acts = sample_categorical(mediator.policy(actor_in, rows_i), rng)
+                med_action[t, rows_b, rows_i] = acts
+                env_action[rows_b, rows_i] = acts
+        _, endow = games.step_batch(spec, t, endow, env_action)
+    return choice, med_action
+
+
+@pytest.mark.parametrize("env,mode,k", [
+    ("pds", "constrained", 1), ("pds", "none", 1), ("pd2", "naive", 2),
+    ("pgg", "constrained", 1), ("pgg-iter", "constrained", 10),
+    ("pgg-iter", "naive", 5), ("pgg-iter", "none", 1)])
+def test_rollout_draws_match_per_agent_reference(env, mode, k):
+    # One draw over all agents consumes the generator agent-major, exactly
+    # like each agent drawing in turn, including unequal action counts.
+    config, spec, rng, agents, mediator = learners_for(env, mode, k=k, seed=3)
+    state = rng.bit_generator.state
+    traj = sample_batch(spec, k, agents, mediator, 48, rng)
+    after = rng.random()
+    rng.bit_generator.state = state
+    choice, med_action = reference_rollout(spec, k, agents, mediator, 48, rng)
+    np.testing.assert_array_equal(traj.choice, choice)
+    np.testing.assert_array_equal(traj.med_action, med_action)
+    assert rng.random() == after
+
+
+def test_agent_draws_match_per_agent_sampling():
+    # pds-like padding: agent 0 has 3 actions padded to 4, agent 1 has 4.
+    # Rows summing below 1 stand in for rounding: the cap keeps agent 0
+    # off its padding column, as its own unpadded draw would.
+    rng = np.random.default_rng(0)
+    probs = rng.dirichlet(np.ones(4), size=(2, 500))
+    probs[0, :, 3] = 0.0
+    probs[:, ::2] *= 0.8
+    num_actions = np.array([3, 4])
+    joint = sample_agent_actions(probs, num_actions, np.random.default_rng(1))
+    reference_rng = np.random.default_rng(1)
+    for i, a in enumerate(num_actions):
+        np.testing.assert_array_equal(
+            joint[i], sample_categorical(probs[i, :, :a], reference_rng))
+    assert joint[0].max() == 2
+
+
+def fresh_agent_pass(traj, agent):
+    """Actor activations and masked policy at the agent's trainable steps,
+    recomputed from the trajectory."""
+    i = agent.index
+    t_idx, b_idx = np.nonzero(traj.status[:, :, i] != 1)
+    obs = traj.base[t_idx, b_idx, i]
+    if agent.status_feature:
+        obs = np.concatenate(
+            [obs, traj.status[t_idx, b_idx, i, None].astype(float)], axis=1)
+    if agent.mediated:
+        masks = legal_action_mask_batch(traj.status[t_idx, b_idx, i],
+                                        agent.num_env_actions)
+    else:
+        masks = np.ones((t_idx.size, agent.num_actions), dtype=bool)
+    logits, acts = agent.actor.forward_cached(obs)
+    return acts, masked_softmax(logits, masks)
+
+
+@pytest.mark.parametrize("env,k", [("pds", 1), ("pgg-iter", 10), ("pgg-iter", 5)])
+def test_cached_gradients_match_fresh_forward(env, k):
+    config, spec, rng, agents, mediator = learners_for(env, "constrained", k=k)
+    traj = sample_batch(spec, k, agents, mediator, 64, rng)
+    for agent in agents:
+        batch = build_agent_batch(traj, agent, k, 0.99)
+        acts, probs = fresh_agent_pass(traj, agent)
+        weights = np.random.default_rng(agent.index).normal(size=len(batch))
+        cached = policy_loss(agent.actor, batch.actor_acts, batch.probs,
+                             batch.actions, weights, 0.1)
+        fresh = policy_loss(agent.actor, acts, probs, batch.actions, weights, 0.1)
+        assert cached[0] == pytest.approx(fresh[0], abs=1e-12)
+        np.testing.assert_allclose(cached[1], fresh[1], rtol=0, atol=1e-12)
+    batch = build_mediator_batch(traj, mediator)
+    assert batch.actor_actions.size > 0
+    steps = batch.actor_step
+    coalition = batch.member[steps]
+    base = traj.base[:spec.horizon].reshape(-1, spec.num_agents,
+                                            traj.base.shape[-1])[steps]
+    actor_in = mediator_actor_inputs(mediator, base, coalition,
+                                     np.arange(steps.size), batch.actor_agent)
+    logits, acts = mediator.actor.forward_cached(actor_in)
+    probs = masked_softmax(logits, mediator.action_masks(batch.actor_agent))
+    weights = np.random.default_rng(9).normal(size=steps.size)
+    cached = policy_loss(mediator.actor, batch.actor_acts, batch.actor_probs,
+                         batch.actor_actions, weights, 0.1)
+    fresh = policy_loss(mediator.actor, acts, probs, batch.actor_actions,
+                        weights, 0.1)
+    assert cached[0] == pytest.approx(fresh[0], abs=1e-12)
+    np.testing.assert_allclose(cached[1], fresh[1], rtol=0, atol=1e-12)
+
+
+def test_agent_batch_bootstraps_from_own_records():
+    # k=5 over horizon 10: a commit decision bootstraps from the next
+    # window's start, any other step from the next step, and both are
+    # records of the same batch.
+    config, spec, rng, agents, mediator = learners_for("pgg-iter", k=5)
+    traj = sample_batch(spec, 5, agents, mediator, 64, rng)
+    for agent in agents:
+        batch = build_agent_batch(traj, agent, 5, 0.99)
+        turn = batch.critic_obs[:, 1] * spec.horizon
+        boot_turn = batch.critic_obs[batch.boot_rows, 1] * spec.horizon
+        live = batch.bootstrap_coef > 0
+        assert live.any()
+        np.testing.assert_allclose(
+            batch.bootstrap_coef[live], 0.99 ** (boot_turn - turn)[live])
+        assert np.all(np.isin(np.round(boot_turn - turn)[live], (1, 5)))
