@@ -6,7 +6,7 @@ incentive-compatibility and encouragement constraints enforced through
 Lagrange multipliers and dual gradient descent.
 """
 
-from .games import (GameKind, GameState, PayoffSpec, iterative_pgg, make_spec,
+from .games import (GameKind, PayoffSpec, iterative_pgg, make_spec,
                     one_shot_pgg, pd_with_sacrifice, prisoners_dilemma,
                     two_step_pd)
 from .harness import (RunConfig, RunReport, SweepReport, default_config, emit,
@@ -16,7 +16,7 @@ from .oracle import (MixedProfile, best_response_gap, expected_payoffs,
                      optimal_constrained_mediator_pgg)
 
 __all__ = [
-    "GameKind", "GameState", "PayoffSpec", "MixedProfile",
+    "GameKind", "PayoffSpec", "MixedProfile",
     "RunConfig", "RunReport", "SweepReport",
     "best_response_gap", "default_config", "emit", "expected_payoffs",
     "iterative_pgg", "make_spec", "max_mediated_welfare",

@@ -66,26 +66,6 @@ def td_targets(critic: Mlp, batch: AgentBatch
     return values, targets, cache
 
 
-def critic_loss(critic: Mlp, batch: AgentBatch) -> tuple[float, np.ndarray]:
-    """Mean squared temporal difference and its gradient w.r.t. the critic."""
-    values, targets, cache = td_targets(critic, batch)
-    loss = float(np.mean((targets - values) ** 2))
-    grad = critic.backward(cache, value_grad(values, targets)[:, None])
-    return loss, grad
-
-
-def actor_loss(actor: Mlp, batch: AgentBatch, advantages: np.ndarray,
-               beta: float) -> tuple[float, np.ndarray]:
-    """Negated policy gradient with entropy bonus, and its parameter gradient.
-
-    ``advantages`` are treated as constants (no gradient flows through the
-    critic); log-probabilities are taken under the legal-action mask the
-    rollout sampled with, from its cached activations.
-    """
-    return policy_loss(actor, batch.actor_acts, batch.probs, batch.actions,
-                       advantages, beta)
-
-
 def filter_trainable_steps(statuses: np.ndarray) -> np.ndarray:
     """Boolean mask of steps an agent trains on: where its status is 0 or -1.
 
@@ -130,7 +110,9 @@ class AgentLearner:
             raise TrainingDiverged(f"agent {self.index} critic loss non-finite")
         c_grad = self.critic.backward(cache, value_grad(values, targets)[:, None])
         self.critic_opt.step(self.critic.theta, c_grad)
-        a_loss, a_grad = actor_loss(self.actor, batch, advantages, beta)
+        # Advantages are constants: no gradient flows through the critic.
+        a_loss, a_grad = policy_loss(self.actor, batch.actor_acts, batch.probs,
+                                     batch.actions, advantages, beta)
         if not np.isfinite(a_loss):
             raise TrainingDiverged(f"agent {self.index} actor loss non-finite")
         self.actor_opt.step(self.actor.theta, a_grad)

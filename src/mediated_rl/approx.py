@@ -103,17 +103,6 @@ class Mlp:
                 delta = delta @ w.T
         return grad
 
-    def save(self, path: str) -> None:
-        """Checkpoint as a flat array plus a layer-dims header."""
-        np.savez(path, sizes=np.asarray(self.sizes), theta=self.theta)
-
-    @classmethod
-    def load(cls, path: str) -> "Mlp":
-        data = np.load(path)
-        net = cls(tuple(int(s) for s in data["sizes"]), np.random.default_rng(0))
-        net.theta[:] = data["theta"]
-        return net
-
 
 class Adam:
     """Adaptive-moment optimizer over a flat parameter vector."""
@@ -260,6 +249,8 @@ class EntropySchedule:
             raise ContractError(f"unknown entropy strategy {self.strategy!r}")
         if self.minimum > self.start:
             raise ContractError("entropy minimum exceeds start coefficient")
+        if self.steps < 1:
+            raise ContractError("entropy steps must be >= 1")
 
     def coef(self, iteration: int) -> float:
         if iteration < 0:
@@ -269,6 +260,3 @@ class EntropySchedule:
         frac = min(iteration, self.steps) / self.steps
         return max(self.minimum, self.start * (self.minimum / self.start) ** frac)
 
-
-def entropy_coef(schedule: EntropySchedule, iteration: int) -> float:
-    return schedule.coef(iteration)

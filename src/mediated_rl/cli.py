@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import games, harness, oracle
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 
 def _add_run_parser(sub: argparse._SubParsersAction) -> None:
@@ -95,6 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
+    """A profile read from JSON, checked against the game it is for."""
     by_coal = None
     if data.get("mediator_by_coalition") is not None:
         by_coal = []
@@ -106,15 +107,30 @@ def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
                               for a, d in per_agent.items()}
             by_coal.append(table)
     by_size = data.get("mediator_by_size")
-    return oracle.MixedProfile(
-        agent_policies=[[np.asarray(p) for p in state]
-                        for state in data["agent_policies"]],
-        mediated=bool(data.get("mediated", False)),
-        mediator_by_coalition=by_coal,
-        mediator_by_size=np.asarray(by_size) if by_size is not None else None)
+    mediated = bool(data.get("mediated", False))
+    arities = [a + mediated for a in spec.num_actions]
+    states = data["agent_policies"]
+    if len(states) != spec.horizon or any(
+            [len(p) for p in state] != arities for state in states):
+        raise ConfigError(f"agent_policies needs {spec.horizon} state(s) of "
+                          f"policies over {arities} actions")
+    pgg = spec.kind is games.GameKind.ONE_SHOT_PGG
+    if mediated and (by_size if pgg else by_coal) is None:
+        raise ConfigError("a mediated profile needs "
+                          + ("mediator_by_size" if pgg else "mediator_by_coalition"))
+    try:
+        return oracle.MixedProfile(
+            agent_policies=[[np.asarray(p) for p in state] for state in states],
+            mediated=mediated,
+            mediator_by_coalition=by_coal,
+            mediator_by_size=np.asarray(by_size) if by_size is not None else None)
+    except ContractError as exc:
+        raise ConfigError(f"bad profile: {exc}") from None
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ConfigError("k must be >= 1")
     spec = games.make_spec(args.env, args.num_agents, args.multiplier)
     low, high = oracle.normalization_constants(spec)
     print(f"env={spec.name} agents={spec.num_agents} horizon={spec.horizon}")
@@ -129,8 +145,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         welfare, _ = oracle.max_mediated_welfare(spec)
         print(f"max mediated welfare: {welfare:.6g}")
     if args.profile:
-        with open(args.profile, encoding="utf-8") as handle:
-            profile = _profile_from_json(spec, json.load(handle))
+        try:
+            with open(args.profile, encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON
+            raise ConfigError(f"cannot read profile: {exc}") from None
+        profile = _profile_from_json(spec, data)
         payoffs = oracle.expected_payoffs(spec, profile, k=args.k)
         print("expected payoffs: "
               + " ".join(f"agent{i}={v:.6g}" for i, v in enumerate(payoffs)))

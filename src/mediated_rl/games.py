@@ -82,18 +82,6 @@ class PayoffSpec:
         return max(self.num_actions)
 
 
-@dataclass(frozen=True)
-class GameState:
-    """Per-episode state, passed by value. Terminal iff turn == spec.horizon."""
-
-    turn: int
-    endowments: np.ndarray | None = None
-
-
-def is_terminal(spec: PayoffSpec, state: GameState) -> bool:
-    return state.turn >= spec.horizon
-
-
 # ---------------------------------------------------------------------------
 # Environment constructors
 
@@ -188,69 +176,17 @@ def make_spec(env: str, num_agents: int = 3, multiplier: float = 2.0) -> PayoffS
 # Stepping
 
 
-def reset(spec: PayoffSpec, seed: int | None = None) -> GameState:
-    """Fresh episode state. These games have deterministic starts; the seed
-    argument exists for interface symmetry only."""
-    del seed
-    if spec.kind is GameKind.ITERATIVE_PGG:
-        return GameState(turn=0, endowments=np.ones(spec.num_agents))
-    return GameState(turn=0)
-
-
-def pgg_reward(contributions: np.ndarray, num_agents: int,
-               multiplier: float) -> np.ndarray:
-    """One-shot PGG reward: r_i = (n/N) * sum_j c_j - c_i, c_i in {0, 1}."""
-    c = np.asarray(contributions, dtype=np.float64)
-    if c.shape != (num_agents,) or not np.isin(c, (0.0, 1.0)).all():
-        raise ContractError("contributions must be a binary vector of length N")
-    return (multiplier / num_agents) * c.sum() - c
-
-
-def pgg_iter_step(spec: PayoffSpec, state: GameState,
-                  contributions: np.ndarray) -> tuple[GameState, np.ndarray]:
-    """One turn of the compounding PGG.
-
-    Each contributor pays half its endowment into the pool; the pool is
-    multiplied by n and split equally among all N agents. The per-step reward
-    is the endowment delta, so undiscounted returns telescope to final minus
-    initial endowment.
-    """
-    if state.turn >= spec.horizon:
-        raise ContractError("step on a terminal state")
-    c = np.asarray(contributions, dtype=np.float64)
-    e = state.endowments
-    paid = ITER_PGG_CONTRIB_SHARE * e * c
-    share = spec.multiplier * paid.sum() / spec.num_agents
-    new_e = e - paid + share
-    rewards = new_e - e
-    return GameState(turn=state.turn + 1, endowments=new_e), rewards
-
-
-def step(spec: PayoffSpec, state: GameState,
-         joint_action: np.ndarray) -> tuple[GameState, np.ndarray]:
-    """Advance one turn; returns (next state, per-agent rewards)."""
-    if state.turn >= spec.horizon:
-        raise ContractError("step on a terminal state")
-    action = np.asarray(joint_action, dtype=np.int64)
-    if action.shape != (spec.num_agents,):
-        raise ContractError("joint action must supply one action per agent")
-    if np.any(action < 0) or np.any(action >= np.asarray(spec.num_actions)):
-        raise ContractError(f"action out of range: {action.tolist()}")
-    if spec.kind is GameKind.MATRIX:
-        rewards = spec.payoff_tables[state.turn][tuple(action)].copy()
-        return GameState(turn=state.turn + 1), rewards
-    if spec.kind is GameKind.ONE_SHOT_PGG:
-        rewards = pgg_reward(action, spec.num_agents, spec.multiplier)
-        return GameState(turn=state.turn + 1), rewards
-    return pgg_iter_step(spec, state, action)
-
-
 def step_batch(spec: PayoffSpec, turn: int, endowments: np.ndarray | None,
                actions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Vectorized ``step`` over a batch of episodes advancing in lockstep.
+    """Advance a batch of episodes in lockstep by one turn.
 
-    ``actions`` has shape (B, N); returns (rewards (B, N), new endowments or
-    None). Matches the scalar ``step`` exactly (property-tested).
+    ``actions`` has shape (B, N). Matrix games look the joint action up in
+    the turn's payoff table. The one-shot PGG pays
+    r_i = (n/N) * sum_j c_j - c_i. In the compounding PGG each contributor
+    pays half its endowment into the pool, the pool is multiplied by n and
+    split equally among all N agents, and the reward is the endowment delta,
+    so undiscounted returns telescope to final minus initial endowment.
+    Returns (rewards (B, N), new endowments or None).
     """
     if turn >= spec.horizon:
         raise ContractError("step on a terminal state")

@@ -23,9 +23,9 @@ import numpy as np
 from . import games, oracle
 from .agents import AgentLearner, LearnerParams
 from .approx import EntropySchedule
-from .errors import ConfigError, TrainingDiverged
-from .games import GameKind, PayoffSpec, obs_dim
-from .mediation import FREE
+from .errors import ConfigError, ContractError, TrainingDiverged
+from .games import GameKind, PayoffSpec, base_obs_batch, obs_dim
+from .mediation import FREE, legal_action_mask_batch
 from .mediator import MediatorLearner
 from .rollout import (TrajectoryBatch, build_agent_batch, build_mediator_batch,
                       mediator_actor_inputs, sample_batch)
@@ -73,6 +73,9 @@ class RunConfig:
             raise ConfigError("multiplier must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
+        lo, hi = self.log_lambda_bounds
+        if not lo < hi:
+            raise ConfigError("log_lambda_bounds must satisfy lo < hi")
         spec = games.make_spec(self.env, self.num_agents, self.multiplier)
         if self.k > spec.horizon:
             raise ConfigError("k cannot exceed the horizon")
@@ -274,16 +277,14 @@ def _train_iteration(config: RunConfig, spec: PayoffSpec,
         # Its activations are spent; free them before the mediator's update.
         traj.agent_acts[agent.index].clear()
     if mediator is not None:
-        mode = "constrained" if config.mediator_mode == "constrained" else "naive"
         med_stats = mediator.update(build_mediator_batch(traj, mediator),
-                                    config.mediator.entropy.coef(it), mode,
-                                    config.k)
+                                    config.mediator.entropy.coef(it), config.k)
     if not (config.log_every and it % config.log_every == 0):
         return None
     entry = {
         "iteration": it,
         "mean_reward": float(traj.reward.sum(axis=0).mean()),
-        "commit_rate": _empirical_commit_rate(traj, config.k),
+        "commit_rate": _empirical_commit_rate(traj),
     }
     if mediator is not None:
         entry.update(med_stats)
@@ -294,7 +295,7 @@ def _train_iteration(config: RunConfig, spec: PayoffSpec,
 # Evaluation
 
 
-def _empirical_commit_rate(traj: TrajectoryBatch, k: int) -> float:
+def _empirical_commit_rate(traj: TrajectoryBatch) -> float:
     decisions = traj.status == FREE
     if not decisions.any():
         return 0.0
@@ -308,23 +309,22 @@ def _mediator_action_rate(traj: TrajectoryBatch, action: int) -> float:
     return float((traj.med_action[acted] == action).mean())
 
 
-def _query_agent(agent: AgentLearner, base_obs: list[float],
+def _query_agent(agent: AgentLearner, base: np.ndarray,
                  status: int) -> np.ndarray:
-    obs = list(base_obs) + ([float(status)] if agent.status_feature else [])
-    if agent.mediated:
-        mask = np.asarray(
-            [status != 1] * agent.num_env_actions + [status != -1])[None, :]
-    else:
-        mask = np.ones((1, agent.num_actions), dtype=bool)
-    return agent.policy(np.asarray([obs]), mask)[0]
+    """The agent's policy at one observation; ``base`` is (1, N, obs_dim)."""
+    obs = base[:, agent.index]
+    if agent.status_feature:
+        obs = np.append(obs, [[status]], axis=1)
+    # Slicing drops the commit column an unmediated agent does not have.
+    mask = legal_action_mask_batch(np.array([status]), agent.num_env_actions)
+    return agent.policy(obs, mask[:, :agent.num_actions])[0]
 
 
-def _query_mediator(mediator: MediatorLearner, base_obs: list[float],
+def _query_mediator(mediator: MediatorLearner, base: np.ndarray,
                     coalition: np.ndarray, agent: int) -> np.ndarray:
     rows_b = np.zeros(1, dtype=np.int64)
     rows_i = np.asarray([agent])
-    base_t = np.asarray([[base_obs] * mediator.num_agents])
-    actor_in = mediator_actor_inputs(mediator, base_t, coalition[None, :],
+    actor_in = mediator_actor_inputs(mediator, base, coalition[None, :],
                                      rows_b, rows_i)
     return mediator.policy(actor_in, rows_i)[0]
 
@@ -348,7 +348,7 @@ def collect_metrics(spec: PayoffSpec, config: RunConfig,
     for i in range(n):
         metrics[f"return/agent{i}"] = float(per_agent[i])
     if mediator is not None:
-        metrics["commit_rate"] = _empirical_commit_rate(traj, config.k)
+        metrics["commit_rate"] = _empirical_commit_rate(traj)
         metrics["mediator_coop_rate"] = _mediator_action_rate(
             traj, games.COOPERATE)
 
@@ -370,12 +370,6 @@ _ACTION_NAMES = {games.DEFECT: "defect", games.COOPERATE: "coop",
                  games.SACRIFICE: "sacrifice"}
 
 
-def _state_obs(spec: PayoffSpec, turn: int) -> list[float]:
-    if spec.horizon == 1:
-        return [1.0]
-    return [turn / spec.horizon]
-
-
 def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
                            agents: list[AgentLearner],
                            mediator: MediatorLearner | None,
@@ -384,7 +378,7 @@ def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
     multi = spec.horizon > 1
     for t in range(spec.horizon):
         tag = f"@s{t}" if multi else ""
-        base = _state_obs(spec, t)
+        base = base_obs_batch(spec, t, None, 1)
         boundary = t % config.k == 0
         for i, agent in enumerate(agents):
             probs = _query_agent(agent, base, 0 if boundary else -1)
@@ -434,7 +428,7 @@ def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
                         agents: list[AgentLearner],
                         mediator: MediatorLearner | None,
                         metrics: dict[str, float]) -> None:
-    base = _state_obs(spec, 0)
+    base = base_obs_batch(spec, 0, None, 1)
     commit = []
     for i, agent in enumerate(agents):
         probs = _query_agent(agent, base, 0)
@@ -456,7 +450,8 @@ def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
 def _iter_pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
                              agents: list[AgentLearner],
                              metrics: dict[str, float]) -> None:
-    base = [1.0, 0.0]  # initial endowment, first turn
+    # Unit endowments at the first turn, as every episode starts.
+    base = base_obs_batch(spec, 0, np.ones((1, spec.num_agents)), 1)
     for i, agent in enumerate(agents):
         probs = _query_agent(agent, base, 0)
         metrics[f"pi_coop@init/agent{i}"] = float(probs[games.COOPERATE])
@@ -574,7 +569,10 @@ def _to_table(report: RunReport | SweepReport) -> str:
 
 def load_config_file(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     return config_from_parser(parser)
@@ -588,23 +586,19 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
     config = default_config(
         env,
         mediator_mode=mediation.get("mediator_mode", "none"),
-        k=int(mediation.get("k", 1)),
-        num_agents=int(game.get("num_agents", 3)),
-        multiplier=float(game.get("multiplier", 2.0)))
-    updates: dict = {}
-    if "symmetric_mediator" in mediation:
-        updates["symmetric_mediator"] = mediation.getboolean("symmetric_mediator")
-    if "log_lambda_bounds" in mediation:
-        lo, hi = (float(x) for x in mediation.get("log_lambda_bounds").split())
-        updates["log_lambda_bounds"] = (lo, hi)
-    for key in ("batch_size", "iterations", "eval_episodes", "log_every"):
-        if key in har:
-            updates[key] = int(har.get(key))
-    if "gamma" in har:
-        updates["gamma"] = float(har.get("gamma"))
-    if "seeds" in har:
-        updates["seeds"] = tuple(int(s) for s in har.get("seeds").split())
-    config = replace(config, **updates)
+        k=_read(mediation, "k", int, 1),
+        num_agents=_read(game, "num_agents", int, 3),
+        multiplier=_read(game, "multiplier", float, 2.0))
+    updates = {key: _read(har, key, int, getattr(config, key))
+               for key in ("batch_size", "iterations", "eval_episodes", "log_every")}
+    config = replace(
+        config, **updates,
+        symmetric_mediator=_read(mediation, "symmetric_mediator", _boolean,
+                                 config.symmetric_mediator),
+        log_lambda_bounds=_read(mediation, "log_lambda_bounds", _bounds,
+                                config.log_lambda_bounds),
+        gamma=_read(har, "gamma", float, config.gamma),
+        seeds=_read(har, "seeds", _ints, config.seeds))
     for section, current in (("agent", config.agent), ("mediator", config.mediator)):
         if section in parser:
             config = replace(config, **{section: _learner_from_section(
@@ -612,22 +606,47 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
     return config
 
 
+def _read(section, key: str, convert, default):
+    """``section[key]`` parsed by ``convert``, or ``default`` when absent."""
+    if key not in section:
+        return default
+    text = section.get(key)
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key} = {text!r}") from None
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(text)
+    return states[text.lower()]
+
+
+def _bounds(text: str) -> tuple[float, float]:
+    lo, hi = (float(x) for x in text.split())
+    return lo, hi
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split())
+
+
 def _learner_from_section(section, current: LearnerParams) -> LearnerParams:
-    entropy = current.entropy
-    ent_updates = {}
-    for key, attr in (("entropy_start", "start"), ("entropy_decay", "decay"),
-                      ("entropy_min", "minimum")):
-        if key in section:
-            ent_updates[attr] = float(section.get(key))
-    if "entropy_steps" in section:
-        ent_updates["steps"] = int(section.get("entropy_steps"))
-    if "entropy_strategy" in section:
-        ent_updates["strategy"] = section.get("entropy_strategy")
-    if ent_updates:
-        entropy = replace(entropy, **ent_updates)
+    ent_updates = {
+        attr: _read(section, key, convert, getattr(current.entropy, attr))
+        for key, attr, convert in (
+            ("entropy_start", "start", float), ("entropy_decay", "decay", float),
+            ("entropy_min", "minimum", float), ("entropy_steps", "steps", int),
+            ("entropy_strategy", "strategy", str))}
+    try:
+        entropy = replace(current.entropy, **ent_updates)
+    except ContractError as exc:
+        raise ConfigError(f"[{section.name}] {exc}") from None
     return LearnerParams(
-        lr_actor=float(section.get("lr_actor", current.lr_actor)),
-        lr_critic=float(section.get("lr_critic", current.lr_critic)),
-        hidden=int(section.get("hidden", current.hidden)),
+        lr_actor=_read(section, "lr_actor", float, current.lr_actor),
+        lr_critic=_read(section, "lr_critic", float, current.lr_critic),
+        hidden=_read(section, "hidden", int, current.hidden),
         entropy=entropy,
-        lambda_lr=float(section.get("lambda_lr", current.lambda_lr)))
+        lambda_lr=_read(section, "lambda_lr", float, current.lambda_lr))

@@ -22,9 +22,7 @@ import numpy as np
 
 from .agents import LearnerParams
 from .approx import Adam, Mlp, masked_softmax, policy_loss
-from .errors import ContractError, TrainingDiverged
-
-MODES = ("naive", "ic", "e", "constrained")
+from .errors import TrainingDiverged
 
 
 @dataclass
@@ -66,31 +64,21 @@ class LagrangeState:
             np.where(e_valid, self.log_e - self.lr * e_gaps, self.log_e), lo, hi)
 
 
-def lambda_update(log_lam: np.ndarray, gaps: np.ndarray, lr: float,
-                  log_bounds: tuple[float, float] = (-4.0, 4.0)) -> np.ndarray:
-    """One bounded dual-descent step on log lambda (pure form of the update)."""
-    lo, hi = log_bounds
-    return np.clip(log_lam - lr * np.asarray(gaps), lo, hi)
-
-
 def actor_head_weights(deltas: np.ndarray, member: np.ndarray,
-                       lambda_ic: np.ndarray, lambda_e: np.ndarray,
-                       mode: str, step_rows: np.ndarray,
-                       agent_rows: np.ndarray) -> np.ndarray:
+                       step_rows: np.ndarray, agent_rows: np.ndarray,
+                       lagrange: LagrangeState | None) -> np.ndarray:
     """Advantage weight on log pi for each (step, member) actor sample.
 
-    The base weight is the coalition's summed TD residual; the IC mode adds
-    lambda_ic_i * delta_i for the acted-for agent, and the E mode subtracts
-    sum_j lambda_e_j * delta_j over agents outside the coalition.
+    The base weight is the coalition's summed TD residual. A constrained
+    mediator (one holding a ``LagrangeState``) adds lambda_ic_i * delta_i
+    for the acted-for agent (IC) and subtracts sum_j lambda_e_j * delta_j
+    over agents outside the coalition (E).
     """
-    if mode not in MODES:
-        raise ContractError(f"unknown mediator mode {mode!r}")
     social = (deltas * member).sum(axis=1)
     w = social[step_rows]
-    if mode in ("ic", "constrained"):
-        w = w + lambda_ic[agent_rows] * deltas[step_rows, agent_rows]
-    if mode in ("e", "constrained"):
-        outside_pen = (deltas * ~member * lambda_e[None, :]).sum(axis=1)
+    if lagrange is not None:
+        w = w + lagrange.lambda_ic[agent_rows] * deltas[step_rows, agent_rows]
+        outside_pen = (deltas * ~member * lagrange.lambda_e[None, :]).sum(axis=1)
         w = w - outside_pen[step_rows]
     return w
 
@@ -214,9 +202,10 @@ class MediatorLearner:
         deltas = batch.rewards + self.gamma * v_next - v_cur
         return deltas, cache
 
-    def update(self, batch: MediatorBatch, beta: float, mode: str,
+    def update(self, batch: MediatorBatch, beta: float,
                k: int) -> dict[str, float]:
-        """Critic step, actor step for every coalition head, then the dual step.
+        """Critic step, actor step for every coalition head, then the dual
+        step if the mediator is constrained.
 
         The TD residuals act as constants in the actor loss and as the error
         signal in the critic loss. Lagrange multipliers update once per call,
@@ -236,9 +225,8 @@ class MediatorLearner:
         stats = {"critic_loss": critic_loss, "actor_loss": 0.0}
         r = batch.actor_actions.shape[0]
         if r > 0:
-            lam_ic, lam_e = self._lambdas(mode)
-            weights = actor_head_weights(deltas, batch.member, lam_ic, lam_e,
-                                         mode, batch.actor_step, batch.actor_agent)
+            weights = actor_head_weights(deltas, batch.member, batch.actor_step,
+                                         batch.actor_agent, self.lagrange)
             actor_loss, grad = policy_loss(
                 self.actor, batch.actor_acts, batch.actor_probs,
                 batch.actor_actions, weights, beta)
@@ -247,17 +235,9 @@ class MediatorLearner:
             self.actor_opt.step(self.actor.theta, grad)
             stats["actor_loss"] = actor_loss
 
-        if self.lagrange is not None and mode in ("ic", "e", "constrained"):
-            self._dual_step(batch, k, mode)
-        return stats
-
-    def _lambdas(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
         if self.lagrange is not None:
-            return self.lagrange.lambda_ic, self.lagrange.lambda_e
-        zeros = np.zeros(self.num_agents)
-        if mode in ("ic", "e", "constrained"):
-            raise ContractError("constrained mode requires a LagrangeState")
-        return zeros, zeros
+            self.lagrange.apply(*self._constraint_gaps(batch, k))
+        return stats
 
     def _critic_upstream(self, deltas: np.ndarray, member: np.ndarray,
                          s: int) -> np.ndarray:
@@ -268,14 +248,6 @@ class MediatorLearner:
         up[:, 0] = (scaled * member).sum(axis=1)
         up[:, 1] = (scaled * ~member).sum(axis=1)
         return up
-
-    def _dual_step(self, batch: MediatorBatch, k: int, mode: str) -> None:
-        ic_gaps, ic_valid, e_gaps, e_valid = self._constraint_gaps(batch, k)
-        if mode == "ic":
-            e_valid = np.zeros_like(e_valid)
-        elif mode == "e":
-            ic_valid = np.zeros_like(ic_valid)
-        self.lagrange.apply(ic_gaps, ic_valid, e_gaps, e_valid)
 
     def _constraint_gaps(self, batch: MediatorBatch, k: int
                          ) -> tuple[np.ndarray, ...]:

@@ -3,7 +3,8 @@
 Expected payoffs of mixed strategy profiles under the mediation protocol,
 best-response gaps, the analytically optimal constrained mediator for the
 public goods game, welfare bounds used to normalize reported rewards, and a
-Monte-Carlo sampler to cross-check the exact expectations.
+Monte-Carlo sampler that runs the rollout's protocol steps over tabular
+profiles to cross-check the exact expectations.
 
 Matrix games are evaluated by full enumeration over choices, coalitions, and
 mediator actions; the public goods game exploits agent symmetry (coalition
@@ -19,8 +20,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import games
+from .approx import sample_categorical
 from .errors import ConfigError, ContractError, UnsupportedGameError
 from .games import GameKind, PayoffSpec
+from .mediation import (joint_env_actions, legal_action_mask_batch,
+                        next_coalition, window_statuses)
+from .rollout import sample_agent_actions
 
 DIST_TOL = 5e-12
 
@@ -211,26 +216,12 @@ def _pure_plans(spec: PayoffSpec, profile: MixedProfile, agent: int,
     (committed agents are forced, so their mid-window entry is irrelevant
     and the original distribution is kept).
     """
-    arity = [len(profile.agent_policies[t][agent]) for t in range(spec.horizon)]
-    options: list[list[np.ndarray | None]] = []
+    options = []
     for t in range(spec.horizon):
-        if not profile.mediated or t % k == 0:
-            choices = []
-            for a in range(arity[t]):
-                point = np.zeros(arity[t])
-                point[a] = 1.0
-                choices.append(point)
-        else:
-            choices = []
-            for a in range(spec.num_actions[agent]):
-                point = np.zeros(arity[t])
-                point[a] = 1.0
-                choices.append(point)
-        options.append(choices)
-    plans = []
-    for combo in itertools.product(*options):
-        plans.append(list(combo))
-    return plans
+        arity = len(profile.agent_policies[t][agent])
+        free = not profile.mediated or t % k == 0
+        options.append(np.eye(arity)[:arity if free else spec.num_actions[agent]])
+    return [list(plan) for plan in itertools.product(*options)]
 
 
 def best_response_gap(spec: PayoffSpec, profile: MixedProfile, agent: int,
@@ -303,12 +294,12 @@ def normalization_constants(spec: PayoffSpec) -> tuple[float, float]:
     if spec.kind is GameKind.ONE_SHOT_PGG:
         return 0.0, spec.multiplier - 1.0
     if spec.kind is GameKind.ITERATIVE_PGG:
-        state = games.reset(spec)
+        endow = np.ones((1, spec.num_agents))
         total = np.zeros(spec.num_agents)
-        for _ in range(spec.horizon):
-            state, rewards = games.pgg_iter_step(
-                spec, state, np.ones(spec.num_agents))
-            total += rewards
+        for t in range(spec.horizon):
+            rewards, endow = games.step_batch(
+                spec, t, endow, np.ones((1, spec.num_agents), dtype=np.int64))
+            total += rewards[0]
         return 0.0, float(total.mean())
     low = 0.0
     high = 0.0
@@ -380,43 +371,43 @@ def max_mediated_welfare(spec: PayoffSpec) -> tuple[float, np.ndarray]:
 def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
                            episodes: int, rng: np.random.Generator,
                            k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical mean and standard error of per-agent returns under a profile."""
-    n = spec.num_agents
-    totals = np.zeros((episodes, n))
+    """Empirical mean and standard error of per-agent returns under a profile.
+
+    Episodes run through the rollout's protocol steps: statuses, legal-action
+    masks, one padded draw for all agents, coalition update and joint-action
+    assembly. The tabular policies are restricted to the legal actions; where
+    a profile gives them no mass, the agent plays them uniformly, as the
+    exact oracle does (a committed agent commits, a locked-out agent with no
+    env mass picks uniformly among its env actions).
+    """
     if spec.kind is GameKind.ITERATIVE_PGG:
         raise UnsupportedGameError("profile sampling targets the exact-oracle games")
-
+    n = spec.num_agents
+    env_actions = np.asarray(spec.num_actions)
+    num_actions = env_actions + profile.mediated
+    policies = np.zeros((spec.horizon, n, num_actions.max()))
+    for t, state in enumerate(profile.agent_policies):
+        for i, pol in enumerate(state):
+            policies[t, i, :pol.shape[0]] = pol
+    totals = np.zeros((episodes, n))
     coalition = np.zeros((episodes, n), dtype=bool)
+    med_actions = np.full((episodes, n), -1, dtype=np.int64)
     for t in range(spec.horizon):
-        choices = np.empty((episodes, n), dtype=np.int64)
-        for i in range(n):
-            pol = profile.agent_policies[t][i]
-            if profile.mediated and t % k != 0:
-                env = _env_part(pol, spec.num_actions[i])
-                free = np.concatenate([env, [0.0]])
-                forced = np.zeros(spec.num_actions[i] + 1)
-                forced[-1] = 1.0
-                cdf_free = np.cumsum(free)
-                cdf_forced = np.cumsum(forced)
-                u = rng.random(episodes)
-                pick_free = (cdf_free[None, :] < u[:, None]).sum(axis=1)
-                choices[:, i] = np.where(coalition[:, i],
-                                         (cdf_forced[None, :] < u[:, None]).sum(axis=1),
-                                         pick_free)
-            else:
-                cdf = np.cumsum(pol)
-                u = rng.random(episodes)
-                choices[:, i] = np.minimum((cdf[None, :] < u[:, None]).sum(axis=1),
-                                           pol.shape[0] - 1)
+        probs = np.broadcast_to(policies[t, :, None, :],
+                                (n, episodes, policies.shape[-1]))
         if profile.mediated:
-            if t % k == 0:
-                coalition = choices == np.asarray(spec.num_actions)[None, :]
-            env_actions = np.where(coalition, 0, choices)
-            env_actions = _sample_mediator_actions(
-                spec, profile, t, coalition, env_actions, rng)
-        else:
-            env_actions = choices
-        rewards, _ = games.step_batch(spec, t, None, env_actions)
+            status = window_statuses(coalition, t, k)
+            masks = legal_action_mask_batch(status.T, env_actions[:, None])
+            weights = np.where(masks, probs, 0.0)
+            np.copyto(weights, masks,
+                      where=weights.sum(axis=-1, keepdims=True) == 0.0)
+            probs = weights / weights.sum(axis=-1, keepdims=True)
+        choices = sample_agent_actions(probs, num_actions, rng).T
+        if profile.mediated:
+            coalition = next_coalition(coalition, choices, t, k, env_actions)
+            med_actions = _sample_mediator_actions(spec, profile, t, coalition, rng)
+        rewards, _ = games.step_batch(
+            spec, t, None, joint_env_actions(choices, med_actions, coalition))
         totals += rewards
     mean = totals.mean(axis=0)
     stderr = totals.std(axis=0, ddof=1) / np.sqrt(episodes)
@@ -424,27 +415,22 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
 
 
 def _sample_mediator_actions(spec: PayoffSpec, profile: MixedProfile, t: int,
-                             coalition: np.ndarray, env_actions: np.ndarray,
+                             coalition: np.ndarray,
                              rng: np.random.Generator) -> np.ndarray:
-    out = env_actions.copy()
+    """Mediator env actions drawn from the profile's tables, -1 outside the
+    coalition."""
+    out = np.full(coalition.shape, -1, dtype=np.int64)
     if profile.mediator_by_size is not None:
-        sizes = coalition.sum(axis=1)
-        p = profile.mediator_by_size[sizes]
-        draws = rng.random(coalition.shape) < p[:, None]
-        out = np.where(coalition, draws.astype(np.int64), out)
-        return out
-    bits_all = [tuple(row) for row in coalition.astype(int)]
-    for bits in set(bits_all):
-        if sum(bits) == 0:
-            continue
-        rows = np.array([b == bits for b in bits_all])
-        for i, flag in enumerate(bits):
-            if flag:
-                dist = profile.mediator_dist(t, bits, i, spec.num_actions[i])
-                cdf = np.cumsum(dist)
-                u = rng.random(int(rows.sum()))
-                out[rows, i] = np.minimum((cdf[None, :] < u[:, None]).sum(axis=1),
-                                          dist.shape[0] - 1)
+        p = profile.mediator_by_size[coalition.sum(axis=1)]
+        draws = (rng.random(coalition.shape) < p[:, None]).astype(np.int64)
+        return np.where(coalition, draws, out)
+    for bits in np.unique(coalition[coalition.any(axis=1)], axis=0):
+        rows = np.flatnonzero((coalition == bits).all(axis=1))
+        key = tuple(int(b) for b in bits)
+        for i in np.flatnonzero(bits):
+            dist = profile.mediator_dist(t, key, int(i), spec.num_actions[i])
+            out[rows, i] = sample_categorical(
+                np.broadcast_to(dist, (rows.size, dist.shape[0])), rng)
     return out
 
 

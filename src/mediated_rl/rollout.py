@@ -17,7 +17,9 @@ from .agents import AgentBatch, AgentLearner, filter_trainable_steps
 from .approx import Mlp, masked_softmax, sample_categorical
 from .errors import ContractError
 from .games import GameKind, PayoffSpec, base_obs_batch, obs_dim, step_batch
-from .mediation import COMMITTED, FREE, commit_index, legal_action_mask_batch
+from .mediation import (COMMITTED, FREE, commit_index, joint_env_actions,
+                        legal_action_mask_batch, next_coalition,
+                        window_statuses)
 from .mediator import MediatorBatch, MediatorLearner
 
 
@@ -89,7 +91,7 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
     t_max, n, d = spec.horizon, spec.num_agents, obs_dim(spec)
     mediated = mediator is not None
     base = np.empty((t_max + 1, batch, n, d))
-    status = np.zeros((t_max, batch, n), dtype=np.int64)
+    status = np.empty((t_max, batch, n), dtype=np.int64)
     choice = np.empty((t_max, batch, n), dtype=np.int64)
     member = np.zeros((t_max, batch, n), dtype=bool)
     med_action = np.full((t_max, batch, n), -1, dtype=np.int64)
@@ -117,8 +119,7 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
 
     for t in range(t_max):
         base[t] = base_obs_batch(spec, t, endow, batch)
-        if t % k != 0:
-            status[t] = np.where(coalition, 1, -1)
+        status[t] = window_statuses(coalition, t, k)
         rows = slice(t * batch, (t + 1) * batch)
         for i, agent in enumerate(agents):
             # Committed rows keep stale logits: their mask leaves only commit.
@@ -141,10 +142,8 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
         agent_probs[:, rows] = probs
         choice[t] = sample_agent_actions(probs, num_actions, rng).T
         if mediated:
-            if t % k == 0:
-                coalition = choice[t] == commit_ids[None, :]
+            coalition = next_coalition(coalition, choice[t], t, k, commit_ids)
             member[t] = coalition
-            env_action[t] = np.where(coalition, 0, choice[t])
             rows_b, rows_i = np.nonzero(coalition)
             if rows_b.size:
                 samples = slice(filled, filled + rows_b.size)
@@ -154,11 +153,9 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
                     mediator, base[t], coalition, rows_b, rows_i)
                 med_probs[samples] = mediator.policy(
                     actor_in, rows_i, [a[samples] for a in med_acts[1:]])
-                acts = sample_categorical(med_probs[samples], rng)
-                med_action[t, rows_b, rows_i] = acts
-                env_action[t, rows_b, rows_i] = acts
-        else:
-            env_action[t] = choice[t]
+                med_action[t, rows_b, rows_i] = sample_categorical(
+                    med_probs[samples], rng)
+        env_action[t] = joint_env_actions(choice[t], med_action[t], coalition)
         reward[t], endow = step_batch(spec, t, endow, env_action[t])
     base[t_max] = base_obs_batch(spec, t_max, endow, batch)
     agent_acts = [[a[:m] for a in acts] for acts, m in zip(agent_acts, agent_filled)]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mediated_rl.agents import (AgentBatch, AgentLearner, LearnerParams,
-                                actor_loss, critic_loss,
                                 filter_trainable_steps, td_targets)
-from mediated_rl.approx import EntropySchedule, Mlp, masked_softmax
+from mediated_rl.approx import EntropySchedule, Mlp, masked_softmax, policy_loss
 
 
 def make_params(hidden=8):
@@ -45,6 +44,17 @@ def single_step_batch(agent, reward, coef=0.0, action=0, mask=None):
     return constant_batch(agent, [reward], [action], mask, [coef])
 
 
+def critic_loss(agent, batch):
+    """The critic loss of one training step on ``batch``."""
+    return agent.update(batch, beta=0.0)["critic_loss"]
+
+
+def actor_loss(agent, batch, advantages, beta):
+    """The actor loss and gradient the update takes for given advantages."""
+    return policy_loss(agent.actor, batch.actor_acts, batch.probs,
+                       batch.actions, advantages, beta)
+
+
 # ---------------------------------------------------------------------------
 # Critic targets and loss
 
@@ -53,7 +63,7 @@ def test_critic_target_reduces_to_reward_at_gamma_zero():
     agent = make_agent()
     agent.critic.theta[:] = 0.0
     batch = single_step_batch(agent, reward=2.0, coef=0.0)
-    loss, _ = critic_loss(agent.critic, batch)
+    loss = critic_loss(agent, batch)
     assert loss == pytest.approx(4.0)
 
 
@@ -62,7 +72,7 @@ def test_critic_terminal_drops_bootstrap():
     batch = single_step_batch(agent, reward=1.5, coef=0.0)
     values, targets, _ = td_targets(agent.critic, batch)
     assert targets[0] == pytest.approx(1.5)
-    loss, _ = critic_loss(agent.critic, batch)
+    loss = critic_loss(agent, batch)
     assert loss == pytest.approx((1.5 - values[0]) ** 2)
 
 
@@ -74,7 +84,7 @@ def test_critic_k_step_target_arithmetic():
     gamma = 0.99
     reward_sum = 1.0 + gamma + gamma ** 2
     batch = single_step_batch(agent, reward=reward_sum, coef=gamma ** 3)
-    loss, _ = critic_loss(agent.critic, batch)
+    loss = critic_loss(agent, batch)
     assert loss == pytest.approx(2.9701 ** 2)
 
 
@@ -85,8 +95,7 @@ def test_critic_converges_to_expected_reward():
     batch = constant_batch(agent, rewards, np.zeros(32, dtype=np.int64),
                            np.ones((32, 3), dtype=bool))
     for _ in range(2000):
-        loss, grad = critic_loss(agent.critic, batch)
-        agent.critic_opt.step(agent.critic.theta, grad)
+        critic_loss(agent, batch)
     value = agent.critic.forward(np.ones((1, 1)))[0, 0]
     assert value == pytest.approx(rewards.mean(), abs=0.02)
 
@@ -98,7 +107,7 @@ def test_critic_converges_to_expected_reward():
 def test_actor_zero_advantage_zero_entropy_zero_gradient():
     agent = make_agent()
     batch = single_step_batch(agent, reward=0.0)
-    _, grad = actor_loss(agent.actor, batch, np.zeros(1), beta=0.0)
+    _, grad = actor_loss(agent, batch, np.zeros(1), beta=0.0)
     np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
 
@@ -107,7 +116,7 @@ def test_positive_advantage_raises_action_probability():
     batch = single_step_batch(agent, reward=1.0, action=1)
     masks = np.ones((1, 3), dtype=bool)
     before = agent.policy(np.ones((1, 1)), masks)[0, 1]
-    _, grad = actor_loss(agent.actor, batch, np.array([1.0]), beta=0.0)
+    _, grad = actor_loss(agent, batch, np.array([1.0]), beta=0.0)
     agent.actor_opt.step(agent.actor.theta, grad)
     after = agent.policy(np.ones((1, 1)), masks)[0, 1]
     assert after > before
@@ -120,7 +129,7 @@ def test_entropy_gradient_zero_at_uniform():
     agent.actor.theta[:] = 0.0
     batch = single_step_batch(agent, reward=0.0, action=0,
                               mask=np.array([[True, True, False]]))
-    _, grad = actor_loss(agent.actor, batch, np.zeros(1), beta=0.5)
+    _, grad = actor_loss(agent, batch, np.zeros(1), beta=0.5)
     assert np.abs(grad).max() < 1e-12
 
 
@@ -130,7 +139,7 @@ def test_entropy_drives_masked_policy_to_uniform():
     for _ in range(3000):
         # One fresh rollout per step, as in training.
         batch = single_step_batch(agent, reward=0.0, mask=mask)
-        _, grad = actor_loss(agent.actor, batch, np.zeros(1), beta=0.1)
+        _, grad = actor_loss(agent, batch, np.zeros(1), beta=0.1)
         agent.actor_opt.step(agent.actor.theta, grad)
     probs = agent.policy(np.ones((1, 1)), mask)[0]
     assert probs[0] == pytest.approx(0.5, abs=1e-3)

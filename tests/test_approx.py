@@ -56,15 +56,6 @@ def test_init_scale_within_fan_in_bound():
     assert np.abs(net.biases[0]).max() <= 1.0 / 3.0
 
 
-def test_checkpoint_round_trip(tmp_path):
-    net = Mlp((3, 8, 8, 2), rng_for(5))
-    path = str(tmp_path / "params.npz")
-    net.save(path)
-    loaded = Mlp.load(path)
-    assert loaded.sizes == net.sizes
-    np.testing.assert_array_equal(loaded.theta, net.theta)
-
-
 # ---------------------------------------------------------------------------
 # Backward vs. finite differences
 

@@ -7,34 +7,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediated_rl import games
+from mediated_rl import games, harness
 from mediated_rl.errors import ConfigError, ContractError
-from mediated_rl.games import (GameKind, GameState, iterative_pgg, make_spec,
-                               one_shot_pgg, pd_with_sacrifice, pgg_iter_step,
-                               pgg_reward, prisoners_dilemma, two_step_pd)
+from mediated_rl.games import (GameKind, iterative_pgg, make_spec,
+                               one_shot_pgg, pd_with_sacrifice,
+                               prisoners_dilemma, two_step_pd)
+from mediated_rl.rollout import sample_batch
+
+
+def step_one(spec, turn, actions, endowments=None):
+    """``step_batch`` on a batch of one episode; returns (rewards, endowments)."""
+    e = None if endowments is None else np.asarray(endowments, dtype=float)[None]
+    rewards, new_e = games.step_batch(spec, turn, e, np.asarray([actions]))
+    return rewards[0], None if new_e is None else new_e[0]
 
 
 # ---------------------------------------------------------------------------
-# Construction and reset
+# Construction and episode start
 
 
 def test_reset_iterative_pgg_unit_endowments():
-    spec = iterative_pgg(3, 2.0)
-    state = games.reset(spec)
-    np.testing.assert_array_equal(state.endowments, np.ones(3))
-    assert state.turn == 0
+    # Rollouts start every episode at turn 0 with one unit per agent.
+    config = harness.default_config("pgg-iter", num_agents=3)
+    spec = config.validate()
+    rng = np.random.default_rng(0)
+    agents, _ = harness._build_learners(config, spec, rng)
+    traj = sample_batch(spec, 1, agents, None, 4, rng)
+    np.testing.assert_array_equal(traj.base[0, :, :, 0], np.ones((4, 3)))
+    np.testing.assert_array_equal(traj.base[0, :, :, 1], np.zeros((4, 3)))
 
 
 def test_reset_matrix_game_stateless():
-    state = games.reset(prisoners_dilemma())
-    assert state.turn == 0
-    assert state.endowments is None
+    _, endowments = step_one(prisoners_dilemma(), 0, [0, 1])
+    assert endowments is None
 
 
 def test_reset_two_step_not_terminal():
     spec = two_step_pd()
-    state = games.reset(spec)
-    assert not games.is_terminal(spec, state)
+    assert spec.horizon == 2
+    step_one(spec, 1, [0, 0])  # the second turn still steps
 
 
 @pytest.mark.parametrize("n", [1.0, 3.0, 5.0])
@@ -65,46 +76,36 @@ PD_CASES = [
 
 @pytest.mark.parametrize("action,expected", PD_CASES)
 def test_pd_payoffs(action, expected):
-    spec = prisoners_dilemma()
-    _, rewards = games.step(spec, games.reset(spec), np.asarray(action))
+    rewards, _ = step_one(prisoners_dilemma(), 0, action)
     np.testing.assert_array_equal(rewards, expected)
 
 
 def test_pds_cooperate_sacrifice():
-    spec = pd_with_sacrifice()
-    _, rewards = games.step(spec, games.reset(spec), np.array([1, 2]))
+    rewards, _ = step_one(pd_with_sacrifice(), 0, [1, 2])
     np.testing.assert_array_equal(rewards, (5.0, 0.0))
 
 
 def test_two_step_pd_state0_mutual_cooperation():
     spec = two_step_pd()
-    state, rewards = games.step(spec, games.reset(spec), np.array([1, 1]))
+    rewards, _ = step_one(spec, 0, [1, 1])
     np.testing.assert_array_equal(rewards, (-1.0, 4.0))
-    # second state is the plain PD
-    state, rewards = games.step(spec, state, np.array([1, 1]))
+    # second state is the plain PD, and the last one
+    rewards, _ = step_one(spec, 1, [1, 1])
     np.testing.assert_array_equal(rewards, (2.0, 2.0))
-    assert games.is_terminal(spec, state)
+    with pytest.raises(ContractError):
+        step_one(spec, 2, [1, 1])
 
 
 def test_matrix_step_deterministic():
     spec = pd_with_sacrifice()
-    state = games.reset(spec)
-    first = games.step(spec, state, np.array([0, 2]))[1]
-    second = games.step(spec, state, np.array([0, 2]))[1]
+    first = step_one(spec, 0, [0, 2])[0]
+    second = step_one(spec, 0, [0, 2])[0]
     np.testing.assert_array_equal(first, second)
 
 
 def test_step_on_terminal_raises():
-    spec = prisoners_dilemma()
-    state, _ = games.step(spec, games.reset(spec), np.array([0, 0]))
     with pytest.raises(ContractError):
-        games.step(spec, state, np.array([0, 0]))
-
-
-def test_action_out_of_range_raises():
-    spec = prisoners_dilemma()
-    with pytest.raises(ContractError):
-        games.step(spec, games.reset(spec), np.array([0, 2]))
+        step_one(prisoners_dilemma(), 1, [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -112,31 +113,28 @@ def test_action_out_of_range_raises():
 
 
 def test_pgg_reward_paper_example():
-    np.testing.assert_allclose(pgg_reward(np.array([1, 1, 0]), 3, 2.0),
-                               (1 / 3, 1 / 3, 4 / 3))
+    rewards, _ = step_one(one_shot_pgg(3, 2.0), 0, [1, 1, 0])
+    np.testing.assert_allclose(rewards, (1 / 3, 1 / 3, 4 / 3))
 
 
 def test_pgg_reward_no_contributions():
-    np.testing.assert_array_equal(pgg_reward(np.zeros(3), 3, 2.0), np.zeros(3))
+    rewards, _ = step_one(one_shot_pgg(3, 2.0), 0, [0, 0, 0])
+    np.testing.assert_array_equal(rewards, np.zeros(3))
 
 
 def test_pgg_reward_full_contribution():
-    np.testing.assert_allclose(pgg_reward(np.ones(3), 3, 2.0), np.ones(3))
-
-
-def test_pgg_reward_rejects_non_binary():
-    with pytest.raises(ContractError):
-        pgg_reward(np.array([0.5, 0, 0]), 3, 2.0)
+    rewards, _ = step_one(one_shot_pgg(3, 2.0), 0, [1, 1, 1])
+    np.testing.assert_allclose(rewards, np.ones(3))
 
 
 @pytest.mark.parametrize("n_agents", [2, 3, 5, 10])
 def test_pgg_budget_identity_all_vectors(n_agents):
     # sum_i r_i == (n - 1) * sum_j c_j for every contribution vector
     mult = 1.5
-    for bits in itertools.product((0, 1), repeat=n_agents):
-        c = np.asarray(bits, dtype=float)
-        rewards = pgg_reward(c, n_agents, mult)
-        assert rewards.sum() == pytest.approx((mult - 1.0) * c.sum(), abs=1e-12)
+    bits = np.asarray(list(itertools.product((0, 1), repeat=n_agents)))
+    rewards, _ = games.step_batch(one_shot_pgg(n_agents, mult), 0, None, bits)
+    np.testing.assert_allclose(rewards.sum(axis=1), (mult - 1.0) * bits.sum(axis=1),
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -144,37 +142,30 @@ def test_pgg_budget_identity_all_vectors(n_agents):
 
 
 def test_pgg_iter_full_contribution_growth():
-    spec = iterative_pgg(3, 2.0)
-    state = games.reset(spec)
-    state, _ = pgg_iter_step(spec, state, np.ones(3))
-    np.testing.assert_allclose(state.endowments, np.full(3, 1.5))
+    _, endowments = step_one(iterative_pgg(3, 2.0), 0, [1, 1, 1], np.ones(3))
+    np.testing.assert_allclose(endowments, np.full(3, 1.5))
 
 
 def test_pgg_iter_no_contribution_no_change():
-    spec = iterative_pgg(3, 2.0)
-    state = GameState(turn=4, endowments=np.array([0.7, 2.0, 1.1]))
-    new, rewards = pgg_iter_step(spec, state, np.zeros(3))
-    np.testing.assert_array_equal(new.endowments, state.endowments)
+    before = np.array([0.7, 2.0, 1.1])
+    rewards, after = step_one(iterative_pgg(3, 2.0), 4, [0, 0, 0], before)
+    np.testing.assert_array_equal(after, before)
     np.testing.assert_array_equal(rewards, np.zeros(3))
 
 
 def test_pgg_iter_partial_contribution_values():
     # Two contributors at unit endowment: pool = 1, doubled and split three
     # ways returns 2/3 to everyone.
-    spec = iterative_pgg(3, 2.0)
-    state = games.reset(spec)
-    new, rewards = pgg_iter_step(spec, state, np.array([1, 1, 0]))
-    np.testing.assert_allclose(new.endowments, (7 / 6, 7 / 6, 5 / 3))
-    np.testing.assert_allclose(rewards, new.endowments - 1.0)
+    rewards, new = step_one(iterative_pgg(3, 2.0), 0, [1, 1, 0], np.ones(3))
+    np.testing.assert_allclose(new, (7 / 6, 7 / 6, 5 / 3))
+    np.testing.assert_allclose(rewards, new - 1.0)
     # independent scalar cross-check of agent 0's endowment
-    assert new.endowments[0] == pytest.approx(1.0 - 0.5 + 2.0 * 1.0 / 3.0)
+    assert new[0] == pytest.approx(1.0 - 0.5 + 2.0 * 1.0 / 3.0)
 
 
 def test_pgg_iter_step_after_horizon_raises():
-    spec = iterative_pgg(3, 2.0)
-    state = GameState(turn=10, endowments=np.ones(3))
     with pytest.raises(ContractError):
-        pgg_iter_step(spec, state, np.ones(3))
+        step_one(iterative_pgg(3, 2.0), 10, [1, 1, 1], np.ones(3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,29 +176,41 @@ def test_pgg_iter_step_after_horizon_raises():
 def test_pgg_iter_conservation(bits, endow):
     # Total endowment grows by exactly (n - 1) times the pooled contribution.
     spec = iterative_pgg(3, 2.0)
-    state = GameState(turn=0, endowments=np.asarray(endow))
-    c = np.asarray(bits, dtype=float)
-    new, rewards = pgg_iter_step(spec, state, c)
-    pooled = float((0.5 * state.endowments * c).sum())
-    assert new.endowments.sum() - state.endowments.sum() == pytest.approx(
+    before = np.asarray(endow)
+    rewards, after = step_one(spec, 0, bits, before)
+    pooled = float((0.5 * before * np.asarray(bits)).sum())
+    assert after.sum() - before.sum() == pytest.approx(
         (spec.multiplier - 1.0) * pooled, rel=1e-12)
-    np.testing.assert_allclose(rewards, new.endowments - state.endowments)
+    np.testing.assert_allclose(rewards, after - before)
 
 
 def test_pgg_iter_return_telescopes_to_endowment_delta():
     spec = iterative_pgg(3, 2.0)
     rng = np.random.default_rng(0)
-    state = games.reset(spec)
-    total = np.zeros(3)
-    while not games.is_terminal(spec, state):
-        c = rng.integers(0, 2, size=3)
-        state, rewards = games.step(spec, state, c)
+    endow = np.ones((8, 3))
+    total = np.zeros((8, 3))
+    for turn in range(spec.horizon):
+        rewards, endow = games.step_batch(spec, turn, endow,
+                                          rng.integers(0, 2, size=(8, 3)))
         total += rewards
-    np.testing.assert_allclose(total, state.endowments - 1.0)
+    np.testing.assert_allclose(total, endow - 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Batch stepping agrees with the scalar rule
+
+
+def reference_step(spec, turn, endow, action):
+    """One episode's (rewards, new endowments), written out per game."""
+    if spec.kind is GameKind.MATRIX:
+        return spec.payoff_tables[turn][tuple(action)], None
+    c = np.asarray(action, dtype=float)
+    ratio = spec.multiplier / spec.num_agents
+    if spec.kind is GameKind.ONE_SHOT_PGG:
+        return ratio * c.sum() - c, None
+    paid = 0.5 * endow * c
+    new = endow - paid + ratio * paid.sum()
+    return new - endow, new
 
 
 @pytest.mark.parametrize("env", ["pd", "pds", "pd2", "pgg", "pgg-iter"])
@@ -222,10 +225,11 @@ def test_step_batch_matches_scalar(env):
                             for i in range(spec.num_agents)], axis=1)
         rewards, new_endow = games.step_batch(spec, turn, endow, actions)
         for b in range(batch):
-            state = GameState(turn=turn, endowments=endow[b].copy()
-                              if endow is not None else None)
-            _, expected = games.step(spec, state, actions[b])
+            expected, expected_endow = reference_step(
+                spec, turn, None if endow is None else endow[b], actions[b])
             np.testing.assert_allclose(rewards[b], expected, atol=1e-12)
+            if endow is not None:
+                np.testing.assert_allclose(new_endow[b], expected_endow, atol=1e-12)
         endow = new_endow
 
 

@@ -136,6 +136,65 @@ def test_config_file_round_trip(tmp_path):
     config.validate()
 
 
+@pytest.mark.parametrize("text", [
+    "[mediation]\nk = two",
+    "[game]\nnum_agents = three",
+    "[game]\nmultiplier = x",
+    "[harness]\ngamma = high",
+    "[harness]\nseeds = 0 one",
+    "[mediation]\nsymmetric_mediator = maybe",
+    "[agent]\nentropy_strategy = cosine",
+    "[agent]\nentropy_steps = 0",
+    "[mediation]\nlog_lambda_bounds = 4",
+    "[mediation]\nlog_lambda_bounds = 4 -4",
+    "k = 1",
+    "[game]\nenv = pd\n[game]\nenv = pds",
+], ids=["k", "num_agents", "multiplier", "gamma", "seeds", "symmetric",
+        "strategy", "steps", "bounds-arity", "bounds-order", "no-section",
+        "duplicate-section"])
+def test_bad_config_file_value_is_a_configuration_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text + "\n")
+    status = cli.main(["run", "--config", str(path), "--iters", "0",
+                       "--seeds", "1"])
+    assert status == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+PD_POLICY = [[[0.5, 0.5], [0.5, 0.5]]]
+
+
+@pytest.mark.parametrize("profile,flags", [
+    ({"agent_policies": [[[0.5, 0.2], [0.5, 0.5]]]}, []),
+    ({"agent_policies": [[[0.2, 0.3, 0.5]] * 2], "mediated": True}, []),
+    ({"agent_policies": PD_POLICY}, ["--k", "0"]),
+    (None, ["--k", "0"]),
+    ({"agent_policies": [[[0.5, 0.5]]]}, []),
+    ("missing", []),
+    ("{", []),
+], ids=["not-a-distribution", "no-mediator-table", "k0-profile", "k0",
+        "one-agent", "missing-file", "not-json"])
+def test_bad_oracle_input_is_a_configuration_error(tmp_path, capsys,
+                                                   profile, flags):
+    path = tmp_path / "profile.json"
+    if isinstance(profile, dict):
+        path.write_text(json.dumps(profile))
+    elif profile == "{":
+        path.write_text(profile)
+    args = ["oracle", "--env", "pd", *flags]
+    if profile is not None:
+        args += ["--profile", str(path)]
+    assert cli.main(args) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_oracle_reads_a_good_profile(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"agent_policies": PD_POLICY}))
+    assert cli.main(["oracle", "--env", "pd", "--profile", str(path)]) == 0
+    assert "best-response gap agent1" in capsys.readouterr().out
+
+
 def test_load_missing_config_raises(tmp_path):
     with pytest.raises(ConfigError):
         load_config_file(str(tmp_path / "absent.ini"))

@@ -1,43 +1,42 @@
-"""Commitment protocol: masks, coalition formation, action assembly."""
+"""Commitment protocol: masks, statuses, coalition formation, action assembly."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediated_rl import mediation
+from mediated_rl.agents import AgentLearner, LearnerParams
+from mediated_rl.approx import EntropySchedule
 from mediated_rl.errors import ContractError
-from mediated_rl.mediation import (CommitmentState, assemble_joint_action,
-                                   coalition_fraction, form_coalition,
-                                   initial_commitment, legal_action_mask,
-                                   legal_action_mask_batch)
+from mediated_rl.games import iterative_pgg, obs_dim
+from mediated_rl.mediation import (joint_env_actions, legal_action_mask_batch,
+                                   next_coalition, window_statuses)
+from mediated_rl.mediator import MediatorLearner
+from mediated_rl.rollout import mediator_critic_inputs, sample_batch
 
 
 def test_mask_decision_step_everything_legal():
-    np.testing.assert_array_equal(legal_action_mask(0, 2),
-                                  [True, True, True])
+    np.testing.assert_array_equal(legal_action_mask_batch(np.array([0]), 2),
+                                  [[True, True, True]])
 
 
 def test_mask_locked_out_blocks_commit():
-    np.testing.assert_array_equal(legal_action_mask(-1, 2),
-                                  [True, True, False])
+    np.testing.assert_array_equal(legal_action_mask_batch(np.array([-1]), 2),
+                                  [[True, True, False]])
 
 
 def test_mask_committed_forces_commit():
-    np.testing.assert_array_equal(legal_action_mask(1, 2),
-                                  [False, False, True])
-
-
-def test_mask_invalid_status():
-    with pytest.raises(ContractError):
-        legal_action_mask(2, 2)
+    np.testing.assert_array_equal(legal_action_mask_batch(np.array([1]), 2),
+                                  [[False, False, True]])
 
 
 def test_mask_batch_matches_scalar():
+    # Each row is the mask of its own status, written out per status.
     statuses = np.array([-1, 0, 1, 0, -1])
-    batched = legal_action_mask_batch(statuses, 3)
-    for s, row in zip(statuses, batched):
-        np.testing.assert_array_equal(row, legal_action_mask(int(s), 3))
+    expected = {-1: [True, True, True, False], 0: [True, True, True, True],
+                1: [False, False, False, True]}
+    np.testing.assert_array_equal(legal_action_mask_batch(statuses, 3),
+                                  [expected[s] for s in statuses])
 
 
 def test_mask_batch_pads_agents_with_fewer_actions():
@@ -46,105 +45,134 @@ def test_mask_batch_pads_agents_with_fewer_actions():
     statuses = np.array([[-1, 0, 1], [1, -1, 0]])  # (agents, batch)
     counts = np.array([2, 3])
     batched = legal_action_mask_batch(statuses, counts[:, None])
-    assert batched.shape == (2, 3, 4)
-    for i, a in enumerate(counts):
-        for s, row in zip(statuses[i], batched[i]):
-            np.testing.assert_array_equal(row[:a + 1], legal_action_mask(int(s), a))
-            assert not row[a + 1:].any()
+    np.testing.assert_array_equal(batched, [
+        [[True, True, False, False], [True, True, True, False],
+         [False, False, True, False]],
+        [[False, False, False, True], [True, True, True, False],
+         [True, True, True, True]],
+    ])
 
 
 def test_statuses_at_window_boundary_are_zero():
-    state = CommitmentState(coalition=np.array([True, False]), k=2, t=2)
-    np.testing.assert_array_equal(state.statuses(), [0, 0])
+    coalition = np.array([[True, False], [False, False]])
+    np.testing.assert_array_equal(window_statuses(coalition, 2, 2),
+                                  [[0, 0], [0, 0]])
 
 
 def test_statuses_mid_window():
-    state = CommitmentState(coalition=np.array([True, False]), k=2, t=1)
-    np.testing.assert_array_equal(state.statuses(), [1, -1])
+    coalition = np.array([[True, False], [False, True]])
+    np.testing.assert_array_equal(window_statuses(coalition, 1, 2),
+                                  [[1, -1], [-1, 1]])
 
 
 def test_form_coalition_k1_both_commit():
-    prev = initial_commitment(2, 1)
-    commit_ids = np.array([2, 2])
-    new = form_coalition(np.array([2, 2]), prev, 0, commit_ids)
-    np.testing.assert_array_equal(new.coalition, [True, True])
+    coalition = next_coalition(np.zeros((1, 2), dtype=bool), np.array([[2, 2]]),
+                               0, 1, np.array([2, 2]))
+    np.testing.assert_array_equal(coalition, [[True, True]])
 
 
 def test_form_coalition_mid_window_carries_over():
-    prev = CommitmentState(coalition=np.array([True, False]), k=2, t=0)
-    new = form_coalition(np.array([2, 0]), prev, 1, np.array([2, 2]))
-    np.testing.assert_array_equal(new.coalition, [True, False])
+    prev = np.array([[True, False]])
+    new = next_coalition(prev, np.array([[2, 0]]), 1, 2, np.array([2, 2]))
+    np.testing.assert_array_equal(new, prev)
 
 
 def test_form_coalition_unanimous_k10():
-    prev = initial_commitment(3, 10)
-    new = form_coalition(np.array([2, 2, 2]), prev, 0, np.array([2, 2, 2]))
-    np.testing.assert_array_equal(new.coalition, [True, True, True])
-    np.testing.assert_array_equal(
-        CommitmentState(new.coalition, 10, 1).statuses(), [1, 1, 1])
+    # Agents with unequal action sets commit with their own commit index.
+    new = next_coalition(np.zeros((2, 3), dtype=bool),
+                         np.array([[2, 3, 2], [2, 2, 0]]), 0, 10,
+                         np.array([2, 3, 2]))
+    np.testing.assert_array_equal(new, [[True, True, True], [True, False, False]])
+    np.testing.assert_array_equal(window_statuses(new, 1, 10),
+                                  [[1, 1, 1], [1, -1, -1]])
 
 
 def test_form_coalition_rejects_noncommit_from_committed():
-    prev = CommitmentState(coalition=np.array([True, False]), k=2, t=0)
-    with pytest.raises(ContractError):
-        form_coalition(np.array([0, 0]), prev, 1, np.array([2, 2]))
+    prev = np.array([[True, False]])
+    with pytest.raises(ContractError, match="non-commit"):
+        next_coalition(prev, np.array([[0, 0]]), 1, 2, np.array([2, 2]))
 
 
 def test_form_coalition_rejects_commit_from_locked_out():
-    prev = CommitmentState(coalition=np.array([True, False]), k=2, t=0)
-    with pytest.raises(ContractError):
-        form_coalition(np.array([2, 2]), prev, 1, np.array([2, 2]))
+    prev = np.array([[True, False]])
+    with pytest.raises(ContractError, match="locked-out"):
+        next_coalition(prev, np.array([[2, 2]]), 1, 2, np.array([2, 2]))
 
 
 def test_assemble_substitution_by_membership():
-    joint = assemble_joint_action(np.array([0, 9]), np.array([-1, 1]),
-                                  np.array([False, True]))
-    np.testing.assert_array_equal(joint, [0, 1])
+    joint = joint_env_actions(np.array([[0, 9]]), np.array([[-1, 1]]),
+                              np.array([[False, True]]))
+    np.testing.assert_array_equal(joint, [[0, 1]])
 
 
 def test_assemble_empty_coalition_keeps_choices():
-    joint = assemble_joint_action(np.array([1, 0]), np.full(2, -1),
-                                  np.zeros(2, dtype=bool))
-    np.testing.assert_array_equal(joint, [1, 0])
+    joint = joint_env_actions(np.array([[1, 0]]), np.full((1, 2), -1),
+                              np.zeros((1, 2), dtype=bool))
+    np.testing.assert_array_equal(joint, [[1, 0]])
 
 
 def test_assemble_full_coalition_all_mediator():
-    joint = assemble_joint_action(np.array([2, 2]), np.array([1, 1]),
-                                  np.ones(2, dtype=bool))
-    np.testing.assert_array_equal(joint, [1, 1])
+    joint = joint_env_actions(np.array([[2, 2]]), np.array([[1, 1]]),
+                              np.ones((1, 2), dtype=bool))
+    np.testing.assert_array_equal(joint, [[1, 1]])
 
 
 def test_assemble_missing_mediator_action_raises():
     with pytest.raises(ContractError):
-        assemble_joint_action(np.array([2, 0]), np.array([-1, -1]),
-                              np.array([True, False]))
+        joint_env_actions(np.array([[2, 0]]), np.array([[-1, -1]]),
+                          np.array([[True, False]]))
 
 
 def test_coalition_fraction():
-    assert coalition_fraction(np.array([True, True, False])) == pytest.approx(2 / 3)
+    # The symmetric mediator encodes a coalition as |C|/N.
+    spec = iterative_pgg(3, 2.0)
+    mediator = MediatorLearner(spec, _params(), 0.99, np.random.default_rng(0),
+                               obs_dim(spec), symmetric=True)
+    member = np.array([[True, True, False], [False, False, False]])
+    np.testing.assert_allclose(
+        mediator_critic_inputs(mediator, np.ones((2, 3, 2)), member),
+        [[2 / 3], [0.0]])
+
+
+def _params():
+    return LearnerParams(1e-3, 1e-3, 8, EntropySchedule("linear", start=0.1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    k=st.integers(1, 5),
+    n=st.integers(3, 5),
     horizon=st.integers(1, 12),
+    k_frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 1000),
 )
-def test_coalition_constant_within_windows(k, horizon, seed):
-    """Random choice streams never change the coalition mid-window."""
+def test_coalition_constant_within_windows(n, horizon, k_frac, seed):
+    """The rollout keeps the protocol for any window length and learners."""
+    k = 1 + int(k_frac * (horizon - 1))
+    spec = iterative_pgg(n, 2.0, horizon=horizon)
     rng = np.random.default_rng(seed)
-    n = 3
-    commit_ids = np.full(n, 2)
-    state = initial_commitment(n, k)
-    coalitions = []
-    for t in range(horizon):
-        statuses = CommitmentState(state.coalition, k, t).statuses()
-        choices = np.empty(n, dtype=np.int64)
-        for i, s in enumerate(statuses):
-            legal = np.flatnonzero(legal_action_mask(int(s), 2))
-            choices[i] = rng.choice(legal)
-        state = form_coalition(choices, state, t, commit_ids)
-        coalitions.append(state.coalition.copy())
-    for t in range(1, horizon):
-        if t % k != 0:
-            np.testing.assert_array_equal(coalitions[t], coalitions[t - 1])
+    d = obs_dim(spec)
+    agents = [AgentLearner(i, d, 2, _params(), 0.99, rng, status_feature=True)
+              for i in range(n)]
+    mediator = MediatorLearner(spec, _params(), 0.99, rng, d)
+    traj = sample_batch(spec, k, agents, mediator, 16, rng)
+    boundary = np.arange(horizon) % k == 0
+    # Status is 0 exactly at window boundaries.
+    np.testing.assert_array_equal((traj.status == 0).all(axis=(1, 2)), boundary)
+    assert (traj.status[~boundary] != 0).all()
+    # Membership is constant inside windows, and mid-window statuses follow it.
+    for t in np.flatnonzero(~boundary):
+        np.testing.assert_array_equal(traj.member[t], traj.member[t - 1])
+        np.testing.assert_array_equal(traj.status[t] == 1, traj.member[t])
+    # Committed agents always choose commit; locked-out agents never do.
+    assert (traj.choice[traj.status == 1] == 2).all()
+    assert (traj.choice[traj.status == -1] != 2).all()
+    np.testing.assert_array_equal(traj.member[boundary],
+                                  traj.choice[boundary] == 2)
+    # Members play the mediator's action, which they always have; everyone
+    # else plays their own choice.
+    member = traj.member
+    assert (traj.med_action[member] >= 0).all()
+    assert (traj.med_action[~member] == -1).all()
+    np.testing.assert_array_equal(traj.env_action[member], traj.med_action[member])
+    np.testing.assert_array_equal(traj.env_action[~member], traj.choice[~member])
+

@@ -6,10 +6,8 @@ import pytest
 from mediated_rl import games
 from mediated_rl.agents import LearnerParams
 from mediated_rl.approx import EntropySchedule, masked_softmax
-from mediated_rl.errors import ContractError
 from mediated_rl.mediator import (LagrangeState, MediatorBatch,
-                                  MediatorLearner, actor_head_weights,
-                                  lambda_update)
+                                  MediatorLearner, actor_head_weights)
 
 
 def make_params(hidden=8):
@@ -76,11 +74,11 @@ def test_critic_zero_rewards_zero_values_zero_loss():
 
 def test_critic_converges_to_coalition_values():
     # Fixed all-commit episodes with rewards (2, 2): values approach (2, 2).
-    mediator, spec = make_mediator(seed=2)
+    mediator, spec = make_mediator(seed=2, constrained=False)
     for _ in range(2500):
         # One fresh rollout per step, as in training.
         batch = one_shot_batch(mediator, spec, [True, True], [2.0, 2.0], [1, 1])
-        mediator.update(batch, beta=0.0, mode="naive", k=1)
+        mediator.update(batch, beta=0.0, k=1)
     values = mediator.agent_values(
         mediator.critic.forward(batch.critic_cur), batch.member)
     np.testing.assert_allclose(values, [[2.0, 2.0]], atol=0.02)
@@ -90,11 +88,17 @@ def test_critic_converges_to_coalition_values():
 # Actor head weights
 
 
+def multipliers(lambda_ic, lambda_e):
+    """A Lagrange state holding exactly these multipliers (0 included)."""
+    with np.errstate(divide="ignore"):
+        return LagrangeState(np.log(lambda_ic), np.log(lambda_e), lr=0.1)
+
+
 def test_naive_weight_is_social_welfare_residual():
     deltas = np.array([[0.5, -0.2, 0.1]])
     member = np.array([[True, True, True]])
-    w = actor_head_weights(deltas, member, np.zeros(3), np.zeros(3), "naive",
-                           np.zeros(3, dtype=np.int64), np.arange(3))
+    w = actor_head_weights(deltas, member, np.zeros(3, dtype=np.int64),
+                           np.arange(3), None)
     np.testing.assert_allclose(w, np.full(3, 0.4))
 
 
@@ -104,37 +108,27 @@ def test_constrained_equals_naive_at_zero_lambda_bitwise():
     member = rng.random((5, 3)) < 0.6
     steps = np.repeat(np.arange(5), 2)
     agents = np.tile(np.array([0, 2]), 5)
-    zeros = np.zeros(3)
-    naive = actor_head_weights(deltas, member, zeros, zeros, "naive",
-                               steps, agents)
-    constrained = actor_head_weights(deltas, member, zeros, zeros,
-                                     "constrained", steps, agents)
+    naive = actor_head_weights(deltas, member, steps, agents, None)
+    constrained = actor_head_weights(deltas, member, steps, agents,
+                                     multipliers(np.zeros(3), np.zeros(3)))
     assert np.array_equal(naive, constrained)
 
 
 def test_ic_term_adds_own_residual():
     deltas = np.array([[1.0, 2.0]])
     member = np.array([[True, True]])
-    lam_ic = np.array([0.5, 0.25])
-    w = actor_head_weights(deltas, member, lam_ic, np.zeros(2), "ic",
-                           np.zeros(2, dtype=np.int64), np.arange(2))
+    w = actor_head_weights(deltas, member, np.zeros(2, dtype=np.int64),
+                           np.arange(2), multipliers([0.5, 0.25], np.zeros(2)))
     np.testing.assert_allclose(w, [3.0 + 0.5, 3.0 + 0.5])
 
 
 def test_e_term_subtracts_outside_residuals():
     deltas = np.array([[1.0, 2.0, -1.0]])
     member = np.array([[True, True, False]])
-    lam_e = np.array([0.0, 0.0, 2.0])
-    w = actor_head_weights(deltas, member, np.zeros(3), lam_e, "e",
-                           np.zeros(2, dtype=np.int64), np.array([0, 1]))
+    w = actor_head_weights(deltas, member, np.zeros(2, dtype=np.int64),
+                           np.array([0, 1]),
+                           multipliers(np.zeros(3), [0.0, 0.0, 2.0]))
     np.testing.assert_allclose(w, [3.0 + 2.0, 3.0 + 2.0])
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ContractError):
-        actor_head_weights(np.zeros((1, 2)), np.ones((1, 2), dtype=bool),
-                           np.zeros(2), np.zeros(2), "bogus",
-                           np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +153,28 @@ def test_joint_policy_is_product_of_heads():
 
 
 def test_lambda_update_zero_gap_no_change():
-    log_lam = np.array([0.3, -0.2])
-    np.testing.assert_array_equal(lambda_update(log_lam, np.zeros(2), 0.1),
-                                  log_lam)
+    state = LagrangeState(np.array([0.3, -0.2]), np.array([0.1, 0.0]), lr=0.1)
+    valid = np.ones(2, dtype=bool)
+    state.apply(np.zeros(2), valid, np.zeros(2), valid)
+    np.testing.assert_array_equal(state.log_ic, [0.3, -0.2])
+    np.testing.assert_array_equal(state.log_e, [0.1, 0.0])
 
 
 def test_lambda_update_violated_constraint_tightens():
     # Gap of -1 with lr 0.1 raises log lambda by exactly 0.1.
-    out = lambda_update(np.zeros(1), np.array([-1.0]), 0.1)
-    assert out[0] == pytest.approx(0.1)
+    state = LagrangeState.fresh(1, lr=0.1)
+    valid = np.ones(1, dtype=bool)
+    state.apply(np.array([-1.0]), valid, np.array([-1.0]), valid)
+    assert state.log_ic[0] == pytest.approx(0.1)
+    assert state.log_e[0] == pytest.approx(0.1)
 
 
 def test_lambda_update_clamps_at_bounds():
-    out = lambda_update(np.array([4.0]), np.array([-5.0]), 1.0)
-    assert out[0] == 4.0
-    out = lambda_update(np.array([-4.0]), np.array([5.0]), 1.0)
-    assert out[0] == -4.0
+    valid = np.ones(1, dtype=bool)
+    state = LagrangeState(np.array([4.0]), np.array([-4.0]), lr=1.0)
+    state.apply(np.array([-5.0]), valid, np.array([5.0]), valid)
+    assert state.log_ic[0] == 4.0
+    assert state.log_e[0] == -4.0
 
 
 def test_lagrange_state_positive_and_bounded():
@@ -210,7 +210,7 @@ def test_dual_descent_direction_through_update():
     before_e = mediator.lagrange.log_e.copy()
     # The dual step reads gaps from the post-update critic; recompute them
     # through the same code path for the sign comparison.
-    mediator.update(batch, beta=0.0, mode="constrained", k=1)
+    mediator.update(batch, beta=0.0, k=1)
     after_ic = mediator.lagrange.log_ic
     after_e = mediator.lagrange.log_e
     ic_gaps, ic_valid, e_gaps, e_valid = mediator._constraint_gaps(batch, 1)
@@ -278,35 +278,30 @@ def test_counterfactual_determinism():
 
 
 def test_naive_and_constrained_updates_match_at_zero_lambda():
+    # A constrained mediator whose multipliers are exactly zero weighs its
+    # actor samples exactly as an unconstrained one with the same networks.
     results = {}
-    for mode in ("naive", "constrained"):
-        mediator, spec = make_mediator(seed=11, constrained=True)
-        # zero multipliers exactly
-        mediator.lagrange.log_ic[:] = -np.inf
-        mediator.lagrange.log_e[:] = -np.inf
+    for constrained in (False, True):
+        mediator, spec = make_mediator(seed=11, constrained=constrained)
+        if constrained:
+            mediator.lagrange.log_ic[:] = -np.inf
+            mediator.lagrange.log_e[:] = -np.inf
         batch = one_shot_batch(mediator, spec, [True, False], [1.0, -1.0], [1])
-        logits_before = mediator.actor.theta.copy()
         deltas, _ = mediator.td_residuals(batch)
-        weights = actor_head_weights(
-            deltas, batch.member,
-            np.zeros(2) if mode == "naive" else mediator.lagrange.lambda_ic,
-            np.zeros(2) if mode == "naive" else mediator.lagrange.lambda_e,
-            mode, batch.actor_step, batch.actor_agent)
-        results[mode] = weights
-    assert np.array_equal(results["naive"], results["constrained"])
+        results[constrained] = actor_head_weights(
+            deltas, batch.member, batch.actor_step, batch.actor_agent,
+            mediator.lagrange)
+    assert np.array_equal(results[False], results[True])
 
 
 def test_lambda_constant_within_iteration_windows():
     # One update per iteration: whatever lambda the actor loss uses is the
     # same for every window inside that iteration's batch.
     mediator, spec = make_mediator(seed=12)
-    lam_before = mediator.lagrange.lambda_ic.copy()
     batch = one_shot_batch(mediator, spec, [True, True], [1.0, 1.0], [1, 1])
     deltas, _ = mediator.td_residuals(batch)
-    w1 = actor_head_weights(deltas, batch.member, lam_before,
-                            mediator.lagrange.lambda_e, "constrained",
-                            batch.actor_step, batch.actor_agent)
-    w2 = actor_head_weights(deltas, batch.member, lam_before,
-                            mediator.lagrange.lambda_e, "constrained",
-                            batch.actor_step, batch.actor_agent)
+    w1 = actor_head_weights(deltas, batch.member, batch.actor_step,
+                            batch.actor_agent, mediator.lagrange)
+    w2 = actor_head_weights(deltas, batch.member, batch.actor_step,
+                            batch.actor_agent, mediator.lagrange)
     np.testing.assert_array_equal(w1, w2)

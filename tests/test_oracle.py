@@ -289,6 +289,66 @@ def test_monte_carlo_pgg_matches_exact():
     np.testing.assert_array_less(np.abs(mean - exact), 3.0 * stderr + 1e-12)
 
 
+def pd2_mediator_tables():
+    """Member distributions that depend on the coalition and the state."""
+    return [{
+        (0, 0): {},
+        (1, 0): {0: np.array([0.6, 0.4])},
+        (0, 1): {1: np.array([0.9, 0.1])},
+        (1, 1): {0: np.array([0.3, 0.7]), 1: np.array([0.2, 0.8])},
+    }, {
+        (0, 0): {},
+        (1, 0): {0: np.array([0.1, 0.9])},
+        (0, 1): {1: np.array([0.5, 0.5])},
+        (1, 1): {0: np.array([0.8, 0.2]), 1: np.array([0.4, 0.6])},
+    }]
+
+
+def pd2_profile(state1):
+    return two_step_pd(), MixedProfile(
+        agent_policies=[[np.array([0.2, 0.3, 0.5]), np.array([0.4, 0.2, 0.4])],
+                        state1],
+        mediated=True, mediator_by_coalition=pd2_mediator_tables())
+
+
+def pds_profile():
+    return pd_with_sacrifice(), MixedProfile(
+        agent_policies=[[np.array([0.3, 0.3, 0.4]),
+                         np.array([0.2, 0.3, 0.1, 0.4])]],
+        mediated=True, mediator_by_coalition=[{
+            (0, 0): {},
+            (1, 0): {0: np.array([0.5, 0.5])},
+            (0, 1): {1: np.array([0.2, 0.3, 0.5])},
+            (1, 1): {0: np.array([0.1, 0.9]), 1: np.array([0.3, 0.3, 0.4])},
+        }])
+
+
+MIXED_STATE1 = [np.array([0.5, 0.2, 0.3]), np.array([0.1, 0.6, 0.3])]
+MONTE_CARLO_CASES = {
+    "pd2-k1": (1, lambda: pd2_profile(MIXED_STATE1)),
+    "pd2-k2": (2, lambda: pd2_profile(MIXED_STATE1)),
+    "pds": (1, pds_profile),
+    # Mid-window, committed agents commit although their policy never does.
+    "pd2-k2-no-commit-mass": (2, lambda: pd2_profile(
+        [np.array([0.4, 0.6, 0.0]), np.array([0.7, 0.3, 0.0])])),
+    # Mid-window, locked-out agent 0 has no env mass and plays uniformly.
+    "pd2-k2-no-env-mass": (2, lambda: pd2_profile(
+        [np.array([0.0, 0.0, 1.0]), np.array([0.1, 0.6, 0.3])])),
+}
+
+
+@pytest.mark.parametrize("case", list(MONTE_CARLO_CASES))
+def test_monte_carlo_windowed_protocol_matches_exact(case):
+    # The sampler runs the rollout's protocol steps; the exact oracle
+    # enumerates the same protocol.
+    k, make = MONTE_CARLO_CASES[case]
+    spec, profile = make()
+    rng = np.random.default_rng(2306)
+    exact = expected_payoffs(spec, profile, k)
+    mean, stderr = sample_profile_payoffs(spec, profile, 100_000, rng, k)
+    np.testing.assert_array_less(np.abs(mean - exact), 4.0 * stderr + 1e-12)
+
+
 def test_copy_mediator_is_value_neutral():
     # A mediator that replays each agent's own policy leaves every agent's
     # conditional value unchanged by membership (constraint feasibility).
