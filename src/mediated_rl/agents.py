@@ -79,16 +79,13 @@ class AgentLearner:
     """One self-interested actor-critic learner."""
 
     def __init__(self, index: int, base_dim: int, num_env_actions: int,
-                 params: LearnerParams, gamma: float,
-                 rng: np.random.Generator, mediated: bool = True,
-                 status_feature: bool = False):
+                 params: LearnerParams, rng: np.random.Generator,
+                 mediated: bool = True, status_feature: bool = False):
         self.index = index
         self.num_env_actions = num_env_actions
         self.mediated = mediated
         self.status_feature = status_feature
         self.num_actions = num_env_actions + (1 if mediated else 0)
-        self.gamma = gamma
-        self.entropy = params.entropy
         h = params.hidden
         actor_dim = base_dim + (1 if status_feature else 0)
         self.actor = Mlp((actor_dim, h, h, self.num_actions), rng)

@@ -251,6 +251,8 @@ class EntropySchedule:
             raise ContractError("entropy minimum exceeds start coefficient")
         if self.steps < 1:
             raise ContractError("entropy steps must be >= 1")
+        if self.strategy == "exponential" and not self.start > 0.0:
+            raise ContractError("an exponential entropy schedule needs start > 0")
 
     def coef(self, iteration: int) -> float:
         if iteration < 0:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,51 +37,23 @@ def _add_oracle_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--k", type=int, default=1)
 
 
-def _given(value, default):
-    return default if value is None else value
-
-
-def _resolve_run_config(args: argparse.Namespace) -> harness.RunConfig:
-    """Config file or defaults, overridden by every flag given; a flag given
-    as 0 counts as given, so validation can reject it."""
-    if args.config:
-        config = harness.load_config_file(args.config)
-    else:
-        config = harness.default_config(args.env or "pd")
-    updates: dict = {}
-    if args.env:
-        base = harness.default_config(
-            args.env,
-            mediator_mode=args.mediator or config.mediator_mode,
-            k=_given(args.k, config.k),
-            num_agents=_given(args.num_agents, config.num_agents),
-            multiplier=_given(args.multiplier, config.multiplier))
-        config = base if not args.config else replace(
-            config, env=base.env, num_agents=base.num_agents,
-            multiplier=base.multiplier, agent=base.agent,
-            mediator=base.mediator, iterations=base.iterations,
-            symmetric_mediator=base.symmetric_mediator)
-    if args.mediator:
-        updates["mediator_mode"] = args.mediator
-        spec = games.make_spec(args.env or config.env, config.num_agents,
-                               config.multiplier)
-        updates["symmetric_mediator"] = (
-            spec.kind is games.GameKind.ONE_SHOT_PGG and args.mediator != "none")
-    if args.k is not None:
-        updates["k"] = args.k
-    if args.iters is not None:
-        updates["iterations"] = args.iters
-    if args.seeds is not None:
-        updates["seeds"] = tuple(range(args.seeds))
-    if args.num_agents is not None:
-        updates["num_agents"] = args.num_agents
-    if args.multiplier is not None:
-        updates["multiplier"] = args.multiplier
-    return replace(config, **updates)
+def _flag_overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
+    """The flags given, as INI keys; a flag given as 0 counts as given, so
+    validation can reject it."""
+    seeds = None if args.seeds is None else " ".join(map(str, range(args.seeds)))
+    flags = {
+        "game": {"env": args.env, "num_agents": args.num_agents,
+                 "multiplier": args.multiplier},
+        "mediation": {"mediator_mode": args.mediator, "k": args.k},
+        "harness": {"iterations": args.iters, "seeds": seeds},
+    }
+    return {section: {key: str(value) for key, value in keys.items()
+                      if value is not None}
+            for section, keys in flags.items()}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _resolve_run_config(args)
+    config = harness.load_config_file(args.config, _flag_overrides(args))
     config.validate()
     report = harness.sweep(config)
     text = harness.emit(report, args.format, args.out)
@@ -96,16 +68,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
     """A profile read from JSON, checked against the game it is for."""
-    by_coal = None
-    if data.get("mediator_by_coalition") is not None:
-        by_coal = []
-        for state in data["mediator_by_coalition"]:
-            table = {}
-            for bits, per_agent in state.items():
-                key = tuple(int(c) for c in bits)
-                table[key] = {int(a): np.asarray(d)
-                              for a, d in per_agent.items()}
-            by_coal.append(table)
+    by_coal = data.get("mediator_by_coalition")
+    if by_coal is not None:
+        if len(by_coal) != spec.horizon:
+            raise ConfigError(f"mediator_by_coalition needs {spec.horizon} "
+                              "state(s)")
+        by_coal = [_mediator_table(spec, state) for state in by_coal]
     by_size = data.get("mediator_by_size")
     mediated = bool(data.get("mediated", False))
     arities = [a + mediated for a in spec.num_actions]
@@ -126,6 +94,29 @@ def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
             mediator_by_size=np.asarray(by_size) if by_size is not None else None)
     except ContractError as exc:
         raise ConfigError(f"bad profile: {exc}") from None
+
+
+def _mediator_table(spec, state: dict) -> dict:
+    """One state's mediator policies, keyed by coalition bits then agent;
+    every member of every non-empty coalition needs a distribution over
+    its own env actions."""
+    try:
+        table = {tuple(int(c) for c in bits): {int(a): np.asarray(d)
+                                               for a, d in per_agent.items()}
+                 for bits, per_agent in state.items()}
+    except (AttributeError, ValueError):  # not a mapping, or a bad key
+        raise ConfigError('mediator_by_coalition maps coalition bits such as '
+                          '"10" to {agent id: distribution}') from None
+    for bits in itertools.product((0, 1), repeat=spec.num_agents):
+        for agent in (i for i, b in enumerate(bits) if b):
+            dist = table.get(bits, {}).get(agent)
+            if dist is None or dist.shape != (spec.num_actions[agent],):
+                raise ConfigError(
+                    f"mediator_by_coalition needs, in every state, a "
+                    f"distribution over agent {agent}'s "
+                    f"{spec.num_actions[agent]} actions for coalition "
+                    + "".join(map(str, bits)))
+    return table
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

@@ -43,13 +43,11 @@ class RunConfig:
     multiplier: float = 2.0
     k: int = 1
     mediator_mode: str = "none"
-    symmetric_mediator: bool = False
     batch_size: int = 128
     iterations: int = 2000
     gamma: float = 0.99
     agent: LearnerParams = field(default_factory=lambda: _TABLE_DEFAULTS["pd"][0])
     mediator: LearnerParams = field(default_factory=lambda: _TABLE_DEFAULTS["pd"][1])
-    log_lambda_bounds: tuple[float, float] = (-4.0, 4.0)
     eval_episodes: int = 100
     log_every: int = 100
     seeds: tuple[int, ...] = (0,)
@@ -73,14 +71,15 @@ class RunConfig:
             raise ConfigError("multiplier must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
-        lo, hi = self.log_lambda_bounds
-        if not lo < hi:
-            raise ConfigError("log_lambda_bounds must satisfy lo < hi")
+        for name, params in (("agent", self.agent), ("mediator", self.mediator)):
+            if params.hidden < 1:
+                raise ConfigError(f"[{name}] hidden must be >= 1")
         spec = games.make_spec(self.env, self.num_agents, self.multiplier)
+        if self.num_agents != spec.num_agents:
+            raise ConfigError(f"{spec.name} is a {spec.num_agents}-agent game, "
+                              f"num_agents cannot be {self.num_agents}")
         if self.k > spec.horizon:
             raise ConfigError("k cannot exceed the horizon")
-        if self.symmetric_mediator and spec.kind is not GameKind.ONE_SHOT_PGG:
-            raise ConfigError("symmetric mediator mode is for the one-shot PGG")
         return spec
 
 
@@ -118,26 +117,25 @@ _TABLE_DEFAULTS: dict[str, tuple[LearnerParams, LearnerParams, int]] = {
 
 
 def default_config(env: str, mediator_mode: str = "none", k: int = 1,
-                   num_agents: int = 3, multiplier: float = 2.0,
-                   seeds: tuple[int, ...] | None = None) -> RunConfig:
-    """Published hyperparameters for an environment id."""
+                   num_agents: int | None = None,
+                   multiplier: float = 2.0) -> RunConfig:
+    """Published hyperparameters for an environment id. ``num_agents``
+    defaults to 3 for the public goods games and 2 for the matrix games."""
     env = env.replace("_", "-")
     if env not in _TABLE_DEFAULTS:
         raise ConfigError(f"no default hyperparameters for env {env!r}")
     agent, mediator, iterations = _TABLE_DEFAULTS[env]
-    if seeds is None:
-        seeds = tuple(range(10 if env.startswith("pgg") else 50))
+    pgg = env.startswith("pgg")
     return RunConfig(
         env=env,
-        num_agents=num_agents if env.startswith("pgg") else 2,
+        num_agents=(3 if pgg else 2) if num_agents is None else num_agents,
         multiplier=multiplier,
         k=k,
         mediator_mode=mediator_mode,
-        symmetric_mediator=(env == "pgg" and mediator_mode != "none"),
         iterations=iterations,
         agent=agent,
         mediator=mediator,
-        seeds=seeds)
+        seeds=tuple(range(10 if pgg else 50)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +205,15 @@ def _build_learners(config: RunConfig, spec: PayoffSpec,
     status_feature = mediated and spec.horizon > 1 and (
         spec.kind is GameKind.MATRIX or config.k > 1)
     agents = [
-        AgentLearner(i, base_dim, spec.num_actions[i], config.agent,
-                     config.gamma, rng, mediated=mediated,
-                     status_feature=status_feature)
+        AgentLearner(i, base_dim, spec.num_actions[i], config.agent, rng,
+                     mediated=mediated, status_feature=status_feature)
         for i in range(spec.num_agents)
     ]
     mediator = None
     if mediated:
         mediator = MediatorLearner(
             spec, config.mediator, config.gamma, rng, base_dim,
-            symmetric=config.symmetric_mediator,
-            constrained=config.mediator_mode == "constrained",
-            log_lambda_bounds=config.log_lambda_bounds)
+            constrained=config.mediator_mode == "constrained")
     return agents, mediator
 
 
@@ -478,12 +473,12 @@ def worker_count() -> int:
             f"{WORKER_ENV_VAR} must be an integer, got {value!r}") from None
 
 
-def sweep(config: RunConfig, seeds: tuple[int, ...] | None = None) -> SweepReport:
+def sweep(config: RunConfig) -> SweepReport:
     """Run every seed, aggregate seed means and standard deviations.
 
     Failed seeds are recorded, flagged, and excluded from the aggregates.
     """
-    seeds = tuple(seeds if seeds is not None else config.seeds)
+    seeds = config.seeds
     workers = worker_count()
     if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -564,41 +559,75 @@ def _to_table(report: RunReport | SweepReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config files (INI sections mirroring the module split; CLI overrides win)
+# Config files: INI sections mirroring the module split. The command line
+# writes its flags into the same parser as overrides, so a run takes the
+# env's published defaults, then file values, then flags.
 
 
-def load_config_file(path: str) -> RunConfig:
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from None
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split())
+
+
+_HARNESS_KEYS = {"batch_size": int, "iterations": int, "eval_episodes": int,
+                 "log_every": int, "gamma": float, "seeds": _ints}
+_LEARNER_KEYS = {"lr_actor": float, "lr_critic": float, "hidden": int,
+                 "lambda_lr": float}
+# INI key -> (EntropySchedule field, parser)
+_ENTROPY_KEYS = {"entropy_strategy": ("strategy", str),
+                 "entropy_start": ("start", float),
+                 "entropy_decay": ("decay", float),
+                 "entropy_steps": ("steps", int),
+                 "entropy_min": ("minimum", float)}
+_INI_KEYS = {
+    "game": {"env", "num_agents", "multiplier"},
+    "mediation": {"mediator_mode", "k"},
+    # Only the mediator has Lagrange multipliers.
+    "agent": {*_LEARNER_KEYS, *_ENTROPY_KEYS} - {"lambda_lr"},
+    "mediator": {*_LEARNER_KEYS, *_ENTROPY_KEYS},
+    "harness": set(_HARNESS_KEYS),
+}
+
+
+def load_config_file(path: str | None,
+                     overrides: dict[str, dict[str, str]] | None = None
+                     ) -> RunConfig:
+    """The config of the INI file at ``path`` (None reads no file), with
+    ``overrides`` (section -> key -> value) written over the file's values."""
+    parser = configparser.ConfigParser(interpolation=None)
+    if path is not None:
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from None
+        if not read:
+            raise ConfigError(f"cannot read config file {path}")
+        # A bad file value is an error even where an override replaces it.
+        config_from_parser(parser)
+    parser.read_dict(overrides or {})
     return config_from_parser(parser)
 
 
 def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
+    """The env's published defaults, overridden by every key the parser
+    sets. Unknown sections and keys are configuration errors."""
+    for name, section in parser.items():
+        known = _INI_KEYS.get(name)
+        if known is None and name != parser.default_section:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in section:
+            if key not in (known or ()):
+                raise ConfigError(f"unknown key {key!r} in section [{name}]")
     game = parser["game"] if "game" in parser else {}
     mediation = parser["mediation"] if "mediation" in parser else {}
     har = parser["harness"] if "harness" in parser else {}
-    env = game.get("env", "pd")
     config = default_config(
-        env,
+        game.get("env", "pd"),
         mediator_mode=mediation.get("mediator_mode", "none"),
         k=_read(mediation, "k", int, 1),
-        num_agents=_read(game, "num_agents", int, 3),
+        num_agents=_read(game, "num_agents", int, None),
         multiplier=_read(game, "multiplier", float, 2.0))
-    updates = {key: _read(har, key, int, getattr(config, key))
-               for key in ("batch_size", "iterations", "eval_episodes", "log_every")}
-    config = replace(
-        config, **updates,
-        symmetric_mediator=_read(mediation, "symmetric_mediator", _boolean,
-                                 config.symmetric_mediator),
-        log_lambda_bounds=_read(mediation, "log_lambda_bounds", _bounds,
-                                config.log_lambda_bounds),
-        gamma=_read(har, "gamma", float, config.gamma),
-        seeds=_read(har, "seeds", _ints, config.seeds))
+    config = replace(config, **{key: _read(har, key, convert, getattr(config, key))
+                                for key, convert in _HARNESS_KEYS.items()})
     for section, current in (("agent", config.agent), ("mediator", config.mediator)):
         if section in parser:
             config = replace(config, **{section: _learner_from_section(
@@ -617,36 +646,14 @@ def _read(section, key: str, convert, default):
         raise ConfigError(f"cannot parse {key} = {text!r}") from None
 
 
-def _boolean(text: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if text.lower() not in states:
-        raise ValueError(text)
-    return states[text.lower()]
-
-
-def _bounds(text: str) -> tuple[float, float]:
-    lo, hi = (float(x) for x in text.split())
-    return lo, hi
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split())
-
-
 def _learner_from_section(section, current: LearnerParams) -> LearnerParams:
     ent_updates = {
         attr: _read(section, key, convert, getattr(current.entropy, attr))
-        for key, attr, convert in (
-            ("entropy_start", "start", float), ("entropy_decay", "decay", float),
-            ("entropy_min", "minimum", float), ("entropy_steps", "steps", int),
-            ("entropy_strategy", "strategy", str))}
+        for key, (attr, convert) in _ENTROPY_KEYS.items()}
     try:
         entropy = replace(current.entropy, **ent_updates)
     except ContractError as exc:
         raise ConfigError(f"[{section.name}] {exc}") from None
-    return LearnerParams(
-        lr_actor=_read(section, "lr_actor", float, current.lr_actor),
-        lr_critic=_read(section, "lr_critic", float, current.lr_critic),
-        hidden=_read(section, "hidden", int, current.hidden),
-        entropy=entropy,
-        lambda_lr=_read(section, "lambda_lr", float, current.lambda_lr))
+    return replace(current, entropy=entropy, **{
+        key: _read(section, key, convert, getattr(current, key))
+        for key, convert in _LEARNER_KEYS.items()})

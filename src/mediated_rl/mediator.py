@@ -9,7 +9,7 @@ possible. Those queries drive dual gradient descent on per-agent Lagrange
 multipliers enforcing the incentive-compatibility (IC) constraint for
 members and the encouragement (E) constraint that deters free-riding.
 
-In symmetric mode (used for the one-shot public goods game) the coalition is
+In the one-shot public goods game the mediator is symmetric: the coalition is
 encoded as its size fraction |C|/N, one shared policy serves every member,
 and the critic outputs a member value and a non-member value.
 """
@@ -23,22 +23,25 @@ import numpy as np
 from .agents import LearnerParams
 from .approx import Adam, Mlp, masked_softmax, policy_loss
 from .errors import TrainingDiverged
+from .games import GameKind
+
+# Every published run clips log lambda to this range.
+LOG_LAMBDA_BOUNDS = (-4.0, 4.0)
 
 
 @dataclass
 class LagrangeState:
-    """Per-agent multipliers, stored as bounded logs so lambda stays positive."""
+    """Per-agent multipliers, stored as logs clipped to ``LOG_LAMBDA_BOUNDS``
+    so lambda stays positive and bounded."""
 
     log_ic: np.ndarray
     log_e: np.ndarray
     lr: float
-    log_bounds: tuple[float, float] = (-4.0, 4.0)
 
     @classmethod
-    def fresh(cls, num_agents: int, lr: float,
-              log_bounds: tuple[float, float] = (-4.0, 4.0)) -> "LagrangeState":
+    def fresh(cls, num_agents: int, lr: float) -> "LagrangeState":
         return cls(log_ic=np.zeros(num_agents), log_e=np.zeros(num_agents),
-                   lr=lr, log_bounds=log_bounds)
+                   lr=lr)
 
     @property
     def lambda_ic(self) -> np.ndarray:
@@ -57,7 +60,7 @@ class LagrangeState:
         gap is a violated constraint and raises the multiplier. Agents with
         no relevant samples this iteration (``valid`` false) are skipped.
         """
-        lo, hi = self.log_bounds
+        lo, hi = LOG_LAMBDA_BOUNDS
         self.log_ic = np.clip(
             np.where(ic_valid, self.log_ic - self.lr * ic_gaps, self.log_ic), lo, hi)
         self.log_e = np.clip(
@@ -110,18 +113,16 @@ class MediatorLearner:
 
     def __init__(self, spec, params: LearnerParams, gamma: float,
                  rng: np.random.Generator, base_dim: int,
-                 symmetric: bool = False, constrained: bool = False,
-                 log_lambda_bounds: tuple[float, float] = (-4.0, 4.0)):
+                 constrained: bool = False):
         n = spec.num_agents
         self.num_agents = n
         self.num_env_actions = np.asarray(spec.num_actions)
         self.max_env_actions = spec.max_actions
         self.base_dim = base_dim
-        self.symmetric = symmetric
+        self.symmetric = spec.kind is GameKind.ONE_SHOT_PGG
         self.gamma = gamma
-        self.entropy = params.entropy
         h = params.hidden
-        if symmetric:
+        if self.symmetric:
             actor_dim = base_dim + 1          # (o_i, |C|/N)
             critic_dim = 1                    # |C|/N
             critic_out = 2                    # member value, non-member value
@@ -133,7 +134,7 @@ class MediatorLearner:
         self.critic = Mlp((critic_dim, h, h, critic_out), rng)
         self.actor_opt = Adam(self.actor.num_params, params.lr_actor)
         self.critic_opt = Adam(self.critic.num_params, params.lr_critic)
-        self.lagrange = (LagrangeState.fresh(n, params.lambda_lr, log_lambda_bounds)
+        self.lagrange = (LagrangeState.fresh(n, params.lambda_lr)
                          if constrained else None)
 
     # -- policy ------------------------------------------------------------

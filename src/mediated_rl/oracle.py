@@ -74,7 +74,7 @@ class MixedProfile:
 
 
 def uniform_profile(spec: PayoffSpec, mediated: bool) -> MixedProfile:
-    """Uniform play everywhere; handy as a test fixture and CLI default."""
+    """Uniform play everywhere: a reference profile for the oracle tests."""
     policies = [[np.full(a + mediated, 1.0 / (a + mediated))
                  for a in spec.num_actions] for _ in range(spec.horizon)]
     if not mediated:

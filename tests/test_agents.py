@@ -17,7 +17,7 @@ def make_params(hidden=8):
 def make_agent(seed=0, base_dim=1, num_env_actions=2, mediated=True,
                status_feature=False, **kwargs):
     return AgentLearner(0, base_dim, num_env_actions, make_params(),
-                        gamma=0.99, rng=np.random.default_rng(seed),
+                        rng=np.random.default_rng(seed),
                         mediated=mediated, status_feature=status_feature,
                         **kwargs)
 

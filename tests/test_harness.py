@@ -42,7 +42,6 @@ def test_default_configs_published_values():
     pgg = default_config("pgg", "constrained", num_agents=3)
     assert pgg.iterations == 20000
     assert pgg.agent.entropy.strategy == "exponential"
-    assert pgg.symmetric_mediator
     pds = default_config("pds", "constrained")
     assert pds.iterations == 10000
     assert pds.mediator.hidden == 32
@@ -59,8 +58,6 @@ def test_validate_rejects_bad_modes_and_k():
         replace(tiny_config(), k=0).validate()
     with pytest.raises(ConfigError):
         replace(tiny_config("pd"), k=2).validate()  # k > horizon
-    with pytest.raises(ConfigError):
-        replace(tiny_config("pd"), symmetric_mediator=True).validate()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -102,8 +99,6 @@ def test_config_file_round_trip(tmp_path):
         [mediation]
         k = 1
         mediator_mode = constrained
-        symmetric_mediator = true
-        log_lambda_bounds = -4 4
 
         [agent]
         lr_actor = 0.002
@@ -124,7 +119,6 @@ def test_config_file_round_trip(tmp_path):
     config = load_config_file(str(path))
     assert config.env == "pgg"
     assert config.mediator_mode == "constrained"
-    assert config.symmetric_mediator
     assert config.agent.lr_actor == 0.002
     assert config.agent.entropy.start == 0.3
     assert config.mediator.hidden == 24
@@ -149,9 +143,14 @@ def test_config_file_round_trip(tmp_path):
     "[mediation]\nlog_lambda_bounds = 4 -4",
     "k = 1",
     "[game]\nenv = pd\n[game]\nenv = pds",
+    "[game]\nenv = pgg\n[agent]\nentropy_start = 0\nentropy_min = 0",
+    "[agent]\nhidden = 0",
+    "[mediator]\nhidden = 0",
+    "[agent]\nlr_actor = 1%",
 ], ids=["k", "num_agents", "multiplier", "gamma", "seeds", "symmetric",
         "strategy", "steps", "bounds-arity", "bounds-order", "no-section",
-        "duplicate-section"])
+        "duplicate-section", "exponential-from-zero", "agent-hidden",
+        "mediator-hidden", "percent-sign"])
 def test_bad_config_file_value_is_a_configuration_error(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"
     path.write_text(text + "\n")
@@ -159,6 +158,79 @@ def test_bad_config_file_value_is_a_configuration_error(tmp_path, capsys, text):
                        "--seeds", "1"])
     assert status == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[harnes]\niterations = 7", "unknown section [harnes]"),
+    ("[agent]\nlr_actr = 0.1", "unknown key 'lr_actr' in section [agent]"),
+    ("[agent]\nlambda_lr = 1e-3", "unknown key 'lambda_lr' in section [agent]"),
+], ids=["section", "key", "agent-lambda-lr"])
+def test_unknown_config_section_or_key_is_named(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text + "\n")
+    assert cli.main(["run", "--config", str(path), "--iters", "0"]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def resolved_config(monkeypatch, argv):
+    """The RunConfig that ``mediated-rl run`` would sweep for ``argv``."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return SweepReport(env=config.env, mediator_mode=config.mediator_mode,
+                           k=config.k, metrics={}, num_seeds=0)
+    monkeypatch.setattr(harness, "sweep", capture)
+    assert cli.main(["run", *argv]) == 0
+    return seen[0]
+
+
+def test_flags_and_config_keys_resolve_alike(tmp_path, monkeypatch):
+    path = tmp_path / "run.ini"
+    path.write_text(textwrap.dedent("""\
+        [game]
+        env = pgg-iter
+        num_agents = 4
+        multiplier = 1.5
+
+        [mediation]
+        mediator_mode = constrained
+        k = 10
+
+        [harness]
+        iterations = 7
+        seeds = 0 1 2
+        """))
+    from_flags = resolved_config(monkeypatch, [
+        "--env", "pgg-iter", "--num-agents", "4", "--multiplier", "1.5",
+        "--mediator", "constrained", "--k", "10", "--iters", "7",
+        "--seeds", "3"])
+    assert resolved_config(monkeypatch, ["--config", str(path)]) == from_flags
+    assert from_flags == replace(
+        default_config("pgg-iter", "constrained", k=10, num_agents=4,
+                       multiplier=1.5), iterations=7, seeds=(0, 1, 2))
+
+
+def test_env_flag_keeps_the_config_file_values(tmp_path, monkeypatch):
+    # Published defaults of the flag's env, then the file, then the flags.
+    path = tmp_path / "run.ini"
+    path.write_text("[game]\nenv = pgg\n[agent]\nlr_actor = 0.123\n"
+                    "[harness]\niterations = 7\n")
+    config = resolved_config(monkeypatch, ["--config", str(path), "--env", "pds",
+                                           "--seeds", "1"])
+    pds = default_config("pds")
+    assert config == replace(pds, iterations=7, seeds=(0,),
+                             agent=replace(pds.agent, lr_actor=0.123))
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_matrix_game_agent_count_is_fixed(tmp_path, capsys, how):
+    path = tmp_path / "run.ini"
+    path.write_text("[game]\nenv = pd\nnum_agents = 5\n")
+    argv = (["--env", "pd", "--num-agents", "5"] if how == "flag"
+            else ["--config", str(path)])
+    assert cli.main(["run", *argv, "--iters", "0", "--seeds", "1"]) == 2
+    assert "pd is a 2-agent game" in capsys.readouterr().err
 
 
 PD_POLICY = [[[0.5, 0.5], [0.5, 0.5]]]
@@ -172,8 +244,14 @@ PD_POLICY = [[[0.5, 0.5], [0.5, 0.5]]]
     ({"agent_policies": [[[0.5, 0.5]]]}, []),
     ("missing", []),
     ("{", []),
+    ({"agent_policies": [[[0.2, 0.3, 0.5]] * 2], "mediated": True,
+      "mediator_by_coalition": [{"11": {"0": [0.5, 0.5], "1": [0.5, 0.5]}}]},
+     []),
+    ({"agent_policies": [[[0.2, 0.3, 0.5]] * 2], "mediated": True,
+      "mediator_by_coalition": [{"1x": {"0": [0.5, 0.5]}}]}, []),
 ], ids=["not-a-distribution", "no-mediator-table", "k0-profile", "k0",
-        "one-agent", "missing-file", "not-json"])
+        "one-agent", "missing-file", "not-json", "partial-mediator-table",
+        "bad-coalition-key"])
 def test_bad_oracle_input_is_a_configuration_error(tmp_path, capsys,
                                                    profile, flags):
     path = tmp_path / "profile.json"
@@ -191,6 +269,17 @@ def test_bad_oracle_input_is_a_configuration_error(tmp_path, capsys,
 def test_oracle_reads_a_good_profile(tmp_path, capsys):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps({"agent_policies": PD_POLICY}))
+    assert cli.main(["oracle", "--env", "pd", "--profile", str(path)]) == 0
+    assert "best-response gap agent1" in capsys.readouterr().out
+
+
+def test_oracle_reads_a_complete_mediator_table(tmp_path, capsys):
+    coop = [0.0, 1.0]
+    table = {"10": {"0": coop}, "01": {"1": coop}, "11": {"0": coop, "1": coop}}
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({
+        "agent_policies": [[[0.0, 0.0, 1.0]] * 2], "mediated": True,
+        "mediator_by_coalition": [table]}))
     assert cli.main(["oracle", "--env", "pd", "--profile", str(path)]) == 0
     assert "best-response gap agent1" in capsys.readouterr().out
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mediated_rl.agents import AgentLearner, LearnerParams
 from mediated_rl.approx import EntropySchedule
 from mediated_rl.errors import ContractError
-from mediated_rl.games import iterative_pgg, obs_dim
+from mediated_rl.games import iterative_pgg, obs_dim, one_shot_pgg
 from mediated_rl.mediation import (joint_env_actions, legal_action_mask_batch,
                                    next_coalition, window_statuses)
 from mediated_rl.mediator import MediatorLearner
@@ -125,12 +125,12 @@ def test_assemble_missing_mediator_action_raises():
 
 def test_coalition_fraction():
     # The symmetric mediator encodes a coalition as |C|/N.
-    spec = iterative_pgg(3, 2.0)
+    spec = one_shot_pgg(3, 2.0)
     mediator = MediatorLearner(spec, _params(), 0.99, np.random.default_rng(0),
-                               obs_dim(spec), symmetric=True)
+                               obs_dim(spec))
     member = np.array([[True, True, False], [False, False, False]])
     np.testing.assert_allclose(
-        mediator_critic_inputs(mediator, np.ones((2, 3, 2)), member),
+        mediator_critic_inputs(mediator, np.ones((2, 3, 1)), member),
         [[2 / 3], [0.0]])
 
 
@@ -151,7 +151,7 @@ def test_coalition_constant_within_windows(n, horizon, k_frac, seed):
     spec = iterative_pgg(n, 2.0, horizon=horizon)
     rng = np.random.default_rng(seed)
     d = obs_dim(spec)
-    agents = [AgentLearner(i, d, 2, _params(), 0.99, rng, status_feature=True)
+    agents = [AgentLearner(i, d, 2, _params(), rng, status_feature=True)
               for i in range(n)]
     mediator = MediatorLearner(spec, _params(), 0.99, rng, d)
     traj = sample_batch(spec, k, agents, mediator, 16, rng)

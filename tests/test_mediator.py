@@ -22,7 +22,7 @@ def make_mediator(seed=0, symmetric=False, constrained=True, spec=None):
         (spec or games.prisoners_dilemma())
     return MediatorLearner(spec, make_params(), gamma=0.99,
                            rng=np.random.default_rng(seed), base_dim=1,
-                           symmetric=symmetric, constrained=constrained), spec
+                           constrained=constrained), spec
 
 
 def one_shot_batch(mediator, spec, member, rewards, actions):

@@ -14,9 +14,8 @@ from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
                                  sample_batch, window_reward_sums)
 
 
-def learners_for(env, mediator_mode="naive", k=1, num_agents=3, seed=0):
-    config = default_config(env, mediator_mode, k=k, num_agents=num_agents,
-                            seeds=(seed,))
+def learners_for(env, mediator_mode="naive", k=1, num_agents=None, seed=0):
+    config = default_config(env, mediator_mode, k=k, num_agents=num_agents)
     spec = config.validate()
     rng = np.random.default_rng(seed)
     agents, mediator = _build_learners(config, spec, rng)
