@@ -16,7 +16,8 @@ import numpy as np
 from .approx import (Adam, EntropySchedule, Mlp, masked_softmax, policy_loss,
                      value_grad)
 from .errors import TrainingDiverged
-from .mediation import COMMITTED
+from .games import GameKind, PayoffSpec, obs_dim
+from .mediation import COMMITTED, legal_action_mask_batch
 
 
 @dataclass(frozen=True)
@@ -76,25 +77,43 @@ def filter_trainable_steps(statuses: np.ndarray) -> np.ndarray:
 
 
 class AgentLearner:
-    """One self-interested actor-critic learner."""
+    """One self-interested actor-critic learner. The critic sees the base
+    observation; the actor also sees the commitment status where it varies."""
 
-    def __init__(self, index: int, base_dim: int, num_env_actions: int,
-                 params: LearnerParams, rng: np.random.Generator,
-                 mediated: bool = True, status_feature: bool = False):
+    def __init__(self, index: int, spec: PayoffSpec, params: LearnerParams,
+                 rng: np.random.Generator, mediated: bool = True, k: int = 1):
         self.index = index
-        self.num_env_actions = num_env_actions
+        self.num_env_actions = spec.num_actions[index]
         self.mediated = mediated
-        self.status_feature = status_feature
-        self.num_actions = num_env_actions + (1 if mediated else 0)
+        self.base_dim = obs_dim(spec)
+        self.status_feature = mediated and spec.horizon > 1 and (
+            spec.kind is GameKind.MATRIX or k > 1)
+        self.num_actions = self.num_env_actions + mediated
         h = params.hidden
-        actor_dim = base_dim + (1 if status_feature else 0)
+        actor_dim = self.base_dim + self.status_feature
         self.actor = Mlp((actor_dim, h, h, self.num_actions), rng)
-        self.critic = Mlp((base_dim, h, h, 1), rng)
+        self.critic = Mlp((self.base_dim, h, h, 1), rng)
         self.actor_opt = Adam(self.actor.num_params, params.lr_actor)
         self.critic_opt = Adam(self.critic.num_params, params.lr_critic)
 
-    def policy(self, actor_obs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        return masked_softmax(self.actor.forward(actor_obs), masks)
+    def actor_inputs(self, base: np.ndarray, status: np.ndarray | int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Actor rows from base observations (M, obs_dim) and statuses,
+        written into ``out`` (M, actor input width) when given."""
+        if out is None:
+            out = np.empty((base.shape[0], self.actor.sizes[0]))
+        out[:, :self.base_dim] = base
+        if self.status_feature:
+            out[:, self.base_dim] = status
+        return out
+
+    def policy(self, base: np.ndarray, status: np.ndarray | int) -> np.ndarray:
+        """Masked policy (M, num_actions) at base observations (M, obs_dim)
+        under commitment statuses (scalar or (M,))."""
+        # Slicing drops the commit column an unmediated agent does not have.
+        masks = legal_action_mask_batch(status, self.num_env_actions)
+        logits = self.actor.forward(self.actor_inputs(base, status))
+        return masked_softmax(logits, masks[..., :self.num_actions])
 
     def update(self, batch: AgentBatch, beta: float) -> dict[str, float]:
         """One gradient step on the critic and the actor from a full batch."""

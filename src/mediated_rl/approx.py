@@ -247,6 +247,10 @@ class EntropySchedule:
     def __post_init__(self):
         if self.strategy not in ("linear", "exponential"):
             raise ContractError(f"unknown entropy strategy {self.strategy!r}")
+        if not all(np.isfinite(v) and v >= 0.0
+                   for v in (self.start, self.minimum, self.decay)):
+            raise ContractError("entropy start, minimum and decay must be "
+                                "finite and >= 0")
         if self.minimum > self.start:
             raise ContractError("entropy minimum exceeds start coefficient")
         if self.steps < 1:

@@ -31,25 +31,31 @@ def _add_oracle_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("oracle", help="print exact equilibrium analyses")
     p.add_argument("--env", required=True,
                    choices=["pd", "pds", "pd2", "pgg", "pgg-iter"])
-    p.add_argument("--num-agents", type=int, default=3)
-    p.add_argument("--multiplier", type=float, default=2.0)
+    p.add_argument("--num-agents", type=int)
+    p.add_argument("--multiplier", type=float)
     p.add_argument("--profile", help="JSON file with a mixed strategy profile")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int)
+
+
+# flag -> (INI section, key)
+_FLAG_KEYS = {"env": ("game", "env"), "num_agents": ("game", "num_agents"),
+              "multiplier": ("game", "multiplier"),
+              "mediator": ("mediation", "mediator_mode"), "k": ("mediation", "k"),
+              "iters": ("harness", "iterations"), "seeds": ("harness", "seeds")}
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     """The flags given, as INI keys; a flag given as 0 counts as given, so
     validation can reject it."""
-    seeds = None if args.seeds is None else " ".join(map(str, range(args.seeds)))
-    flags = {
-        "game": {"env": args.env, "num_agents": args.num_agents,
-                 "multiplier": args.multiplier},
-        "mediation": {"mediator_mode": args.mediator, "k": args.k},
-        "harness": {"iterations": args.iters, "seeds": seeds},
-    }
-    return {section: {key: str(value) for key, value in keys.items()
-                      if value is not None}
-            for section, keys in flags.items()}
+    overrides: dict[str, dict[str, str]] = {}
+    for flag, value in vars(args).items():
+        if flag not in _FLAG_KEYS or value is None:
+            continue
+        if flag == "seeds":
+            value = " ".join(map(str, range(value)))
+        section, key = _FLAG_KEYS[flag]
+        overrides.setdefault(section, {})[key] = str(value)
+    return overrides
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -74,7 +80,12 @@ def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
             raise ConfigError(f"mediator_by_coalition needs {spec.horizon} "
                               "state(s)")
         by_coal = [_mediator_table(spec, state) for state in by_coal]
+    pgg = spec.kind is games.GameKind.ONE_SHOT_PGG
     by_size = data.get("mediator_by_size")
+    if by_size is not None:
+        if not pgg:
+            raise ConfigError("mediator_by_size is for the one-shot pgg only")
+        by_size = _size_table(spec, by_size)
     mediated = bool(data.get("mediated", False))
     arities = [a + mediated for a in spec.num_actions]
     states = data["agent_policies"]
@@ -82,7 +93,6 @@ def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
             [len(p) for p in state] != arities for state in states):
         raise ConfigError(f"agent_policies needs {spec.horizon} state(s) of "
                           f"policies over {arities} actions")
-    pgg = spec.kind is games.GameKind.ONE_SHOT_PGG
     if mediated and (by_size if pgg else by_coal) is None:
         raise ConfigError("a mediated profile needs "
                           + ("mediator_by_size" if pgg else "mediator_by_coalition"))
@@ -90,39 +100,52 @@ def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
         return oracle.MixedProfile(
             agent_policies=[[np.asarray(p) for p in state] for state in states],
             mediated=mediated,
-            mediator_by_coalition=by_coal,
-            mediator_by_size=np.asarray(by_size) if by_size is not None else None)
+            mediator_by_coalition=by_coal, mediator_by_size=by_size)
     except ContractError as exc:
         raise ConfigError(f"bad profile: {exc}") from None
 
 
 def _mediator_table(spec, state: dict) -> dict:
     """One state's mediator policies, keyed by coalition bits then agent;
-    every member of every non-empty coalition needs a distribution over
-    its own env actions."""
+    every member of every non-empty coalition needs a probability vector
+    over its own env actions."""
     try:
-        table = {tuple(int(c) for c in bits): {int(a): np.asarray(d)
-                                               for a, d in per_agent.items()}
+        table = {tuple(int(c) for c in bits): {
+                     int(a): np.asarray(d, dtype=np.float64)
+                     for a, d in per_agent.items()}
                  for bits, per_agent in state.items()}
-    except (AttributeError, ValueError):  # not a mapping, or a bad key
+    except (AttributeError, TypeError, ValueError):  # not a mapping of numbers
         raise ConfigError('mediator_by_coalition maps coalition bits such as '
                           '"10" to {agent id: distribution}') from None
     for bits in itertools.product((0, 1), repeat=spec.num_agents):
         for agent in (i for i, b in enumerate(bits) if b):
             dist = table.get(bits, {}).get(agent)
-            if dist is None or dist.shape != (spec.num_actions[agent],):
+            if (dist is None or dist.shape != (spec.num_actions[agent],)
+                    or not oracle.is_distribution(dist)):
                 raise ConfigError(
                     f"mediator_by_coalition needs, in every state, a "
-                    f"distribution over agent {agent}'s "
+                    f"probability vector over agent {agent}'s "
                     f"{spec.num_actions[agent]} actions for coalition "
                     + "".join(map(str, bits)))
     return table
 
 
+def _size_table(spec, by_size) -> np.ndarray:
+    """The symmetric mediator's contribute probability per coalition size."""
+    try:
+        table = np.asarray(by_size, dtype=np.float64)
+    except (TypeError, ValueError):  # not a list of numbers
+        table = None
+    if (table is None or table.shape != (spec.num_agents + 1,)
+            or not np.all((table >= 0.0) & (table <= 1.0))):
+        raise ConfigError(f"mediator_by_size needs {spec.num_agents + 1} "
+                          "probabilities, one per coalition size 0..N")
+    return table
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ConfigError("k must be >= 1")
-    spec = games.make_spec(args.env, args.num_agents, args.multiplier)
+    config = harness.load_config_file(None, _flag_overrides(args))
+    spec, k = config.validate(), config.k
     low, high = oracle.normalization_constants(spec)
     print(f"env={spec.name} agents={spec.num_agents} horizon={spec.horizon}")
     print(f"normalization: all-defect={low:.6g} full-cooperation={high:.6g}")
@@ -142,11 +165,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:  # ValueError: not JSON
             raise ConfigError(f"cannot read profile: {exc}") from None
         profile = _profile_from_json(spec, data)
-        payoffs = oracle.expected_payoffs(spec, profile, k=args.k)
+        payoffs = oracle.expected_payoffs(spec, profile, k=k)
         print("expected payoffs: "
               + " ".join(f"agent{i}={v:.6g}" for i, v in enumerate(payoffs)))
         for i in range(spec.num_agents):
-            gap = oracle.best_response_gap(spec, profile, i, k=args.k)
+            gap = oracle.best_response_gap(spec, profile, i, k=k)
             print(f"best-response gap agent{i}: {gap:.6g}")
     return 0
 

@@ -24,11 +24,11 @@ from . import games, oracle
 from .agents import AgentLearner, LearnerParams
 from .approx import EntropySchedule
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .games import GameKind, PayoffSpec, base_obs_batch, obs_dim
-from .mediation import FREE, legal_action_mask_batch
+from .games import GameKind, PayoffSpec, base_obs_batch
+from .mediation import FREE
 from .mediator import MediatorLearner
 from .rollout import (TrajectoryBatch, build_agent_batch, build_mediator_batch,
-                      mediator_actor_inputs, sample_batch)
+                      sample_batch)
 
 MEDIATOR_MODES = ("none", "naive", "constrained")
 WORKER_ENV_VAR = "MEDIATED_RL_WORKERS"
@@ -74,6 +74,12 @@ class RunConfig:
         for name, params in (("agent", self.agent), ("mediator", self.mediator)):
             if params.hidden < 1:
                 raise ConfigError(f"[{name}] hidden must be >= 1")
+            rates = {"lr_actor": params.lr_actor, "lr_critic": params.lr_critic}
+            if name == "mediator":
+                rates["lambda_lr"] = params.lambda_lr
+            for key, rate in rates.items():
+                if not (np.isfinite(rate) and rate > 0.0):
+                    raise ConfigError(f"[{name}] {key} must be finite and > 0")
         spec = games.make_spec(self.env, self.num_agents, self.multiplier)
         if self.num_agents != spec.num_agents:
             raise ConfigError(f"{spec.name} is a {spec.num_agents}-agent game, "
@@ -163,10 +169,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        return cls(**data)
-
 
 @dataclass
 class SweepReport:
@@ -179,9 +181,6 @@ class SweepReport:
     num_seeds: int
     failed: list[tuple[int, str]] = field(default_factory=list)
     reports: list[RunReport] = field(default_factory=list)
-
-    def mean(self, name: str) -> float:
-        return self.metrics[name][0]
 
     def to_dict(self) -> dict:
         return {
@@ -201,18 +200,12 @@ def _build_learners(config: RunConfig, spec: PayoffSpec,
                     rng: np.random.Generator
                     ) -> tuple[list[AgentLearner], MediatorLearner | None]:
     mediated = config.mediator_mode != "none"
-    base_dim = obs_dim(spec)
-    status_feature = mediated and spec.horizon > 1 and (
-        spec.kind is GameKind.MATRIX or config.k > 1)
-    agents = [
-        AgentLearner(i, base_dim, spec.num_actions[i], config.agent, rng,
-                     mediated=mediated, status_feature=status_feature)
-        for i in range(spec.num_agents)
-    ]
+    agents = [AgentLearner(i, spec, config.agent, rng, mediated, config.k)
+              for i in range(spec.num_agents)]
     mediator = None
     if mediated:
         mediator = MediatorLearner(
-            spec, config.mediator, config.gamma, rng, base_dim,
+            spec, config.mediator, config.gamma, rng,
             constrained=config.mediator_mode == "constrained")
     return agents, mediator
 
@@ -304,26 +297,6 @@ def _mediator_action_rate(traj: TrajectoryBatch, action: int) -> float:
     return float((traj.med_action[acted] == action).mean())
 
 
-def _query_agent(agent: AgentLearner, base: np.ndarray,
-                 status: int) -> np.ndarray:
-    """The agent's policy at one observation; ``base`` is (1, N, obs_dim)."""
-    obs = base[:, agent.index]
-    if agent.status_feature:
-        obs = np.append(obs, [[status]], axis=1)
-    # Slicing drops the commit column an unmediated agent does not have.
-    mask = legal_action_mask_batch(np.array([status]), agent.num_env_actions)
-    return agent.policy(obs, mask[:, :agent.num_actions])[0]
-
-
-def _query_mediator(mediator: MediatorLearner, base: np.ndarray,
-                    coalition: np.ndarray, agent: int) -> np.ndarray:
-    rows_b = np.zeros(1, dtype=np.int64)
-    rows_i = np.asarray([agent])
-    actor_in = mediator_actor_inputs(mediator, base, coalition[None, :],
-                                     rows_b, rows_i)
-    return mediator.policy(actor_in, rows_i)[0]
-
-
 def _coalition_tag(bits: np.ndarray) -> str:
     return "".join(str(int(b)) for b in bits)
 
@@ -376,7 +349,7 @@ def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
         base = base_obs_batch(spec, t, None, 1)
         boundary = t % config.k == 0
         for i, agent in enumerate(agents):
-            probs = _query_agent(agent, base, 0 if boundary else -1)
+            probs = agent.policy(base[:, i], 0 if boundary else -1)[0]
             for a in range(agent.num_env_actions):
                 metrics[f"pi_{_ACTION_NAMES[a]}{tag}/agent{i}"] = float(probs[a])
             if agent.mediated and boundary:
@@ -389,7 +362,7 @@ def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
             for i in range(spec.num_agents):
                 if not coalition[i]:
                     continue
-                probs = _query_mediator(mediator, base, coalition, i)
+                probs = mediator.policy(base, coalition[None], [0], [i])[0]
                 for a in range(spec.num_actions[i]):
                     metrics[f"piM_{_ACTION_NAMES[a]}{tag}|{ctag}/agent{i}"] = \
                         float(probs[a])
@@ -426,7 +399,7 @@ def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
     base = base_obs_batch(spec, 0, None, 1)
     commit = []
     for i, agent in enumerate(agents):
-        probs = _query_agent(agent, base, 0)
+        probs = agent.policy(base[:, i], 0)[0]
         metrics[f"pi_coop/agent{i}"] = float(probs[games.COOPERATE])
         if agent.mediated:
             metrics[f"pi_commit/agent{i}"] = float(probs[-1])
@@ -438,7 +411,7 @@ def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
     for size in range(1, spec.num_agents + 1):
         coalition = np.zeros(spec.num_agents, dtype=bool)
         coalition[:size] = True
-        probs = _query_mediator(mediator, base, coalition, 0)
+        probs = mediator.policy(base, coalition[None], [0], [0])[0]
         metrics[f"piM_coop|size{size}"] = float(probs[games.COOPERATE])
 
 
@@ -448,7 +421,7 @@ def _iter_pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
     # Unit endowments at the first turn, as every episode starts.
     base = base_obs_batch(spec, 0, np.ones((1, spec.num_agents)), 1)
     for i, agent in enumerate(agents):
-        probs = _query_agent(agent, base, 0)
+        probs = agent.policy(base[:, i], 0)[0]
         metrics[f"pi_coop@init/agent{i}"] = float(probs[games.COOPERATE])
         if agent.mediated:
             metrics[f"pi_commit@init/agent{i}"] = float(probs[-1])

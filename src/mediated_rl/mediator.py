@@ -23,7 +23,7 @@ import numpy as np
 from .agents import LearnerParams
 from .approx import Adam, Mlp, masked_softmax, policy_loss
 from .errors import TrainingDiverged
-from .games import GameKind
+from .games import GameKind, PayoffSpec, obs_dim
 
 # Every published run clips log lambda to this range.
 LOG_LAMBDA_BOUNDS = (-4.0, 4.0)
@@ -111,17 +111,16 @@ class MediatorBatch:
 class MediatorLearner:
     """Coalition policy and multi-head value learner for the mediator."""
 
-    def __init__(self, spec, params: LearnerParams, gamma: float,
-                 rng: np.random.Generator, base_dim: int,
-                 constrained: bool = False):
+    def __init__(self, spec: PayoffSpec, params: LearnerParams, gamma: float,
+                 rng: np.random.Generator, constrained: bool = False):
         n = spec.num_agents
         self.num_agents = n
         self.num_env_actions = np.asarray(spec.num_actions)
         self.max_env_actions = spec.max_actions
-        self.base_dim = base_dim
         self.symmetric = spec.kind is GameKind.ONE_SHOT_PGG
         self.gamma = gamma
         h = params.hidden
+        base_dim = obs_dim(spec)
         if self.symmetric:
             actor_dim = base_dim + 1          # (o_i, |C|/N)
             critic_dim = 1                    # |C|/N
@@ -137,6 +136,28 @@ class MediatorLearner:
         self.lagrange = (LagrangeState.fresh(n, params.lambda_lr)
                          if constrained else None)
 
+    # -- inputs ------------------------------------------------------------
+
+    def actor_inputs(self, base_t: np.ndarray, coalition: np.ndarray,
+                     rows_b: np.ndarray, rows_i: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Actor rows for the (episode, member) pairs of observations
+        (B, N, obs_dim) and coalitions (B, N), written into ``out`` if given."""
+        obs = base_t[rows_b, rows_i]
+        if self.symmetric:
+            parts = [obs, coalition.mean(axis=1)[rows_b, None]]
+        else:
+            parts = [obs, coalition[rows_b], np.eye(self.num_agents)[rows_i]]
+        return np.concatenate(parts, axis=1, out=out)
+
+    def critic_inputs(self, base: np.ndarray,
+                      coalition: np.ndarray) -> np.ndarray:
+        """Critic rows from observations (S, N, obs_dim) and coalitions
+        (S, N): |C|/N if symmetric, else all observations, then C one-hot."""
+        if self.symmetric:
+            return coalition.mean(axis=1)[:, None]
+        return np.concatenate([base.reshape(len(base), -1), coalition], axis=1)
+
     # -- policy ------------------------------------------------------------
 
     def action_masks(self, agent_rows: np.ndarray) -> np.ndarray:
@@ -144,12 +165,16 @@ class MediatorLearner:
         return (np.arange(self.max_env_actions)[None, :]
                 < self.num_env_actions[agent_rows][:, None])
 
-    def policy(self, actor_in: np.ndarray, agent_rows: np.ndarray,
+    def policy(self, base_t: np.ndarray, coalition: np.ndarray,
+               rows_b: np.ndarray, rows_i: np.ndarray,
                out: list[np.ndarray] | None = None) -> np.ndarray:
-        """Masked policy per sample; ``out`` receives the actor's layer
-        outputs (see ``Mlp.forward_cached``)."""
-        logits, _ = self.actor.forward_cached(actor_in, out)
-        return masked_softmax(logits, self.action_masks(agent_rows))
+        """Masked policy for the (episode, member) pairs (see
+        ``actor_inputs``). ``out``, if given, holds one buffer for the input
+        rows and one per layer output (see ``Mlp.forward_cached``)."""
+        inputs, layers = (None, None) if out is None else (out[0], out[1:])
+        logits, _ = self.actor.forward_cached(
+            self.actor_inputs(base_t, coalition, rows_b, rows_i, inputs), layers)
+        return masked_softmax(logits, self.action_masks(rows_i))
 
     # -- values ------------------------------------------------------------
 
@@ -183,7 +208,8 @@ class MediatorLearner:
             inputs = np.repeat(critic_cur, n, axis=0)  # row s * n + i
             rows = np.arange(s * n)
             agents = np.tile(np.arange(n), s)
-            inputs[rows, n * self.base_dim + agents] = ~member.reshape(-1)
+            # critic_inputs puts the coalition one-hot in the last n columns.
+            inputs[rows, inputs.shape[1] - n + agents] = ~member.reshape(-1)
             flipped = self.critic.forward(inputs)[rows, agents].reshape(s, n)
         return actual, flipped
 

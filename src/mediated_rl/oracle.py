@@ -30,9 +30,15 @@ from .rollout import sample_agent_actions
 DIST_TOL = 5e-12
 
 
+def is_distribution(p: np.ndarray) -> bool:
+    """A 1-d vector of non-negative entries summing to 1, within DIST_TOL."""
+    return (p.ndim == 1 and not np.any(p < -DIST_TOL)
+            and abs(p.sum() - 1.0) <= DIST_TOL)
+
+
 def _check_dist(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < -DIST_TOL) or abs(p.sum() - 1.0) > DIST_TOL:
+    if not is_distribution(p):
         raise ContractError(f"not a probability vector: {p}")
     return p
 

@@ -16,8 +16,8 @@ import numpy as np
 from .agents import AgentBatch, AgentLearner, filter_trainable_steps
 from .approx import Mlp, masked_softmax, sample_categorical
 from .errors import ContractError
-from .games import GameKind, PayoffSpec, base_obs_batch, obs_dim, step_batch
-from .mediation import (COMMITTED, FREE, commit_index, joint_env_actions,
+from .games import GameKind, PayoffSpec, base_obs_batch, step_batch
+from .mediation import (FREE, commit_index, joint_env_actions,
                         legal_action_mask_batch, next_coalition,
                         window_statuses)
 from .mediator import MediatorBatch, MediatorLearner
@@ -29,15 +29,15 @@ class TrajectoryBatch:
 
     The rollout also keeps what its policies computed, because training takes
     one gradient step on exactly this batch. An agent's actor runs only on
-    its trainable steps (status 0 or -1; at +1 the commit is forced), and
-    ``agent_acts`` holds its activations there, input first, in the order of
-    ``np.nonzero(status[:, :, i] != 1)``. ``agent_probs`` holds every
+    its trainable steps (``filter_trainable_steps``: at status +1 the commit
+    is forced), and ``agent_acts`` holds its activations there, input first,
+    in flat step order t * batch + b. ``agent_probs`` holds every
     agent's masked policy at every step (flat row t * batch + b). The
     mediator's actor activations and policy cover its (step, member)
     samples, listed t-major like ``np.nonzero(member)``.
     """
 
-    base: np.ndarray        # (T+1, B, N, obs_dim); row T is the terminal obs
+    base: np.ndarray        # (T+1, B, N, obs width); row T is the terminal obs
     status: np.ndarray      # (T, B, N) in {-1, 0, 1}
     choice: np.ndarray      # (T, B, N) agent-head action ids (commit included)
     member: np.ndarray      # (T, B, N) coalition flags
@@ -88,9 +88,9 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
     padded with illegal columns; draws stay agent-major (agent 0's batch
     first), as if each agent sampled in turn.
     """
-    t_max, n, d = spec.horizon, spec.num_agents, obs_dim(spec)
+    t_max, n = spec.horizon, spec.num_agents
     mediated = mediator is not None
-    base = np.empty((t_max + 1, batch, n, d))
+    base = []
     status = np.empty((t_max, batch, n), dtype=np.int64)
     choice = np.empty((t_max, batch, n), dtype=np.int64)
     member = np.zeros((t_max, batch, n), dtype=bool)
@@ -118,21 +118,19 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
             np.arange(a_max) < num_actions[:, None, None], logits.shape)
 
     for t in range(t_max):
-        base[t] = base_obs_batch(spec, t, endow, batch)
+        base_t = base_obs_batch(spec, t, endow, batch)
+        base.append(base_t)
         status[t] = window_statuses(coalition, t, k)
         rows = slice(t * batch, (t + 1) * batch)
         for i, agent in enumerate(agents):
             # Committed rows keep stale logits: their mask leaves only commit.
-            active = np.flatnonzero(status[t, :, i] != COMMITTED)
+            active = np.flatnonzero(filter_trainable_steps(status[t, :, i]))
             cached = slice(agent_filled[i], agent_filled[i] + active.size)
             agent_filled[i] += active.size
-            layers = agent_acts[i]
-            obs = layers[0][cached]
-            obs[:, :d] = base[t, active, i]
-            if agent.status_feature:
-                obs[:, d] = status[t, active, i]
-            out, _ = agent.actor.forward_cached(
-                obs, [a[cached] for a in layers[1:]])
+            layers = [a[cached] for a in agent_acts[i]]
+            obs = agent.actor_inputs(base_t[active, i], status[t, active, i],
+                                     layers[0])
+            out, _ = agent.actor.forward_cached(obs, layers[1:])
             logits[i, active, :agent.num_actions] = out
         if mediated:
             masks = legal_action_mask_batch(status[t].T, env_actions[:, None])
@@ -148,50 +146,23 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
             if rows_b.size:
                 samples = slice(filled, filled + rows_b.size)
                 filled += rows_b.size
-                actor_in = med_acts[0][samples]
-                actor_in[:] = mediator_actor_inputs(
-                    mediator, base[t], coalition, rows_b, rows_i)
                 med_probs[samples] = mediator.policy(
-                    actor_in, rows_i, [a[samples] for a in med_acts[1:]])
+                    base_t, coalition, rows_b, rows_i,
+                    [a[samples] for a in med_acts])
                 med_action[t, rows_b, rows_i] = sample_categorical(
                     med_probs[samples], rng)
         env_action[t] = joint_env_actions(choice[t], med_action[t], coalition)
         reward[t], endow = step_batch(spec, t, endow, env_action[t])
-    base[t_max] = base_obs_batch(spec, t_max, endow, batch)
+    base.append(base_obs_batch(spec, t_max, endow, batch))
     agent_acts = [[a[:m] for a in acts] for acts, m in zip(agent_acts, agent_filled)]
     if mediated:
         med_acts = [a[:filled] for a in med_acts]
         med_probs = med_probs[:filled]
-    return TrajectoryBatch(base=base, status=status, choice=choice,
+    return TrajectoryBatch(base=np.stack(base), status=status, choice=choice,
                            member=member, med_action=med_action,
                            env_action=env_action, reward=reward,
                            agent_acts=agent_acts, agent_probs=agent_probs,
                            med_acts=med_acts, med_probs=med_probs)
-
-
-def mediator_actor_inputs(mediator: MediatorLearner, base_t: np.ndarray,
-                          coalition: np.ndarray, rows_b: np.ndarray,
-                          rows_i: np.ndarray) -> np.ndarray:
-    """Actor input rows for the given (episode, member) pairs."""
-    obs = base_t[rows_b, rows_i]
-    if mediator.symmetric:
-        frac = coalition.mean(axis=1)[rows_b, None]
-        return np.concatenate([obs, frac], axis=1)
-    n = coalition.shape[1]
-    coal = coalition[rows_b].astype(np.float64)
-    ids = np.zeros((rows_i.size, n))
-    ids[np.arange(rows_i.size), rows_i] = 1.0
-    return np.concatenate([obs, coal, ids], axis=1)
-
-
-def mediator_critic_inputs(mediator: MediatorLearner, base_t: np.ndarray,
-                           coalition: np.ndarray) -> np.ndarray:
-    """Critic input rows: all observations plus the coalition encoding."""
-    b = base_t.shape[0]
-    if mediator.symmetric:
-        return coalition.mean(axis=1)[:, None]
-    return np.concatenate([base_t.reshape(b, -1),
-                           coalition.astype(np.float64)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +234,8 @@ def build_mediator_batch(traj: TrajectoryBatch,
     """Flatten a trajectory batch into the mediator's training layout."""
     t_max, b, n = traj.horizon, traj.batch, traj.num_agents
     member = traj.member.reshape(t_max * b, n)
-    critic_cur = mediator_critic_inputs(
-        mediator, traj.base[:t_max].reshape(t_max * b, n, -1), member)
+    critic_cur = mediator.critic_inputs(
+        traj.base[:t_max].reshape(t_max * b, n, -1), member)
     # np.nonzero on (T, B, N) lists samples t-major, as the rollout drew them.
     t_idx, b_idx, i_idx = np.nonzero(traj.member)
     return MediatorBatch(

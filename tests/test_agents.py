@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mediated_rl import games
 from mediated_rl.agents import (AgentBatch, AgentLearner, LearnerParams,
                                 filter_trainable_steps, td_targets)
 from mediated_rl.approx import EntropySchedule, Mlp, masked_softmax, policy_loss
@@ -14,12 +15,10 @@ def make_params(hidden=8):
         entropy=EntropySchedule("linear", start=0.0, decay=0.0, minimum=0.0))
 
 
-def make_agent(seed=0, base_dim=1, num_env_actions=2, mediated=True,
-               status_feature=False, **kwargs):
-    return AgentLearner(0, base_dim, num_env_actions, make_params(),
-                        rng=np.random.default_rng(seed),
-                        mediated=mediated, status_feature=status_feature,
-                        **kwargs)
+def make_agent(seed=0, mediated=True):
+    """Agent 0 of the one-shot PD: one observation column, two env actions."""
+    return AgentLearner(0, games.prisoners_dilemma(), make_params(),
+                        rng=np.random.default_rng(seed), mediated=mediated)
 
 
 def constant_batch(agent, rewards, actions, masks, coefs=None):
@@ -114,11 +113,10 @@ def test_actor_zero_advantage_zero_entropy_zero_gradient():
 def test_positive_advantage_raises_action_probability():
     agent = make_agent(seed=1)
     batch = single_step_batch(agent, reward=1.0, action=1)
-    masks = np.ones((1, 3), dtype=bool)
-    before = agent.policy(np.ones((1, 1)), masks)[0, 1]
+    before = agent.policy(np.ones((1, 1)), 0)[0, 1]
     _, grad = actor_loss(agent, batch, np.array([1.0]), beta=0.0)
     agent.actor_opt.step(agent.actor.theta, grad)
-    after = agent.policy(np.ones((1, 1)), masks)[0, 1]
+    after = agent.policy(np.ones((1, 1)), 0)[0, 1]
     assert after > before
 
 
@@ -141,7 +139,8 @@ def test_entropy_drives_masked_policy_to_uniform():
         batch = single_step_batch(agent, reward=0.0, mask=mask)
         _, grad = actor_loss(agent, batch, np.zeros(1), beta=0.1)
         agent.actor_opt.step(agent.actor.theta, grad)
-    probs = agent.policy(np.ones((1, 1)), mask)[0]
+    # Locked out (status -1): the commit action is masked, as in ``mask``.
+    probs = agent.policy(np.ones((1, 1)), -1)[0]
     assert probs[0] == pytest.approx(0.5, abs=1e-3)
     assert probs[1] == pytest.approx(0.5, abs=1e-3)
     assert probs[2] == 0.0
@@ -181,5 +180,28 @@ def test_update_empty_batch_is_noop():
 def test_unmediated_agent_has_no_commit_head():
     agent = make_agent(mediated=False)
     assert agent.num_actions == 2
-    probs = agent.policy(np.ones((1, 1)), np.ones((1, 2), dtype=bool))
+    probs = agent.policy(np.ones((1, 1)), 0)
     assert probs.shape == (1, 2)
+
+
+@pytest.mark.parametrize("spec,mediated,k,expected", [
+    (games.prisoners_dilemma(), True, 1, False),
+    (games.two_step_pd(), True, 1, True),
+    (games.two_step_pd(), False, 2, False),
+    (games.one_shot_pgg(3, 2.0), True, 1, False),
+    (games.iterative_pgg(3, 2.0), True, 1, False),
+    (games.iterative_pgg(3, 2.0), True, 2, True)])
+def test_actor_sees_status_only_where_the_game_varies_it(spec, mediated, k,
+                                                         expected):
+    # A status column is added in mediated multi-step games where a status
+    # other than 0 can reach a decision: any matrix game, or windows k > 1.
+    agent = AgentLearner(1, spec, make_params(), np.random.default_rng(0),
+                         mediated, k)
+    assert agent.status_feature is expected
+    width = games.obs_dim(spec)
+    assert agent.actor.sizes[0] == width + expected
+    assert agent.critic.sizes[0] == width
+    rows = agent.actor_inputs(np.full((2, width), 0.5), np.array([-1, 1]))
+    np.testing.assert_array_equal(rows[:, :width], 0.5)
+    if expected:
+        np.testing.assert_array_equal(rows[:, width], [-1.0, 1.0])

@@ -1,7 +1,9 @@
 """Every public helper of the package is used by the package or the benchmark.
 
-A module-level function or class that only tests call is a second code path
-for a concept the program implements elsewhere, free to drift from it.
+A module-level function, class or public method that only tests call is a
+second code path for a concept the program implements elsewhere, free to
+drift from it. The rule is by name: a definition counts as used when its
+name is read anywhere else in the package or the benchmark.
 """
 
 import ast
@@ -37,6 +39,22 @@ def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return out
 
 
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of the public functions and classes of a module
+    and the public methods of its classes, qualified below the module."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def dead_public_names() -> list[str]:
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py"))}
@@ -45,13 +63,9 @@ def dead_public_names() -> list[str]:
         bench |= used_names(ast.parse(path.read_text()))
     dead = []
     for name, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            qualified = f"{name}.{node.name}"
-            if qualified in ALLOWED or node.name in mediated_rl.__all__:
+        for local, node in public_definitions(tree):
+            qualified = f"{name}.{local}"
+            if qualified in ALLOWED or local in mediated_rl.__all__:
                 continue
             users = set(bench)
             for other, other_tree in modules.items():
@@ -67,7 +81,6 @@ def test_no_public_helper_is_left_unused():
 
 def test_allowlist_names_exist():
     for qualified in ALLOWED:
-        module, name = qualified.split(".")
+        module, local = qualified.split(".", 1)
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-        assert name in {node.name for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert local in dict(public_definitions(tree))

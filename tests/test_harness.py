@@ -147,10 +147,17 @@ def test_config_file_round_trip(tmp_path):
     "[agent]\nhidden = 0",
     "[mediator]\nhidden = 0",
     "[agent]\nlr_actor = 1%",
+    "[agent]\nlr_actor = nan",
+    "[agent]\nlr_actor = -1",
+    "[mediator]\nlr_critic = 0",
+    "[mediator]\nlambda_lr = inf",
+    "[agent]\nentropy_start = -1\nentropy_min = -2",
+    "[mediator]\nentropy_decay = -0.1",
 ], ids=["k", "num_agents", "multiplier", "gamma", "seeds", "symmetric",
         "strategy", "steps", "bounds-arity", "bounds-order", "no-section",
         "duplicate-section", "exponential-from-zero", "agent-hidden",
-        "mediator-hidden", "percent-sign"])
+        "mediator-hidden", "percent-sign", "lr-nan", "lr-negative",
+        "lr-zero", "lambda-lr-inf", "entropy-negative", "entropy-decay-negative"])
 def test_bad_config_file_value_is_a_configuration_error(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"
     path.write_text(text + "\n")
@@ -234,6 +241,17 @@ def test_matrix_game_agent_count_is_fixed(tmp_path, capsys, how):
 
 
 PD_POLICY = [[[0.5, 0.5], [0.5, 0.5]]]
+PGG_MEDIATED = {"agent_policies": [[[0.5, 0.25, 0.25]] * 3], "mediated": True}
+
+
+def pd_mediated(coalition_11):
+    """A mediated pd profile whose full coalition plays ``coalition_11``
+    for agent 0."""
+    coop = [0.0, 1.0]
+    table = {"10": {"0": coop}, "01": {"1": coop},
+             "11": {"0": coalition_11, "1": coop}}
+    return {"agent_policies": [[[0.2, 0.3, 0.5]] * 2], "mediated": True,
+            "mediator_by_coalition": [table]}
 
 
 @pytest.mark.parametrize("profile,flags", [
@@ -249,9 +267,20 @@ PD_POLICY = [[[0.5, 0.5], [0.5, 0.5]]]
      []),
     ({"agent_policies": [[[0.2, 0.3, 0.5]] * 2], "mediated": True,
       "mediator_by_coalition": [{"1x": {"0": [0.5, 0.5]}}]}, []),
+    (PGG_MEDIATED | {"mediator_by_size": [0.5]}, ["--env", "pgg"]),
+    (PGG_MEDIATED | {"mediator_by_size": [0, 0.5, 2.5, 1]}, ["--env", "pgg"]),
+    (pd_mediated(coalition_11=[-0.5, 1.5]), []),
+    (pd_mediated(coalition_11=[0.9, 0.9]), []),
+    (pd_mediated(coalition_11=[0.0, 1.0]) | {"mediator_by_size": [0, 0.5, 1]},
+     []),
+    (None, ["--num-agents", "5"]),
+    (None, ["--k", "7"]),
 ], ids=["not-a-distribution", "no-mediator-table", "k0-profile", "k0",
         "one-agent", "missing-file", "not-json", "partial-mediator-table",
-        "bad-coalition-key"])
+        "bad-coalition-key", "size-table-length", "size-table-range",
+        "coalition-negative", "coalition-sum", "size-table-matrix-game",
+        "matrix-agent-count",
+        "k-past-horizon"])
 def test_bad_oracle_input_is_a_configuration_error(tmp_path, capsys,
                                                    profile, flags):
     path = tmp_path / "profile.json"
@@ -441,7 +470,7 @@ def test_emit_json_round_trip(tmp_path):
     report = train(tiny_config(iterations=3), seed=0)
     path = tmp_path / "report.json"
     text = emit(report, "json", str(path))
-    parsed = RunReport.from_dict(json.loads(path.read_text()))
+    parsed = RunReport(**json.loads(path.read_text()))
     assert parsed == report
     assert json.loads(text) == json.loads(path.read_text())
 

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from mediated_rl.agents import AgentLearner, LearnerParams
 from mediated_rl.approx import EntropySchedule
 from mediated_rl.errors import ContractError
-from mediated_rl.games import iterative_pgg, obs_dim, one_shot_pgg
+from mediated_rl.games import iterative_pgg, one_shot_pgg
 from mediated_rl.mediation import (joint_env_actions, legal_action_mask_batch,
                                    next_coalition, window_statuses)
 from mediated_rl.mediator import MediatorLearner
-from mediated_rl.rollout import mediator_critic_inputs, sample_batch
+from mediated_rl.rollout import sample_batch
 
 
 def test_mask_decision_step_everything_legal():
@@ -126,12 +126,10 @@ def test_assemble_missing_mediator_action_raises():
 def test_coalition_fraction():
     # The symmetric mediator encodes a coalition as |C|/N.
     spec = one_shot_pgg(3, 2.0)
-    mediator = MediatorLearner(spec, _params(), 0.99, np.random.default_rng(0),
-                               obs_dim(spec))
+    mediator = MediatorLearner(spec, _params(), 0.99, np.random.default_rng(0))
     member = np.array([[True, True, False], [False, False, False]])
     np.testing.assert_allclose(
-        mediator_critic_inputs(mediator, np.ones((2, 3, 1)), member),
-        [[2 / 3], [0.0]])
+        mediator.critic_inputs(np.ones((2, 3, 1)), member), [[2 / 3], [0.0]])
 
 
 def _params():
@@ -150,10 +148,8 @@ def test_coalition_constant_within_windows(n, horizon, k_frac, seed):
     k = 1 + int(k_frac * (horizon - 1))
     spec = iterative_pgg(n, 2.0, horizon=horizon)
     rng = np.random.default_rng(seed)
-    d = obs_dim(spec)
-    agents = [AgentLearner(i, d, 2, _params(), rng, status_feature=True)
-              for i in range(n)]
-    mediator = MediatorLearner(spec, _params(), 0.99, rng, d)
+    agents = [AgentLearner(i, spec, _params(), rng, k=k) for i in range(n)]
+    mediator = MediatorLearner(spec, _params(), 0.99, rng)
     traj = sample_batch(spec, k, agents, mediator, 16, rng)
     boundary = np.arange(horizon) % k == 0
     # Status is 0 exactly at window boundaries.

@@ -21,21 +21,19 @@ def make_mediator(seed=0, symmetric=False, constrained=True, spec=None):
     spec = spec or games.one_shot_pgg(3, 2.0) if symmetric else \
         (spec or games.prisoners_dilemma())
     return MediatorLearner(spec, make_params(), gamma=0.99,
-                           rng=np.random.default_rng(seed), base_dim=1,
+                           rng=np.random.default_rng(seed),
                            constrained=constrained), spec
 
 
 def one_shot_batch(mediator, spec, member, rewards, actions):
     """Single-step terminal batch with explicit coalition and actions, with
     the actor activations and policy a rollout would have cached."""
-    from mediated_rl.rollout import (mediator_actor_inputs,
-                                     mediator_critic_inputs)
     n = spec.num_agents
     member = np.asarray(member, dtype=bool)[None, :]
     base = np.ones((1, n, 1))
-    critic_cur = mediator_critic_inputs(mediator, base, member)
+    critic_cur = mediator.critic_inputs(base, member)
     rows_b, rows_i = np.nonzero(member)
-    actor_in = mediator_actor_inputs(mediator, base, member, rows_b, rows_i)
+    actor_in = mediator.actor_inputs(base, member, rows_b, rows_i)
     _, acts = mediator.actor.forward_cached(actor_in)
     return MediatorBatch(
         critic_cur=critic_cur,
@@ -139,10 +137,8 @@ def test_joint_policy_is_product_of_heads():
     mediator, spec = make_mediator(seed=3)
     base = np.ones((1, 2, 1))
     member = np.array([[True, True]])
-    from mediated_rl.rollout import mediator_actor_inputs
     rows_b, rows_i = np.nonzero(member)
-    actor_in = mediator_actor_inputs(mediator, base, member, rows_b, rows_i)
-    probs = mediator.policy(actor_in, rows_i)
+    probs = mediator.policy(base, member, rows_b, rows_i)
     joint_logp = np.log(probs[0, 1]) + np.log(probs[1, 0])
     per_head = np.log(probs[np.arange(2), [1, 0]]).sum()
     assert joint_logp == per_head

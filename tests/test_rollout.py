@@ -10,8 +10,8 @@ from mediated_rl.approx import (EntropySchedule, masked_softmax, policy_loss,
 from mediated_rl.harness import _build_learners, default_config
 from mediated_rl.mediation import FREE, legal_action_mask_batch
 from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
-                                 mediator_actor_inputs, sample_agent_actions,
-                                 sample_batch, window_reward_sums)
+                                 sample_agent_actions, sample_batch,
+                                 window_reward_sums)
 
 
 def learners_for(env, mediator_mode="naive", k=1, num_agents=None, seed=0):
@@ -207,6 +207,17 @@ def test_mediator_batch_actor_masks_heterogeneous_actions():
 # Cached activations: same draws and same gradients as fresh passes
 
 
+def hand_mediator_rows(mediator, base, coalition, rows_b, rows_i):
+    """Mediator actor rows written out here: the member's observation, then
+    |C|/N for the symmetric mediator, else the coalition and member one-hots."""
+    obs = base[rows_b, rows_i]
+    if mediator.symmetric:
+        return np.concatenate([obs, coalition.mean(axis=1)[rows_b, None]],
+                              axis=1)
+    ids = np.eye(coalition.shape[1])[rows_i]
+    return np.concatenate([obs, coalition[rows_b].astype(float), ids], axis=1)
+
+
 def reference_rollout(spec, k, agents, mediator, batch, rng):
     """The per-agent sampling loop: each agent's masked policy and draw in
     turn, then the mediator's. Returns (choice, med_action)."""
@@ -229,16 +240,19 @@ def reference_rollout(spec, k, agents, mediator, batch, rng):
             else:
                 masks = legal_action_mask_batch(status[:, i],
                                                 agent.num_env_actions)
-            choice[t, :, i] = sample_categorical(agent.policy(obs, masks), rng)
+            probs = masked_softmax(agent.actor.forward(obs), masks)
+            choice[t, :, i] = sample_categorical(probs, rng)
         env_action = choice[t].copy()
         if mediator is not None:
             if t % k == 0:
                 coalition = choice[t] == np.asarray(spec.num_actions)
             rows_b, rows_i = np.nonzero(coalition)
             if rows_b.size:
-                actor_in = mediator_actor_inputs(mediator, base, coalition,
-                                                 rows_b, rows_i)
-                acts = sample_categorical(mediator.policy(actor_in, rows_i), rng)
+                actor_in = hand_mediator_rows(mediator, base, coalition,
+                                              rows_b, rows_i)
+                probs = masked_softmax(mediator.actor.forward(actor_in),
+                                       mediator.action_masks(rows_i))
+                acts = sample_categorical(probs, rng)
                 med_action[t, rows_b, rows_i] = acts
                 env_action[rows_b, rows_i] = acts
         _, endow = games.step_batch(spec, t, endow, env_action)
@@ -317,8 +331,8 @@ def test_cached_gradients_match_fresh_forward(env, k):
     coalition = batch.member[steps]
     base = traj.base[:spec.horizon].reshape(-1, spec.num_agents,
                                             traj.base.shape[-1])[steps]
-    actor_in = mediator_actor_inputs(mediator, base, coalition,
-                                     np.arange(steps.size), batch.actor_agent)
+    actor_in = hand_mediator_rows(mediator, base, coalition,
+                                  np.arange(steps.size), batch.actor_agent)
     logits, acts = mediator.actor.forward_cached(actor_in)
     probs = masked_softmax(logits, mediator.action_masks(batch.actor_agent))
     weights = np.random.default_rng(9).normal(size=steps.size)
@@ -328,6 +342,39 @@ def test_cached_gradients_match_fresh_forward(env, k):
                         weights, 0.1)
     assert cached[0] == pytest.approx(fresh[0], abs=1e-12)
     np.testing.assert_allclose(cached[1], fresh[1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("env,k", [("pd2", 2), ("pds", 1), ("pgg", 1),
+                                   ("pgg-iter", 10)])
+def test_policy_queries_match_the_rollout(env, k):
+    # Evaluation queries a learner's policy through the same rows and masks
+    # the rollout samples with.
+    config, spec, rng, agents, mediator = learners_for(env, "constrained", k=k)
+    traj = sample_batch(spec, k, agents, mediator, 64, rng)
+    b = traj.batch
+    queried = 0
+    for t in range(spec.horizon):
+        for agent in agents:
+            i = agent.index
+            for s in (0, -1):
+                rows = np.flatnonzero(traj.status[t, :, i] == s)
+                if rows.size == 0:
+                    continue
+                queried += rows.size
+                np.testing.assert_allclose(
+                    agent.policy(traj.base[t, rows, i], s),
+                    traj.agent_probs[i, t * b + rows, :agent.num_actions],
+                    rtol=0, atol=1e-12)
+    assert queried > 0
+    # Mediator samples are listed t-major, as the rollout drew them.
+    sample = 0
+    for t in range(spec.horizon):
+        for e, i in zip(*np.nonzero(traj.member[t])):
+            np.testing.assert_allclose(
+                mediator.policy(traj.base[t], traj.member[t], [e], [i])[0],
+                traj.med_probs[sample], rtol=0, atol=1e-12)
+            sample += 1
+    assert sample == traj.med_probs.shape[0] > 0
 
 
 def test_agent_batch_bootstraps_from_own_records():
