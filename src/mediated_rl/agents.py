@@ -96,12 +96,11 @@ class AgentLearner:
         self.actor_opt = Adam(self.actor.num_params, params.lr_actor)
         self.critic_opt = Adam(self.critic.num_params, params.lr_critic)
 
-    def actor_inputs(self, base: np.ndarray, status: np.ndarray | int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-        """Actor rows from base observations (M, obs_dim) and statuses,
-        written into ``out`` (M, actor input width) when given."""
-        if out is None:
-            out = np.empty((base.shape[0], self.actor.sizes[0]))
+    def actor_inputs(self, base: np.ndarray,
+                     status: np.ndarray | int) -> np.ndarray:
+        """Actor rows (M, actor input width) from base observations
+        (M, obs_dim) and statuses (scalar or (M,))."""
+        out = np.empty((base.shape[0], self.actor.sizes[0]))
         out[:, :self.base_dim] = base
         if self.status_feature:
             out[:, self.base_dim] = status

@@ -56,14 +56,10 @@ class Mlp:
         out, _ = self.forward_cached(x)
         return out
 
-    def forward_cached(self, x: np.ndarray, out: list[np.ndarray] | None = None
+    def forward_cached(self, x: np.ndarray
                        ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Forward pass that also returns the activations needed by backward.
-
-        ``out``, if given, holds one preallocated (B, d_out) array per layer
-        that receives that layer's output, so a caller can fill slices of
-        larger buffers.
-        """
+        """Forward pass that also returns the activations needed by backward:
+        the input, then each layer's output."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ContractError(
@@ -73,7 +69,7 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(h, w, out=None if out is None else out[li])
+            h = h @ w
             h += b
             if li != last:
                 np.tanh(h, out=h)

@@ -16,7 +16,7 @@ from .errors import ConfigError, ContractError
 def _add_run_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="train one configuration over its seeds")
     p.add_argument("--config", help="INI config file; flags below override it")
-    p.add_argument("--env", choices=["pd", "pds", "pd2", "pgg", "pgg-iter"])
+    p.add_argument("--env", choices=harness.ENVS)
     p.add_argument("--mediator", choices=list(harness.MEDIATOR_MODES))
     p.add_argument("--k", type=int)
     p.add_argument("--seeds", type=int, help="number of seeds (0..n-1)")
@@ -29,8 +29,7 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
 
 def _add_oracle_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("oracle", help="print exact equilibrium analyses")
-    p.add_argument("--env", required=True,
-                   choices=["pd", "pds", "pd2", "pgg", "pgg-iter"])
+    p.add_argument("--env", required=True, choices=harness.ENVS)
     p.add_argument("--num-agents", type=int)
     p.add_argument("--multiplier", type=float)
     p.add_argument("--profile", help="JSON file with a mixed strategy profile")
@@ -72,8 +71,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if report.failed else 0
 
 
-def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
+def _profile_from_json(spec, data) -> oracle.MixedProfile:
     """A profile read from JSON, checked against the game it is for."""
+    if not isinstance(data, dict):
+        raise ConfigError("a profile is a JSON object with agent_policies")
     by_coal = data.get("mediator_by_coalition")
     if by_coal is not None:
         if len(by_coal) != spec.horizon:
@@ -88,9 +89,14 @@ def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
         by_size = _size_table(spec, by_size)
     mediated = bool(data.get("mediated", False))
     arities = [a + mediated for a in spec.num_actions]
-    states = data["agent_policies"]
-    if len(states) != spec.horizon or any(
-            [len(p) for p in state] != arities for state in states):
+    try:
+        states = [[np.asarray(p, dtype=np.float64) for p in state]
+                  for state in data["agent_policies"]]
+    except (KeyError, TypeError, ValueError):  # missing, or not lists of numbers
+        states = None
+    if states is None or len(states) != spec.horizon or any(
+            [p.shape for p in state] != [(a,) for a in arities]
+            for state in states):
         raise ConfigError(f"agent_policies needs {spec.horizon} state(s) of "
                           f"policies over {arities} actions")
     if mediated and (by_size if pgg else by_coal) is None:
@@ -98,7 +104,7 @@ def _profile_from_json(spec, data: dict) -> oracle.MixedProfile:
                           + ("mediator_by_size" if pgg else "mediator_by_coalition"))
     try:
         return oracle.MixedProfile(
-            agent_policies=[[np.asarray(p) for p in state] for state in states],
+            agent_policies=states,
             mediated=mediated,
             mediator_by_coalition=by_coal, mediator_by_size=by_size)
     except ContractError as exc:

@@ -39,18 +39,18 @@ class RunConfig:
     """Everything one training run needs; validated before anything starts."""
 
     env: str
-    num_agents: int = 2
-    multiplier: float = 2.0
-    k: int = 1
-    mediator_mode: str = "none"
+    num_agents: int
+    multiplier: float
+    k: int
+    mediator_mode: str
+    iterations: int
+    agent: LearnerParams
+    mediator: LearnerParams
+    seeds: tuple[int, ...]
     batch_size: int = 128
-    iterations: int = 2000
     gamma: float = 0.99
-    agent: LearnerParams = field(default_factory=lambda: _TABLE_DEFAULTS["pd"][0])
-    mediator: LearnerParams = field(default_factory=lambda: _TABLE_DEFAULTS["pd"][1])
     eval_episodes: int = 100
     log_every: int = 100
-    seeds: tuple[int, ...] = (0,)
 
     def validate(self) -> PayoffSpec:
         if self.mediator_mode not in MEDIATOR_MODES:
@@ -63,8 +63,7 @@ class RunConfig:
             raise ConfigError("eval_episodes must be >= 1")
         if self.log_every < 0:
             raise ConfigError("log_every must be >= 0 (0 disables the history)")
-        if not self.seeds:
-            raise ConfigError("seeds must name at least one seed")
+        _check_seeds(self.seeds)
         if self.num_agents < 2:
             raise ConfigError("num_agents must be >= 2")
         if not self.multiplier > 0.0:
@@ -87,6 +86,15 @@ class RunConfig:
         if self.k > spec.horizon:
             raise ConfigError("k cannot exceed the horizon")
         return spec
+
+
+def _check_seeds(seeds: tuple[int, ...]) -> tuple[int, ...]:
+    """``seeds`` if they name one or more distinct non-negative seeds; a
+    repeated seed would count one run twice."""
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must name one or more distinct, "
+                          f"non-negative seeds, got {seeds}")
+    return seeds
 
 
 def _linear(start: float, decay: float, minimum: float) -> EntropySchedule:
@@ -120,6 +128,7 @@ _TABLE_DEFAULTS: dict[str, tuple[LearnerParams, LearnerParams, int]] = {
         LearnerParams(5e-4, 1e-3, 16, _exponential(0.2, 10000, 0.001), lambda_lr=1e-3),
         20000),
 }
+ENVS = tuple(_TABLE_DEFAULTS)
 
 
 def default_config(env: str, mediator_mode: str = "none", k: int = 1,
@@ -362,10 +371,10 @@ def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
             for i in range(spec.num_agents):
                 if not coalition[i]:
                     continue
-                probs = mediator.policy(base, coalition[None], [0], [i])[0]
+                probs, _ = mediator.policy(base, coalition[None], [0], [i])
                 for a in range(spec.num_actions[i]):
                     metrics[f"piM_{_ACTION_NAMES[a]}{tag}|{ctag}/agent{i}"] = \
-                        float(probs[a])
+                        float(probs[0, a])
     if mediator is not None and spec.name == "pds":
         _pds_joint_metrics(spec, traj, metrics)
 
@@ -411,8 +420,8 @@ def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
     for size in range(1, spec.num_agents + 1):
         coalition = np.zeros(spec.num_agents, dtype=bool)
         coalition[:size] = True
-        probs = mediator.policy(base, coalition[None], [0], [0])[0]
-        metrics[f"piM_coop|size{size}"] = float(probs[games.COOPERATE])
+        probs, _ = mediator.policy(base, coalition[None], [0], [0])
+        metrics[f"piM_coop|size{size}"] = float(probs[0, games.COOPERATE])
 
 
 def _iter_pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
@@ -537,12 +546,13 @@ def _to_table(report: RunReport | SweepReport) -> str:
 # env's published defaults, then file values, then flags.
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split())
+def _seeds(text: str) -> tuple[int, ...]:
+    # Checked here too, as a bad file value fails even where a flag replaces it.
+    return _check_seeds(tuple(int(s) for s in text.split()))
 
 
 _HARNESS_KEYS = {"batch_size": int, "iterations": int, "eval_episodes": int,
-                 "log_every": int, "gamma": float, "seeds": _ints}
+                 "log_every": int, "gamma": float, "seeds": _seeds}
 _LEARNER_KEYS = {"lr_actor": float, "lr_critic": float, "hidden": int,
                  "lambda_lr": float}
 # INI key -> (EntropySchedule field, parser)
@@ -615,6 +625,8 @@ def _read(section, key: str, convert, default):
     text = section.get(key)
     try:
         return convert(text)
+    except ConfigError:  # parsed, but not a valid value
+        raise
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {text!r}") from None
 

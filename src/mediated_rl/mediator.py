@@ -139,16 +139,15 @@ class MediatorLearner:
     # -- inputs ------------------------------------------------------------
 
     def actor_inputs(self, base_t: np.ndarray, coalition: np.ndarray,
-                     rows_b: np.ndarray, rows_i: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     rows_b: np.ndarray, rows_i: np.ndarray) -> np.ndarray:
         """Actor rows for the (episode, member) pairs of observations
-        (B, N, obs_dim) and coalitions (B, N), written into ``out`` if given."""
+        (B, N, obs_dim) and coalitions (B, N)."""
         obs = base_t[rows_b, rows_i]
         if self.symmetric:
             parts = [obs, coalition.mean(axis=1)[rows_b, None]]
         else:
             parts = [obs, coalition[rows_b], np.eye(self.num_agents)[rows_i]]
-        return np.concatenate(parts, axis=1, out=out)
+        return np.concatenate(parts, axis=1)
 
     def critic_inputs(self, base: np.ndarray,
                       coalition: np.ndarray) -> np.ndarray:
@@ -166,15 +165,14 @@ class MediatorLearner:
                 < self.num_env_actions[agent_rows][:, None])
 
     def policy(self, base_t: np.ndarray, coalition: np.ndarray,
-               rows_b: np.ndarray, rows_i: np.ndarray,
-               out: list[np.ndarray] | None = None) -> np.ndarray:
+               rows_b: np.ndarray, rows_i: np.ndarray
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Masked policy for the (episode, member) pairs (see
-        ``actor_inputs``). ``out``, if given, holds one buffer for the input
-        rows and one per layer output (see ``Mlp.forward_cached``)."""
-        inputs, layers = (None, None) if out is None else (out[0], out[1:])
-        logits, _ = self.actor.forward_cached(
-            self.actor_inputs(base_t, coalition, rows_b, rows_i, inputs), layers)
-        return masked_softmax(logits, self.action_masks(rows_i))
+        ``actor_inputs``) and the actor's forward cache, as
+        ``Mlp.forward_cached`` returns them."""
+        logits, cache = self.actor.forward_cached(
+            self.actor_inputs(base_t, coalition, rows_b, rows_i))
+        return masked_softmax(logits, self.action_masks(rows_i)), cache
 
     # -- values ------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import AgentBatch, AgentLearner, filter_trainable_steps
-from .approx import Mlp, masked_softmax, sample_categorical
+from .approx import masked_softmax, sample_categorical
 from .errors import ContractError
 from .games import GameKind, PayoffSpec, base_obs_batch, step_batch
 from .mediation import (FREE, commit_index, joint_env_actions,
@@ -37,12 +37,11 @@ class TrajectoryBatch:
     samples, listed t-major like ``np.nonzero(member)``.
     """
 
-    base: np.ndarray        # (T+1, B, N, obs width); row T is the terminal obs
+    base: np.ndarray        # (T, B, N, obs width) observations before each step
     status: np.ndarray      # (T, B, N) in {-1, 0, 1}
     choice: np.ndarray      # (T, B, N) agent-head action ids (commit included)
     member: np.ndarray      # (T, B, N) coalition flags
     med_action: np.ndarray  # (T, B, N) mediator env actions, -1 outside coalition
-    env_action: np.ndarray  # (T, B, N) executed env actions
     reward: np.ndarray      # (T, B, N)
     agent_acts: list[list[np.ndarray]]  # per agent, per layer: (M_i, width)
     agent_probs: np.ndarray  # (N, T*B, max actions), zero past an agent's actions
@@ -57,14 +56,16 @@ class TrajectoryBatch:
     def batch(self) -> int:
         return self.reward.shape[1]
 
-    @property
-    def num_agents(self) -> int:
-        return self.reward.shape[2]
 
-
-def _layer_buffers(net: Mlp, rows: int) -> list[np.ndarray]:
-    """Uninitialized (rows, width) arrays for a network's input and layers."""
-    return [np.empty((rows, width)) for width in net.sizes]
+def _stack_steps(steps: list[list[np.ndarray]],
+                 widths: tuple[int, ...]) -> list[np.ndarray]:
+    """One array per block width from per-step lists of row blocks, rows in
+    step order; no steps give empty blocks. Empties ``steps``, so one
+    network's per-step blocks are freed before the next is stacked."""
+    empty = [np.empty((0, width)) for width in widths]
+    stacked = [np.concatenate(blocks) for blocks in zip(empty, *steps)]
+    steps.clear()
+    return stacked
 
 
 def sample_agent_actions(probs: np.ndarray, num_actions: np.ndarray,
@@ -86,7 +87,8 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
     At each step every agent's actor runs once on its rows, and one masked
     softmax and one draw serve all agents. Policies with fewer actions are
     padded with illegal columns; draws stay agent-major (agent 0's batch
-    first), as if each agent sampled in turn.
+    first), as if each agent sampled in turn. Each network's forward caches
+    are kept per step and stacked once, after the last step.
     """
     t_max, n = spec.horizon, spec.num_agents
     mediated = mediator is not None
@@ -95,7 +97,6 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
     choice = np.empty((t_max, batch, n), dtype=np.int64)
     member = np.zeros((t_max, batch, n), dtype=bool)
     med_action = np.full((t_max, batch, n), -1, dtype=np.int64)
-    env_action = np.empty((t_max, batch, n), dtype=np.int64)
     reward = np.empty((t_max, batch, n))
 
     endow = np.ones((batch, n)) if spec.kind is GameKind.ITERATIVE_PGG else None
@@ -104,16 +105,11 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
     commit_ids = np.asarray([commit_index(a) for a in spec.num_actions])
     num_actions = np.asarray([agent.num_actions for agent in agents])
     a_max = num_actions.max()
-    agent_acts = [_layer_buffers(agent.actor, t_max * batch) for agent in agents]
-    agent_filled = [0] * n
-    agent_probs = np.empty((n, t_max * batch, a_max))
+    agent_steps: list[list[list[np.ndarray]]] = [[] for _ in agents]
+    agent_probs = []
+    med_steps: list[list[np.ndarray]] = []  # per step: forward cache, policy
     logits = np.zeros((n, batch, a_max))
-    if mediated:
-        med_acts = _layer_buffers(mediator.actor, t_max * batch * n)
-        med_probs = np.empty((t_max * batch * n, mediator.max_env_actions))
-        filled = 0
-    else:
-        med_acts = med_probs = None
+    if not mediated:
         open_masks = np.broadcast_to(
             np.arange(a_max) < num_actions[:, None, None], logits.shape)
 
@@ -121,47 +117,39 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
         base_t = base_obs_batch(spec, t, endow, batch)
         base.append(base_t)
         status[t] = window_statuses(coalition, t, k)
-        rows = slice(t * batch, (t + 1) * batch)
         for i, agent in enumerate(agents):
             # Committed rows keep stale logits: their mask leaves only commit.
             active = np.flatnonzero(filter_trainable_steps(status[t, :, i]))
-            cached = slice(agent_filled[i], agent_filled[i] + active.size)
-            agent_filled[i] += active.size
-            layers = [a[cached] for a in agent_acts[i]]
-            obs = agent.actor_inputs(base_t[active, i], status[t, active, i],
-                                     layers[0])
-            out, _ = agent.actor.forward_cached(obs, layers[1:])
+            out, cache = agent.actor.forward_cached(
+                agent.actor_inputs(base_t[active, i], status[t, active, i]))
+            agent_steps[i].append(cache)
             logits[i, active, :agent.num_actions] = out
-        if mediated:
-            masks = legal_action_mask_batch(status[t].T, env_actions[:, None])
-        else:
-            masks = open_masks
+        masks = (legal_action_mask_batch(status[t].T, env_actions[:, None])
+                 if mediated else open_masks)
         probs = masked_softmax(logits, masks)
-        agent_probs[:, rows] = probs
+        agent_probs.append(probs)
         choice[t] = sample_agent_actions(probs, num_actions, rng).T
         if mediated:
             coalition = next_coalition(coalition, choice[t], t, k, commit_ids)
             member[t] = coalition
             rows_b, rows_i = np.nonzero(coalition)
             if rows_b.size:
-                samples = slice(filled, filled + rows_b.size)
-                filled += rows_b.size
-                med_probs[samples] = mediator.policy(
-                    base_t, coalition, rows_b, rows_i,
-                    [a[samples] for a in med_acts])
-                med_action[t, rows_b, rows_i] = sample_categorical(
-                    med_probs[samples], rng)
-        env_action[t] = joint_env_actions(choice[t], med_action[t], coalition)
-        reward[t], endow = step_batch(spec, t, endow, env_action[t])
-    base.append(base_obs_batch(spec, t_max, endow, batch))
-    agent_acts = [[a[:m] for a in acts] for acts, m in zip(agent_acts, agent_filled)]
+                step_probs, cache = mediator.policy(base_t, coalition,
+                                                    rows_b, rows_i)
+                med_steps.append([*cache, step_probs])
+                med_action[t, rows_b, rows_i] = sample_categorical(step_probs, rng)
+        env_action = joint_env_actions(choice[t], med_action[t], coalition)
+        reward[t], endow = step_batch(spec, t, endow, env_action)
+    agent_acts = [_stack_steps(steps, agent.actor.sizes)
+                  for steps, agent in zip(agent_steps, agents)]
+    med_acts = med_probs = None
     if mediated:
-        med_acts = [a[:filled] for a in med_acts]
-        med_probs = med_probs[:filled]
+        *med_acts, med_probs = _stack_steps(
+            med_steps, (*mediator.actor.sizes, mediator.max_env_actions))
     return TrajectoryBatch(base=np.stack(base), status=status, choice=choice,
-                           member=member, med_action=med_action,
-                           env_action=env_action, reward=reward,
-                           agent_acts=agent_acts, agent_probs=agent_probs,
+                           member=member, med_action=med_action, reward=reward,
+                           agent_acts=agent_acts,
+                           agent_probs=np.concatenate(agent_probs, axis=1),
                            med_acts=med_acts, med_probs=med_probs)
 
 
@@ -232,10 +220,10 @@ def build_agent_batch(traj: TrajectoryBatch, agent: AgentLearner,
 def build_mediator_batch(traj: TrajectoryBatch,
                          mediator: MediatorLearner) -> MediatorBatch:
     """Flatten a trajectory batch into the mediator's training layout."""
-    t_max, b, n = traj.horizon, traj.batch, traj.num_agents
+    t_max, b, n = traj.reward.shape
     member = traj.member.reshape(t_max * b, n)
     critic_cur = mediator.critic_inputs(
-        traj.base[:t_max].reshape(t_max * b, n, -1), member)
+        traj.base.reshape(t_max * b, n, -1), member)
     # np.nonzero on (T, B, N) lists samples t-major, as the rollout drew them.
     t_idx, b_idx, i_idx = np.nonzero(traj.member)
     return MediatorBatch(

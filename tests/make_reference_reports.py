@@ -1,0 +1,78 @@
+"""Write the reference RunReport pins that test_reference_reports.py checks.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/make_reference_reports.py
+
+Each reference config trains seed 0 for a short schedule. The fixture keeps
+a sha256 digest of each RunReport (wall clock excluded) and its final
+metrics, which name what moved when a digest changes. Digests are compared
+rather than reports because a NaN metric never equals itself.
+
+A refactor leaves the fixture unchanged. A change that alters training on
+purpose regenerates it and names every config that moved, with the reason.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+from mediated_rl.harness import RunConfig, RunReport, default_config, train
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "reference_reports.json"
+ITERATIONS = 40
+LOG_EVERY = 10
+SEED = 0
+
+# name -> (env, mediator mode, k, num_agents or None for the env's default)
+REFERENCE_CONFIGS = {
+    "pd-naive": ("pd", "naive", 1, None),
+    "pd-constrained": ("pd", "constrained", 1, None),
+    "pd-none": ("pd", "none", 1, None),
+    "pd2-constrained-k1": ("pd2", "constrained", 1, None),
+    "pd2-constrained-k2": ("pd2", "constrained", 2, None),
+    "pd2-naive-k2": ("pd2", "naive", 2, None),
+    "pds-naive": ("pds", "naive", 1, None),
+    "pds-constrained": ("pds", "constrained", 1, None),
+    "pds-none": ("pds", "none", 1, None),
+    "pgg-constrained-n3": ("pgg", "constrained", 1, 3),
+    "pgg-constrained-n16": ("pgg", "constrained", 1, 16),
+    "pgg-none": ("pgg", "none", 1, 3),
+    "pgg-iter-none": ("pgg-iter", "none", 1, 3),
+    "pgg-iter-naive-k5": ("pgg-iter", "naive", 5, 3),
+    "pgg-iter-constrained-k1": ("pgg-iter", "constrained", 1, 3),
+    "pgg-iter-constrained-k10": ("pgg-iter", "constrained", 10, 3),
+}
+
+
+def reference_config(name: str) -> RunConfig:
+    env, mode, k, num_agents = REFERENCE_CONFIGS[name]
+    return replace(default_config(env, mode, k=k, num_agents=num_agents),
+                   iterations=ITERATIONS, log_every=LOG_EVERY, seeds=(SEED,))
+
+
+def report_digest(report: RunReport) -> str:
+    payload = report.to_dict()
+    del payload["wall_clock_s"]
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def reference_pin(name: str) -> dict:
+    """The digest and final metrics of one reference config's report."""
+    report = train(reference_config(name), SEED)
+    return {"digest": report_digest(report), "metrics": report.metrics}
+
+
+def main() -> None:
+    pins = {name: reference_pin(name) for name in REFERENCE_CONFIGS}
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE} ({len(pins)} configs)")
+
+
+if __name__ == "__main__":
+    main()

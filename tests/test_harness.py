@@ -153,11 +153,14 @@ def test_config_file_round_trip(tmp_path):
     "[mediator]\nlambda_lr = inf",
     "[agent]\nentropy_start = -1\nentropy_min = -2",
     "[mediator]\nentropy_decay = -0.1",
+    "[harness]\nseeds = -1",
+    "[harness]\nseeds = 0 0",
 ], ids=["k", "num_agents", "multiplier", "gamma", "seeds", "symmetric",
         "strategy", "steps", "bounds-arity", "bounds-order", "no-section",
         "duplicate-section", "exponential-from-zero", "agent-hidden",
         "mediator-hidden", "percent-sign", "lr-nan", "lr-negative",
-        "lr-zero", "lambda-lr-inf", "entropy-negative", "entropy-decay-negative"])
+        "lr-zero", "lambda-lr-inf", "entropy-negative", "entropy-decay-negative",
+        "seeds-negative", "seeds-repeated"])
 def test_bad_config_file_value_is_a_configuration_error(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"
     path.write_text(text + "\n")
@@ -275,16 +278,22 @@ def pd_mediated(coalition_11):
      []),
     (None, ["--num-agents", "5"]),
     (None, ["--k", "7"]),
+    ({"agent_policies": [[["a", "b"], [0.5, 0.5]]]}, []),
+    ({"agent_policies": [[[0.5, 0.5], None]]}, []),
+    ({"agent_policies": 5}, []),
+    ([PD_POLICY], []),
+    ({"mediated": False}, []),
 ], ids=["not-a-distribution", "no-mediator-table", "k0-profile", "k0",
         "one-agent", "missing-file", "not-json", "partial-mediator-table",
         "bad-coalition-key", "size-table-length", "size-table-range",
         "coalition-negative", "coalition-sum", "size-table-matrix-game",
         "matrix-agent-count",
-        "k-past-horizon"])
+        "k-past-horizon", "non-numeric-policy", "null-policy",
+        "policies-not-a-list", "top-level-array", "no-agent-policies"])
 def test_bad_oracle_input_is_a_configuration_error(tmp_path, capsys,
                                                    profile, flags):
     path = tmp_path / "profile.json"
-    if isinstance(profile, dict):
+    if isinstance(profile, (dict, list)):
         path.write_text(json.dumps(profile))
     elif profile == "{":
         path.write_text(profile)

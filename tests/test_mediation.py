@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mediated_rl.agents import AgentLearner, LearnerParams
 from mediated_rl.approx import EntropySchedule
 from mediated_rl.errors import ContractError
-from mediated_rl.games import iterative_pgg, one_shot_pgg
+from mediated_rl.games import iterative_pgg, one_shot_pgg, step_batch
 from mediated_rl.mediation import (joint_env_actions, legal_action_mask_batch,
                                    next_coalition, window_statuses)
 from mediated_rl.mediator import MediatorLearner
@@ -165,10 +165,13 @@ def test_coalition_constant_within_windows(n, horizon, k_frac, seed):
     np.testing.assert_array_equal(traj.member[boundary],
                                   traj.choice[boundary] == 2)
     # Members play the mediator's action, which they always have; everyone
-    # else plays their own choice.
+    # else plays their own choice, and the rewards are those of that play.
     member = traj.member
     assert (traj.med_action[member] >= 0).all()
     assert (traj.med_action[~member] == -1).all()
-    np.testing.assert_array_equal(traj.env_action[member], traj.med_action[member])
-    np.testing.assert_array_equal(traj.env_action[~member], traj.choice[~member])
+    executed = np.where(member, traj.med_action, traj.choice)
+    endow = np.ones((16, n))
+    for t in range(horizon):
+        reward, endow = step_batch(spec, t, endow, executed[t])
+        np.testing.assert_array_equal(traj.reward[t], reward)
 

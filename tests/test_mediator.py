@@ -138,7 +138,7 @@ def test_joint_policy_is_product_of_heads():
     base = np.ones((1, 2, 1))
     member = np.array([[True, True]])
     rows_b, rows_i = np.nonzero(member)
-    probs = mediator.policy(base, member, rows_b, rows_i)
+    probs, _ = mediator.policy(base, member, rows_b, rows_i)
     joint_logp = np.log(probs[0, 1]) + np.log(probs[1, 0])
     per_head = np.log(probs[np.arange(2), [1, 0]]).sum()
     assert joint_logp == per_head

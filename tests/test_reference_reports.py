@@ -1,0 +1,30 @@
+"""Training reproduces the committed reference RunReports bit for bit.
+
+A regression pin, not a correctness claim: a refactor keeps every digest.
+A change that alters training on purpose regenerates the fixture with
+``tests/make_reference_reports.py`` and names the configs that moved.
+"""
+
+import json
+
+from make_reference_reports import FIXTURE, REFERENCE_CONFIGS, reference_pin
+
+
+def moved_metrics(old: dict, new: dict) -> list[str]:
+    """Metric names whose value changed, appeared or disappeared. Values
+    compare as JSON text, where NaN equals NaN."""
+    return sorted(key for key in old.keys() | new.keys()
+                  if json.dumps(old.get(key)) != json.dumps(new.get(key)))
+
+
+def test_reference_reports_are_unchanged():
+    pinned = json.loads(FIXTURE.read_text())
+    assert sorted(pinned) == sorted(REFERENCE_CONFIGS)
+    moved = {}
+    for name, pin in pinned.items():
+        now = reference_pin(name)
+        if now["digest"] != pin["digest"]:
+            moved[name] = moved_metrics(pin["metrics"], now["metrics"])
+    assert not moved, (
+        "RunReports moved (config -> changed final metrics; an empty list "
+        f"means only the history or multipliers moved): {moved}")

@@ -26,7 +26,7 @@ def test_one_shot_trajectory_shapes():
     config, spec, rng, agents, mediator = learners_for("pd")
     traj = sample_batch(spec, 1, agents, mediator, 32, rng)
     assert traj.reward.shape == (1, 32, 2)
-    assert traj.base.shape == (2, 32, 2, 1)
+    assert traj.base.shape == (1, 32, 2, 1)
     assert traj.status.shape == (1, 32, 2)
     assert np.all(traj.status == FREE)
 
@@ -42,10 +42,9 @@ def test_env_action_substitution_by_membership():
     config, spec, rng, agents, mediator = learners_for("pgg", num_agents=3)
     traj = sample_batch(spec, 1, agents, mediator, 64, rng)
     member = traj.member
-    np.testing.assert_array_equal(traj.env_action[member],
-                                  traj.med_action[member])
-    np.testing.assert_array_equal(traj.env_action[~member],
-                                  traj.choice[~member])
+    executed = np.where(member, traj.med_action, traj.choice)
+    np.testing.assert_array_equal(
+        traj.reward[0], games.step_batch(spec, 0, None, executed[0])[0])
     assert np.all(traj.med_action[~member] == -1)
     assert np.all(traj.med_action[member] >= 0)
 
@@ -81,7 +80,8 @@ def test_rewards_match_env_actions():
     config, spec, rng, agents, mediator = learners_for("pd")
     traj = sample_batch(spec, 1, agents, mediator, 32, rng)
     table = spec.payoff_tables[0]
-    expected = table[traj.env_action[0, :, 0], traj.env_action[0, :, 1]]
+    executed = np.where(traj.member, traj.med_action, traj.choice)
+    expected = table[executed[0, :, 0], executed[0, :, 1]]
     np.testing.assert_array_equal(traj.reward[0], expected)
 
 
@@ -91,6 +91,20 @@ def test_unmediated_rollout_has_no_commit():
     traj = sample_batch(spec, 1, agents, None, 32, rng)
     assert traj.choice.max() <= 1
     assert not traj.member.any()
+
+
+def test_mediated_batch_without_members_has_empty_mediator_caches():
+    # Nobody commits, so the mediator never acts: its caches are empty
+    # arrays of the actor's widths, and its update still runs.
+    config, spec, rng, agents, mediator = learners_for("pd", "constrained")
+    for agent in agents:
+        agent.actor.biases[-1][-1] = -1e3  # the commit logit
+    traj = sample_batch(spec, 1, agents, mediator, 32, rng)
+    assert not traj.member.any()
+    assert ([a.shape for a in traj.med_acts]
+            == [(0, width) for width in mediator.actor.sizes])
+    assert traj.med_probs.shape == (0, mediator.max_env_actions)
+    mediator.update(build_mediator_batch(traj, mediator), 0.1, 1)
 
 
 def test_rollout_deterministic_given_seed():
@@ -329,8 +343,7 @@ def test_cached_gradients_match_fresh_forward(env, k):
     assert batch.actor_actions.size > 0
     steps = batch.actor_step
     coalition = batch.member[steps]
-    base = traj.base[:spec.horizon].reshape(-1, spec.num_agents,
-                                            traj.base.shape[-1])[steps]
+    base = traj.base.reshape(-1, spec.num_agents, traj.base.shape[-1])[steps]
     actor_in = hand_mediator_rows(mediator, base, coalition,
                                   np.arange(steps.size), batch.actor_agent)
     logits, acts = mediator.actor.forward_cached(actor_in)
@@ -370,9 +383,9 @@ def test_policy_queries_match_the_rollout(env, k):
     sample = 0
     for t in range(spec.horizon):
         for e, i in zip(*np.nonzero(traj.member[t])):
-            np.testing.assert_allclose(
-                mediator.policy(traj.base[t], traj.member[t], [e], [i])[0],
-                traj.med_probs[sample], rtol=0, atol=1e-12)
+            probs, _ = mediator.policy(traj.base[t], traj.member[t], [e], [i])
+            np.testing.assert_allclose(probs[0], traj.med_probs[sample],
+                                       rtol=0, atol=1e-12)
             sample += 1
     assert sample == traj.med_probs.shape[0] > 0
 
