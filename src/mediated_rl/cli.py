@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -57,9 +57,20 @@ def _flag_overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     return overrides
 
 
+def _check_out(path: str) -> None:
+    """Fail before training, not after, when ``path`` cannot be written."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if (os.path.isdir(path) or not os.path.isdir(folder)
+            or not os.access(folder, os.W_OK)):
+        raise ConfigError(f"--out {path} must name a file in an existing, "
+                          "writable directory")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = harness.load_config_file(args.config, _flag_overrides(args))
     config.validate()
+    if args.out:
+        _check_out(args.out)
     report = harness.sweep(config)
     text = harness.emit(report, args.format, args.out)
     if not args.out:
@@ -72,81 +83,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _profile_from_json(spec, data) -> oracle.MixedProfile:
-    """A profile read from JSON, checked against the game it is for."""
-    if not isinstance(data, dict):
+    """A profile decoded from JSON (coalition keys such as "10" become bit
+    tuples, agent keys ints, numbers float arrays), then checked against the
+    game by ``MixedProfile.check``."""
+    if not isinstance(data, dict) or "agent_policies" not in data:
         raise ConfigError("a profile is a JSON object with agent_policies")
     by_coal = data.get("mediator_by_coalition")
-    if by_coal is not None:
-        if len(by_coal) != spec.horizon:
-            raise ConfigError(f"mediator_by_coalition needs {spec.horizon} "
-                              "state(s)")
-        by_coal = [_mediator_table(spec, state) for state in by_coal]
-    pgg = spec.kind is games.GameKind.ONE_SHOT_PGG
-    by_size = data.get("mediator_by_size")
-    if by_size is not None:
-        if not pgg:
-            raise ConfigError("mediator_by_size is for the one-shot pgg only")
-        by_size = _size_table(spec, by_size)
-    mediated = bool(data.get("mediated", False))
-    arities = [a + mediated for a in spec.num_actions]
     try:
-        states = [[np.asarray(p, dtype=np.float64) for p in state]
-                  for state in data["agent_policies"]]
-    except (KeyError, TypeError, ValueError):  # missing, or not lists of numbers
-        states = None
-    if states is None or len(states) != spec.horizon or any(
-            [p.shape for p in state] != [(a,) for a in arities]
-            for state in states):
-        raise ConfigError(f"agent_policies needs {spec.horizon} state(s) of "
-                          f"policies over {arities} actions")
-    if mediated and (by_size if pgg else by_coal) is None:
-        raise ConfigError("a mediated profile needs "
-                          + ("mediator_by_size" if pgg else "mediator_by_coalition"))
-    try:
-        return oracle.MixedProfile(
-            agent_policies=states,
-            mediated=mediated,
-            mediator_by_coalition=by_coal, mediator_by_size=by_size)
-    except ContractError as exc:
-        raise ConfigError(f"bad profile: {exc}") from None
-
-
-def _mediator_table(spec, state: dict) -> dict:
-    """One state's mediator policies, keyed by coalition bits then agent;
-    every member of every non-empty coalition needs a probability vector
-    over its own env actions."""
-    try:
-        table = {tuple(int(c) for c in bits): {
-                     int(a): np.asarray(d, dtype=np.float64)
-                     for a, d in per_agent.items()}
-                 for bits, per_agent in state.items()}
+        if by_coal is not None:
+            by_coal = [{tuple(int(c) for c in bits): {
+                            int(a): np.asarray(d, dtype=np.float64)
+                            for a, d in per_agent.items()}
+                        for bits, per_agent in state.items()}
+                       for state in by_coal]
     except (AttributeError, TypeError, ValueError):  # not a mapping of numbers
         raise ConfigError('mediator_by_coalition maps coalition bits such as '
                           '"10" to {agent id: distribution}') from None
-    for bits in itertools.product((0, 1), repeat=spec.num_agents):
-        for agent in (i for i, b in enumerate(bits) if b):
-            dist = table.get(bits, {}).get(agent)
-            if (dist is None or dist.shape != (spec.num_actions[agent],)
-                    or not oracle.is_distribution(dist)):
-                raise ConfigError(
-                    f"mediator_by_coalition needs, in every state, a "
-                    f"probability vector over agent {agent}'s "
-                    f"{spec.num_actions[agent]} actions for coalition "
-                    + "".join(map(str, bits)))
-    return table
-
-
-def _size_table(spec, by_size) -> np.ndarray:
-    """The symmetric mediator's contribute probability per coalition size."""
     try:
-        table = np.asarray(by_size, dtype=np.float64)
-    except (TypeError, ValueError):  # not a list of numbers
-        table = None
-    if (table is None or table.shape != (spec.num_agents + 1,)
-            or not np.all((table >= 0.0) & (table <= 1.0))):
-        raise ConfigError(f"mediator_by_size needs {spec.num_agents + 1} "
-                          "probabilities, one per coalition size 0..N")
-    return table
+        profile = oracle.MixedProfile(
+            agent_policies=data["agent_policies"],
+            mediated=data.get("mediated", False),
+            mediator_by_coalition=by_coal,
+            mediator_by_size=data.get("mediator_by_size"))
+    except (TypeError, ValueError) as exc:  # not lists of numbers
+        raise ConfigError(f"profile entries must be lists of numbers ({exc})") from None
+    try:
+        profile.check(spec)
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
+    return profile
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

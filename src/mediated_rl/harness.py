@@ -40,7 +40,7 @@ class RunConfig:
 
     env: str
     num_agents: int
-    multiplier: float
+    multiplier: float | None  # the PGGs' only; None for the matrix games
     k: int
     mediator_mode: str
     iterations: int
@@ -66,8 +66,6 @@ class RunConfig:
         _check_seeds(self.seeds)
         if self.num_agents < 2:
             raise ConfigError("num_agents must be >= 2")
-        if not self.multiplier > 0.0:
-            raise ConfigError("multiplier must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
         for name, params in (("agent", self.agent), ("mediator", self.mediator)):
@@ -83,6 +81,8 @@ class RunConfig:
         if self.num_agents != spec.num_agents:
             raise ConfigError(f"{spec.name} is a {spec.num_agents}-agent game, "
                               f"num_agents cannot be {self.num_agents}")
+        if self.multiplier != spec.multiplier:
+            raise ConfigError(f"{spec.name} has no multiplier")
         if self.k > spec.horizon:
             raise ConfigError("k cannot exceed the horizon")
         return spec
@@ -133,9 +133,11 @@ ENVS = tuple(_TABLE_DEFAULTS)
 
 def default_config(env: str, mediator_mode: str = "none", k: int = 1,
                    num_agents: int | None = None,
-                   multiplier: float = 2.0) -> RunConfig:
+                   multiplier: float | None = None) -> RunConfig:
     """Published hyperparameters for an environment id. ``num_agents``
-    defaults to 3 for the public goods games and 2 for the matrix games."""
+    defaults to 3 for the public goods games and 2 for the matrix games;
+    ``multiplier`` defaults to 2.0 for the public goods games and is None
+    for the matrix games, which have none."""
     env = env.replace("_", "-")
     if env not in _TABLE_DEFAULTS:
         raise ConfigError(f"no default hyperparameters for env {env!r}")
@@ -144,7 +146,7 @@ def default_config(env: str, mediator_mode: str = "none", k: int = 1,
     return RunConfig(
         env=env,
         num_agents=(3 if pgg else 2) if num_agents is None else num_agents,
-        multiplier=multiplier,
+        multiplier=(2.0 if pgg else None) if multiplier is None else multiplier,
         k=k,
         mediator_mode=mediator_mode,
         iterations=iterations,
@@ -608,7 +610,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
         mediator_mode=mediation.get("mediator_mode", "none"),
         k=_read(mediation, "k", int, 1),
         num_agents=_read(game, "num_agents", int, None),
-        multiplier=_read(game, "multiplier", float, 2.0))
+        multiplier=_read(game, "multiplier", float, None))
     config = replace(config, **{key: _read(har, key, convert, getattr(config, key))
                                 for key, convert in _HARNESS_KEYS.items()})
     for section, current in (("agent", config.agent), ("mediator", config.mediator)):

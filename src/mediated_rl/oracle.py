@@ -14,7 +14,7 @@ sizes instead of subsets) to stay polynomial in N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -30,17 +30,14 @@ from .rollout import sample_agent_actions
 DIST_TOL = 5e-12
 
 
-def is_distribution(p: np.ndarray) -> bool:
+def _is_distribution(p: np.ndarray) -> bool:
     """A 1-d vector of non-negative entries summing to 1, within DIST_TOL."""
-    return (p.ndim == 1 and not np.any(p < -DIST_TOL)
-            and abs(p.sum() - 1.0) <= DIST_TOL)
-
-
-def _check_dist(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if not is_distribution(p):
-        raise ContractError(f"not a probability vector: {p}")
-    return p
+    if p.ndim != 1:
+        return False
+    # Profile vectors are short, so Python's min and sum beat NumPy's calls.
+    values = p.tolist()
+    return (min(values, default=-1.0) >= -DIST_TOL
+            and abs(sum(values) - 1.0) <= DIST_TOL)
 
 
 @dataclass
@@ -50,9 +47,11 @@ class MixedProfile:
     ``agent_policies[state][agent]`` is a distribution over that agent's env
     actions, plus a trailing commit entry when ``mediated``. The mediator's
     per-coalition policy is either explicit per coalition
-    (``mediator_by_coalition[state][bits][agent]``, bits a 0/1 tuple) or, for
-    the symmetric PGG, a contribute probability per coalition size
-    (``mediator_by_size[s]``).
+    (``mediator_by_coalition[state][bits][agent]``, a float array; bits a
+    0/1 tuple) or, for the symmetric PGG, a contribute probability per
+    coalition size (``mediator_by_size[s]``). Construction only converts
+    the policies and the size table to float arrays; ``check`` says whether
+    the profile fits a game.
     """
 
     agent_policies: list[list[np.ndarray]]
@@ -61,22 +60,83 @@ class MixedProfile:
     mediator_by_size: np.ndarray | None = None
 
     def __post_init__(self):
-        self.agent_policies = [[_check_dist(p) for p in state]
+        self.agent_policies = [[np.asarray(p, dtype=np.float64) for p in state]
                                for state in self.agent_policies]
         if self.mediator_by_size is not None:
             self.mediator_by_size = np.asarray(self.mediator_by_size, dtype=np.float64)
 
-    def mediator_dist(self, state: int, coalition: tuple[int, ...],
-                      agent: int, num_env_actions: int) -> np.ndarray:
-        """The mediator's action distribution for one coalition member."""
-        if self.mediator_by_size is not None:
-            p = float(self.mediator_by_size[sum(coalition)])
-            return np.array([1.0 - p, p])
-        table = self.mediator_by_coalition[state]
-        dist = table[coalition][agent]
-        if dist.shape[0] != num_env_actions:
-            raise ContractError("mediator distribution has wrong arity")
-        return dist
+    def check(self, spec: PayoffSpec) -> None:
+        """Raise ContractError unless the profile fits the game: a bool
+        ``mediated``, a distribution per state and agent over its env actions
+        (plus commit when mediated), and, only when mediated, the one table
+        the game takes, with a distribution for every member of every
+        coalition (by size in the one-shot PGG, N+1 of them)."""
+        if not isinstance(self.mediated, bool):
+            raise ContractError(
+                f"mediated must be true or false, got {self.mediated!r}")
+        arities = [a + self.mediated for a in spec.num_actions]
+        if len(self.agent_policies) != spec.horizon or any(
+                [p.shape for p in state] != [(a,) for a in arities]
+                for state in self.agent_policies):
+            raise ContractError(f"agent_policies needs {spec.horizon} state(s) "
+                                f"of policies over {arities} actions")
+        bad = [p for state in self.agent_policies for p in state
+               if not _is_distribution(p)]
+        if bad:
+            raise ContractError(f"agent_policies holds {bad[0]}, not a "
+                                "probability vector")
+        by_size, by_coal = self.mediator_by_size, self.mediator_by_coalition
+        if not self.mediated:
+            if by_size is not None or by_coal is not None:
+                raise ContractError("an unmediated profile has no mediator table")
+        elif spec.kind is GameKind.ONE_SHOT_PGG:
+            if by_coal is not None:
+                raise ContractError("the one-shot pgg takes mediator_by_size, "
+                                    "not mediator_by_coalition")
+            if by_size is None:
+                raise ContractError("a mediated profile needs mediator_by_size")
+            if (by_size.shape != (spec.num_agents + 1,)
+                    or not np.all((by_size >= 0.0) & (by_size <= 1.0))):
+                raise ContractError(
+                    f"mediator_by_size needs {spec.num_agents + 1} "
+                    "probabilities, one per coalition size 0..N")
+        else:
+            if by_size is not None:
+                raise ContractError("mediator_by_size is for the one-shot pgg only")
+            if by_coal is None:
+                raise ContractError("a mediated profile needs mediator_by_coalition")
+            if len(by_coal) != spec.horizon:
+                raise ContractError(f"mediator_by_coalition needs {spec.horizon} "
+                                    "state(s)")
+            for table, bits in itertools.product(
+                    by_coal, itertools.product((0, 1), repeat=spec.num_agents)):
+                for agent in (i for i, b in enumerate(bits) if b):
+                    dist = table.get(bits, {}).get(agent)
+                    if (dist is None or dist.shape != (spec.num_actions[agent],)
+                            or not _is_distribution(dist)):
+                        raise ContractError(
+                            f"mediator_by_coalition needs, in every state, a "
+                            f"probability vector over agent {agent}'s "
+                            f"{spec.num_actions[agent]} actions for coalition "
+                            + "".join(map(str, bits)))
+
+
+def _with_policy(profile: MixedProfile, agent: int,
+                 plan: list[np.ndarray]) -> MixedProfile:
+    """The profile with ``agent`` playing ``plan[t]`` in state t; ``plan``
+    may be shorter than the horizon, leaving later states as they were."""
+    return replace(profile, agent_policies=[
+        [plan[t] if (i == agent and t < len(plan)) else p
+         for i, p in enumerate(state)]
+        for t, state in enumerate(profile.agent_policies)])
+
+
+def _check_exact(spec: PayoffSpec, profile: MixedProfile) -> None:
+    """Raise unless the game has exact expectations and the profile fits it."""
+    if spec.kind is GameKind.ITERATIVE_PGG:
+        raise UnsupportedGameError(
+            "exact expectations for the iterative PGG are not supported")
+    profile.check(spec)
 
 
 def uniform_profile(spec: PayoffSpec, mediated: bool) -> MixedProfile:
@@ -88,15 +148,18 @@ def uniform_profile(spec: PayoffSpec, mediated: bool) -> MixedProfile:
     if spec.kind is GameKind.ONE_SHOT_PGG:
         return MixedProfile(agent_policies=policies, mediated=True,
                             mediator_by_size=np.full(spec.num_agents + 1, 0.5))
-    by_coal = []
-    for _ in range(spec.horizon):
-        table = {}
-        for bits in itertools.product((0, 1), repeat=spec.num_agents):
-            table[bits] = {i: np.full(spec.num_actions[i], 1.0 / spec.num_actions[i])
-                           for i in range(spec.num_agents) if bits[i]}
-        by_coal.append(table)
     return MixedProfile(agent_policies=policies, mediated=True,
-                        mediator_by_coalition=by_coal)
+                        mediator_by_coalition=_coalition_tables(
+                            spec, lambda t, i: np.full(spec.num_actions[i],
+                                                       1.0 / spec.num_actions[i])))
+
+
+def _coalition_tables(spec: PayoffSpec, member_dist) -> list[dict]:
+    """Per-state mediator tables in which member i of every coalition plays
+    ``member_dist(t, i)`` in state t."""
+    return [{bits: {i: member_dist(t, i) for i in range(spec.num_agents) if bits[i]}
+             for bits in itertools.product((0, 1), repeat=spec.num_agents)}
+            for t in range(spec.horizon)]
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +173,13 @@ def expected_payoffs(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
     Covers matrix games of any (small) horizon and the one-shot PGG; general
     policies in the iterative PGG have no closed form here.
     """
-    if spec.kind is GameKind.ITERATIVE_PGG:
-        raise UnsupportedGameError(
-            "exact expectations for the iterative PGG are not supported")
+    _check_exact(spec, profile)
+    return _expected(spec, profile, k, gamma)
+
+
+def _expected(spec: PayoffSpec, profile: MixedProfile, k: int,
+              gamma: float) -> np.ndarray:
+    """``expected_payoffs`` of a profile already checked against the game."""
     if spec.kind is GameKind.ONE_SHOT_PGG:
         return _pgg_expected(spec, profile)
     return _matrix_expected(spec, profile, k, gamma)
@@ -169,8 +236,7 @@ def _matrix_expected(spec: PayoffSpec, profile: MixedProfile, k: int,
             env_dists = []
             for i in range(n):
                 if profile.mediated and new_coal[i]:
-                    env_dists.append(profile.mediator_dist(
-                        t, new_coal, i, spec.num_actions[i]))
+                    env_dists.append(profile.mediator_by_coalition[t][new_coal][i])
                 else:
                     point = np.zeros(spec.num_actions[i])
                     point[joint[i]] = 1.0
@@ -198,14 +264,11 @@ def _pgg_expected(spec: PayoffSpec, profile: MixedProfile) -> np.ndarray:
         contrib = direct
     else:
         commit = np.array([pol[-1] for pol in pols])
-        p_size = profile.mediator_by_size
-        if p_size is None:
-            raise ContractError("PGG profiles use mediator_by_size")
         contrib = np.empty(n_agents)
         for j in range(n_agents):
             others = _poisson_binomial(np.delete(commit, j))
             contrib[j] = direct[j] + commit[j] * float(
-                others @ p_size[1:n_agents + 1])
+                others @ profile.mediator_by_size[1:])
     return (mult / n_agents) * contrib.sum() - contrib
 
 
@@ -233,18 +296,12 @@ def _pure_plans(spec: PayoffSpec, profile: MixedProfile, agent: int,
 def best_response_gap(spec: PayoffSpec, profile: MixedProfile, agent: int,
                       k: int = 1, gamma: float = 1.0) -> float:
     """How much agent ``agent`` can gain by a pure deviation (>= 0)."""
-    current = expected_payoffs(spec, profile, k, gamma)[agent]
+    _check_exact(spec, profile)
+    current = _expected(spec, profile, k, gamma)[agent]
     best = -np.inf
     for plan in _pure_plans(spec, profile, agent, k):
-        dev = MixedProfile(
-            agent_policies=[
-                [plan[t] if i == agent else profile.agent_policies[t][i]
-                 for i in range(spec.num_agents)]
-                for t in range(spec.horizon)],
-            mediated=profile.mediated,
-            mediator_by_coalition=profile.mediator_by_coalition,
-            mediator_by_size=profile.mediator_by_size)
-        best = max(best, expected_payoffs(spec, dev, k, gamma)[agent])
+        dev = _with_policy(profile, agent, plan)
+        best = max(best, _expected(spec, dev, k, gamma)[agent])
     return float(best - current)
 
 
@@ -388,6 +445,7 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
     """
     if spec.kind is GameKind.ITERATIVE_PGG:
         raise UnsupportedGameError("profile sampling targets the exact-oracle games")
+    profile.check(spec)
     n = spec.num_agents
     env_actions = np.asarray(spec.num_actions)
     num_actions = env_actions + profile.mediated
@@ -411,7 +469,7 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
         choices = sample_agent_actions(probs, num_actions, rng).T
         if profile.mediated:
             coalition = next_coalition(coalition, choices, t, k, env_actions)
-            med_actions = _sample_mediator_actions(spec, profile, t, coalition, rng)
+            med_actions = _sample_mediator_actions(profile, t, coalition, rng)
         rewards, _ = games.step_batch(
             spec, t, None, joint_env_actions(choices, med_actions, coalition))
         totals += rewards
@@ -420,7 +478,7 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
     return mean, stderr
 
 
-def _sample_mediator_actions(spec: PayoffSpec, profile: MixedProfile, t: int,
+def _sample_mediator_actions(profile: MixedProfile, t: int,
                              coalition: np.ndarray,
                              rng: np.random.Generator) -> np.ndarray:
     """Mediator env actions drawn from the profile's tables, -1 outside the
@@ -434,7 +492,7 @@ def _sample_mediator_actions(spec: PayoffSpec, profile: MixedProfile, t: int,
         rows = np.flatnonzero((coalition == bits).all(axis=1))
         key = tuple(int(b) for b in bits)
         for i in np.flatnonzero(bits):
-            dist = profile.mediator_dist(t, key, int(i), spec.num_actions[i])
+            dist = profile.mediator_by_coalition[t][key][i]
             out[rows, i] = sample_categorical(
                 np.broadcast_to(dist, (rows.size, dist.shape[0])), rng)
     return out
@@ -447,18 +505,13 @@ def mediator_copy_profile(spec: PayoffSpec,
     Under this mediator, membership has no effect on anyone's action
     distribution, so it satisfies both constraints with equality.
     """
+    profile.check(spec)
     if not profile.mediated:
         raise ContractError("copy profile needs a mediated agent profile")
-    by_coal = []
-    for t in range(spec.horizon):
-        table = {}
-        for bits in itertools.product((0, 1), repeat=spec.num_agents):
-            table[bits] = {
-                i: _env_part(profile.agent_policies[t][i], spec.num_actions[i])
-                for i in range(spec.num_agents) if bits[i]}
-        by_coal.append(table)
-    return MixedProfile(agent_policies=profile.agent_policies,
-                        mediated=True, mediator_by_coalition=by_coal)
+    return MixedProfile(
+        agent_policies=profile.agent_policies, mediated=True,
+        mediator_by_coalition=_coalition_tables(spec, lambda t, i: _env_part(
+            profile.agent_policies[t][i], spec.num_actions[i])))
 
 
 def conditional_commit_values(spec: PayoffSpec, profile: MixedProfile,
@@ -469,20 +522,13 @@ def conditional_commit_values(spec: PayoffSpec, profile: MixedProfile,
     Both branches keep every other agent on the original profile; "acting
     itself" plays the commit-renormalized env part of its own policy.
     """
-    polices = profile.agent_policies
-    commit_point = np.zeros(spec.num_actions[agent] + 1)
-    commit_point[-1] = 1.0
-    solo = np.zeros(spec.num_actions[agent] + 1)
-    solo[:-1] = _env_part(polices[0][agent], spec.num_actions[agent])
-    out = []
-    for branch in (commit_point, solo):
-        branched = MixedProfile(
-            agent_policies=[
-                [branch if (i == agent and t == 0) else polices[t][i]
-                 for i in range(spec.num_agents)]
-                for t in range(spec.horizon)],
-            mediated=True,
-            mediator_by_coalition=profile.mediator_by_coalition,
-            mediator_by_size=profile.mediator_by_size)
-        out.append(float(expected_payoffs(spec, branched, k, gamma)[agent]))
-    return out[0], out[1]
+    _check_exact(spec, profile)
+    if not profile.mediated:
+        raise ContractError("conditional commit values need a mediated profile")
+    num_env = spec.num_actions[agent]
+    commit_point = np.eye(num_env + 1)[-1]
+    solo = np.append(_env_part(profile.agent_policies[0][agent], num_env), 0.0)
+    commit, own = (float(_expected(spec, _with_policy(profile, agent, [branch]),
+                                   k, gamma)[agent])
+                   for branch in (commit_point, solo))
+    return commit, own

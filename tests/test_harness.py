@@ -30,6 +30,7 @@ def tiny_config(env="pd", mode="naive", **kwargs):
 
 def test_default_configs_published_values():
     pd = default_config("pd")
+    assert pd.multiplier is None
     assert pd.iterations == 2000
     assert pd.batch_size == 128
     assert pd.gamma == 0.99
@@ -40,6 +41,7 @@ def test_default_configs_published_values():
     assert pd.agent.entropy.decay == 0.0005
     assert pd.mediator.lr_actor == 8e-4
     pgg = default_config("pgg", "constrained", num_agents=3)
+    assert pgg.multiplier == 2.0
     assert pgg.iterations == 20000
     assert pgg.agent.entropy.strategy == "exponential"
     pds = default_config("pds", "constrained")
@@ -233,14 +235,40 @@ def test_env_flag_keeps_the_config_file_values(tmp_path, monkeypatch):
                              agent=replace(pds.agent, lr_actor=0.123))
 
 
+def run_pd_with(tmp_path, how: str, key: str, value: str) -> int:
+    """Exit status of ``mediated-rl run`` on pd with one [game] key set by
+    its flag or by a config file."""
+    path = tmp_path / "run.ini"
+    path.write_text(f"[game]\nenv = pd\n{key} = {value}\n")
+    argv = (["--env", "pd", "--" + key.replace("_", "-"), value]
+            if how == "flag" else ["--config", str(path)])
+    return cli.main(["run", *argv, "--iters", "0", "--seeds", "1"])
+
+
 @pytest.mark.parametrize("how", ["flag", "file"])
 def test_matrix_game_agent_count_is_fixed(tmp_path, capsys, how):
-    path = tmp_path / "run.ini"
-    path.write_text("[game]\nenv = pd\nnum_agents = 5\n")
-    argv = (["--env", "pd", "--num-agents", "5"] if how == "flag"
-            else ["--config", str(path)])
-    assert cli.main(["run", *argv, "--iters", "0", "--seeds", "1"]) == 2
+    assert run_pd_with(tmp_path, how, "num_agents", "5") == 2
     assert "pd is a 2-agent game" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_matrix_game_has_no_multiplier(tmp_path, capsys, how):
+    # It used to be accepted and silently ignored.
+    assert run_pd_with(tmp_path, how, "multiplier", "7") == 2
+    assert "pd has no multiplier" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/r.csv", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_out_fails_before_training(tmp_path, monkeypatch, capsys,
+                                              out):
+    def no_sweep(config):
+        raise AssertionError("trained although --out cannot be written")
+    monkeypatch.setattr(harness, "sweep", no_sweep)
+    status = cli.main(["run", "--env", "pd", "--iters", "0", "--seeds", "1",
+                       "--out", str(tmp_path / out)])
+    assert status == 2
+    assert "configuration error: --out" in capsys.readouterr().err
 
 
 PD_POLICY = [[[0.5, 0.5], [0.5, 0.5]]]
@@ -278,18 +306,26 @@ def pd_mediated(coalition_11):
      []),
     (None, ["--num-agents", "5"]),
     (None, ["--k", "7"]),
+    (None, ["--multiplier", "0.5"]),
     ({"agent_policies": [[["a", "b"], [0.5, 0.5]]]}, []),
     ({"agent_policies": [[[0.5, 0.5], None]]}, []),
     ({"agent_policies": 5}, []),
     ([PD_POLICY], []),
     ({"mediated": False}, []),
+    ({"agent_policies": PD_POLICY, "mediated": "false"}, []),
+    (pd_mediated(coalition_11=[0.0, 1.0]) | {"mediated": 1}, []),
+    (PGG_MEDIATED | {"mediator_by_coalition": [{}]}, ["--env", "pgg"]),
+    ({"agent_policies": [[[0.5, 0.5]] * 3], "mediator_by_size": [0, 0, 1, 1]},
+     ["--env", "pgg"]),
 ], ids=["not-a-distribution", "no-mediator-table", "k0-profile", "k0",
         "one-agent", "missing-file", "not-json", "partial-mediator-table",
         "bad-coalition-key", "size-table-length", "size-table-range",
         "coalition-negative", "coalition-sum", "size-table-matrix-game",
         "matrix-agent-count",
-        "k-past-horizon", "non-numeric-policy", "null-policy",
-        "policies-not-a-list", "top-level-array", "no-agent-policies"])
+        "k-past-horizon", "matrix-multiplier", "non-numeric-policy", "null-policy",
+        "policies-not-a-list", "top-level-array", "no-agent-policies",
+        "mediated-string", "mediated-integer", "coalition-table-on-pgg",
+        "size-table-unmediated"])
 def test_bad_oracle_input_is_a_configuration_error(tmp_path, capsys,
                                                    profile, flags):
     path = tmp_path / "profile.json"
@@ -451,6 +487,16 @@ def test_sweep_aggregates_across_seeds():
         finite = [v for v in values if np.isfinite(v)]
         if finite:
             assert mean == pytest.approx(np.mean(finite))
+
+
+def test_process_pool_sweep_equals_the_serial_sweep(monkeypatch):
+    # Results are deterministic per (config, seed), in any worker process.
+    config = tiny_config("pgg", "constrained", seeds=(0, 1))
+    serial = sweep(config)
+    monkeypatch.setenv(harness.WORKER_ENV_VAR, "2")
+    pooled = sweep(config)
+    assert pooled.reports == serial.reports
+    assert pooled.metrics == serial.metrics
 
 
 def test_sweep_flags_failed_seeds(monkeypatch):

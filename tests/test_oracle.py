@@ -69,8 +69,76 @@ def test_expected_payoffs_iterative_pgg_unsupported():
 
 
 def test_profile_distribution_validation():
+    # Construction only converts; the check against the game rejects.
+    profile = MixedProfile(agent_policies=[[np.array([0.5, 0.2]),
+                                            np.array([0.5, 0.5])]])
+    with pytest.raises(ContractError, match="not a probability vector"):
+        profile.check(prisoners_dilemma())
     with pytest.raises(ContractError):
-        MixedProfile(agent_policies=[[np.array([0.5, 0.2])]])
+        expected_payoffs(prisoners_dilemma(), profile)
+
+
+def pd_table_without_full_coalition():
+    table = pd_mediator_table()
+    del table[0][(1, 1)]
+    return table
+
+
+MISFIT_PROFILES = {
+    "policy-arity": lambda: (prisoners_dilemma(), MixedProfile(
+        agent_policies=[[np.array([1.0]), np.array([0.5, 0.5])]])),
+    "missing-agent": lambda: (one_shot_pgg(3, 2.0), MixedProfile(
+        agent_policies=[[np.array([0.5, 0.5])] * 2])),
+    "size-table-range": lambda: (one_shot_pgg(3, 2.0), MixedProfile(
+        agent_policies=[[np.array([0.3, 0.2, 0.5])] * 3], mediated=True,
+        mediator_by_size=[0.0, 0.5, 1.7, -3.0])),
+    "size-table-short": lambda: (one_shot_pgg(3, 2.0), MixedProfile(
+        agent_policies=[[np.array([0.3, 0.2, 0.5])] * 3], mediated=True,
+        mediator_by_size=[0.0, 0.5])),
+    "missing-coalition": lambda: (prisoners_dilemma(), MixedProfile(
+        agent_policies=[[np.array([0.2, 0.3, 0.5])] * 2], mediated=True,
+        mediator_by_coalition=pd_table_without_full_coalition())),
+    "mediated-not-bool": lambda: (prisoners_dilemma(), MixedProfile(
+        agent_policies=[[np.array([0.0, 0.0, 1.0])] * 2], mediated=1,
+        mediator_by_coalition=pd_mediator_table())),
+    "table-unmediated": lambda: (one_shot_pgg(3, 2.0), MixedProfile(
+        agent_policies=[[np.array([0.5, 0.5])] * 3],
+        mediator_by_size=[0.0, 0.0, 1.0, 1.0])),
+}
+PROFILE_QUERIES = {
+    "expected_payoffs": lambda spec, p: expected_payoffs(spec, p),
+    "best_response_gap": lambda spec, p: best_response_gap(spec, p, 0),
+    "conditional_commit_values":
+        lambda spec, p: oracle.conditional_commit_values(spec, p, 0),
+    "sample_profile_payoffs": lambda spec, p: sample_profile_payoffs(
+        spec, p, 10, np.random.default_rng(0)),
+    "mediator_copy_profile": mediator_copy_profile,
+}
+
+
+@pytest.mark.parametrize("query", list(PROFILE_QUERIES))
+@pytest.mark.parametrize("case", list(MISFIT_PROFILES))
+def test_profile_that_misfits_its_game_is_rejected(case, query):
+    # Each of these used to return numbers or fail deep inside the oracle.
+    spec, profile = MISFIT_PROFILES[case]()
+    with pytest.raises(ContractError):
+        profile.check(spec)
+    with pytest.raises(ContractError):
+        PROFILE_QUERIES[query](spec, profile)
+
+
+def test_iterative_pgg_is_unsupported_before_the_profile_is_checked():
+    misfit = MixedProfile(agent_policies=[[np.array([1.0])]])
+    for query in ("expected_payoffs", "best_response_gap",
+                  "conditional_commit_values", "sample_profile_payoffs"):
+        with pytest.raises(UnsupportedGameError):
+            PROFILE_QUERIES[query](iterative_pgg(3, 2.0), misfit)
+
+
+def test_commit_values_need_a_mediated_profile():
+    profile = uniform_profile(prisoners_dilemma(), mediated=False)
+    with pytest.raises(ContractError, match="mediated profile"):
+        oracle.conditional_commit_values(prisoners_dilemma(), profile, 0)
 
 
 # ---------------------------------------------------------------------------
