@@ -25,7 +25,7 @@ from .agents import AgentLearner, LearnerParams
 from .approx import EntropySchedule
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .games import GameKind, PayoffSpec, base_obs_batch
-from .mediation import FREE
+from .mediation import FREE, window_statuses
 from .mediator import MediatorLearner
 from .rollout import (TrajectoryBatch, build_agent_batch, build_mediator_batch,
                       sample_batch)
@@ -358,12 +358,13 @@ def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
     for t in range(spec.horizon):
         tag = f"@s{t}" if multi else ""
         base = base_obs_batch(spec, t, None, 1)
-        boundary = t % config.k == 0
+        # An agent outside the coalition: free at a boundary, else locked out.
+        status = window_statuses(np.zeros(1, dtype=bool), t, config.k)
         for i, agent in enumerate(agents):
-            probs = agent.policy(base[:, i], 0 if boundary else -1)[0]
+            probs = agent.policy(base[:, i], status)[0]
             for a in range(agent.num_env_actions):
                 metrics[f"pi_{_ACTION_NAMES[a]}{tag}/agent{i}"] = float(probs[a])
-            if agent.mediated and boundary:
+            if agent.mediated and status[0] == FREE:
                 metrics[f"pi_commit{tag}/agent{i}"] = float(probs[-1])
         if mediator is None:
             continue

@@ -3,12 +3,14 @@
 Expected payoffs of mixed strategy profiles under the mediation protocol,
 best-response gaps, the analytically optimal constrained mediator for the
 public goods game, welfare bounds used to normalize reported rewards, and a
-Monte-Carlo sampler that runs the rollout's protocol steps over tabular
-profiles to cross-check the exact expectations.
+Monte-Carlo sampler that cross-checks the exact expectations.
 
-Matrix games are evaluated by full enumeration over choices, coalitions, and
-mediator actions; the public goods game exploits agent symmetry (coalition
-sizes instead of subsets) to stay polynomial in N.
+Matrix games and the sampler step the commitment protocol of ``mediation``,
+with one restriction of the profile to what each status allows and one
+lookup of the mediator's per-member distributions; the exact evaluation
+enumerates every positive-weight branch where the sampler draws. The one-shot
+public goods game exploits agent symmetry (coalition sizes instead of
+subsets) to stay polynomial in N.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import games
-from .approx import sample_categorical
 from .errors import ConfigError, ContractError, UnsupportedGameError
 from .games import GameKind, PayoffSpec
-from .mediation import (joint_env_actions, legal_action_mask_batch,
-                        next_coalition, window_statuses)
+from .mediation import (COMMITTED, LOCKED_OUT, joint_env_actions,
+                        legal_action_mask_batch, next_coalition,
+                        window_statuses)
 from .rollout import sample_agent_actions
 
 DIST_TOL = 5e-12
@@ -131,12 +133,25 @@ def _with_policy(profile: MixedProfile, agent: int,
         for t, state in enumerate(profile.agent_policies)])
 
 
-def _check_exact(spec: PayoffSpec, profile: MixedProfile) -> None:
-    """Raise unless the game has exact expectations and the profile fits it."""
+def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
+    """Raise unless ``value`` is an integer in [low, high)."""
+    if not isinstance(value, (int, np.integer)) or not low <= value < high:
+        raise ContractError(f"{name} must be an integer in [{low}, {high}), "
+                            f"got {value!r}")
+
+
+def _check_query(spec: PayoffSpec, profile: MixedProfile, k: int,
+                 agent: int | None = None) -> None:
+    """Raise unless the game has exact expectations, the profile fits it,
+    ``k`` is a window length and ``agent``, when given, is one of the
+    game's agents."""
     if spec.kind is GameKind.ITERATIVE_PGG:
         raise UnsupportedGameError(
             "exact expectations for the iterative PGG are not supported")
     profile.check(spec)
+    _check_int("k", k, 1)
+    if agent is not None:
+        _check_int("agent", agent, 0, spec.num_agents)
 
 
 def uniform_profile(spec: PayoffSpec, mediated: bool) -> MixedProfile:
@@ -173,7 +188,7 @@ def expected_payoffs(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
     Covers matrix games of any (small) horizon and the one-shot PGG; general
     policies in the iterative PGG have no closed form here.
     """
-    _check_exact(spec, profile)
+    _check_query(spec, profile, k)
     return _expected(spec, profile, k, gamma)
 
 
@@ -185,67 +200,85 @@ def _expected(spec: PayoffSpec, profile: MixedProfile, k: int,
     return _matrix_expected(spec, profile, k, gamma)
 
 
-def _env_part(policy: np.ndarray, num_env_actions: int) -> np.ndarray:
-    """Policy renormalized over env actions (commit masked out)."""
-    env = policy[:num_env_actions]
-    mass = env.sum()
-    if mass <= 0.0:
-        return np.full(num_env_actions, 1.0 / num_env_actions)
-    return env / mass
-
-
-def _expected_table(table: np.ndarray, dists: list[np.ndarray]) -> np.ndarray:
-    out = table
-    for d in dists:
-        out = np.tensordot(d, out, axes=(0, 0))
+def _padded_policies(spec: PayoffSpec, profile: MixedProfile) -> np.ndarray:
+    """Agent policies as one zero-padded (T, N, A+1) array, A the largest
+    env action count (an unmediated profile's commit column stays 0)."""
+    out = np.zeros((spec.horizon, spec.num_agents, spec.max_actions + 1))
+    for t, state in enumerate(profile.agent_policies):
+        for i, pol in enumerate(state):
+            out[t, i, :pol.shape[0]] = pol
     return out
+
+
+def _restrict(policies: np.ndarray, statuses: np.ndarray,
+              num_env_actions: int | np.ndarray) -> np.ndarray:
+    """The one rule for what each status leaves a tabular policy: its mass
+    on the legal actions, renormalized, or uniform over them if it has none
+    there. ``policies`` broadcasts against the statuses' (..., A+1) masks."""
+    masks = legal_action_mask_batch(statuses, num_env_actions)
+    weights = np.where(masks, policies, 0.0)
+    np.copyto(weights, masks, where=weights.sum(axis=-1, keepdims=True) == 0.0)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
+
+
+def _member_dists(spec: PayoffSpec, profile: MixedProfile, t: int,
+                  coalitions: np.ndarray) -> np.ndarray:
+    """The mediator's (C, N, A) distributions over env actions for coalitions
+    (C, N) in state t, from its table or by size. Non-members get a point
+    mass on action 0, a placeholder that ``joint_env_actions`` ignores."""
+    if profile.mediator_by_size is not None:
+        contribute = profile.mediator_by_size[coalitions.sum(axis=1)][:, None]
+        contribute = np.where(coalitions, contribute, 0.0)
+        return np.stack([1.0 - contribute, contribute], axis=-1)
+    out = np.zeros(coalitions.shape + (spec.max_actions,))
+    out[~coalitions, 0] = 1.0
+    for c, i in zip(*np.nonzero(coalitions)):
+        dist = profile.mediator_by_coalition[t][tuple(map(int, coalitions[c]))][i]
+        out[c, i, :dist.shape[0]] = dist
+    return out
+
+
+def _codes(coalitions: np.ndarray) -> np.ndarray:
+    """One integer per coalition row; agent 0 is the highest bit."""
+    return coalitions @ (1 << np.arange(coalitions.shape[-1])[::-1])
+
+
+def _branches(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive-probability joint outcomes of independent per-agent draws
+    (R, N, W): the row each comes from, its joint action and probability."""
+    n, width = dists.shape[1:]
+    grid = np.array(list(itertools.product(range(width), repeat=n)))
+    probs = dists[:, np.arange(n), grid].prod(axis=-1)
+    rows, cols = np.nonzero(probs)
+    return rows, grid[cols], probs[rows, cols]
 
 
 def _matrix_expected(spec: PayoffSpec, profile: MixedProfile, k: int,
                      gamma: float) -> np.ndarray:
+    """Walk the horizon forward over a distribution of coalitions, running
+    the rollout's protocol steps on every positive-weight branch of the
+    agents' choices and then of the mediator's actions. Branches merge by
+    coalition after each step, because the future depends on it alone."""
     n = spec.num_agents
-
-    def recurse(t: int, coalition: tuple[int, ...]) -> np.ndarray:
-        if t == spec.horizon:
-            return np.zeros(n)
-        boundary = t % k == 0
-        choice_dists = []
-        for i in range(n):
-            pol = profile.agent_policies[t][i]
-            if not profile.mediated or boundary:
-                choice_dists.append(pol)
-            elif coalition[i]:
-                forced = np.zeros(spec.num_actions[i] + 1)
-                forced[-1] = 1.0
-                choice_dists.append(forced)
-            else:
-                locked = np.zeros(spec.num_actions[i] + 1)
-                locked[:-1] = _env_part(pol, spec.num_actions[i])
-                choice_dists.append(locked)
-        total = np.zeros(n)
-        for joint in itertools.product(*(range(len(d)) for d in choice_dists)):
-            prob = float(np.prod([choice_dists[i][joint[i]] for i in range(n)]))
-            if prob == 0.0:
-                continue
-            if profile.mediated:
-                committed = tuple(int(joint[i] == spec.num_actions[i])
-                                  for i in range(n))
-                new_coal = committed if boundary else coalition
-            else:
-                new_coal = (0,) * n
-            env_dists = []
-            for i in range(n):
-                if profile.mediated and new_coal[i]:
-                    env_dists.append(profile.mediator_by_coalition[t][new_coal][i])
-                else:
-                    point = np.zeros(spec.num_actions[i])
-                    point[joint[i]] = 1.0
-                    env_dists.append(point)
-            rewards = _expected_table(spec.payoff_tables[t], env_dists)
-            total += prob * (rewards + gamma * recurse(t + 1, new_coal))
-        return total
-
-    return recurse(0, (0,) * n)
+    env_actions = np.asarray(spec.num_actions)
+    policies = _padded_policies(spec, profile)
+    coalitions, weights = np.zeros((1, n), dtype=bool), np.ones(1)
+    total = np.zeros(n)
+    for t in range(spec.horizon):
+        rows, choices, probs = _branches(_restrict(
+            policies[t], window_statuses(coalitions, t, k), env_actions))
+        coalition = next_coalition(coalitions[rows], choices, t, k, env_actions)
+        weight = weights[rows] * probs
+        rows, med_actions, probs = _branches(
+            _member_dists(spec, profile, t, coalition))
+        rewards, _ = games.step_batch(spec, t, None, joint_env_actions(
+            choices[rows], med_actions, coalition[rows]))
+        total += gamma ** t * ((weight[rows] * probs) @ rewards)
+        _, first, merged = np.unique(_codes(coalition), return_index=True,
+                                     return_inverse=True)
+        coalitions, weights = coalition[first], np.bincount(merged, weight)
+    return total
 
 
 def _poisson_binomial(probs: np.ndarray) -> np.ndarray:
@@ -280,29 +313,28 @@ def _pure_plans(spec: PayoffSpec, profile: MixedProfile, agent: int,
                 k: int) -> list[list[np.ndarray]]:
     """All pure strategies of one agent as per-state point distributions.
 
-    A plan fixes the choice at every (state, status) the agent can face:
-    at window boundaries any head action, mid-window env actions only
-    (committed agents are forced, so their mid-window entry is irrelevant
-    and the original distribution is kept).
+    A plan picks, in each state, one of the actions legal to the agent
+    outside the coalition: any head action at a window boundary, an env
+    action mid-window. A committed agent's mid-window choice is forced, so
+    no plan needs to fix it.
     """
+    outside = np.zeros(1, dtype=bool)
     options = []
-    for t in range(spec.horizon):
-        arity = len(profile.agent_policies[t][agent])
-        free = not profile.mediated or t % k == 0
-        options.append(np.eye(arity)[:arity if free else spec.num_actions[agent]])
+    for t, state in enumerate(profile.agent_policies):
+        arity = state[agent].shape[0]
+        legal = legal_action_mask_batch(window_statuses(outside, t, k)[0],
+                                        spec.num_actions[agent])
+        options.append(np.eye(arity)[legal[:arity]])
     return [list(plan) for plan in itertools.product(*options)]
 
 
 def best_response_gap(spec: PayoffSpec, profile: MixedProfile, agent: int,
                       k: int = 1, gamma: float = 1.0) -> float:
     """How much agent ``agent`` can gain by a pure deviation (>= 0)."""
-    _check_exact(spec, profile)
-    current = _expected(spec, profile, k, gamma)[agent]
-    best = -np.inf
-    for plan in _pure_plans(spec, profile, agent, k):
-        dev = _with_policy(profile, agent, plan)
-        best = max(best, _expected(spec, dev, k, gamma)[agent])
-    return float(best - current)
+    _check_query(spec, profile, k, agent)
+    best = max(_expected(spec, _with_policy(profile, agent, plan), k, gamma)[agent]
+               for plan in _pure_plans(spec, profile, agent, k))
+    return float(best - _expected(spec, profile, k, gamma)[agent])
 
 
 # ---------------------------------------------------------------------------
@@ -436,40 +468,36 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
                            k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Empirical mean and standard error of per-agent returns under a profile.
 
-    Episodes run through the rollout's protocol steps: statuses, legal-action
-    masks, one padded draw for all agents, coalition update and joint-action
-    assembly. The tabular policies are restricted to the legal actions; where
-    a profile gives them no mass, the agent plays them uniformly, as the
-    exact oracle does (a committed agent commits, a locked-out agent with no
-    env mass picks uniformly among its env actions).
+    Episodes run the steps the exact evaluation enumerates, drawing where it
+    branches: statuses, the profile restricted to what each status allows,
+    one padded draw for all agents, coalition update, the mediator's draws
+    per coalition, and joint-action assembly.
     """
-    if spec.kind is GameKind.ITERATIVE_PGG:
-        raise UnsupportedGameError("profile sampling targets the exact-oracle games")
-    profile.check(spec)
+    _check_query(spec, profile, k)
+    _check_int("episodes", episodes, 2)
     n = spec.num_agents
     env_actions = np.asarray(spec.num_actions)
-    num_actions = env_actions + profile.mediated
-    policies = np.zeros((spec.horizon, n, num_actions.max()))
-    for t, state in enumerate(profile.agent_policies):
-        for i, pol in enumerate(state):
-            policies[t, i, :pol.shape[0]] = pol
+    policies = _padded_policies(spec, profile)
     totals = np.zeros((episodes, n))
     coalition = np.zeros((episodes, n), dtype=bool)
-    med_actions = np.full((episodes, n), -1, dtype=np.int64)
     for t in range(spec.horizon):
-        probs = np.broadcast_to(policies[t, :, None, :],
-                                (n, episodes, policies.shape[-1]))
-        if profile.mediated:
-            status = window_statuses(coalition, t, k)
-            masks = legal_action_mask_batch(status.T, env_actions[:, None])
-            weights = np.where(masks, probs, 0.0)
-            np.copyto(weights, masks,
-                      where=weights.sum(axis=-1, keepdims=True) == 0.0)
-            probs = weights / weights.sum(axis=-1, keepdims=True)
-        choices = sample_agent_actions(probs, num_actions, rng).T
-        if profile.mediated:
-            coalition = next_coalition(coalition, choices, t, k, env_actions)
-            med_actions = _sample_mediator_actions(profile, t, coalition, rng)
+        probs = _restrict(policies[t, :, None, :],
+                          window_statuses(coalition, t, k).T, env_actions[:, None])
+        choices = sample_agent_actions(probs, env_actions + profile.mediated, rng).T
+        coalition = next_coalition(coalition, choices, t, k, env_actions)
+        # Coalitions in bit-row order, members in turn, each drawing its rows.
+        codes = _codes(coalition)
+        order = np.argsort(codes, kind="stable")
+        starts = np.unique(codes[order], return_index=True)[1]
+        present = coalition[order[starts]]
+        med_actions = np.full((episodes, n), -1, dtype=np.int64)
+        for rows, bits, dists in zip(np.split(order, starts[1:]), present,
+                                     _member_dists(spec, profile, t, present)):
+            members = np.flatnonzero(bits)
+            med_actions[np.ix_(rows, members)] = sample_agent_actions(
+                np.broadcast_to(dists[members, None], (members.size, rows.size,
+                                                       dists.shape[-1])),
+                env_actions[members], rng).T
         rewards, _ = games.step_batch(
             spec, t, None, joint_env_actions(choices, med_actions, coalition))
         totals += rewards
@@ -478,40 +506,27 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
     return mean, stderr
 
 
-def _sample_mediator_actions(profile: MixedProfile, t: int,
-                             coalition: np.ndarray,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Mediator env actions drawn from the profile's tables, -1 outside the
-    coalition."""
-    out = np.full(coalition.shape, -1, dtype=np.int64)
-    if profile.mediator_by_size is not None:
-        p = profile.mediator_by_size[coalition.sum(axis=1)]
-        draws = (rng.random(coalition.shape) < p[:, None]).astype(np.int64)
-        return np.where(coalition, draws, out)
-    for bits in np.unique(coalition[coalition.any(axis=1)], axis=0):
-        rows = np.flatnonzero((coalition == bits).all(axis=1))
-        key = tuple(int(b) for b in bits)
-        for i in np.flatnonzero(bits):
-            dist = profile.mediator_by_coalition[t][key][i]
-            out[rows, i] = sample_categorical(
-                np.broadcast_to(dist, (rows.size, dist.shape[0])), rng)
-    return out
-
-
 def mediator_copy_profile(spec: PayoffSpec,
                           profile: MixedProfile) -> MixedProfile:
     """Mediator that replays each member's own (commit-renormalized) policy.
 
     Under this mediator, membership has no effect on anyone's action
-    distribution, so it satisfies both constraints with equality.
+    distribution, so it satisfies both constraints with equality. It is per
+    member, so the one-shot PGG, whose mediator is by coalition size, has no
+    copy mediator.
     """
     profile.check(spec)
+    if spec.kind is GameKind.ONE_SHOT_PGG:
+        raise ContractError("the copy mediator is per member and has no "
+                            "by-size form for the one-shot pgg")
     if not profile.mediated:
         raise ContractError("copy profile needs a mediated agent profile")
+    own = _restrict(_padded_policies(spec, profile), LOCKED_OUT,
+                    np.asarray(spec.num_actions))
     return MixedProfile(
         agent_policies=profile.agent_policies, mediated=True,
-        mediator_by_coalition=_coalition_tables(spec, lambda t, i: _env_part(
-            profile.agent_policies[t][i], spec.num_actions[i])))
+        mediator_by_coalition=_coalition_tables(
+            spec, lambda t, i: own[t, i, :spec.num_actions[i]]))
 
 
 def conditional_commit_values(spec: PayoffSpec, profile: MixedProfile,
@@ -519,16 +534,16 @@ def conditional_commit_values(spec: PayoffSpec, profile: MixedProfile,
                               gamma: float = 1.0) -> tuple[float, float]:
     """Agent's expected return conditioned on committing vs. acting itself.
 
-    Both branches keep every other agent on the original profile; "acting
-    itself" plays the commit-renormalized env part of its own policy.
+    Both branches keep every other agent on the original profile and
+    restrict the agent's first-state policy to one status: committed
+    (it commits) or locked out (it plays the commit-renormalized env part).
     """
-    _check_exact(spec, profile)
+    _check_query(spec, profile, k, agent)
     if not profile.mediated:
         raise ContractError("conditional commit values need a mediated profile")
-    num_env = spec.num_actions[agent]
-    commit_point = np.eye(num_env + 1)[-1]
-    solo = np.append(_env_part(profile.agent_policies[0][agent], num_env), 0.0)
+    branches = _restrict(profile.agent_policies[0][agent],
+                         np.array([COMMITTED, LOCKED_OUT]), spec.num_actions[agent])
     commit, own = (float(_expected(spec, _with_policy(profile, agent, [branch]),
                                    k, gamma)[agent])
-                   for branch in (commit_point, solo))
+                   for branch in branches)
     return commit, own

@@ -127,6 +127,37 @@ def test_profile_that_misfits_its_game_is_rejected(case, query):
         PROFILE_QUERIES[query](spec, profile)
 
 
+BAD_ARGUMENTS = {
+    "expected_payoffs-k0": lambda spec, p: expected_payoffs(spec, p, k=0),
+    "expected_payoffs-k-1": lambda spec, p: expected_payoffs(spec, p, k=-1),
+    "expected_payoffs-k1.5": lambda spec, p: expected_payoffs(spec, p, k=1.5),
+    "best_response_gap-k0": lambda spec, p: best_response_gap(spec, p, 0, k=0),
+    "conditional_commit_values-k-1":
+        lambda spec, p: oracle.conditional_commit_values(spec, p, 0, k=-1),
+    "sample_profile_payoffs-k0": lambda spec, p: sample_profile_payoffs(
+        spec, p, 10, np.random.default_rng(0), k=0),
+    "best_response_gap-agent-1": lambda spec, p: best_response_gap(spec, p, -1),
+    "best_response_gap-agentN": lambda spec, p: best_response_gap(
+        spec, p, spec.num_agents),
+    "conditional_commit_values-agent-1":
+        lambda spec, p: oracle.conditional_commit_values(spec, p, -1),
+    "conditional_commit_values-agentN":
+        lambda spec, p: oracle.conditional_commit_values(spec, p, spec.num_agents),
+    "sample_profile_payoffs-episodes1": lambda spec, p: sample_profile_payoffs(
+        spec, p, 1, np.random.default_rng(0)),
+    "sample_profile_payoffs-episodes0": lambda spec, p: sample_profile_payoffs(
+        spec, p, 0, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+@pytest.mark.parametrize("spec", [prisoners_dilemma(), one_shot_pgg(3, 2.0)],
+                         ids=lambda spec: spec.name)
+def test_bad_query_argument_is_rejected(spec, case):
+    with pytest.raises(ContractError):
+        BAD_ARGUMENTS[case](spec, uniform_profile(spec, mediated=True))
+
+
 def test_iterative_pgg_is_unsupported_before_the_profile_is_checked():
     misfit = MixedProfile(agent_policies=[[np.array([1.0])]])
     for query in ("expected_payoffs", "best_response_gap",
@@ -402,6 +433,12 @@ MONTE_CARLO_CASES = {
     # Mid-window, locked-out agent 0 has no env mass and plays uniformly.
     "pd2-k2-no-env-mass": (2, lambda: pd2_profile(
         [np.array([0.0, 0.0, 1.0]), np.array([0.1, 0.6, 0.3])])),
+    # Unmediated: no coalition forms, and mid-window nobody may commit.
+    "pds-unmediated": (1, lambda: (pd_with_sacrifice(), MixedProfile(
+        agent_policies=[[np.array([0.6, 0.4]), np.array([0.2, 0.5, 0.3])]]))),
+    "pd2-k2-unmediated": (2, lambda: (two_step_pd(), MixedProfile(
+        agent_policies=[[np.array([0.3, 0.7]), np.array([0.8, 0.2])],
+                        [np.array([0.5, 0.5]), np.array([0.1, 0.9])]]))),
 }
 
 
@@ -415,6 +452,13 @@ def test_monte_carlo_windowed_protocol_matches_exact(case):
     exact = expected_payoffs(spec, profile, k)
     mean, stderr = sample_profile_payoffs(spec, profile, 100_000, rng, k)
     np.testing.assert_array_less(np.abs(mean - exact), 4.0 * stderr + 1e-12)
+
+
+def test_copy_mediator_refuses_the_one_shot_pgg():
+    # Its mediator is by coalition size; the copy mediator is per member.
+    spec = one_shot_pgg(3, 2.0)
+    with pytest.raises(ContractError, match="by-size"):
+        mediator_copy_profile(spec, uniform_profile(spec, mediated=True))
 
 
 def test_copy_mediator_is_value_neutral():
