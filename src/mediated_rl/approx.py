@@ -167,18 +167,22 @@ def masked_entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one action per row (actions along the last axis), one uniform per
-    row in C order. Zero-probability actions are never drawn.
+    """Draw one action per row (actions along the last axis), one uniform u
+    per row in C order. Zero-probability actions, such as padding and
+    masked actions, are never drawn.
 
-    The draw is the number of running sums below the uniform, capped at the
-    last action in case rounding leaves the total below it.
+    The draw counts the running sums at or below u, so it passes over zero
+    columns; only sums short of the total count, so when rounding leaves
+    the total at or below u the draw stops at the column that reaches it.
     """
     u = rng.random(probs.shape[:-1])
-    cdf = probs[..., 0].copy()
-    draw = np.zeros(u.shape, dtype=np.int64)
+    sums = [probs[..., 0]]
     for a in range(1, probs.shape[-1]):
-        draw += cdf < u
-        cdf += probs[..., a]
+        sums.append(sums[-1] + probs[..., a])
+    total = sums.pop()
+    draw = np.zeros(u.shape, dtype=np.int64)
+    for running in sums:
+        draw += (running <= u) & (running < total)
     return draw
 
 

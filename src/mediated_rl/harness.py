@@ -161,8 +161,8 @@ def default_config(env: str, mediator_mode: str = "none", k: int = 1,
 
 @dataclass
 class RunReport:
-    """Metrics of one seeded run. Wall clock is excluded from equality so
-    identical (config, seed) runs compare equal."""
+    """Metrics and logged ``history`` of one seeded run. Wall clock is
+    excluded from equality so identical (config, seed) runs compare equal."""
 
     env: str
     mediator_mode: str
@@ -170,8 +170,6 @@ class RunReport:
     seed: int
     iterations: int
     metrics: dict[str, float]
-    lambda_ic: list[list[float]] | None = None
-    lambda_e: list[list[float]] | None = None
     history: list[dict] = field(default_factory=list)
     wall_clock_s: float = field(default=0.0, compare=False)
     aborted: bool = False
@@ -227,9 +225,6 @@ def train(config: RunConfig, seed: int) -> RunReport:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     agents, mediator = _build_learners(config, spec, rng)
-    constrained = config.mediator_mode == "constrained"
-    lambda_ic: list[list[float]] | None = [] if constrained else None
-    lambda_e: list[list[float]] | None = [] if constrained else None
     history: list[dict] = []
     aborted = False
     abort_reason = ""
@@ -237,9 +232,6 @@ def train(config: RunConfig, seed: int) -> RunReport:
     try:
         for it in range(config.iterations):
             entry = _train_iteration(config, spec, agents, mediator, rng, it)
-            if constrained:
-                lambda_ic.append(mediator.lagrange.lambda_ic.tolist())
-                lambda_e.append(mediator.lagrange.lambda_e.tolist())
             if entry is not None:
                 history.append(entry)
     except TrainingDiverged as exc:
@@ -254,8 +246,7 @@ def train(config: RunConfig, seed: int) -> RunReport:
     return RunReport(
         env=config.env, mediator_mode=config.mediator_mode, k=config.k,
         seed=seed, iterations=config.iterations, metrics=metrics,
-        lambda_ic=lambda_ic, lambda_e=lambda_e, history=history,
-        wall_clock_s=time.perf_counter() - start,
+        history=history, wall_clock_s=time.perf_counter() - start,
         aborted=aborted, abort_reason=abort_reason)
 
 
@@ -265,8 +256,10 @@ def _train_iteration(config: RunConfig, spec: PayoffSpec,
                      rng: np.random.Generator, it: int) -> dict | None:
     """Sample one batch and take one gradient step per network on it.
 
-    Returns the history entry on logged iterations. The batch and the
-    activations it caches are released on return, before the next sample.
+    Returns the history record on logged iterations: ``iteration``,
+    ``mean_reward``, ``commit_rate`` and all a mediator's update returns.
+    The batch and its cached activations are freed on return, before the
+    next sample.
     """
     traj = sample_batch(spec, config.k, agents, mediator, config.batch_size, rng)
     beta_agent = config.agent.entropy.coef(it)

@@ -228,7 +228,7 @@ class MediatorLearner:
         return deltas, cache
 
     def update(self, batch: MediatorBatch, beta: float,
-               k: int) -> dict[str, float]:
+               k: int) -> dict[str, float | list[float | None]]:
         """Critic step, actor step for every coalition head, then the dual
         step if the mediator is constrained.
 
@@ -236,6 +236,10 @@ class MediatorLearner:
         signal in the critic loss. Lagrange multipliers update once per call,
         from window-aggregated counterfactual value gaps averaged over the
         batch, only for agents observed on the relevant side of the coalition.
+
+        Returns the losses; a constrained mediator adds per-agent lists of the
+        gaps behind the dual step (``ic_gap``, ``e_gap``, None where it skipped
+        an agent) and of the multipliers after it (``lambda_ic``, ``lambda_e``).
         """
         deltas, cache = self.td_residuals(batch)
         s = deltas.shape[0]
@@ -261,7 +265,12 @@ class MediatorLearner:
             stats["actor_loss"] = actor_loss
 
         if self.lagrange is not None:
-            self.lagrange.apply(*self._constraint_gaps(batch, k))
+            ic_gaps, ic_valid, e_gaps, e_valid = self._constraint_gaps(batch, k)
+            self.lagrange.apply(ic_gaps, ic_valid, e_gaps, e_valid)
+            stats.update(ic_gap=np.where(ic_valid, ic_gaps, None).tolist(),
+                         e_gap=np.where(e_valid, e_gaps, None).tolist(),
+                         lambda_ic=self.lagrange.lambda_ic.tolist(),
+                         lambda_e=self.lagrange.lambda_e.tolist())
         return stats
 
     def _critic_upstream(self, deltas: np.ndarray, member: np.ndarray,

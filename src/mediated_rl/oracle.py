@@ -22,12 +22,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import games
+from .approx import sample_categorical
 from .errors import ConfigError, ContractError, UnsupportedGameError
 from .games import GameKind, PayoffSpec
 from .mediation import (COMMITTED, LOCKED_OUT, joint_env_actions,
                         legal_action_mask_batch, next_coalition,
                         window_statuses)
-from .rollout import sample_agent_actions
 
 DIST_TOL = 5e-12
 
@@ -470,8 +470,8 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
 
     Episodes run the steps the exact evaluation enumerates, drawing where it
     branches: statuses, the profile restricted to what each status allows,
-    one padded draw for all agents, coalition update, the mediator's draws
-    per coalition, and joint-action assembly.
+    one padded draw for all agents, coalition update, the mediator's draws,
+    and joint-action assembly.
     """
     _check_query(spec, profile, k)
     _check_int("episodes", episodes, 2)
@@ -483,27 +483,31 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
     for t in range(spec.horizon):
         probs = _restrict(policies[t, :, None, :],
                           window_statuses(coalition, t, k).T, env_actions[:, None])
-        choices = sample_agent_actions(probs, env_actions + profile.mediated, rng).T
+        choices = sample_categorical(probs, rng).T
         coalition = next_coalition(coalition, choices, t, k, env_actions)
-        # Coalitions in bit-row order, members in turn, each drawing its rows.
-        codes = _codes(coalition)
-        order = np.argsort(codes, kind="stable")
-        starts = np.unique(codes[order], return_index=True)[1]
-        present = coalition[order[starts]]
-        med_actions = np.full((episodes, n), -1, dtype=np.int64)
-        for rows, bits, dists in zip(np.split(order, starts[1:]), present,
-                                     _member_dists(spec, profile, t, present)):
-            members = np.flatnonzero(bits)
-            med_actions[np.ix_(rows, members)] = sample_agent_actions(
-                np.broadcast_to(dists[members, None], (members.size, rows.size,
-                                                       dists.shape[-1])),
-                env_actions[members], rng).T
+        med_actions = _sample_mediator(spec, profile, t, coalition, rng)
         rewards, _ = games.step_batch(
             spec, t, None, joint_env_actions(choices, med_actions, coalition))
         totals += rewards
     mean = totals.mean(axis=0)
     stderr = totals.std(axis=0, ddof=1) / np.sqrt(episodes)
     return mean, stderr
+
+
+def _sample_mediator(spec: PayoffSpec, profile: MixedProfile, t: int,
+                     coalition: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The mediator's env actions for coalitions (E, N) in state t, -1 outside
+    them. One draw serves every member of every coalition present, ordered by
+    coalition (bit-row order), member and row; each uses its own coalition."""
+    _, first, group = np.unique(_codes(coalition), return_index=True,
+                                return_inverse=True)
+    rows, members = np.nonzero(coalition)
+    order = np.lexsort((rows, members, group[rows]))
+    rows, members = rows[order], members[order]
+    dists = _member_dists(spec, profile, t, coalition[first])
+    med_actions = np.full(coalition.shape, -1, dtype=np.int64)
+    med_actions[rows, members] = sample_categorical(dists[group[rows], members], rng)
+    return med_actions
 
 
 def mediator_copy_profile(spec: PayoffSpec,

@@ -68,17 +68,6 @@ def _stack_steps(steps: list[list[np.ndarray]],
     return stacked
 
 
-def sample_agent_actions(probs: np.ndarray, num_actions: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-    """One action per agent and episode from padded policies (N, B, A_max).
-
-    Draws run agent-major, as if each agent sampled its batch in turn, and
-    each agent's draw is capped at its own last action, so padding is never
-    drawn even when rounding leaves a row's total below the uniform.
-    """
-    return np.minimum(sample_categorical(probs, rng), num_actions[:, None] - 1)
-
-
 def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
                  mediator: MediatorLearner | None, batch: int,
                  rng: np.random.Generator) -> TrajectoryBatch:
@@ -86,9 +75,10 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
 
     At each step every agent's actor runs once on its rows, and one masked
     softmax and one draw serve all agents. Policies with fewer actions are
-    padded with illegal columns; draws stay agent-major (agent 0's batch
-    first), as if each agent sampled in turn. Each network's forward caches
-    are kept per step and stacked once, after the last step.
+    padded with zero-probability columns, which are never drawn; draws stay
+    agent-major (agent 0's batch first), as if each agent sampled in turn.
+    Each network's forward caches are kept per step and stacked once, after
+    the last step.
     """
     t_max, n = spec.horizon, spec.num_agents
     mediated = mediator is not None
@@ -128,7 +118,7 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
                  if mediated else open_masks)
         probs = masked_softmax(logits, masks)
         agent_probs.append(probs)
-        choice[t] = sample_agent_actions(probs, num_actions, rng).T
+        choice[t] = sample_categorical(probs, rng).T
         if mediated:
             coalition = next_coalition(coalition, choice[t], t, k, commit_ids)
             member[t] = coalition

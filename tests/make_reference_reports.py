@@ -10,7 +10,9 @@ metrics, which name what moved when a digest changes. Digests are compared
 rather than reports because a NaN metric never equals itself.
 
 A refactor leaves the fixture unchanged. A change that alters training on
-purpose regenerates it and names every config that moved, with the reason.
+purpose regenerates it and names every config that moved, with the reason;
+the script prints the configs whose digests moved and the final metrics
+that changed in each.
 """
 
 from __future__ import annotations
@@ -67,11 +69,25 @@ def reference_pin(name: str) -> dict:
     return {"digest": report_digest(report), "metrics": report.metrics}
 
 
+def moved_metrics(old: dict, new: dict) -> list[str]:
+    """Metric names whose value changed, appeared or disappeared. Values
+    compare as JSON text, where NaN equals NaN."""
+    return sorted(key for key in old.keys() | new.keys()
+                  if json.dumps(old.get(key)) != json.dumps(new.get(key)))
+
+
 def main() -> None:
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     pins = {name: reference_pin(name) for name in REFERENCE_CONFIGS}
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE} ({len(pins)} configs)")
+    for name, pin in pins.items():
+        before = old.get(name, {"digest": None, "metrics": {}})
+        if pin["digest"] != before["digest"]:
+            changed = moved_metrics(before["metrics"], pin["metrics"])
+            print(f"  moved {name}: changed final metrics "
+                  + (", ".join(changed) or "none"))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Gradient and policy-head checks for the function approximator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,18 @@ def test_masked_actions_never_sampled():
                            np.repeat(mask, 1000, axis=0))
     draws = sample_categorical(probs, rng)
     assert not np.any(draws == 1)
+
+
+@pytest.mark.parametrize("row,u", [
+    # A committed agent's policy, and the lowest uniform.
+    ([0.0, 0.0, 1.0], 0.0),
+    # A padded row whose total rounds below the highest uniform.
+    ([0.25, 0.75 - 2.0 ** -52, 0.0], 1.0 - 2.0 ** -53),
+], ids=["zero-uniform", "total-below-uniform"])
+def test_zero_probability_columns_never_drawn(row, u):
+    stub = SimpleNamespace(random=lambda shape: np.full(shape, u))
+    draw = sample_categorical(np.array([row]), stub)[0]
+    assert row[draw] > 0.0
 
 
 def test_policy_logit_grad_zero_weight_zero_beta_is_zero():

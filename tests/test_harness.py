@@ -2,6 +2,7 @@
 
 import collections
 import json
+import re
 import textwrap
 from dataclasses import replace
 
@@ -385,13 +386,38 @@ def test_zero_iterations_reports_near_uniform_policies():
 
 
 def test_lambda_history_logged_every_iteration():
-    config = tiny_config("pgg", "constrained", iterations=7)
+    config = tiny_config("pgg", "constrained", iterations=7, log_every=1)
     report = train(config, seed=1)
-    assert len(report.lambda_ic) == 7
-    assert len(report.lambda_e) == 7
-    assert all(len(row) == config.num_agents for row in report.lambda_ic)
-    naive = train(tiny_config("pgg", "naive", iterations=3), seed=1)
-    assert naive.lambda_ic is None
+    assert [record["iteration"] for record in report.history] == list(range(7))
+    for record in report.history:
+        for key in ("lambda_ic", "lambda_e"):
+            assert len(record[key]) == config.num_agents
+            assert all(type(value) is float for value in record[key])
+        for key in ("ic_gap", "e_gap"):
+            assert len(record[key]) == config.num_agents
+            assert all(value is None or type(value) is float
+                       for value in record[key])
+    # The last record holds the multipliers the final metrics report.
+    assert report.history[-1]["lambda_ic"] == [
+        report.metrics[f"lambda_ic/agent{i}"] for i in range(config.num_agents)]
+    naive = train(tiny_config("pgg", "naive", iterations=3, log_every=1), seed=1)
+    assert len(naive.history) == 3
+    assert not any(key in record for record in naive.history
+                   for key in ("lambda_ic", "lambda_e", "ic_gap", "e_gap"))
+
+
+def test_constrained_report_does_not_grow_with_iterations():
+    # With the history off, a report holds its final metrics only. Each
+    # number counts as one character, so the lengths compare what the
+    # reports hold, not how many digits their floats print with.
+    def json_length(iterations):
+        config = tiny_config("pgg", "constrained", iterations=iterations,
+                             log_every=0)
+        text = emit(train(config, seed=0), "json")
+        return len(re.sub(r"-?\d+(\.\d+)?([eE][-+]?\d+)?", "0", text))
+
+    short, long = json_length(5), json_length(50)
+    assert abs(long - short) <= 0.01 * short
 
 
 def test_each_network_sees_each_row_once_per_iteration(monkeypatch):
@@ -521,8 +547,16 @@ def test_sweep_flags_failed_seeds(monkeypatch):
 # Emission
 
 
-def test_emit_json_round_trip(tmp_path):
-    report = train(tiny_config(iterations=3), seed=0)
+@pytest.mark.parametrize("env,mode,batch_size", [
+    ("pd", "naive", 16), ("pgg", "constrained", 1)], ids=["naive", "constrained"])
+def test_emit_json_round_trip(tmp_path, env, mode, batch_size):
+    # One episode per batch leaves each agent on one side of the coalition,
+    # so every constrained record holds None for a gap the dual step skipped.
+    report = train(tiny_config(env, mode, iterations=3, batch_size=batch_size,
+                               log_every=1), seed=0)
+    if mode == "constrained":
+        assert all(None in record["ic_gap"] + record["e_gap"]
+                   for record in report.history)
     path = tmp_path / "report.json"
     text = emit(report, "json", str(path))
     parsed = RunReport(**json.loads(path.read_text()))

@@ -377,12 +377,30 @@ def test_monte_carlo_matches_exact_expectations():
     np.testing.assert_array_less(np.abs(mean - exact), 3.0 * stderr + 1e-12)
 
 
-def test_monte_carlo_pgg_matches_exact():
-    rng = np.random.default_rng(7)
-    spec = one_shot_pgg(3, 2.0)
-    profile = MixedProfile(
+def asymmetric_pgg_profile():
+    """Eight agents that each commit and contribute at their own rates,
+    under a mediator whose contribute probability rises with the size."""
+    commit = np.linspace(0.1, 0.8, 8)
+    coop = (1.0 - commit) * np.linspace(0.9, 0.2, 8)
+    return one_shot_pgg(8, 3.0), MixedProfile(
+        agent_policies=[[np.array([1.0 - c - m, c, m])
+                         for c, m in zip(coop, commit)]],
+        mediated=True, mediator_by_size=np.linspace(0.0, 1.0, 9) ** 2)
+
+
+PGG_MONTE_CARLO_CASES = {
+    "n3": lambda: (one_shot_pgg(3, 2.0), MixedProfile(
         agent_policies=[[np.array([0.3, 0.2, 0.5])] * 3],
-        mediated=True, mediator_by_size=np.array([0.0, 0.1, 0.75, 1.0]))
+        mediated=True, mediator_by_size=np.array([0.0, 0.1, 0.75, 1.0]))),
+    # Rows of one coalition size have different members.
+    "n8-asymmetric": asymmetric_pgg_profile,
+}
+
+
+@pytest.mark.parametrize("case", list(PGG_MONTE_CARLO_CASES))
+def test_monte_carlo_pgg_matches_exact(case):
+    rng = np.random.default_rng(7)
+    spec, profile = PGG_MONTE_CARLO_CASES[case]()
     exact = expected_payoffs(spec, profile)
     mean, stderr = sample_profile_payoffs(spec, profile, 100_000, rng)
     np.testing.assert_array_less(np.abs(mean - exact), 3.0 * stderr + 1e-12)

@@ -1,5 +1,7 @@
 """Trajectory sampling protocol and training-batch assembly."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from mediated_rl.approx import (EntropySchedule, masked_softmax, policy_loss,
 from mediated_rl.harness import _build_learners, default_config
 from mediated_rl.mediation import FREE, legal_action_mask_batch
 from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
-                                 sample_agent_actions, sample_batch,
-                                 window_reward_sums)
+                                 sample_batch, window_reward_sums)
 
 
 def learners_for(env, mediator_mode="naive", k=1, num_agents=None, seed=0):
@@ -293,19 +294,32 @@ def test_rollout_draws_match_per_agent_reference(env, mode, k):
 
 def test_agent_draws_match_per_agent_sampling():
     # pds-like padding: agent 0 has 3 actions padded to 4, agent 1 has 4.
-    # Rows summing below 1 stand in for rounding: the cap keeps agent 0
-    # off its padding column, as its own unpadded draw would.
+    # Rows summing below 1 stand in for rounding: agent 0 never draws its
+    # padding column, and each agent draws what its own unpadded draw would.
     rng = np.random.default_rng(0)
     probs = rng.dirichlet(np.ones(4), size=(2, 500))
     probs[0, :, 3] = 0.0
     probs[:, ::2] *= 0.8
     num_actions = np.array([3, 4])
-    joint = sample_agent_actions(probs, num_actions, np.random.default_rng(1))
+    joint = sample_categorical(probs, np.random.default_rng(1))
     reference_rng = np.random.default_rng(1)
     for i, a in enumerate(num_actions):
         np.testing.assert_array_equal(
             joint[i], sample_categorical(probs[i, :, :a], reference_rng))
     assert joint[0].max() == 2
+
+
+def test_committed_agents_keep_committing_on_a_zero_uniform():
+    # pd2 with k = 2: a high uniform makes both agents commit at step 0, so
+    # at step 1 their policies are [0, 0, 1]. A uniform of 0.0 there must
+    # still draw the commit, not the zero-probability column 0.
+    _, spec, _, agents, mediator = learners_for("pd2", "naive", k=2)
+    # One uniform per draw: agents, mediator, agents, mediator.
+    uniforms = iter([0.99, 0.5, 0.0, 0.5])
+    stub = SimpleNamespace(random=lambda shape: np.full(shape, next(uniforms)))
+    traj = sample_batch(spec, 2, agents, mediator, 8, stub)
+    assert traj.member.all()
+    np.testing.assert_array_equal(traj.choice, 2)
 
 
 def fresh_agent_pass(traj, agent):
