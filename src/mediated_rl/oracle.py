@@ -10,16 +10,17 @@ with one restriction of the profile to what each status allows and one
 lookup of the mediator's per-member distributions; the exact evaluation
 enumerates every positive-weight branch where the sampler draws. The one-shot
 public goods game exploits agent symmetry (coalition sizes instead of
-subsets) to stay polynomial in N.
+subsets) to stay polynomial in N. The exact evaluation takes a stack of agent
+policies against one mediator, so a query evaluates the profile and all of
+its deviations in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import games
 from .approx import sample_categorical
@@ -123,16 +124,6 @@ class MixedProfile:
                             + "".join(map(str, bits)))
 
 
-def _with_policy(profile: MixedProfile, agent: int,
-                 plan: list[np.ndarray]) -> MixedProfile:
-    """The profile with ``agent`` playing ``plan[t]`` in state t; ``plan``
-    may be shorter than the horizon, leaving later states as they were."""
-    return replace(profile, agent_policies=[
-        [plan[t] if (i == agent and t < len(plan)) else p
-         for i, p in enumerate(state)]
-        for t, state in enumerate(profile.agent_policies)])
-
-
 def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
     """Raise unless ``value`` is an integer in [low, high)."""
     if not isinstance(value, (int, np.integer)) or not low <= value < high:
@@ -189,15 +180,18 @@ def expected_payoffs(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
     policies in the iterative PGG have no closed form here.
     """
     _check_query(spec, profile, k)
-    return _expected(spec, profile, k, gamma)
+    return _expected(spec, profile, _padded_policies(spec, profile)[None],
+                     k, gamma)[0]
 
 
-def _expected(spec: PayoffSpec, profile: MixedProfile, k: int,
-              gamma: float) -> np.ndarray:
-    """``expected_payoffs`` of a profile already checked against the game."""
+def _expected(spec: PayoffSpec, profile: MixedProfile, policies: np.ndarray,
+              k: int, gamma: float) -> np.ndarray:
+    """Expected payoffs (P, N) of a stack of padded agent policies
+    (P, T, N, A+1), each played against the mediator of ``profile``, a
+    profile already checked against the game."""
     if spec.kind is GameKind.ONE_SHOT_PGG:
-        return _pgg_expected(spec, profile)
-    return _matrix_expected(spec, profile, k, gamma)
+        return _pgg_expected(spec, profile, policies)
+    return _matrix_expected(spec, profile, policies, k, gamma)
 
 
 def _padded_policies(spec: PayoffSpec, profile: MixedProfile) -> np.ndarray:
@@ -226,17 +220,21 @@ def _member_dists(spec: PayoffSpec, profile: MixedProfile, t: int,
                   coalitions: np.ndarray) -> np.ndarray:
     """The mediator's (C, N, A) distributions over env actions for coalitions
     (C, N) in state t, from its table or by size. Non-members get a point
-    mass on action 0, a placeholder that ``joint_env_actions`` ignores."""
+    mass on action 0, a placeholder that ``joint_env_actions`` ignores.
+    Each distinct coalition is looked up once."""
     if profile.mediator_by_size is not None:
         contribute = profile.mediator_by_size[coalitions.sum(axis=1)][:, None]
         contribute = np.where(coalitions, contribute, 0.0)
         return np.stack([1.0 - contribute, contribute], axis=-1)
-    out = np.zeros(coalitions.shape + (spec.max_actions,))
-    out[~coalitions, 0] = 1.0
-    for c, i in zip(*np.nonzero(coalitions)):
-        dist = profile.mediator_by_coalition[t][tuple(map(int, coalitions[c]))][i]
+    _, first, inverse = np.unique(_codes(coalitions), return_index=True,
+                                  return_inverse=True)
+    distinct = coalitions[first]
+    out = np.zeros(distinct.shape + (spec.max_actions,))
+    out[~distinct, 0] = 1.0
+    for c, i in zip(*np.nonzero(distinct)):
+        dist = profile.mediator_by_coalition[t][tuple(map(int, distinct[c]))][i]
         out[c, i, :dist.shape[0]] = dist
-    return out
+    return out[inverse]
 
 
 def _codes(coalitions: np.ndarray) -> np.ndarray:
@@ -254,55 +252,60 @@ def _branches(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, grid[cols], probs[rows, cols]
 
 
-def _matrix_expected(spec: PayoffSpec, profile: MixedProfile, k: int,
-                     gamma: float) -> np.ndarray:
-    """Walk the horizon forward over a distribution of coalitions, running
-    the rollout's protocol steps on every positive-weight branch of the
-    agents' choices and then of the mediator's actions. Branches merge by
-    coalition after each step, because the future depends on it alone."""
+def _matrix_expected(spec: PayoffSpec, profile: MixedProfile,
+                     policies: np.ndarray, k: int, gamma: float) -> np.ndarray:
+    """Walk the horizon forward over a distribution of (stack index,
+    coalition) rows, running the rollout's protocol steps on every
+    positive-weight branch of the agents' choices and then of the mediator's
+    actions. Branches merge by index and coalition after each step, because
+    the future depends on them alone."""
     n = spec.num_agents
     env_actions = np.asarray(spec.num_actions)
-    policies = _padded_policies(spec, profile)
-    coalitions, weights = np.zeros((1, n), dtype=bool), np.ones(1)
-    total = np.zeros(n)
+    index = np.arange(policies.shape[0])
+    coalitions = np.zeros((index.size, n), dtype=bool)
+    weights = np.ones(index.size)
+    total = np.zeros((index.size, n))
     for t in range(spec.horizon):
         rows, choices, probs = _branches(_restrict(
-            policies[t], window_statuses(coalitions, t, k), env_actions))
+            policies[index, t], window_statuses(coalitions, t, k), env_actions))
         coalition = next_coalition(coalitions[rows], choices, t, k, env_actions)
-        weight = weights[rows] * probs
+        weight, index = weights[rows] * probs, index[rows]
         rows, med_actions, probs = _branches(
             _member_dists(spec, profile, t, coalition))
         rewards, _ = games.step_batch(spec, t, None, joint_env_actions(
             choices[rows], med_actions, coalition[rows]))
-        total += gamma ** t * ((weight[rows] * probs) @ rewards)
-        _, first, merged = np.unique(_codes(coalition), return_index=True,
-                                     return_inverse=True)
-        coalitions, weights = coalition[first], np.bincount(merged, weight)
+        np.add.at(total, index[rows],
+                  gamma ** t * (weight[rows] * probs)[:, None] * rewards)
+        # One key per (index, coalition): the index above the coalition bits.
+        _, first, merged = np.unique(index << n | _codes(coalition),
+                                     return_index=True, return_inverse=True)
+        coalitions, index = coalition[first], index[first]
+        weights = np.bincount(merged, weight)
     return total
 
 
-def _poisson_binomial(probs: np.ndarray) -> np.ndarray:
-    """Distribution of the number of successes among independent Bernoullis."""
-    dist = np.array([1.0])
-    for p in probs:
-        dist = np.convolve(dist, [1.0 - p, p])
-    return dist
-
-
-def _pgg_expected(spec: PayoffSpec, profile: MixedProfile) -> np.ndarray:
+def _pgg_expected(spec: PayoffSpec, profile: MixedProfile,
+                  policies: np.ndarray) -> np.ndarray:
+    """Closed form over coalition sizes: each agent contributes directly,
+    or commits and the mediator contributes with the probability for its
+    coalition's size, whose distribution is that of the number of other
+    agents committing, for every stacked profile and agent at once."""
     n_agents, mult = spec.num_agents, spec.multiplier
-    pols = profile.agent_policies[0]
-    direct = np.array([pol[games.COOPERATE] for pol in pols])
-    if not profile.mediated:
-        contrib = direct
-    else:
-        commit = np.array([pol[-1] for pol in pols])
-        contrib = np.empty(n_agents)
+    direct = policies[:, 0, :, games.COOPERATE]
+    contrib = direct
+    if profile.mediated:
+        commit = policies[:, 0, :, -1]
+        # joins[:, i, j]: the chance that agent j commits, 0 when j is i.
+        joins = (commit[:, None, :] * (1.0 - np.eye(n_agents)))[..., None]
+        stays = 1.0 - joins
+        others = np.zeros(commit.shape + (n_agents,))
+        others[..., 0] = 1.0
         for j in range(n_agents):
-            others = _poisson_binomial(np.delete(commit, j))
-            contrib[j] = direct[j] + commit[j] * float(
-                others @ profile.mediator_by_size[1:])
-    return (mult / n_agents) * contrib.sum() - contrib
+            moved = others[..., :-1] * joins[:, :, j]
+            others *= stays[:, :, j]
+            others[..., 1:] += moved
+        contrib = direct + commit * (others @ profile.mediator_by_size[1:])
+    return (mult / n_agents) * contrib.sum(axis=1, keepdims=True) - contrib
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +313,9 @@ def _pgg_expected(spec: PayoffSpec, profile: MixedProfile) -> np.ndarray:
 
 
 def _pure_plans(spec: PayoffSpec, profile: MixedProfile, agent: int,
-                k: int) -> list[list[np.ndarray]]:
-    """All pure strategies of one agent as per-state point distributions.
+                k: int) -> np.ndarray:
+    """All pure strategies of one agent as (P, T, A+1) point distributions,
+    padded like ``_padded_policies``.
 
     A plan picks, in each state, one of the actions legal to the agent
     outside the coalition: any head action at a window boundary, an env
@@ -319,22 +323,26 @@ def _pure_plans(spec: PayoffSpec, profile: MixedProfile, agent: int,
     no plan needs to fix it.
     """
     outside = np.zeros(1, dtype=bool)
-    options = []
-    for t, state in enumerate(profile.agent_policies):
-        arity = state[agent].shape[0]
-        legal = legal_action_mask_batch(window_statuses(outside, t, k)[0],
-                                        spec.num_actions[agent])
-        options.append(np.eye(arity)[legal[:arity]])
-    return [list(plan) for plan in itertools.product(*options)]
+    arity = spec.num_actions[agent] + profile.mediated
+    options = [np.flatnonzero(legal_action_mask_batch(
+                   window_statuses(outside, t, k)[0],
+                   spec.num_actions[agent])[:arity])
+               for t in range(spec.horizon)]
+    plans = np.array(list(itertools.product(*options)))
+    return np.eye(spec.max_actions + 1)[plans]
 
 
 def best_response_gap(spec: PayoffSpec, profile: MixedProfile, agent: int,
                       k: int = 1, gamma: float = 1.0) -> float:
-    """How much agent ``agent`` can gain by a pure deviation (>= 0)."""
+    """How much agent ``agent`` can gain by a pure deviation (>= 0). The
+    profile and every plan are evaluated in one stacked pass."""
     _check_query(spec, profile, k, agent)
-    best = max(_expected(spec, _with_policy(profile, agent, plan), k, gamma)[agent]
-               for plan in _pure_plans(spec, profile, agent, k))
-    return float(best - _expected(spec, profile, k, gamma)[agent])
+    plans = _pure_plans(spec, profile, agent, k)
+    stack = np.repeat(_padded_policies(spec, profile)[None], len(plans) + 1,
+                      axis=0)
+    stack[1:, :, agent] = plans
+    values = _expected(spec, profile, stack, k, gamma)[:, agent]
+    return float(values[1:].max() - values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +450,8 @@ def max_mediated_welfare(spec: PayoffSpec) -> tuple[float, np.ndarray]:
     nash = pure_nash_payoffs(spec)
     if not nash:
         raise UnsupportedGameError("no pure Nash fallback to anchor deviations")
+    from scipy.optimize import linprog  # a slow import, used only here
+
     fallback = np.max(np.stack(nash), axis=0)
     table = spec.payoff_tables[0]
     flat = table.reshape(-1, spec.num_agents)
@@ -545,9 +555,9 @@ def conditional_commit_values(spec: PayoffSpec, profile: MixedProfile,
     _check_query(spec, profile, k, agent)
     if not profile.mediated:
         raise ContractError("conditional commit values need a mediated profile")
-    branches = _restrict(profile.agent_policies[0][agent],
-                         np.array([COMMITTED, LOCKED_OUT]), spec.num_actions[agent])
-    commit, own = (float(_expected(spec, _with_policy(profile, agent, [branch]),
-                                   k, gamma)[agent])
-                   for branch in branches)
-    return commit, own
+    a = spec.num_actions[agent]
+    stack = np.repeat(_padded_policies(spec, profile)[None], 2, axis=0)
+    stack[:, 0, agent, :a + 1] = _restrict(
+        stack[0, 0, agent, :a + 1], np.array([COMMITTED, LOCKED_OUT]), a)
+    commit, own = _expected(spec, profile, stack, k, gamma)[:, agent]
+    return float(commit), float(own)

@@ -1,8 +1,15 @@
 """Exact-oracle checks: payoffs, best responses, optimal mediators."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mediated_rl
 from mediated_rl import games, oracle
 from mediated_rl.errors import ConfigError, ContractError, UnsupportedGameError
 from mediated_rl.games import (iterative_pgg, one_shot_pgg, pd_with_sacrifice,
@@ -60,6 +67,35 @@ def test_pgg_two_committers_and_free_rider():
         mediator_by_size=np.array([0.0, 0.0, 0.75, 1.0]))
     np.testing.assert_allclose(expected_payoffs(spec, profile),
                                (0.25, 0.25, 1.0))
+
+
+def brute_force_pgg_payoffs(spec, profile):
+    """Expected pgg payoffs by enumerating every joint choice of defect,
+    contribute and (when mediated) commit: a member of a coalition of size
+    s contributes with the mediator's probability for s."""
+    pols = profile.agent_policies[0]
+    total = np.zeros(spec.num_agents)
+    for joint in itertools.product(range(pols[0].size), repeat=spec.num_agents):
+        chance = np.prod([pol[c] for pol, c in zip(pols, joint)])
+        committed = [c == 2 for c in joint]
+        contrib = np.array([float(c == games.COOPERATE) for c in joint])
+        if profile.mediated:
+            contrib[committed] = profile.mediator_by_size[sum(committed)]
+        total += chance * (spec.multiplier / spec.num_agents * contrib.sum()
+                           - contrib)
+    return total
+
+
+@pytest.mark.parametrize("n_agents,mult", [(2, 1.5), (3, 2.0), (4, 3.0), (5, 2.0)])
+@pytest.mark.parametrize("mediated", [True, False])
+def test_pgg_payoffs_match_brute_force_enumeration(n_agents, mult, mediated):
+    spec = one_shot_pgg(n_agents, mult)
+    rng = np.random.default_rng(n_agents)
+    for fill in ("dense", "no-commit-mass", "no-env-mass"):
+        profile = random_profile(spec, mediated, rng, fill)
+        np.testing.assert_allclose(expected_payoffs(spec, profile),
+                                   brute_force_pgg_payoffs(spec, profile),
+                                   rtol=0, atol=1e-12)
 
 
 def test_expected_payoffs_iterative_pgg_unsupported():
@@ -211,6 +247,101 @@ def test_gap_nonnegative_for_random_profiles():
 
 
 # ---------------------------------------------------------------------------
+# Stacked evaluation against one profile at a time
+
+
+def random_profile(spec, mediated, rng, fill="dense"):
+    """Dirichlet agent policies and mediator tables. ``fill`` "no-commit-mass"
+    empties every commit entry; "no-env-mass" puts agent 0 on commit in every
+    state; "dense" leaves both."""
+    policies = []
+    for _ in range(spec.horizon):
+        state = [rng.dirichlet(np.ones(a + mediated)) for a in spec.num_actions]
+        if mediated and fill == "no-commit-mass":
+            state = [np.append(p[:-1], 0.0) / p[:-1].sum() for p in state]
+        if mediated and fill == "no-env-mass":
+            state[0] = np.eye(state[0].size)[-1]
+        policies.append(state)
+    if not mediated:
+        return MixedProfile(agent_policies=policies)
+    if spec.kind is games.GameKind.ONE_SHOT_PGG:
+        return MixedProfile(agent_policies=policies, mediated=True,
+                            mediator_by_size=rng.random(spec.num_agents + 1))
+    return MixedProfile(agent_policies=policies, mediated=True,
+                        mediator_by_coalition=oracle._coalition_tables(
+                            spec, lambda t, i: rng.dirichlet(
+                                np.ones(spec.num_actions[i]))))
+
+
+def deviated(profile, agent, plan):
+    """The profile with ``agent`` playing ``plan[t]`` in state t."""
+    return MixedProfile(
+        agent_policies=[[plan[t] if i == agent else p for i, p in enumerate(state)]
+                        for t, state in enumerate(profile.agent_policies)],
+        mediated=profile.mediated,
+        mediator_by_coalition=profile.mediator_by_coalition,
+        mediator_by_size=profile.mediator_by_size)
+
+
+def one_at_a_time_gap(spec, profile, agent, k, gamma):
+    """Best pure deviation minus the profile's value, one profile per plan:
+    any action at a window boundary, an env action mid-window."""
+    arity = spec.num_actions[agent] + profile.mediated
+    options = [range(arity if t % k == 0 else spec.num_actions[agent])
+               for t in range(spec.horizon)]
+    best = max(expected_payoffs(spec, deviated(
+                   profile, agent, [np.eye(arity)[c] for c in plan]),
+                   k, gamma)[agent]
+               for plan in itertools.product(*options))
+    return best - expected_payoffs(spec, profile, k, gamma)[agent]
+
+
+def one_at_a_time_commit_values(spec, profile, agent, k, gamma):
+    """The agent's value when its first-state policy commits, and when it
+    plays its env part renormalized (uniform if it has no env mass)."""
+    first = profile.agent_policies[0][agent]
+    env = first[:-1] if first[:-1].sum() > 0 else np.ones(first.size - 1)
+    branches = (np.eye(first.size)[-1], np.append(env / env.sum(), 0.0))
+    later = profile.agent_policies[1:]
+    return [expected_payoffs(spec, deviated(
+                profile, agent, [branch] + [state[agent] for state in later]),
+                k, gamma)[agent]
+            for branch in branches]
+
+
+# name -> (spec, k, gamma)
+STACKED_CASES = {
+    "pd": (prisoners_dilemma(), 1, 1.0),
+    "pds": (pd_with_sacrifice(), 1, 1.0),
+    "pd2-k1": (two_step_pd(), 1, 0.99),
+    "pd2-k2": (two_step_pd(), 2, 0.99),
+    "pgg-n3": (one_shot_pgg(3, 2.0), 1, 1.0),
+    "pgg-n5": (one_shot_pgg(5, 2.0), 1, 1.0),
+    "pgg-n8": (one_shot_pgg(8, 3.0), 1, 1.0),
+}
+
+
+@pytest.mark.parametrize("fill", ["dense", "no-commit-mass", "no-env-mass",
+                                  "unmediated"])
+@pytest.mark.parametrize("case", list(STACKED_CASES))
+def test_stacked_queries_match_one_profile_at_a_time(case, fill):
+    spec, k, gamma = STACKED_CASES[case]
+    mediated = fill != "unmediated"
+    rng = np.random.default_rng(list(STACKED_CASES).index(case))
+    for _ in range(3):
+        profile = random_profile(spec, mediated, rng, fill)
+        for agent in range(spec.num_agents):
+            assert best_response_gap(spec, profile, agent, k, gamma) == \
+                pytest.approx(one_at_a_time_gap(spec, profile, agent, k, gamma),
+                              rel=0, abs=1e-12)
+            if mediated:
+                np.testing.assert_allclose(
+                    oracle.conditional_commit_values(spec, profile, agent, k, gamma),
+                    one_at_a_time_commit_values(spec, profile, agent, k, gamma),
+                    rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Optimal constrained PGG mediator
 
 
@@ -318,6 +449,19 @@ def test_max_mediated_welfare_pd():
     welfare, dist = max_mediated_welfare(prisoners_dilemma())
     assert welfare == pytest.approx(4.0)
     assert dist[1, 1] == pytest.approx(1.0)
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes most of the package's import time; only the
+    # welfare LP needs it, and imports it when called.
+    src = str(Path(mediated_rl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mediated_rl; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_max_mediated_welfare_pds_mixes_cooperation_and_sacrifice():
