@@ -1,10 +1,11 @@
-"""Independent per-agent actor-critic learners.
+"""Independent per-agent actor-critic learners, trained as one stack.
 
 Each agent owns a policy network over (env actions + commit), a value
-network, and their optimizers; nothing is shared across agents. Training is
-commit-aware: when the commitment window k exceeds 1, the step on which an
-agent commits is trained with the k-step temporal difference, and the
-mid-window steps where the mediator acted for it are excluded entirely.
+network, and their optimizer state, as slice i of one stacked actor, critic
+and Adam per role; nothing is shared across slices. Training is commit-aware:
+when the commitment window k exceeds 1, the step on which an agent commits is
+trained with the k-step temporal difference, and the mid-window steps where
+the mediator acted for it carry weight 0.
 """
 
 from __future__ import annotations
@@ -33,25 +34,27 @@ class LearnerParams:
 
 @dataclass
 class AgentBatch:
-    """Trainable step records for one agent in one training iteration.
+    """Every agent's records of one training iteration: one per step, R in
+    all, in flat order t * batch + b; ``keep`` flags the trainable ones.
 
     ``reward_sum`` holds the plain reward for 1-step targets and the
     discounted within-window sum for commit decisions with k > 1;
-    ``bootstrap_coef`` is the matching gamma power of the value at record
+    ``bootstrap_coef`` is the matching gamma power of the value at step
     ``boot_rows``, zero at episode end. The actor activations and policy are
-    the ones the rollout sampled with at these steps.
+    the ones the rollout sampled with.
     """
 
-    critic_obs: np.ndarray      # (M, base_dim)
-    actions: np.ndarray         # (M,)
-    reward_sum: np.ndarray      # (M,)
-    boot_rows: np.ndarray       # (M,) record whose value bootstraps the target
-    bootstrap_coef: np.ndarray  # (M,)
-    actor_acts: list[np.ndarray]  # per layer, input first: (M, width)
-    probs: np.ndarray           # (M, num_actions) masked policy
+    critic_obs: np.ndarray      # (N, R, base_dim)
+    actions: np.ndarray         # (N, R)
+    reward_sum: np.ndarray      # (N, R)
+    boot_rows: np.ndarray       # (N, R) step whose value bootstraps the target
+    bootstrap_coef: np.ndarray  # (N, R)
+    keep: np.ndarray            # (N, R) bool: trainable
+    actor_acts: list[np.ndarray]  # per layer, input first: (N, R, width)
+    probs: np.ndarray           # (N, R, max actions) masked policy
 
-    def __len__(self) -> int:
-        return self.actions.shape[0]
+    def __len__(self) -> int:  # trainable records, over all agents
+        return int(self.keep.sum())
 
 
 def td_targets(critic: Mlp, batch: AgentBatch
@@ -62,8 +65,9 @@ def td_targets(critic: Mlp, batch: AgentBatch
     Targets carry no gradient: the bootstrap term is a constant.
     """
     out, cache = critic.forward_cached(batch.critic_obs)
-    values = out[:, 0]
-    targets = batch.reward_sum + batch.bootstrap_coef * values[batch.boot_rows]
+    values = out[..., 0]
+    targets = batch.reward_sum + batch.bootstrap_coef * np.take_along_axis(
+        values, batch.boot_rows, axis=1)
     return values, targets, cache
 
 
@@ -76,14 +80,21 @@ def filter_trainable_steps(statuses: np.ndarray) -> np.ndarray:
     return np.asarray(statuses) != COMMITTED
 
 
-class AgentLearner:
-    """One self-interested actor-critic learner. The critic sees the base
-    observation; the actor also sees the commitment status where it varies."""
+def _check_finite(losses: np.ndarray, what: str) -> None:
+    if not np.isfinite(losses).all():
+        first = np.argmin(np.isfinite(losses))
+        raise TrainingDiverged(f"agent {first} {what} loss non-finite")
 
-    def __init__(self, index: int, spec: PayoffSpec, params: LearnerParams,
+
+class AgentLearner:
+    """A seed's N self-interested actor-critic learners, stacked by agent.
+    The critic sees the base observation; the actor also sees the commitment
+    status where it varies."""
+
+    def __init__(self, spec: PayoffSpec, params: LearnerParams,
                  rng: np.random.Generator, mediated: bool = True, k: int = 1):
-        self.index = index
-        self.num_env_actions = spec.num_actions[index]
+        n = spec.num_agents
+        self.num_env_actions = np.asarray(spec.num_actions)
         self.mediated = mediated
         self.base_dim = obs_dim(spec)
         self.status_feature = mediated and spec.horizon > 1 and (
@@ -91,44 +102,52 @@ class AgentLearner:
         self.num_actions = self.num_env_actions + mediated
         h = params.hidden
         actor_dim = self.base_dim + self.status_feature
-        self.actor = Mlp((actor_dim, h, h, self.num_actions), rng)
-        self.critic = Mlp((self.base_dim, h, h, 1), rng)
-        self.actor_opt = Adam(self.actor.num_params, params.lr_actor)
-        self.critic_opt = Adam(self.critic.num_params, params.lr_critic)
+        self.actor = Mlp((actor_dim, h, h, self.num_actions.max()), stack=n)
+        self.critic = Mlp((self.base_dim, h, h, 1), stack=n)
+        for i in range(n):  # as separate networks draw, actor then critic
+            self.actor.draw(i, rng, self.num_actions[i])
+            self.critic.draw(i, rng)
+        self.actor_opt = Adam(self.actor.theta.shape, params.lr_actor)
+        self.critic_opt = Adam(self.critic.theta.shape, params.lr_critic)
 
     def actor_inputs(self, base: np.ndarray,
                      status: np.ndarray | int) -> np.ndarray:
-        """Actor rows (M, actor input width) from base observations
-        (M, obs_dim) and statuses (scalar or (M,))."""
-        out = np.empty((base.shape[0], self.actor.sizes[0]))
-        out[:, :self.base_dim] = base
+        """Actor rows (N, M, actor input width) from base observations
+        (M, N, obs_dim) and statuses (scalar or (M, N))."""
+        out = np.empty((base.shape[1], base.shape[0], self.actor.sizes[0]))
+        out[..., :self.base_dim] = base.swapaxes(0, 1)
         if self.status_feature:
-            out[:, self.base_dim] = status
+            out[..., self.base_dim] = np.transpose(status)
         return out
 
     def policy(self, base: np.ndarray, status: np.ndarray | int) -> np.ndarray:
-        """Masked policy (M, num_actions) at base observations (M, obs_dim)
-        under commitment statuses (scalar or (M,))."""
-        # Slicing drops the commit column an unmediated agent does not have.
-        masks = legal_action_mask_batch(status, self.num_env_actions)
+        """Masked policies (N, M, max actions, zero past an agent's own) at
+        observations (M, N, obs_dim) under statuses (scalar or (M, N))."""
         logits = self.actor.forward(self.actor_inputs(base, status))
-        return masked_softmax(logits, masks[..., :self.num_actions])
+        if self.mediated:
+            masks = legal_action_mask_batch(np.transpose(status),
+                                            self.num_env_actions[:, None])
+        else:
+            masks = np.arange(logits.shape[-1]) < self.num_actions[:, None, None]
+        return masked_softmax(logits, masks)
 
-    def update(self, batch: AgentBatch, beta: float) -> dict[str, float]:
-        """One gradient step on the critic and the actor from a full batch."""
+    def update(self, batch: AgentBatch, beta: float) -> dict[str, np.ndarray]:
+        """One gradient step on every critic and actor from a full batch;
+        returns the per-agent losses."""
         if len(batch) == 0:
-            return {"critic_loss": 0.0, "actor_loss": 0.0}
+            return dict.fromkeys(("critic_loss", "actor_loss"),
+                                 np.zeros(len(self.actor.theta)))
         values, targets, cache = td_targets(self.critic, batch)
         advantages = targets - values
-        c_loss = float(np.mean(advantages ** 2))
-        if not np.isfinite(c_loss):
-            raise TrainingDiverged(f"agent {self.index} critic loss non-finite")
-        c_grad = self.critic.backward(cache, value_grad(values, targets)[:, None])
+        c_loss = (advantages ** 2 * batch.keep).sum(axis=1) / batch.keep.sum(axis=1)
+        _check_finite(c_loss, "critic")
+        c_grad = self.critic.backward(
+            cache, value_grad(values, targets, batch.keep)[..., None])
+        del cache  # spent; free it before the actor's backward pass
         self.critic_opt.step(self.critic.theta, c_grad)
         # Advantages are constants: no gradient flows through the critic.
         a_loss, a_grad = policy_loss(self.actor, batch.actor_acts, batch.probs,
-                                     batch.actions, advantages, beta)
-        if not np.isfinite(a_loss):
-            raise TrainingDiverged(f"agent {self.index} actor loss non-finite")
+                                     batch.actions, advantages, beta, batch.keep)
+        _check_finite(a_loss, "actor")
         self.actor_opt.step(self.actor.theta, a_grad)
         return {"critic_loss": c_loss, "actor_loss": a_loss}

@@ -1,7 +1,7 @@
 """Minimal feed-forward function approximation with exact analytic gradients.
 
-Everything a learner needs and nothing more: a two-hidden-layer tanh
-network stored as one flat parameter vector, an Adam-style optimizer,
+Everything a learner needs and nothing more: a stack of two-hidden-layer
+tanh networks, one parameter row per network, an Adam-style optimizer,
 masked-softmax policy heads, and entropy-coefficient schedules. No ML
 framework; gradients are hand-derived and checked against finite
 differences in the test suite.
@@ -19,40 +19,48 @@ NEG_INF = -np.inf
 
 
 class Mlp:
-    """Fully-connected network: input -> tanh hidden -> tanh hidden -> linear output.
+    """A stack of S independent networks of one shape: input -> tanh hidden
+    -> tanh hidden -> linear output.
 
-    Parameters live in a single flat float64 vector ``theta``; the per-layer
-    weight matrices and bias vectors are writable views into it, so optimizer
-    updates on ``theta`` are immediately visible to ``forward``.
+    Parameters live in one float64 array ``theta`` (S, P), a row per network;
+    ``weights`` (S, d_in, d_out) and ``biases`` (S, d_out) are writable views
+    into it, so optimizer updates on ``theta`` are immediately visible to
+    ``forward``. A layer is one ``np.matmul`` over (S, rows, width), which
+    equals each slice's own 2-D product bit for bit.
     """
 
-    def __init__(self, sizes: tuple[int, ...], rng: np.random.Generator):
-        if len(sizes) < 2 or any(s <= 0 for s in sizes):
-            raise ContractError(f"bad layer sizes {sizes}")
+    def __init__(self, sizes: tuple[int, ...],
+                 rng: np.random.Generator | None = None, stack: int = 1):
+        if len(sizes) < 2 or any(s <= 0 for s in sizes) or stack < 1:
+            raise ContractError(f"bad layer sizes {sizes} or stack {stack}")
         self.sizes = tuple(int(s) for s in sizes)
         n_params = sum((d_in + 1) * d_out for d_in, d_out in zip(sizes, sizes[1:]))
-        self.theta = np.empty(n_params, dtype=np.float64)
+        self.theta = np.zeros((stack, n_params))
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         offset = 0
         for d_in, d_out in zip(sizes, sizes[1:]):
-            w = self.theta[offset : offset + d_in * d_out].reshape(d_in, d_out)
+            w = self.theta[:, offset : offset + d_in * d_out]
+            self.weights.append(w.reshape(stack, d_in, d_out))
             offset += d_in * d_out
-            b = self.theta[offset : offset + d_out]
+            self.biases.append(self.theta[:, offset : offset + d_out])
             offset += d_out
-            # Scale-preserving init, biases included.
-            bound = 1.0 / np.sqrt(d_in)
-            w[:] = rng.uniform(-bound, bound, size=w.shape)
-            b[:] = rng.uniform(-bound, bound, size=b.shape)
-            self.weights.append(w)
-            self.biases.append(b)
+        for s in range(stack if rng is not None else 0):
+            self.draw(s, rng)
 
-    @property
-    def num_params(self) -> int:
-        return self.theta.size
+    def draw(self, s: int, rng: np.random.Generator,
+             d_last: int | None = None) -> None:
+        """Draw slice ``s`` as a lone network with ``d_last`` outputs (default:
+        all) would draw it; output columns past ``d_last`` stay 0."""
+        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
+            d_in, d_out = w.shape[1:]
+            d_out = d_last if d_last and li == len(self.weights) - 1 else d_out
+            bound = 1.0 / np.sqrt(d_in)  # scale-preserving, biases included
+            w[s, :, :d_out] = rng.uniform(-bound, bound, size=(d_in, d_out))
+            b[s, :d_out] = rng.uniform(-bound, bound, size=d_out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network on a batch ``x`` of shape (B, d_in)."""
+        """Evaluate every slice on its rows ``x`` (S, rows, d_in)."""
         out, _ = self.forward_cached(x)
         return out
 
@@ -61,63 +69,69 @@ class Mlp:
         """Forward pass that also returns the activations needed by backward:
         the input, then each layer's output."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
-            raise ContractError(
-                f"input shape {x.shape} does not match input dim {self.sizes[0]}"
-            )
+        if x.ndim != 3 or x.shape[::2] != (len(self.theta), self.sizes[0]):
+            raise ContractError(f"input shape {x.shape} does not match "
+                                f"({len(self.theta)}, rows, {self.sizes[0]})")
         acts = [x]
         h = x
         last = len(self.weights) - 1
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
-            h += b
+            h = np.matmul(h, w)
+            h += b[:, None]
             if li != last:
                 np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
     def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
-        """Gradient of sum_b <dout_b, output_b> w.r.t. theta, as a flat vector.
+        """Gradient (S, P) of each slice's sum over rows of <dout, output>.
 
         ``dout`` carries any loss weighting (e.g. 1/B for batch means); this
-        routine only sums over the batch.
+        routine only sums over rows. It spends ``acts``: tanh'·delta is
+        computed in place in the hidden activations.
         """
         grad = np.empty_like(self.theta)
-        offset = self.theta.size
+        offset = self.theta.shape[1]
         delta = np.asarray(dout, dtype=np.float64)
         for li in range(len(self.weights) - 1, -1, -1):
             w = self.weights[li]
             h_in, h_out = acts[li], acts[li + 1]
             if li != len(self.weights) - 1:
-                delta = delta * (1.0 - h_out * h_out)  # tanh'
-            d_out = w.shape[1]
-            offset -= d_out
-            grad[offset : offset + d_out] = delta.sum(axis=0)
-            offset -= w.size
-            grad[offset : offset + w.size] = (h_in.T @ delta).ravel()
+                np.multiply(h_out, h_out, out=h_out)
+                np.subtract(1.0, h_out, out=h_out)  # tanh'
+                h_out *= delta
+                delta = h_out
+            size = w[0].size
+            offset -= w.shape[2]
+            grad[:, offset : offset + w.shape[2]] = delta.sum(axis=1)
+            offset -= size
+            grad[:, offset : offset + size] = np.matmul(
+                h_in.swapaxes(1, 2), delta).reshape(len(w), size)
             if li > 0:
-                delta = delta @ w.T
+                delta = np.matmul(delta, w.swapaxes(1, 2))
         return grad
 
 
 class Adam:
-    """Adaptive-moment optimizer over a flat parameter vector."""
+    """Adaptive-moment optimizer, elementwise over a parameter array."""
 
-    def __init__(self, n_params: int, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, shape: int | tuple[int, ...], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = float(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Update ``theta`` in place with one descent step along ``grad``."""
         if not np.all(np.isfinite(grad)):
+            first = np.argmin(np.isfinite(np.atleast_2d(grad)).all(axis=1))
             raise TrainingDiverged(
-                f"non-finite gradient (|grad|_max={np.abs(grad[np.isfinite(grad)]).max(initial=0.0):.3g}, "
+                f"non-finite gradient in slice {first} (|grad|_max="
+                f"{np.abs(grad[np.isfinite(grad)]).max(initial=0.0):.3g}, "
                 f"nan={int(np.isnan(grad).sum())}, inf={int(np.isinf(grad).sum())})"
             )
         self.t += 1
@@ -208,25 +222,32 @@ def policy_logit_grad(probs: np.ndarray, actions: np.ndarray,
 
 
 def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
-                actions: np.ndarray, weights: np.ndarray,
-                beta: float) -> tuple[float, np.ndarray]:
-    """Mean of  -weight * log pi(action) - beta * H(pi)  over rows, and its
-    gradient w.r.t. the policy network's parameters.
+                actions: np.ndarray, weights: np.ndarray, beta: float,
+                keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per slice, the mean of  -weight * log pi(action) - beta * H(pi)  over
+    the rows ``keep`` (S, M) flags, and its gradient (S, P) w.r.t. the policy
+    network's parameters; other rows carry no gradient.
 
-    ``acts`` and ``probs`` are the activations and masked policy of the
-    forward pass that chose ``actions``; ``weights`` are constants.
+    ``acts`` (spent) and ``probs`` (S, M, A) are the activations and masked
+    policy of the forward pass that chose ``actions``; ``weights`` are
+    constants.
     """
-    m = actions.shape[0]
-    logp = np.log(probs[np.arange(m), actions])
-    loss = float(np.mean(-weights * logp - beta * masked_entropy(probs)))
-    upstream = policy_logit_grad(probs, actions, weights, beta) / m
-    return loss, net.backward(acts, upstream)
+    flat, taken = probs.reshape(-1, probs.shape[-1]), actions.ravel()
+    per_row = (-weights.ravel() * np.log(flat[np.arange(taken.size), taken])
+               - beta * masked_entropy(flat)).reshape(keep.shape)
+    counts = keep.sum(axis=-1)
+    losses = (per_row * keep).sum(axis=-1) / counts
+    upstream = policy_logit_grad(flat, taken, weights.ravel(), beta)
+    upstream = upstream.reshape(probs.shape) * keep[..., None]
+    upstream /= counts[:, None, None]
+    return losses, net.backward(acts, upstream)
 
 
-def value_grad(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """d/dV of mean squared error against fixed targets, per row."""
-    n = values.shape[0]
-    return (2.0 / n) * (values - targets)
+def value_grad(values: np.ndarray, targets: np.ndarray,
+               keep: np.ndarray) -> np.ndarray:
+    """d/dV of each slice's mean squared error against fixed targets over
+    the rows ``keep`` flags, per row; values, targets and keep are (S, M)."""
+    return (2.0 / keep.sum(axis=-1))[:, None] * (values - targets) * keep
 
 
 @dataclass(frozen=True)

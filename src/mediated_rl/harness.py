@@ -1,10 +1,10 @@
 """Experiment orchestration: configs, seeded training, multi-seed sweeps.
 
 One training iteration samples ``batch_size`` complete episodes under the
-current policies, then applies one gradient step per network (each agent's
-critic and actor on its trainable steps, then the mediator's critic, actor
-heads, and Lagrange multipliers). Reports are deterministic per (config,
-seed): rollout order is fixed and parallelism only ever spans seeds.
+current policies, then applies one gradient step per network (the agents'
+stacked critics and actors on their trainable steps, then the mediator's
+critic, actor heads, and Lagrange multipliers). Reports are deterministic per
+(config, seed): rollout order is fixed and parallelism only ever spans seeds.
 """
 
 from __future__ import annotations
@@ -207,10 +207,9 @@ class SweepReport:
 
 def _build_learners(config: RunConfig, spec: PayoffSpec,
                     rng: np.random.Generator
-                    ) -> tuple[list[AgentLearner], MediatorLearner | None]:
+                    ) -> tuple[AgentLearner, MediatorLearner | None]:
     mediated = config.mediator_mode != "none"
-    agents = [AgentLearner(i, spec, config.agent, rng, mediated, config.k)
-              for i in range(spec.num_agents)]
+    agents = AgentLearner(spec, config.agent, rng, mediated, config.k)
     mediator = None
     if mediated:
         mediator = MediatorLearner(
@@ -251,7 +250,7 @@ def train(config: RunConfig, seed: int) -> RunReport:
 
 
 def _train_iteration(config: RunConfig, spec: PayoffSpec,
-                     agents: list[AgentLearner],
+                     agents: AgentLearner,
                      mediator: MediatorLearner | None,
                      rng: np.random.Generator, it: int) -> dict | None:
     """Sample one batch and take one gradient step per network on it.
@@ -262,12 +261,10 @@ def _train_iteration(config: RunConfig, spec: PayoffSpec,
     next sample.
     """
     traj = sample_batch(spec, config.k, agents, mediator, config.batch_size, rng)
-    beta_agent = config.agent.entropy.coef(it)
-    for agent in agents:
-        agent.update(build_agent_batch(traj, agent, config.k, config.gamma),
-                     beta_agent)
-        # Its activations are spent; free them before the mediator's update.
-        traj.agent_acts[agent.index].clear()
+    agents.update(build_agent_batch(traj, agents, config.k, config.gamma),
+                  config.agent.entropy.coef(it))
+    # The activations are spent; free them before the mediator's update.
+    traj.agent_acts.clear()
     if mediator is not None:
         med_stats = mediator.update(build_mediator_batch(traj, mediator),
                                     config.mediator.entropy.coef(it), config.k)
@@ -306,7 +303,7 @@ def _coalition_tag(bits: np.ndarray) -> str:
 
 
 def collect_metrics(spec: PayoffSpec, config: RunConfig,
-                    agents: list[AgentLearner],
+                    agents: AgentLearner,
                     mediator: MediatorLearner | None,
                     traj: TrajectoryBatch) -> dict[str, float]:
     """Direct policy queries plus empirical statistics of the eval episodes."""
@@ -343,7 +340,7 @@ _ACTION_NAMES = {games.DEFECT: "defect", games.COOPERATE: "coop",
 
 
 def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
-                           agents: list[AgentLearner],
+                           agents: AgentLearner,
                            mediator: MediatorLearner | None,
                            traj: TrajectoryBatch,
                            metrics: dict[str, float]) -> None:
@@ -353,12 +350,12 @@ def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
         base = base_obs_batch(spec, t, None, 1)
         # An agent outside the coalition: free at a boundary, else locked out.
         status = window_statuses(np.zeros(1, dtype=bool), t, config.k)
-        for i, agent in enumerate(agents):
-            probs = agent.policy(base[:, i], status)[0]
-            for a in range(agent.num_env_actions):
-                metrics[f"pi_{_ACTION_NAMES[a]}{tag}/agent{i}"] = float(probs[a])
-            if agent.mediated and status[0] == FREE:
-                metrics[f"pi_commit{tag}/agent{i}"] = float(probs[-1])
+        probs = agents.policy(base, status)[:, 0]
+        for i, a_env in enumerate(agents.num_env_actions):
+            for a in range(a_env):
+                metrics[f"pi_{_ACTION_NAMES[a]}{tag}/agent{i}"] = float(probs[i, a])
+            if agents.mediated and status[0] == FREE:
+                metrics[f"pi_commit{tag}/agent{i}"] = float(probs[i, a_env])
         if mediator is None:
             continue
         for bits in _report_coalitions(spec.num_agents):
@@ -398,15 +395,14 @@ def _pds_joint_metrics(spec: PayoffSpec, traj: TrajectoryBatch,
 
 
 def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
-                        agents: list[AgentLearner],
+                        agents: AgentLearner,
                         mediator: MediatorLearner | None,
                         metrics: dict[str, float]) -> None:
     base = base_obs_batch(spec, 0, None, 1)
     commit = []
-    for i, agent in enumerate(agents):
-        probs = agent.policy(base[:, i], 0)[0]
+    for i, probs in enumerate(agents.policy(base, 0)[:, 0]):
         metrics[f"pi_coop/agent{i}"] = float(probs[games.COOPERATE])
-        if agent.mediated:
+        if agents.mediated:
             metrics[f"pi_commit/agent{i}"] = float(probs[-1])
             commit.append(float(probs[-1]))
     if commit:
@@ -421,14 +417,13 @@ def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
 
 
 def _iter_pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
-                             agents: list[AgentLearner],
+                             agents: AgentLearner,
                              metrics: dict[str, float]) -> None:
     # Unit endowments at the first turn, as every episode starts.
     base = base_obs_batch(spec, 0, np.ones((1, spec.num_agents)), 1)
-    for i, agent in enumerate(agents):
-        probs = agent.policy(base[:, i], 0)[0]
+    for i, probs in enumerate(agents.policy(base, 0)[:, 0]):
         metrics[f"pi_coop@init/agent{i}"] = float(probs[games.COOPERATE])
-        if agent.mediated:
+        if agents.mediated:
             metrics[f"pi_commit@init/agent{i}"] = float(probs[-1])
 
 

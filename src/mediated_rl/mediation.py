@@ -39,11 +39,15 @@ def legal_action_mask_batch(statuses: np.ndarray,
     commit action are illegal padding.
     """
     s = np.asarray(statuses)
-    a = np.asarray(num_env_actions)[..., None]
-    cols = np.arange(a.max() + 1)
-    env_ok = (cols < a) & (s != COMMITTED)[..., None]
-    commit_ok = (cols == a) & (s != LOCKED_OUT)[..., None]
-    return env_ok | commit_ok
+    a = np.asarray(num_env_actions)
+    env_ok, commit_ok = s != COMMITTED, s != LOCKED_OUT
+    fewest, most = a.min(), a.max()
+    out = np.empty((*np.broadcast(s, a).shape, most + 1), dtype=bool)
+    # Column by column: broadcasts over the short action axis are slow.
+    for col in range(most + 1):
+        out[..., col] = (env_ok if col < fewest else commit_ok if fewest == most
+                         else np.where(col < a, env_ok, (col == a) & commit_ok))
+    return out
 
 
 def window_statuses(coalition: np.ndarray, t: int, k: int) -> np.ndarray:

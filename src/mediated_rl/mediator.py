@@ -131,8 +131,8 @@ class MediatorLearner:
             critic_out = n
         self.actor = Mlp((actor_dim, h, h, self.max_env_actions), rng)
         self.critic = Mlp((critic_dim, h, h, critic_out), rng)
-        self.actor_opt = Adam(self.actor.num_params, params.lr_actor)
-        self.critic_opt = Adam(self.critic.num_params, params.lr_critic)
+        self.actor_opt = Adam(self.actor.theta.shape, params.lr_actor)
+        self.critic_opt = Adam(self.critic.theta.shape, params.lr_critic)
         self.lagrange = (LagrangeState.fresh(n, params.lambda_lr)
                          if constrained else None)
 
@@ -169,10 +169,11 @@ class MediatorLearner:
                ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Masked policy for the (episode, member) pairs (see
         ``actor_inputs``) and the actor's forward cache, as
-        ``Mlp.forward_cached`` returns them."""
+        ``Mlp.forward_cached`` returns it but without the stack axis."""
         logits, cache = self.actor.forward_cached(
-            self.actor_inputs(base_t, coalition, rows_b, rows_i))
-        return masked_softmax(logits, self.action_masks(rows_i)), cache
+            self.actor_inputs(base_t, coalition, rows_b, rows_i)[None])
+        return (masked_softmax(logits[0], self.action_masks(rows_i)),
+                [layer[0] for layer in cache])
 
     # -- values ------------------------------------------------------------
 
@@ -194,13 +195,14 @@ class MediatorLearner:
         differs. One forward pass serves the actual coalitions and one every
         flip.
         """
-        actual = self.agent_values(self.critic.forward(critic_cur), member)
+        actual = self.agent_values(self.critic.forward(critic_cur[None])[0],
+                                   member)
         s, n = member.shape
         if self.symmetric:
             # Members all see |C|-1 agents, outsiders all |C|+1.
             frac = critic_cur[:, 0]
             inputs = np.stack([frac - 1.0 / n, frac + 1.0 / n], axis=1)
-            out = self.critic.forward(inputs.reshape(2 * s, 1)).reshape(s, 2, 2)
+            out = self.critic.forward(inputs.reshape(1, 2 * s, 1)).reshape(s, 2, 2)
             flipped = np.where(member, out[:, 0, 1:], out[:, 1, :1])
         else:
             inputs = np.repeat(critic_cur, n, axis=0)  # row s * n + i
@@ -208,7 +210,7 @@ class MediatorLearner:
             agents = np.tile(np.arange(n), s)
             # critic_inputs puts the coalition one-hot in the last n columns.
             inputs[rows, inputs.shape[1] - n + agents] = ~member.reshape(-1)
-            flipped = self.critic.forward(inputs)[rows, agents].reshape(s, n)
+            flipped = self.critic.forward(inputs[None])[0, rows, agents].reshape(s, n)
         return actual, flipped
 
     # -- training ----------------------------------------------------------
@@ -220,8 +222,8 @@ class MediatorLearner:
         The bootstrap value of step s is this pass's value at step s + batch
         under that step's coalition; the last step of an episode has none.
         """
-        out_cur, cache = self.critic.forward_cached(batch.critic_cur)
-        v_cur = self.agent_values(out_cur, batch.member)
+        out_cur, cache = self.critic.forward_cached(batch.critic_cur[None])
+        v_cur = self.agent_values(out_cur[0], batch.member)
         v_next = np.zeros_like(v_cur)
         v_next[:-batch.batch] = v_cur[batch.batch:]
         deltas = batch.rewards + self.gamma * v_next - v_cur
@@ -247,8 +249,8 @@ class MediatorLearner:
         if not np.isfinite(critic_loss):
             raise TrainingDiverged("mediator critic loss non-finite")
         upstream = self._critic_upstream(deltas, batch.member, s)
-        grad = self.critic.backward(cache, upstream)
-        del cache  # not needed by the passes below
+        grad = self.critic.backward(cache, upstream[None])
+        del cache  # spent
         self.critic_opt.step(self.critic.theta, grad)
 
         stats = {"critic_loss": critic_loss, "actor_loss": 0.0}
@@ -256,13 +258,14 @@ class MediatorLearner:
         if r > 0:
             weights = actor_head_weights(deltas, batch.member, batch.actor_step,
                                          batch.actor_agent, self.lagrange)
-            actor_loss, grad = policy_loss(
-                self.actor, batch.actor_acts, batch.actor_probs,
-                batch.actor_actions, weights, beta)
+            (actor_loss,), grad = policy_loss(
+                self.actor, [layer[None] for layer in batch.actor_acts],
+                batch.actor_probs[None], batch.actor_actions[None],
+                weights[None], beta, np.ones((1, r), dtype=bool))
             if not np.isfinite(actor_loss):
                 raise TrainingDiverged("mediator actor loss non-finite")
             self.actor_opt.step(self.actor.theta, grad)
-            stats["actor_loss"] = actor_loss
+            stats["actor_loss"] = float(actor_loss)
 
         if self.lagrange is not None:
             ic_gaps, ic_valid, e_gaps, e_valid = self._constraint_gaps(batch, k)

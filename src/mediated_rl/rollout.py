@@ -28,13 +28,12 @@ class TrajectoryBatch:
     """Batch of episodes, time-major: leading axes are (horizon, batch, agents).
 
     The rollout also keeps what its policies computed, because training takes
-    one gradient step on exactly this batch. An agent's actor runs only on
-    its trainable steps (``filter_trainable_steps``: at status +1 the commit
-    is forced), and ``agent_acts`` holds its activations there, input first,
-    in flat step order t * batch + b. ``agent_probs`` holds every
-    agent's masked policy at every step (flat row t * batch + b). The
-    mediator's actor activations and policy cover its (step, member)
-    samples, listed t-major like ``np.nonzero(member)``.
+    one gradient step on exactly this batch. The stacked agent actor runs on
+    every step, also where the commit is forced (status +1), and
+    ``agent_acts`` holds its activations, input first, and ``agent_probs``
+    every agent's masked policy, both agent-major in flat step order
+    t * batch + b. The mediator's actor activations and policy cover its
+    (step, member) samples, listed t-major like ``np.nonzero(member)``.
     """
 
     base: np.ndarray        # (T, B, N, obs width) observations before each step
@@ -43,7 +42,7 @@ class TrajectoryBatch:
     member: np.ndarray      # (T, B, N) coalition flags
     med_action: np.ndarray  # (T, B, N) mediator env actions, -1 outside coalition
     reward: np.ndarray      # (T, B, N)
-    agent_acts: list[list[np.ndarray]]  # per agent, per layer: (M_i, width)
+    agent_acts: list[np.ndarray]  # per layer: (N, T*B, width)
     agent_probs: np.ndarray  # (N, T*B, max actions), zero past an agent's actions
     med_acts: list[np.ndarray] | None  # per layer: (R, width)
     med_probs: np.ndarray | None       # (R, max env actions)
@@ -60,25 +59,25 @@ class TrajectoryBatch:
 def _stack_steps(steps: list[list[np.ndarray]],
                  widths: tuple[int, ...]) -> list[np.ndarray]:
     """One array per block width from per-step lists of row blocks, rows in
-    step order; no steps give empty blocks. Empties ``steps``, so one
-    network's per-step blocks are freed before the next is stacked."""
+    step order; no steps give empty blocks. Empties ``steps``, so the
+    per-step blocks are freed as soon as they are stacked."""
     empty = [np.empty((0, width)) for width in widths]
     stacked = [np.concatenate(blocks) for blocks in zip(empty, *steps)]
     steps.clear()
     return stacked
 
 
-def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
+def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
                  mediator: MediatorLearner | None, batch: int,
                  rng: np.random.Generator) -> TrajectoryBatch:
     """Roll out ``batch`` complete episodes under the current policies.
 
-    At each step every agent's actor runs once on its rows, and one masked
-    softmax and one draw serve all agents. Policies with fewer actions are
-    padded with zero-probability columns, which are never drawn; draws stay
-    agent-major (agent 0's batch first), as if each agent sampled in turn.
-    Each network's forward caches are kept per step and stacked once, after
-    the last step.
+    At each step one stacked actor pass, one masked softmax and one draw
+    serve all agents. Policies with fewer actions are padded with
+    zero-probability columns, which are never drawn; draws stay agent-major
+    (agent 0's batch first), as if each agent sampled in turn. Agent
+    activations go straight into arrays of all steps; the mediator's forward
+    caches are kept per step and stacked once, after the last step.
     """
     t_max, n = spec.horizon, spec.num_agents
     mediated = mediator is not None
@@ -93,31 +92,24 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
     coalition = np.zeros((batch, n), dtype=bool)
     env_actions = np.asarray(spec.num_actions)
     commit_ids = np.asarray([commit_index(a) for a in spec.num_actions])
-    num_actions = np.asarray([agent.num_actions for agent in agents])
-    a_max = num_actions.max()
-    agent_steps: list[list[list[np.ndarray]]] = [[] for _ in agents]
-    agent_probs = []
+    agent_acts = [np.empty((n, t_max * batch, width))
+                  for width in agents.actor.sizes]
+    agent_probs = np.empty_like(agent_acts[-1])
     med_steps: list[list[np.ndarray]] = []  # per step: forward cache, policy
-    logits = np.zeros((n, batch, a_max))
-    if not mediated:
-        open_masks = np.broadcast_to(
-            np.arange(a_max) < num_actions[:, None, None], logits.shape)
+    open_masks = np.arange(agent_probs.shape[-1]) < agents.num_actions[:, None, None]
 
     for t in range(t_max):
+        steps = slice(t * batch, (t + 1) * batch)
         base_t = base_obs_batch(spec, t, endow, batch)
         base.append(base_t)
         status[t] = window_statuses(coalition, t, k)
-        for i, agent in enumerate(agents):
-            # Committed rows keep stale logits: their mask leaves only commit.
-            active = np.flatnonzero(filter_trainable_steps(status[t, :, i]))
-            out, cache = agent.actor.forward_cached(
-                agent.actor_inputs(base_t[active, i], status[t, active, i]))
-            agent_steps[i].append(cache)
-            logits[i, active, :agent.num_actions] = out
+        logits, cache = agents.actor.forward_cached(
+            agents.actor_inputs(base_t, status[t]))
+        for stacked, layer in zip(agent_acts, cache):
+            stacked[:, steps] = layer
         masks = (legal_action_mask_batch(status[t].T, env_actions[:, None])
                  if mediated else open_masks)
-        probs = masked_softmax(logits, masks)
-        agent_probs.append(probs)
+        agent_probs[:, steps] = probs = masked_softmax(logits, masks)
         choice[t] = sample_categorical(probs, rng).T
         if mediated:
             coalition = next_coalition(coalition, choice[t], t, k, commit_ids)
@@ -130,16 +122,13 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
                 med_action[t, rows_b, rows_i] = sample_categorical(step_probs, rng)
         env_action = joint_env_actions(choice[t], med_action[t], coalition)
         reward[t], endow = step_batch(spec, t, endow, env_action)
-    agent_acts = [_stack_steps(steps, agent.actor.sizes)
-                  for steps, agent in zip(agent_steps, agents)]
     med_acts = med_probs = None
     if mediated:
         *med_acts, med_probs = _stack_steps(
             med_steps, (*mediator.actor.sizes, mediator.max_env_actions))
     return TrajectoryBatch(base=np.stack(base), status=status, choice=choice,
                            member=member, med_action=med_action, reward=reward,
-                           agent_acts=agent_acts,
-                           agent_probs=np.concatenate(agent_probs, axis=1),
+                           agent_acts=agent_acts, agent_probs=agent_probs,
                            med_acts=med_acts, med_probs=med_probs)
 
 
@@ -147,63 +136,62 @@ def sample_batch(spec: PayoffSpec, k: int, agents: list[AgentLearner],
 # Training-batch assembly
 
 
-def window_reward_sums(reward_i: np.ndarray, k: int,
+def window_reward_sums(reward: np.ndarray, k: int,
                        gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Discounted reward sums and end steps for the window starting at each t.
 
     Only rows at window boundaries are meaningful; windows truncate at the
-    horizon. Returns (sums (T, B), end (T,)).
+    horizon. Returns (sums shaped like ``reward`` (T, ...), end (T,)).
     """
-    t_max = reward_i.shape[0]
-    sums = np.empty_like(reward_i)
+    t_max = reward.shape[0]
+    sums = np.empty_like(reward)
     ends = np.empty(t_max, dtype=np.int64)
     for t in range(0, t_max, k):
         end = min(t + k, t_max)
         ends[t:end] = end
         coefs = gamma ** np.arange(end - t)
-        sums[t] = coefs @ reward_i[t:end]
+        sums[t] = (coefs @ reward[t:end].reshape(end - t, -1)).reshape(sums.shape[1:])
     return sums, ends
 
 
-def build_agent_batch(traj: TrajectoryBatch, agent: AgentLearner,
+def build_agent_batch(traj: TrajectoryBatch, agents: AgentLearner,
                       k: int, gamma: float) -> AgentBatch:
-    """Trainable records for one agent: status 0 or -1 steps only, with
-    k-step targets substituted on commit decisions, over the rollout's
+    """Every agent's records, over all steps: status 0 or -1 steps are
+    trainable, and commit decisions take k-step targets, over the rollout's
     cached actor activations."""
-    i = agent.index
-    t_max, b = traj.horizon, traj.batch
-    status_i = traj.status[:, :, i]
-    reward_i = traj.reward[:, :, i]
-
-    reward_sum = reward_i
-    boot_t = np.broadcast_to(np.arange(1, t_max + 1)[:, None], (t_max, b))
-    if agent.mediated:
-        committed = (status_i == FREE) & (traj.choice[:, :, i]
-                                          == commit_index(agent.num_env_actions))
+    t_max, b, n = traj.reward.shape
+    reward_sum = traj.reward
+    boot_t = np.broadcast_to(np.arange(1, t_max + 1)[:, None, None], (t_max, b, n))
+    if agents.mediated:
+        committed = (traj.status == FREE) & (
+            traj.choice == commit_index(agents.num_env_actions))
         if k > 1 and committed.any():
-            wsums, wends = window_reward_sums(reward_i, k, gamma)
+            wsums, wends = window_reward_sums(traj.reward, k, gamma)
             reward_sum = np.where(committed, wsums, reward_sum)
-            boot_t = np.where(committed, wends[:, None], boot_t)
-    coef = np.where(boot_t < t_max, gamma ** (boot_t - np.arange(t_max)[:, None]), 0.0)
-
-    keep = filter_trainable_steps(status_i).ravel()
-    steps = np.flatnonzero(keep)
-    t_idx, b_idx = np.divmod(steps, b)
-    bootstrap_coef = coef[t_idx, b_idx]
+            boot_t = np.where(committed, wends[:, None, None], boot_t)
+    steps = np.arange(t_max)[:, None, None]
+    coef = np.where(boot_t < t_max, gamma ** (boot_t - steps), 0.0)
     # Targets ending at the horizon have coefficient 0; any step will do.
-    boot_steps = np.minimum(boot_t[t_idx, b_idx], t_max - 1) * b + b_idx
-    # A bootstrap step starts a window or is locked out, so it is trainable
-    # and its value comes from the same critic pass.
-    if not keep[boot_steps[bootstrap_coef > 0]].all():
+    boot_rows = np.minimum(boot_t, t_max - 1) * b + np.arange(b)[:, None]
+
+    def agent_major(a):  # (T, B, N, ...) -> (N, T * B, ...)
+        return a.reshape(t_max * b, n, *a.shape[3:]).swapaxes(0, 1)
+
+    keep = agent_major(filter_trainable_steps(traj.status))
+    boot_rows, coef = agent_major(boot_rows), agent_major(coef)
+    # A trainable step's bootstrap step starts a window or is locked out, so
+    # it is trainable and its value comes from the same critic pass.
+    if not np.take_along_axis(keep, boot_rows, axis=1)[keep & (coef > 0)].all():
         raise ContractError("a bootstrap step is not a trainable step")
     return AgentBatch(
-        critic_obs=traj.base[t_idx, b_idx, i],
-        actions=traj.choice[t_idx, b_idx, i],
-        reward_sum=reward_sum[t_idx, b_idx],
-        boot_rows=(np.cumsum(keep) - 1)[boot_steps],
-        bootstrap_coef=bootstrap_coef,
-        actor_acts=traj.agent_acts[i],
-        probs=traj.agent_probs[i, steps, :agent.num_actions],
+        critic_obs=agent_major(traj.base),
+        actions=agent_major(traj.choice),
+        reward_sum=agent_major(reward_sum),
+        boot_rows=boot_rows,
+        bootstrap_coef=coef,
+        keep=keep,
+        actor_acts=traj.agent_acts,
+        probs=traj.agent_probs,
     )
 
 

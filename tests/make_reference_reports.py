@@ -5,20 +5,22 @@ Run from the repository root:
     PYTHONPATH=src python tests/make_reference_reports.py
 
 Each reference config trains seed 0 for a short schedule. The fixture keeps
-a sha256 digest of each RunReport (wall clock excluded) and its final
-metrics, which name what moved when a digest changes. Digests are compared
-rather than reports because a NaN metric never equals itself.
+a sha256 digest of each RunReport (wall clock excluded), its final metrics
+and its history, which name what moved when a digest changes. Digests are
+compared rather than reports because a NaN metric never equals itself.
 
 A refactor leaves the fixture unchanged. A change that alters training on
 purpose regenerates it and names every config that moved, with the reason;
-the script prints the configs whose digests moved and the final metrics
-that changed in each.
+the script prints the configs whose digests moved, the final metrics that
+changed in each, and the largest absolute change of its final metrics and
+of its history values against the fixture it replaces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,9 +66,11 @@ def report_digest(report: RunReport) -> str:
 
 
 def reference_pin(name: str) -> dict:
-    """The digest and final metrics of one reference config's report."""
+    """The digest, final metrics and history of one reference config's
+    report."""
     report = train(reference_config(name), SEED)
-    return {"digest": report_digest(report), "metrics": report.metrics}
+    return {"digest": report_digest(report), "metrics": report.metrics,
+            "history": report.history}
 
 
 def moved_metrics(old: dict, new: dict) -> list[str]:
@@ -74,6 +78,36 @@ def moved_metrics(old: dict, new: dict) -> list[str]:
     compare as JSON text, where NaN equals NaN."""
     return sorted(key for key in old.keys() | new.keys()
                   if json.dumps(old.get(key)) != json.dumps(new.get(key)))
+
+
+def leaves(value, path: str = "") -> dict:
+    """Every scalar of a JSON value by its path."""
+    if isinstance(value, dict):
+        return {k: v for key, item in value.items()
+                for k, v in leaves(item, f"{path}/{key}").items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value)
+                for k, v in leaves(item, f"{path}[{i}]").items()}
+    return {path: value}
+
+
+def largest_change(old, new) -> str:
+    """The largest absolute difference between the numbers of two JSON
+    values; "reshaped" when their scalars do not line up, and "not pinned"
+    when the old fixture did not hold the value. NaN equals NaN."""
+    if old is None:
+        return "not pinned"
+    old, new = leaves(old), leaves(new)
+    numbers = (int, float)
+    if old.keys() != new.keys() or any(
+            isinstance(old[k], numbers) != isinstance(new[k], numbers)
+            or (not isinstance(old[k], numbers) and old[k] != new[k])
+            for k in old):
+        return "reshaped"
+    changes = [abs(new[k] - old[k]) for k in old
+               if isinstance(old[k], numbers)
+               and not (math.isnan(old[k]) and math.isnan(new[k]))]
+    return f"{max(changes, default=0.0):.3g}"
 
 
 def main() -> None:
@@ -87,7 +121,11 @@ def main() -> None:
         if pin["digest"] != before["digest"]:
             changed = moved_metrics(before["metrics"], pin["metrics"])
             print(f"  moved {name}: changed final metrics "
-                  + (", ".join(changed) or "none"))
+                  + (", ".join(changed) or "none")
+                  + "; largest change of final metrics "
+                  + largest_change(before["metrics"], pin["metrics"])
+                  + ", of history values "
+                  + largest_change(before.get("history"), pin["history"]))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
-"""Actor-critic learner arithmetic: targets, losses, step filtering."""
+"""Actor-critic learner arithmetic: targets, losses, step filtering, and the
+agent stack."""
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +11,9 @@ from mediated_rl import games
 from mediated_rl.agents import (AgentBatch, AgentLearner, LearnerParams,
                                 filter_trainable_steps, td_targets)
 from mediated_rl.approx import EntropySchedule, Mlp, masked_softmax, policy_loss
+from mediated_rl.errors import TrainingDiverged
+from mediated_rl.harness import _build_learners, _train_iteration, default_config
+from mediated_rl.rollout import build_agent_batch, sample_batch
 
 
 def make_params(hidden=8):
@@ -16,22 +23,29 @@ def make_params(hidden=8):
 
 
 def make_agent(seed=0, mediated=True):
-    """Agent 0 of the one-shot PD: one observation column, two env actions."""
-    return AgentLearner(0, games.prisoners_dilemma(), make_params(),
+    """The two agents of the one-shot PD: one observation column, two env
+    actions each."""
+    return AgentLearner(games.prisoners_dilemma(), make_params(),
                         rng=np.random.default_rng(seed), mediated=mediated)
 
 
 def constant_batch(agent, rewards, actions, masks, coefs=None):
-    """Records on a constant observation, with the actor activations and
-    policy a rollout would have cached; each bootstraps from itself."""
+    """The same records for both agents on a constant observation, with the
+    actor activations and policy a rollout would have cached; each
+    bootstraps from itself."""
     m = len(rewards)
-    _, acts = agent.actor.forward_cached(np.ones((m, 1)))
+
+    def both(values, dtype=float):
+        return np.tile(np.asarray(values, dtype=dtype), (2, 1))
+
+    _, acts = agent.actor.forward_cached(np.ones((2, m, 1)))
     return AgentBatch(
-        critic_obs=np.ones((m, 1)),
-        actions=np.asarray(actions),
-        reward_sum=np.asarray(rewards, dtype=float),
-        boot_rows=np.arange(m),
-        bootstrap_coef=np.zeros(m) if coefs is None else np.asarray(coefs),
+        critic_obs=np.ones((2, m, 1)),
+        actions=both(actions, np.int64),
+        reward_sum=both(rewards),
+        boot_rows=both(np.arange(m), np.int64),
+        bootstrap_coef=both(np.zeros(m) if coefs is None else coefs),
+        keep=np.ones((2, m), dtype=bool),
         actor_acts=acts,
         probs=masked_softmax(acts[-1], masks),
     )
@@ -39,19 +53,27 @@ def constant_batch(agent, rewards, actions, masks, coefs=None):
 
 def single_step_batch(agent, reward, coef=0.0, action=0, mask=None):
     if mask is None:
-        mask = np.ones((1, agent.num_actions), dtype=bool)
+        mask = np.ones((1, 3), dtype=bool)
     return constant_batch(agent, [reward], [action], mask, [coef])
 
 
 def critic_loss(agent, batch):
-    """The critic loss of one training step on ``batch``."""
-    return agent.update(batch, beta=0.0)["critic_loss"]
+    """Agent 0's critic loss of one training step on ``batch``."""
+    return agent.update(batch, beta=0.0)["critic_loss"][0]
 
 
 def actor_loss(agent, batch, advantages, beta):
-    """The actor loss and gradient the update takes for given advantages."""
-    return policy_loss(agent.actor, batch.actor_acts, batch.probs,
-                       batch.actions, advantages, beta)
+    """Agent 0's actor loss and the stack's gradient the update takes for
+    given advantages (the same for both agents)."""
+    losses, grad = policy_loss(agent.actor, batch.actor_acts, batch.probs,
+                               batch.actions, np.tile(advantages, (2, 1)),
+                               beta, batch.keep)
+    return losses[0], grad
+
+
+def agent0_policy(agent, status):
+    """Agent 0's policy at the constant observation."""
+    return agent.policy(np.ones((1, 2, 1)), status)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +92,9 @@ def test_critic_terminal_drops_bootstrap():
     agent = make_agent()
     batch = single_step_batch(agent, reward=1.5, coef=0.0)
     values, targets, _ = td_targets(agent.critic, batch)
-    assert targets[0] == pytest.approx(1.5)
+    assert targets[0, 0] == pytest.approx(1.5)
     loss = critic_loss(agent, batch)
-    assert loss == pytest.approx((1.5 - values[0]) ** 2)
+    assert loss == pytest.approx((1.5 - values[0, 0]) ** 2)
 
 
 def test_critic_k_step_target_arithmetic():
@@ -95,7 +117,7 @@ def test_critic_converges_to_expected_reward():
                            np.ones((32, 3), dtype=bool))
     for _ in range(2000):
         critic_loss(agent, batch)
-    value = agent.critic.forward(np.ones((1, 1)))[0, 0]
+    value = agent.critic.forward(np.ones((2, 1, 1)))[0, 0, 0]
     assert value == pytest.approx(rewards.mean(), abs=0.02)
 
 
@@ -113,10 +135,10 @@ def test_actor_zero_advantage_zero_entropy_zero_gradient():
 def test_positive_advantage_raises_action_probability():
     agent = make_agent(seed=1)
     batch = single_step_batch(agent, reward=1.0, action=1)
-    before = agent.policy(np.ones((1, 1)), 0)[0, 1]
+    before = agent0_policy(agent, 0)[1]
     _, grad = actor_loss(agent, batch, np.array([1.0]), beta=0.0)
     agent.actor_opt.step(agent.actor.theta, grad)
-    after = agent.policy(np.ones((1, 1)), 0)[0, 1]
+    after = agent0_policy(agent, 0)[1]
     assert after > before
 
 
@@ -140,7 +162,7 @@ def test_entropy_drives_masked_policy_to_uniform():
         _, grad = actor_loss(agent, batch, np.zeros(1), beta=0.1)
         agent.actor_opt.step(agent.actor.theta, grad)
     # Locked out (status -1): the commit action is masked, as in ``mask``.
-    probs = agent.policy(np.ones((1, 1)), -1)[0]
+    probs = agent0_policy(agent, -1)
     assert probs[0] == pytest.approx(0.5, abs=1e-3)
     assert probs[1] == pytest.approx(0.5, abs=1e-3)
     assert probs[2] == 0.0
@@ -179,9 +201,9 @@ def test_update_empty_batch_is_noop():
 
 def test_unmediated_agent_has_no_commit_head():
     agent = make_agent(mediated=False)
-    assert agent.num_actions == 2
-    probs = agent.policy(np.ones((1, 1)), 0)
-    assert probs.shape == (1, 2)
+    np.testing.assert_array_equal(agent.num_actions, [2, 2])
+    probs = agent.policy(np.ones((1, 2, 1)), 0)
+    assert probs.shape == (2, 1, 2)
 
 
 @pytest.mark.parametrize("spec,mediated,k,expected", [
@@ -195,13 +217,113 @@ def test_actor_sees_status_only_where_the_game_varies_it(spec, mediated, k,
                                                          expected):
     # A status column is added in mediated multi-step games where a status
     # other than 0 can reach a decision: any matrix game, or windows k > 1.
-    agent = AgentLearner(1, spec, make_params(), np.random.default_rng(0),
+    agent = AgentLearner(spec, make_params(), np.random.default_rng(0),
                          mediated, k)
     assert agent.status_feature is expected
     width = games.obs_dim(spec)
     assert agent.actor.sizes[0] == width + expected
     assert agent.critic.sizes[0] == width
-    rows = agent.actor_inputs(np.full((2, width), 0.5), np.array([-1, 1]))
-    np.testing.assert_array_equal(rows[:, :width], 0.5)
+    n = spec.num_agents
+    status = np.repeat([[-1], [1]], n, axis=1)  # (rows, agents)
+    rows = agent.actor_inputs(np.full((2, n, width), 0.5), status)
+    assert rows.shape == (n, 2, width + expected)
+    np.testing.assert_array_equal(rows[..., :width], 0.5)
     if expected:
-        np.testing.assert_array_equal(rows[:, width], [-1.0, 1.0])
+        np.testing.assert_array_equal(rows[..., width],
+                                      np.tile([-1.0, 1.0], (n, 1)))
+
+
+# ---------------------------------------------------------------------------
+# The stack: independent agents in one network per role
+
+
+def reference_draws(sizes, rng):
+    """A lone network's parameters, in the order it draws them: per layer
+    its weights, then its biases."""
+    params = []
+    for d_in, d_out in zip(sizes, sizes[1:]):
+        bound = 1.0 / np.sqrt(d_in)
+        params.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
+        params.append(rng.uniform(-bound, bound, size=d_out))
+    return params
+
+
+@pytest.mark.parametrize("spec,mediated,k", [
+    (games.pd_with_sacrifice(), True, 1),
+    (games.pd_with_sacrifice(), False, 1),
+    (games.iterative_pgg(5, 2.0), True, 2)])
+def test_slices_start_as_separately_drawn_networks(spec, mediated, k):
+    # Agent by agent, actor then critic: the draws separate per-agent
+    # networks make from the same generator, at each agent's own sizes.
+    agents = AgentLearner(spec, make_params(), np.random.default_rng(7),
+                          mediated, k)
+    rng = np.random.default_rng(7)
+    h = make_params().hidden
+    for i in range(spec.num_agents):
+        a = agents.num_actions[i]
+        for net, sizes in ((agents.actor, (agents.actor.sizes[0], h, h, a)),
+                           (agents.critic, agents.critic.sizes)):
+            drawn = reference_draws(sizes, rng)
+            layers = [p for w, b in zip(net.weights, net.biases) for p in (w, b)]
+            for got, want in zip(layers, drawn):
+                np.testing.assert_array_equal(got[i][..., :want.shape[-1]], want)
+        # Padding columns past the agent's own actions start at zero.
+        assert not agents.actor.weights[-1][i][:, a:].any()
+        assert not agents.actor.biases[-1][i][a:].any()
+
+
+def test_padded_action_column_stays_zero():
+    # pds: agent 0 has 2 env actions + commit, padded to agent 1's 4. Its
+    # padding column has probability 0 and gradient 0, and its parameters
+    # stay exactly 0 through training.
+    config = replace(default_config("pds", "naive"), batch_size=32)
+    spec = config.validate()
+    rng = np.random.default_rng(0)
+    agents, mediator = _build_learners(config, spec, rng)
+    traj = sample_batch(spec, 1, agents, mediator, 32, rng)
+    np.testing.assert_array_equal(traj.agent_probs[0, :, 3], 0.0)
+    batch = build_agent_batch(traj, agents, 1, 0.99)
+    weights = np.random.default_rng(1).normal(size=batch.actions.shape)
+    _, grad = policy_loss(agents.actor, batch.actor_acts, batch.probs,
+                          batch.actions, weights, 0.5, batch.keep)
+    for it in range(50):
+        _train_iteration(config, spec, agents, mediator, rng, it)
+    for param in (agents.actor.theta, agents.actor_opt.m, agents.actor_opt.v, grad):
+        view = Mlp(agents.actor.sizes, stack=2)
+        view.theta[:] = param
+        assert not view.weights[-1][0][:, 3].any()
+        assert not view.biases[-1][0][3]
+    probs = agents.policy(traj.base[0, :4], 0)
+    np.testing.assert_array_equal(probs[0, :, 3], 0.0)
+
+
+def test_committed_rows_carry_no_gradient():
+    # At status +1 the mediator acts for the agent: whatever those records'
+    # rewards, the update is bit for bit the same.
+    config = replace(default_config("pgg-iter", "constrained", k=10),
+                     batch_size=32)
+    spec = config.validate()
+    rng = np.random.default_rng(3)
+    agents, mediator = _build_learners(config, spec, rng)
+    traj = sample_batch(spec, 10, agents, mediator, 32, rng)
+    thetas = []
+    for scramble in (False, True):
+        learner = copy.deepcopy(agents)
+        batch = build_agent_batch(copy.deepcopy(traj), learner, 10, 0.99)
+        assert not batch.keep.all()
+        if scramble:
+            off = ~batch.keep
+            batch.reward_sum[off] = np.random.default_rng(4).normal(
+                scale=100.0, size=off.sum())
+        learner.update(batch, 0.1)
+        thetas.append((learner.actor.theta, learner.critic.theta))
+    for before, after in zip(*thetas):
+        np.testing.assert_array_equal(before, after)
+
+
+def test_divergence_names_the_first_agent():
+    agent = make_agent()
+    agent.critic.theta[1] = np.nan
+    batch = single_step_batch(agent, reward=1.0)
+    with pytest.raises(TrainingDiverged, match="agent 1 critic loss"):
+        agent.update(batch, beta=0.0)

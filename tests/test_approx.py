@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mediated_rl.approx import (Adam, EntropySchedule, Mlp, masked_entropy,
-                                masked_softmax, policy_logit_grad,
+                                masked_softmax, policy_logit_grad, policy_loss,
                                 sample_categorical, value_grad)
 from mediated_rl.errors import ContractError, TrainingDiverged
 
@@ -24,7 +24,7 @@ def rng_for(seed):
 def test_forward_zero_params_gives_zero():
     net = Mlp((3, 4, 4, 2), rng_for(0))
     net.theta[:] = 0.0
-    out = net.forward(np.ones((5, 3)))
+    out = net.forward(np.ones((1, 5, 3)))
     assert np.all(out == 0.0)
 
 
@@ -34,22 +34,23 @@ def test_forward_tanh_of_zero_input_is_bias_path():
     net.weights[0][:] = 1.0
     net.weights[1][:] = 1.0
     net.weights[2][:] = 1.0
-    assert net.forward(np.zeros((1, 1)))[0, 0] == 0.0
+    assert net.forward(np.zeros((1, 1, 1)))[0, 0, 0] == 0.0
 
 
 def test_forward_matches_straight_line_reference():
     net = Mlp((4, 8, 8, 3), rng_for(42))
     x = rng_for(7).normal(size=(6, 4))
-    w1, w2, w3 = net.weights
-    b1, b2, b3 = net.biases
+    w1, w2, w3 = (w[0] for w in net.weights)
+    b1, b2, b3 = (b[0] for b in net.biases)
     expected = np.tanh(np.tanh(x @ w1 + b1) @ w2 + b2) @ w3 + b3
-    np.testing.assert_allclose(net.forward(x), expected, rtol=0, atol=0)
+    np.testing.assert_allclose(net.forward(x[None])[0], expected, rtol=0, atol=0)
 
 
 def test_forward_rejects_bad_input_dim():
     net = Mlp((4, 8, 8, 3), rng_for(0))
-    with pytest.raises(ContractError):
-        net.forward(np.zeros((2, 5)))
+    for shape in ((2, 5), (2, 4), (1, 2, 5), (2, 2, 4)):
+        with pytest.raises(ContractError):
+            net.forward(np.zeros(shape))
 
 
 def test_init_scale_within_fan_in_bound():
@@ -63,6 +64,7 @@ def test_init_scale_within_fan_in_bound():
 
 
 def numeric_grad(loss_fn, theta, eps=1e-4):
+    theta = theta.reshape(-1)  # a view: steps move the network's parameters
     grad = np.empty_like(theta)
     for j in range(theta.size):
         theta[j] += eps
@@ -84,17 +86,18 @@ def test_value_head_gradient_matches_finite_differences(case):
     rng = rng_for(1000 + case)
     d_in = int(rng.integers(1, 5))
     net = Mlp((d_in, 5, 5, 1), rng)
-    x = rng.normal(size=(4, d_in))
-    targets = rng.normal(size=4)
+    x = rng.normal(size=(1, 4, d_in))
+    targets = rng.normal(size=(1, 4))
 
     def loss():
-        v = net.forward(x)[:, 0]
+        v = net.forward(x)[..., 0]
         return np.mean((v - targets) ** 2)
 
     values, cache = net.forward_cached(x)
-    analytic = net.backward(cache, value_grad(values[:, 0], targets)[:, None])
+    analytic = net.backward(cache, value_grad(values[..., 0], targets,
+                                              np.ones((1, 4), dtype=bool))[..., None])
     numeric = numeric_grad(loss, net.theta)
-    assert relative_error(analytic, numeric).max() < 1e-4
+    assert relative_error(analytic[0], numeric).max() < 1e-4
 
 
 @pytest.mark.parametrize("case", range(100))
@@ -103,7 +106,7 @@ def test_policy_head_gradient_matches_finite_differences(case):
     d_in = int(rng.integers(1, 5))
     n_act = int(rng.integers(2, 5))
     net = Mlp((d_in, 5, 5, n_act), rng)
-    x = rng.normal(size=(3, d_in))
+    x = rng.normal(size=(1, 3, d_in))
     mask = np.ones((3, n_act), dtype=bool)
     mask[0, rng.integers(0, n_act)] = False
     weights = rng.normal(size=3)
@@ -112,23 +115,23 @@ def test_policy_head_gradient_matches_finite_differences(case):
                         for b in range(3)])
 
     def loss():
-        probs = masked_softmax(net.forward(x), mask)
+        probs = masked_softmax(net.forward(x)[0], mask)
         logp = np.log(probs[np.arange(3), actions])
         return float(np.mean(-weights * logp - beta * masked_entropy(probs)))
 
     logits, cache = net.forward_cached(x)
-    probs = masked_softmax(logits, mask)
+    probs = masked_softmax(logits[0], mask)
     upstream = policy_logit_grad(probs, actions, weights, beta) / 3
-    analytic = net.backward(cache, upstream)
+    analytic = net.backward(cache, upstream[None])
     numeric = numeric_grad(loss, net.theta)
-    assert relative_error(analytic, numeric).max() < 1e-4
+    assert relative_error(analytic[0], numeric).max() < 1e-4
 
 
 def test_constant_loss_gives_zero_gradient():
     net = Mlp((2, 4, 4, 1), rng_for(9))
-    x = rng_for(10).normal(size=(5, 2))
+    x = rng_for(10).normal(size=(1, 5, 2))
     _, cache = net.forward_cached(x)
-    grad = net.backward(cache, np.zeros((5, 1)))
+    grad = net.backward(cache, np.zeros((1, 5, 1)))
     assert np.all(grad == 0.0)
 
 
@@ -144,20 +147,105 @@ def test_linear_net_squared_loss_matches_closed_form():
         w *= small
     for b in net.biases:
         b[:] = 0.0
-    w_eff = net.weights[0] @ net.weights[1] @ net.weights[2]
-    values, cache = net.forward_cached(x)
-    residual = values[:, 0] - targets
-    grad = net.backward(cache, value_grad(values[:, 0], targets)[:, None])
+    w1, w2, w3 = (w[0] for w in net.weights)
+    values, cache = net.forward_cached(x[None])
+    residual = values[0, :, 0] - targets
+    # Read before backward, which spends the cache.
+    h2 = cache[2][0].copy()
+    grad = net.backward(cache, value_grad(values[..., 0], targets[None],
+                                          np.ones((1, 8), dtype=bool))[..., None])[0]
     # Gradient w.r.t. the last layer weights equals h2^T residual * 2/n.
-    h2 = cache[2]
     expected_w3 = (2.0 / 8) * h2.T @ residual[:, None]
-    got_w3 = grad[-(net.weights[2].size + 1):-1].reshape(4, 1)
+    got_w3 = grad[-(w3.size + 1):-1].reshape(4, 1)
     np.testing.assert_allclose(got_w3, expected_w3, rtol=1e-10)
     # And the input-layer gradient matches the chained linear map to 1st order.
-    dv_dx_w = net.weights[1] @ net.weights[2]  # d out / d h1 in linear regime
+    dv_dx_w = w2 @ w3  # d out / d h1 in linear regime
     expected_w1 = (2.0 / 8) * x.T @ (residual[:, None] * dv_dx_w.T)
-    got_w1 = grad[:net.weights[0].size].reshape(3, 4)
+    got_w1 = grad[:w1.size].reshape(3, 4)
     np.testing.assert_allclose(got_w1, expected_w1, rtol=1e-4, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Stacks
+
+
+def test_stack_equals_each_slice_as_a_stack_of_one():
+    # A stack draws its slices as separate networks drawn in turn, and its
+    # forward and backward passes equal each slice's own, bit for bit.
+    for sizes, rows in (((3, 16, 16, 4), 128), ((1, 8, 8, 1), 7),
+                        ((5, 16, 16, 3), 1)):
+        stack = Mlp(sizes, rng_for(21), stack=4)
+        draws = rng_for(21)
+        for s in range(4):
+            np.testing.assert_array_equal(Mlp(sizes, draws).theta[0],
+                                          stack.theta[s])
+        rng = rng_for(22)
+        x = rng.normal(size=(4, rows, sizes[0]))
+        dout = rng.normal(size=(4, rows, sizes[-1]))
+        out, cache = stack.forward_cached(x)
+        grad = stack.backward(cache, dout)
+        for s in range(4):
+            alone = Mlp(sizes)
+            alone.theta[:] = stack.theta[s]
+            out_s, cache_s = alone.forward_cached(x[s:s + 1])
+            np.testing.assert_array_equal(out_s[0], out[s])
+            np.testing.assert_array_equal(
+                alone.backward(cache_s, dout[s:s + 1])[0], grad[s])
+
+
+@pytest.mark.parametrize("head", ["value", "policy"])
+def test_zero_weight_rows_match_the_gradient_over_weighted_rows(head):
+    # Each slice's loss is its mean over the rows ``keep`` flags; rows
+    # weighted 0 change neither the loss nor its finite-difference gradient.
+    rng = rng_for(31)
+    n_out = 1 if head == "value" else 3
+    net = Mlp((2, 5, 5, n_out), rng, stack=2)
+    x = rng.normal(size=(2, 6, 2))
+    keep = np.array([[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 0, 1]], dtype=bool)
+    targets = rng.normal(size=(2, 6))
+    mask = rng.random((6, n_out)) < 0.7
+    mask[:, 0] = True
+    actions = np.array([[int(rng.choice(np.flatnonzero(mask[b])))
+                         for b in range(6)] for _ in range(2)])
+
+    def per_row(out):
+        if head == "value":
+            return (out[..., 0] - targets) ** 2
+        probs = masked_softmax(out, mask)
+        logp = np.log(np.take_along_axis(probs, actions[..., None], -1)[..., 0])
+        entropy = masked_entropy(probs.reshape(-1, n_out)).reshape(2, 6)
+        return -targets * logp - 0.3 * entropy
+
+    def loss():
+        rows = per_row(net.forward(x))
+        return sum(rows[s, keep[s]].mean() for s in range(2))
+
+    out, cache = net.forward_cached(x)
+    if head == "value":
+        analytic = net.backward(
+            cache, value_grad(out[..., 0], targets, keep)[..., None])
+    else:
+        losses, analytic = policy_loss(net, cache, masked_softmax(out, mask),
+                                       actions, targets, 0.3, keep)
+        assert losses.sum() == pytest.approx(loss(), abs=1e-12)
+    numeric = numeric_grad(loss, net.theta)
+    assert relative_error(analytic.ravel(), numeric).max() < 1e-4
+
+
+def test_backward_spends_its_cache():
+    # tanh'·delta overwrites the hidden activations, so a forward cache
+    # serves one backward pass; its input and output are left as they were.
+    net = Mlp((2, 4, 4, 1), rng_for(41), stack=2)
+    x = rng_for(42).normal(size=(2, 5, 2))
+    dout = rng_for(43).normal(size=(2, 5, 1))
+    _, cache = net.forward_cached(x)
+    before = [layer.copy() for layer in cache]
+    first = net.backward(cache, dout)
+    np.testing.assert_array_equal(cache[0], before[0])
+    np.testing.assert_array_equal(cache[-1], before[-1])
+    for spent, fresh in zip(cache[1:-1], before[1:-1]):
+        assert not np.array_equal(spent, fresh)
+    assert not np.array_equal(net.backward(cache, dout), first)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +367,13 @@ def test_adam_rejects_non_finite_gradient():
     opt = Adam(2, lr=0.1)
     with pytest.raises(TrainingDiverged):
         opt.step(np.zeros(2), np.array([1.0, np.nan]))
+
+
+def test_adam_names_the_first_non_finite_slice():
+    opt = Adam((3, 2), lr=0.1)
+    grad = np.array([[1.0, 2.0], [1.0, np.inf], [np.nan, 0.0]])
+    with pytest.raises(TrainingDiverged, match="in slice 1 "):
+        opt.step(np.zeros((3, 2)), grad)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ name is read anywhere else in the package or the benchmark.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import mediated_rl
+from mediated_rl import harness, rollout
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mediated_rl"
@@ -84,3 +86,13 @@ def test_allowlist_names_exist():
         module, local = qualified.split(".", 1)
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert local in dict(public_definitions(tree))
+
+
+def test_benchmark_trace_names_exist(monkeypatch):
+    # The benchmark's tracer wraps package functions by name; a refactor
+    # that deletes or moves one of them breaks its traced runs.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    worker = importlib.import_module("worker")
+    with worker.traced():
+        assert harness.sample_batch is not rollout.sample_batch
+    assert harness.sample_batch is rollout.sample_batch

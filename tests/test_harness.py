@@ -421,9 +421,10 @@ def test_constrained_report_does_not_grow_with_iterations():
 
 
 def test_each_network_sees_each_row_once_per_iteration(monkeypatch):
-    # Agent actors run only while sampling, each agent critic runs once, and
-    # the mediator critic runs three times: TD values, post-step values, and
-    # one pass over every flipped coalition.
+    # The stacked agent actor runs only while sampling, once per step over
+    # every row; the stacked agent critic runs once; and the mediator critic
+    # runs three times: TD values, post-step values, and one pass over every
+    # flipped coalition. Rows count per stack slice.
     config = replace(default_config("pgg-iter", "constrained", k=10),
                      batch_size=32)
     spec = config.validate()
@@ -439,7 +440,7 @@ def test_each_network_sees_each_row_once_per_iteration(monkeypatch):
         def wrapper(net, x, *args):
             if state["depth"] == 0:
                 calls[id(net), state["phase"]] += 1
-                rows[id(net), state["phase"]] += np.shape(x)[0]
+                rows[id(net), state["phase"]] += np.shape(x)[1]
             state["depth"] += 1
             try:
                 return original(net, x, *args)
@@ -458,27 +459,17 @@ def test_each_network_sees_each_row_once_per_iteration(monkeypatch):
         finally:
             state["phase"] = "update"
     monkeypatch.setattr(harness, "sample_batch", sampling)
-    trainable = []
-    real_build = harness.build_agent_batch
-
-    def building(*args):
-        batch = real_build(*args)
-        trainable.append(len(batch))
-        return batch
-    monkeypatch.setattr(harness, "build_agent_batch", building)
-
     harness._train_iteration(config, spec, agents, mediator, rng, 0)
-    for agent, m in zip(agents, trainable):
-        assert calls[id(agent.actor), "rollout"] == spec.horizon
-        assert rows[id(agent.actor), "rollout"] == m
-        assert calls[id(agent.actor), "update"] == 0
-        assert calls[id(agent.critic), "update"] == 1
-        assert rows[id(agent.critic), "update"] == m
-        assert calls[id(agent.critic), "rollout"] == 0
+    steps = spec.horizon * config.batch_size
+    assert calls[id(agents.actor), "rollout"] == spec.horizon
+    assert rows[id(agents.actor), "rollout"] == steps
+    assert calls[id(agents.actor), "update"] == 0
+    assert calls[id(agents.critic), "update"] == 1
+    assert rows[id(agents.critic), "update"] == steps
+    assert calls[id(agents.critic), "rollout"] == 0
     assert calls[id(mediator.actor), "update"] == 0
     assert calls[id(mediator.critic), "rollout"] == 0
     assert calls[id(mediator.critic), "update"] == 3
-    steps = spec.horizon * config.batch_size
     assert rows[id(mediator.critic), "update"] == steps * (2 + spec.num_agents)
 
 

@@ -53,6 +53,36 @@ def test_mask_batch_pads_agents_with_fewer_actions():
     ])
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), agents=st.integers(1, 5), rows=st.integers(0, 6),
+       per_agent=st.booleans())
+def test_mask_batch_matches_per_element_enumeration(data, agents, rows, per_agent):
+    # Any statuses (agents, rows), with one action count for all agents or
+    # one per agent: each entry is legal exactly as the protocol says.
+    statuses = np.asarray(data.draw(st.lists(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=rows, max_size=rows),
+        min_size=agents, max_size=agents)), dtype=np.int64).reshape(agents, rows)
+    counts = np.asarray(data.draw(st.lists(
+        st.integers(1, 4), min_size=agents if per_agent else 1,
+        max_size=agents if per_agent else 1)))
+    given_counts = counts[:, None] if per_agent else int(counts[0])
+    mask = legal_action_mask_batch(statuses, given_counts)
+    width = int(counts.max()) + 1
+    assert mask.shape == (agents, rows, width) and mask.dtype == bool
+    for i in range(agents):
+        a = int(counts[i % counts.size])
+        for b in range(rows):
+            status = statuses[i, b]
+            for col in range(width):
+                if col < a:
+                    legal = status != 1  # env action: not while committed
+                elif col == a:
+                    legal = status != -1  # commit: not while locked out
+                else:
+                    legal = False  # padding past this agent's actions
+                assert mask[i, b, col] == legal
+
+
 def test_statuses_at_window_boundary_are_zero():
     coalition = np.array([[True, False], [False, False]])
     np.testing.assert_array_equal(window_statuses(coalition, 2, 2),
@@ -148,7 +178,7 @@ def test_coalition_constant_within_windows(n, horizon, k_frac, seed):
     k = 1 + int(k_frac * (horizon - 1))
     spec = iterative_pgg(n, 2.0, horizon=horizon)
     rng = np.random.default_rng(seed)
-    agents = [AgentLearner(i, spec, _params(), rng, k=k) for i in range(n)]
+    agents = AgentLearner(spec, _params(), rng, k=k)
     mediator = MediatorLearner(spec, _params(), 0.99, rng)
     traj = sample_batch(spec, k, agents, mediator, 16, rng)
     boundary = np.arange(horizon) % k == 0

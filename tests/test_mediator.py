@@ -25,6 +25,11 @@ def make_mediator(seed=0, symmetric=False, constrained=True, spec=None):
                            constrained=constrained), spec
 
 
+def critic_out(mediator, rows):
+    """The mediator critic's raw outputs on ``rows``, without the stack axis."""
+    return mediator.critic.forward(rows[None])[0]
+
+
 def one_shot_batch(mediator, spec, member, rewards, actions):
     """Single-step terminal batch with explicit coalition and actions, with
     the actor activations and policy a rollout would have cached."""
@@ -34,7 +39,8 @@ def one_shot_batch(mediator, spec, member, rewards, actions):
     critic_cur = mediator.critic_inputs(base, member)
     rows_b, rows_i = np.nonzero(member)
     actor_in = mediator.actor_inputs(base, member, rows_b, rows_i)
-    _, acts = mediator.actor.forward_cached(actor_in)
+    _, acts = mediator.actor.forward_cached(actor_in[None])
+    acts = [layer[0] for layer in acts]  # the batch layout has no stack axis
     return MediatorBatch(
         critic_cur=critic_cur,
         rewards=np.asarray(rewards, dtype=float)[None, :],
@@ -58,7 +64,7 @@ def test_critic_terminal_target_is_reward():
     batch = one_shot_batch(mediator, spec, [True, True], [2.0, 2.0], [1, 1])
     deltas, _ = mediator.td_residuals(batch)
     values = mediator.agent_values(
-        mediator.critic.forward(batch.critic_cur), batch.member)
+        critic_out(mediator, batch.critic_cur), batch.member)
     np.testing.assert_allclose(deltas, batch.rewards - values)
 
 
@@ -78,7 +84,7 @@ def test_critic_converges_to_coalition_values():
         batch = one_shot_batch(mediator, spec, [True, True], [2.0, 2.0], [1, 1])
         mediator.update(batch, beta=0.0, k=1)
     values = mediator.agent_values(
-        mediator.critic.forward(batch.critic_cur), batch.member)
+        critic_out(mediator, batch.critic_cur), batch.member)
     np.testing.assert_allclose(values, [[2.0, 2.0]], atol=0.02)
 
 
@@ -234,7 +240,8 @@ def test_counterfactual_remove_flips_one_hot():
     member = np.array([[True, True], [True, False]])
     critic_cur = np.concatenate([np.ones((2, 2)), member.astype(float)], axis=1)
     actual, flipped = mediator.counterfactual_values(critic_cur, member)
-    value = mediator.critic.forward
+    def value(rows):
+        return critic_out(mediator, rows)
     np.testing.assert_array_equal(actual, value(critic_cur))
     np.testing.assert_allclose(
         flipped[0], [value(np.array([[1.0, 1.0, 0.0, 1.0]]))[0, 0],
@@ -251,10 +258,10 @@ def test_counterfactual_symmetric_fraction_shift():
     member = np.array([[True, True, False]])
     critic_cur = np.array([[2.0 / 3.0]])
     actual, flipped = mediator.counterfactual_values(critic_cur, member)
-    out = mediator.critic.forward(critic_cur)[0]
+    out = critic_out(mediator, critic_cur)[0]
     np.testing.assert_array_equal(actual[0], [out[0], out[0], out[1]])
-    smaller = mediator.critic.forward(np.array([[1.0 / 3.0]]))[0]
-    larger = mediator.critic.forward(np.array([[1.0]]))[0]
+    smaller = critic_out(mediator, np.array([[1.0 / 3.0]]))[0]
+    larger = critic_out(mediator, np.array([[1.0]]))[0]
     np.testing.assert_allclose(flipped[0], [smaller[1], smaller[1], larger[0]],
                                rtol=1e-12)
 

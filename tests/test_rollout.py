@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from mediated_rl import games
-from mediated_rl.agents import AgentLearner, LearnerParams
-from mediated_rl.approx import (EntropySchedule, masked_softmax, policy_loss,
-                               sample_categorical)
+from mediated_rl.approx import (Mlp, masked_softmax, policy_loss,
+                                sample_categorical)
 from mediated_rl.harness import _build_learners, default_config
 from mediated_rl.mediation import FREE, legal_action_mask_batch
 from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
@@ -98,8 +97,7 @@ def test_mediated_batch_without_members_has_empty_mediator_caches():
     # Nobody commits, so the mediator never acts: its caches are empty
     # arrays of the actor's widths, and its update still runs.
     config, spec, rng, agents, mediator = learners_for("pd", "constrained")
-    for agent in agents:
-        agent.actor.biases[-1][-1] = -1e3  # the commit logit
+    agents.actor.biases[-1][:, 2] = -1e3  # the commit logit
     traj = sample_batch(spec, 1, agents, mediator, 32, rng)
     assert not traj.member.any()
     assert ([a.shape for a in traj.med_acts]
@@ -140,27 +138,27 @@ def test_window_reward_sums_truncated_final_window():
 def test_agent_batch_excludes_committed_steps():
     config, spec, rng, agents, mediator = learners_for("pgg-iter", k=10)
     traj = sample_batch(spec, 10, agents, mediator, 32, rng)
-    for agent in agents:
-        batch = build_agent_batch(traj, agent, 10, 0.99)
-        statuses = traj.status[:, :, agent.index]
-        assert len(batch) == int((statuses != 1).sum())
+    batch = build_agent_batch(traj, agents, 10, 0.99)
+    for i in range(spec.num_agents):
+        statuses = traj.status[:, :, i].ravel()
+        np.testing.assert_array_equal(batch.keep[i], statuses != 1)
+    assert len(batch) == int((traj.status != 1).sum())
 
 
 def test_agent_batch_k_step_targets_on_commitment():
     config, spec, rng, agents, mediator = learners_for("pgg-iter", k=10)
     traj = sample_batch(spec, 10, agents, mediator, 64, rng)
-    agent = agents[0]
-    batch = build_agent_batch(traj, agent, 10, 0.99)
+    batch = build_agent_batch(traj, agents, 10, 0.99)
     committed = traj.member[0, :, 0]
     # Episodes where agent 0 committed at t=0: the (only) trainable step for
     # that window carries the full discounted episode reward, no bootstrap.
     gamma_pow = 0.99 ** np.arange(10)
     expected = np.einsum("t,tb->b", gamma_pow, traj.reward[:, :, 0])
-    # trainable rows are ordered t-major, so the t=0 rows come first
-    first_block = batch.reward_sum[:64]
+    # rows are ordered t-major, so the t=0 rows come first
+    first_block = batch.reward_sum[0, :64]
     np.testing.assert_allclose(first_block[committed],
                                expected[committed], rtol=1e-12)
-    np.testing.assert_allclose(batch.bootstrap_coef[:64][committed], 0.0)
+    np.testing.assert_allclose(batch.bootstrap_coef[0, :64][committed], 0.0)
     # uncommitted agents at t=0 keep the 1-step target
     uncommitted = ~committed
     np.testing.assert_allclose(first_block[uncommitted],
@@ -170,11 +168,10 @@ def test_agent_batch_k_step_targets_on_commitment():
 def test_agent_batch_one_step_bootstrap_coef():
     config, spec, rng, agents, mediator = learners_for("pgg-iter", k=1)
     traj = sample_batch(spec, 1, agents, mediator, 8, rng)
-    batch = build_agent_batch(traj, agents[0], 1, 0.99)
-    rows = len(batch)
-    # horizon 10, batch 8: all steps trainable at k=1
-    assert rows == 80
-    coefs = batch.bootstrap_coef.reshape(10, 8)
+    batch = build_agent_batch(traj, agents, 1, 0.99)
+    # horizon 10, batch 8, 3 agents: all steps trainable at k=1
+    assert len(batch) == 240
+    coefs = batch.bootstrap_coef[0].reshape(10, 8)
     assert np.all(coefs[:-1] == 0.99)
     assert np.all(coefs[-1] == 0.0)
 
@@ -194,8 +191,8 @@ def test_mediator_batch_layout_and_next_inputs():
     # step s bootstraps from step s + batch; the last step of every episode
     # does not bootstrap
     deltas, _ = mediator.td_residuals(batch)
-    values = mediator.agent_values(mediator.critic.forward(batch.critic_cur),
-                                   batch.member)
+    critic_out = mediator.critic.forward(batch.critic_cur[None])[0]
+    values = mediator.agent_values(critic_out, batch.member)
     np.testing.assert_allclose(
         deltas[:16], batch.rewards[:16] + 0.99 * values[16:] - values[:16],
         rtol=1e-12, atol=1e-12)
@@ -233,6 +230,27 @@ def hand_mediator_rows(mediator, base, coalition, rows_b, rows_i):
     return np.concatenate([obs, coalition[rows_b].astype(float), ids], axis=1)
 
 
+def slice_net(net, i):
+    """Slice ``i`` of a stacked network, as a network of its own."""
+    alone = Mlp(net.sizes)
+    alone.theta[:] = net.theta[i]
+    return alone
+
+
+def agent_policy(agents, i, obs, status, mediated):
+    """Agent ``i``'s masked policy over its own actions, computed alone
+    from its rows ``obs`` (M, obs width) and statuses (M,)."""
+    if agents.status_feature:
+        obs = np.concatenate([obs, status[:, None]], axis=1)
+    a = agents.num_actions[i]
+    if mediated:
+        masks = legal_action_mask_batch(status, agents.num_env_actions[i])
+    else:
+        masks = np.ones((obs.shape[0], a), dtype=bool)
+    logits = slice_net(agents.actor, i).forward(obs[None])[0, :, :a]
+    return masked_softmax(logits, masks)
+
+
 def reference_rollout(spec, k, agents, mediator, batch, rng):
     """The per-agent sampling loop: each agent's masked policy and draw in
     turn, then the mediator's. Returns (choice, med_action)."""
@@ -246,16 +264,9 @@ def reference_rollout(spec, k, agents, mediator, batch, rng):
         base = games.base_obs_batch(spec, t, endow, batch)
         status = (np.zeros((batch, n), dtype=np.int64) if t % k == 0
                   else np.where(coalition, 1, -1))
-        for i, agent in enumerate(agents):
-            obs = base[:, i]
-            if agent.status_feature:
-                obs = np.concatenate([obs, status[:, i, None]], axis=1)
-            if mediator is None:
-                masks = np.ones((batch, agent.num_actions), dtype=bool)
-            else:
-                masks = legal_action_mask_batch(status[:, i],
-                                                agent.num_env_actions)
-            probs = masked_softmax(agent.actor.forward(obs), masks)
+        for i in range(n):
+            probs = agent_policy(agents, i, base[:, i], status[:, i],
+                                 mediator is not None)
             choice[t, :, i] = sample_categorical(probs, rng)
         env_action = choice[t].copy()
         if mediator is not None:
@@ -265,8 +276,9 @@ def reference_rollout(spec, k, agents, mediator, batch, rng):
             if rows_b.size:
                 actor_in = hand_mediator_rows(mediator, base, coalition,
                                               rows_b, rows_i)
-                probs = masked_softmax(mediator.actor.forward(actor_in),
-                                       mediator.action_masks(rows_i))
+                probs = masked_softmax(
+                    slice_net(mediator.actor, 0).forward(actor_in[None])[0],
+                    mediator.action_masks(rows_i))
                 acts = sample_categorical(probs, rng)
                 med_action[t, rows_b, rows_i] = acts
                 env_action[rows_b, rows_i] = acts
@@ -322,21 +334,14 @@ def test_committed_agents_keep_committing_on_a_zero_uniform():
     np.testing.assert_array_equal(traj.choice, 2)
 
 
-def fresh_agent_pass(traj, agent):
-    """Actor activations and masked policy at the agent's trainable steps,
-    recomputed from the trajectory."""
-    i = agent.index
-    t_idx, b_idx = np.nonzero(traj.status[:, :, i] != 1)
-    obs = traj.base[t_idx, b_idx, i]
-    if agent.status_feature:
-        obs = np.concatenate(
-            [obs, traj.status[t_idx, b_idx, i, None].astype(float)], axis=1)
-    if agent.mediated:
-        masks = legal_action_mask_batch(traj.status[t_idx, b_idx, i],
-                                        agent.num_env_actions)
-    else:
-        masks = np.ones((t_idx.size, agent.num_actions), dtype=bool)
-    logits, acts = agent.actor.forward_cached(obs)
+def fresh_agent_pass(traj, agents):
+    """Every agent's actor activations and masked policy at every step,
+    recomputed from the trajectory in one pass."""
+    n = traj.status.shape[2]
+    base = traj.base.reshape(-1, n, traj.base.shape[-1])
+    status = traj.status.reshape(-1, n)
+    masks = legal_action_mask_batch(status.T, agents.num_env_actions[:, None])
+    logits, acts = agents.actor.forward_cached(agents.actor_inputs(base, status))
     return acts, masked_softmax(logits, masks)
 
 
@@ -344,15 +349,15 @@ def fresh_agent_pass(traj, agent):
 def test_cached_gradients_match_fresh_forward(env, k):
     config, spec, rng, agents, mediator = learners_for(env, "constrained", k=k)
     traj = sample_batch(spec, k, agents, mediator, 64, rng)
-    for agent in agents:
-        batch = build_agent_batch(traj, agent, k, 0.99)
-        acts, probs = fresh_agent_pass(traj, agent)
-        weights = np.random.default_rng(agent.index).normal(size=len(batch))
-        cached = policy_loss(agent.actor, batch.actor_acts, batch.probs,
-                             batch.actions, weights, 0.1)
-        fresh = policy_loss(agent.actor, acts, probs, batch.actions, weights, 0.1)
-        assert cached[0] == pytest.approx(fresh[0], abs=1e-12)
-        np.testing.assert_allclose(cached[1], fresh[1], rtol=0, atol=1e-12)
+    batch = build_agent_batch(traj, agents, k, 0.99)
+    acts, probs = fresh_agent_pass(traj, agents)
+    weights = np.random.default_rng(0).normal(size=batch.actions.shape)
+    cached = policy_loss(agents.actor, batch.actor_acts, batch.probs,
+                         batch.actions, weights, 0.1, batch.keep)
+    fresh = policy_loss(agents.actor, acts, probs, batch.actions, weights, 0.1,
+                        batch.keep)
+    np.testing.assert_allclose(cached[0], fresh[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cached[1], fresh[1], rtol=0, atol=1e-12)
     batch = build_mediator_batch(traj, mediator)
     assert batch.actor_actions.size > 0
     steps = batch.actor_step
@@ -360,14 +365,16 @@ def test_cached_gradients_match_fresh_forward(env, k):
     base = traj.base.reshape(-1, spec.num_agents, traj.base.shape[-1])[steps]
     actor_in = hand_mediator_rows(mediator, base, coalition,
                                   np.arange(steps.size), batch.actor_agent)
-    logits, acts = mediator.actor.forward_cached(actor_in)
-    probs = masked_softmax(logits, mediator.action_masks(batch.actor_agent))
-    weights = np.random.default_rng(9).normal(size=steps.size)
-    cached = policy_loss(mediator.actor, batch.actor_acts, batch.actor_probs,
-                         batch.actor_actions, weights, 0.1)
-    fresh = policy_loss(mediator.actor, acts, probs, batch.actor_actions,
-                        weights, 0.1)
-    assert cached[0] == pytest.approx(fresh[0], abs=1e-12)
+    logits, acts = mediator.actor.forward_cached(actor_in[None])
+    probs = masked_softmax(logits[0], mediator.action_masks(batch.actor_agent))
+    weights = np.random.default_rng(9).normal(size=(1, steps.size))
+    keep = np.ones((1, steps.size), dtype=bool)
+    cached = policy_loss(mediator.actor, [a[None] for a in batch.actor_acts],
+                         batch.actor_probs[None], batch.actor_actions[None],
+                         weights, 0.1, keep)
+    fresh = policy_loss(mediator.actor, acts, probs[None],
+                        batch.actor_actions[None], weights, 0.1, keep)
+    np.testing.assert_allclose(cached[0], fresh[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(cached[1], fresh[1], rtol=0, atol=1e-12)
 
 
@@ -381,17 +388,15 @@ def test_policy_queries_match_the_rollout(env, k):
     b = traj.batch
     queried = 0
     for t in range(spec.horizon):
-        for agent in agents:
-            i = agent.index
+        for i in range(spec.num_agents):
             for s in (0, -1):
                 rows = np.flatnonzero(traj.status[t, :, i] == s)
                 if rows.size == 0:
                     continue
                 queried += rows.size
                 np.testing.assert_allclose(
-                    agent.policy(traj.base[t, rows, i], s),
-                    traj.agent_probs[i, t * b + rows, :agent.num_actions],
-                    rtol=0, atol=1e-12)
+                    agents.policy(traj.base[t, rows], s)[i],
+                    traj.agent_probs[i, t * b + rows], rtol=0, atol=1e-12)
     assert queried > 0
     # Mediator samples are listed t-major, as the rollout drew them.
     sample = 0
@@ -410,12 +415,13 @@ def test_agent_batch_bootstraps_from_own_records():
     # records of the same batch.
     config, spec, rng, agents, mediator = learners_for("pgg-iter", k=5)
     traj = sample_batch(spec, 5, agents, mediator, 64, rng)
-    for agent in agents:
-        batch = build_agent_batch(traj, agent, 5, 0.99)
-        turn = batch.critic_obs[:, 1] * spec.horizon
-        boot_turn = batch.critic_obs[batch.boot_rows, 1] * spec.horizon
-        live = batch.bootstrap_coef > 0
+    batch = build_agent_batch(traj, agents, 5, 0.99)
+    for i in range(spec.num_agents):
+        turn = batch.critic_obs[i, :, 1] * spec.horizon
+        boot_turn = batch.critic_obs[i, batch.boot_rows[i], 1] * spec.horizon
+        live = (batch.bootstrap_coef[i] > 0) & batch.keep[i]
         assert live.any()
+        assert batch.keep[i, batch.boot_rows[i, live]].all()
         np.testing.assert_allclose(
-            batch.bootstrap_coef[live], 0.99 ** (boot_turn - turn)[live])
+            batch.bootstrap_coef[i, live], 0.99 ** (boot_turn - turn)[live])
         assert np.all(np.isin(np.round(boot_turn - turn)[live], (1, 5)))
