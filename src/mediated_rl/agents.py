@@ -1,8 +1,8 @@
 """Independent per-agent actor-critic learners, trained as one stack.
 
-Each agent owns a policy network over (env actions + commit), a value
-network, and their optimizer state, as slice i of one stacked actor, critic
-and Adam per role; nothing is shared across slices. Training is commit-aware:
+Each agent owns a policy network over (env actions + commit) and a value
+network, as slice i of one stacked actor and critic, and its own optimizer
+state; nothing is shared across slices. Training is commit-aware:
 when the commitment window k exceeds 1, the step on which an agent commits is
 trained with the k-step temporal difference, and the mid-window steps where
 the mediator acted for it carry weight 0.
@@ -53,8 +53,8 @@ class AgentBatch:
     actor_acts: list[np.ndarray]  # per layer, input first: (N, R, width)
     probs: np.ndarray           # (N, R, max actions) masked policy
 
-    def __len__(self) -> int:  # trainable records, over all agents
-        return int(self.keep.sum())
+    def __len__(self) -> int:  # records per agent: R, trainable or not
+        return self.keep.shape[1]
 
 
 def td_targets(critic: Mlp, batch: AgentBatch
@@ -80,10 +80,10 @@ def filter_trainable_steps(statuses: np.ndarray) -> np.ndarray:
     return np.asarray(statuses) != COMMITTED
 
 
-def _check_finite(losses: np.ndarray, what: str) -> None:
-    if not np.isfinite(losses).all():
-        first = np.argmin(np.isfinite(losses))
-        raise TrainingDiverged(f"agent {first} {what} loss non-finite")
+def _check_finite(values: np.ndarray, what: str) -> None:
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        raise TrainingDiverged(f"agent {np.argmin(finite)} {what} non-finite")
 
 
 class AgentLearner:
@@ -107,8 +107,8 @@ class AgentLearner:
         for i in range(n):  # as separate networks draw, actor then critic
             self.actor.draw(i, rng, self.num_actions[i])
             self.critic.draw(i, rng)
-        self.actor_opt = Adam(self.actor.theta.shape, params.lr_actor)
-        self.critic_opt = Adam(self.critic.theta.shape, params.lr_critic)
+        self.actor_opts = [Adam(p.size, params.lr_actor) for p in self.actor.theta]
+        self.critic_opts = [Adam(p.size, params.lr_critic) for p in self.critic.theta]
 
     def actor_inputs(self, base: np.ndarray,
                      status: np.ndarray | int) -> np.ndarray:
@@ -131,23 +131,30 @@ class AgentLearner:
             masks = np.arange(logits.shape[-1]) < self.num_actions[:, None, None]
         return masked_softmax(logits, masks)
 
-    def update(self, batch: AgentBatch, beta: float) -> dict[str, np.ndarray]:
-        """One gradient step on every critic and actor from a full batch;
-        returns the per-agent losses."""
-        if len(batch) == 0:
+    def learn(self, batch: AgentBatch, beta: float) -> dict[str, np.ndarray]:
+        """One gradient step for every agent from a full batch, computed in one
+        pass per stack; returns the per-agent losses."""
+        if not batch.keep.any():
             return dict.fromkeys(("critic_loss", "actor_loss"),
                                  np.zeros(len(self.actor.theta)))
         values, targets, cache = td_targets(self.critic, batch)
         advantages = targets - values
         c_loss = (advantages ** 2 * batch.keep).sum(axis=1) / batch.keep.sum(axis=1)
-        _check_finite(c_loss, "critic")
+        _check_finite(c_loss, "critic loss")
         c_grad = self.critic.backward(
             cache, value_grad(values, targets, batch.keep)[..., None])
         del cache  # spent; free it before the actor's backward pass
-        self.critic_opt.step(self.critic.theta, c_grad)
+        _check_finite(c_grad, "critic gradient")
         # Advantages are constants: no gradient flows through the critic.
         a_loss, a_grad = policy_loss(self.actor, batch.actor_acts, batch.probs,
                                      batch.actions, advantages, beta, batch.keep)
-        _check_finite(a_loss, "actor")
-        self.actor_opt.step(self.actor.theta, a_grad)
+        _check_finite(a_loss, "actor loss")
+        _check_finite(a_grad, "actor gradient")
+        for i in range(len(c_grad)):
+            self.update(i, c_grad[i], a_grad[i])
         return {"critic_loss": c_loss, "actor_loss": a_loss}
+
+    def update(self, i: int, critic_grad: np.ndarray, actor_grad: np.ndarray) -> None:
+        """Agent i's optimizer steps on its own slices of the stack."""
+        self.critic_opts[i].step(self.critic.theta[i], critic_grad)
+        self.actor_opts[i].step(self.actor.theta[i], actor_grad)

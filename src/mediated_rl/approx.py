@@ -128,9 +128,8 @@ class Adam:
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Update ``theta`` in place with one descent step along ``grad``."""
         if not np.all(np.isfinite(grad)):
-            first = np.argmin(np.isfinite(np.atleast_2d(grad)).all(axis=1))
             raise TrainingDiverged(
-                f"non-finite gradient in slice {first} (|grad|_max="
+                f"non-finite gradient (|grad|_max="
                 f"{np.abs(grad[np.isfinite(grad)]).max(initial=0.0):.3g}, "
                 f"nan={int(np.isnan(grad).sum())}, inf={int(np.isinf(grad).sum())})"
             )

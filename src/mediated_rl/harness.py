@@ -261,8 +261,8 @@ def _train_iteration(config: RunConfig, spec: PayoffSpec,
     next sample.
     """
     traj = sample_batch(spec, config.k, agents, mediator, config.batch_size, rng)
-    agents.update(build_agent_batch(traj, agents, config.k, config.gamma),
-                  config.agent.entropy.coef(it))
+    agents.learn(build_agent_batch(traj, agents, config.k, config.gamma),
+                 config.agent.entropy.coef(it))
     # The activations are spent; free them before the mediator's update.
     traj.agent_acts.clear()
     if mediator is not None:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mediated_rl import agents as agents_module
 from mediated_rl import games
 from mediated_rl.agents import (AgentBatch, AgentLearner, LearnerParams,
                                 filter_trainable_steps, td_targets)
@@ -59,7 +60,7 @@ def single_step_batch(agent, reward, coef=0.0, action=0, mask=None):
 
 def critic_loss(agent, batch):
     """Agent 0's critic loss of one training step on ``batch``."""
-    return agent.update(batch, beta=0.0)["critic_loss"][0]
+    return agent.learn(batch, beta=0.0)["critic_loss"][0]
 
 
 def actor_loss(agent, batch, advantages, beta):
@@ -69,6 +70,12 @@ def actor_loss(agent, batch, advantages, beta):
                                batch.actions, np.tile(advantages, (2, 1)),
                                beta, batch.keep)
     return losses[0], grad
+
+
+def actor_step(agent, grad):
+    """Every agent's own optimizer step on its actor slice."""
+    for i, opt in enumerate(agent.actor_opts):
+        opt.step(agent.actor.theta[i], grad[i])
 
 
 def agent0_policy(agent, status):
@@ -137,7 +144,7 @@ def test_positive_advantage_raises_action_probability():
     batch = single_step_batch(agent, reward=1.0, action=1)
     before = agent0_policy(agent, 0)[1]
     _, grad = actor_loss(agent, batch, np.array([1.0]), beta=0.0)
-    agent.actor_opt.step(agent.actor.theta, grad)
+    actor_step(agent, grad)
     after = agent0_policy(agent, 0)[1]
     assert after > before
 
@@ -160,7 +167,7 @@ def test_entropy_drives_masked_policy_to_uniform():
         # One fresh rollout per step, as in training.
         batch = single_step_batch(agent, reward=0.0, mask=mask)
         _, grad = actor_loss(agent, batch, np.zeros(1), beta=0.1)
-        agent.actor_opt.step(agent.actor.theta, grad)
+        actor_step(agent, grad)
     # Locked out (status -1): the commit action is masked, as in ``mask``.
     probs = agent0_policy(agent, -1)
     assert probs[0] == pytest.approx(0.5, abs=1e-3)
@@ -195,7 +202,7 @@ def test_update_empty_batch_is_noop():
     empty = constant_batch(agent, np.zeros(0), np.zeros(0, dtype=np.int64),
                            np.zeros((0, 3), dtype=bool))
     theta = agent.actor.theta.copy()
-    agent.update(empty, beta=0.1)
+    agent.learn(empty, beta=0.1)
     np.testing.assert_array_equal(agent.actor.theta, theta)
 
 
@@ -288,7 +295,9 @@ def test_padded_action_column_stays_zero():
                           batch.actions, weights, 0.5, batch.keep)
     for it in range(50):
         _train_iteration(config, spec, agents, mediator, rng, it)
-    for param in (agents.actor.theta, agents.actor_opt.m, agents.actor_opt.v, grad):
+    moments = [np.stack([getattr(opt, m) for opt in agents.actor_opts])
+               for m in "mv"]
+    for param in (agents.actor.theta, *moments, grad):
         view = Mlp(agents.actor.sizes, stack=2)
         view.theta[:] = param
         assert not view.weights[-1][0][:, 3].any()
@@ -315,7 +324,7 @@ def test_committed_rows_carry_no_gradient():
             off = ~batch.keep
             batch.reward_sum[off] = np.random.default_rng(4).normal(
                 scale=100.0, size=off.sum())
-        learner.update(batch, 0.1)
+        learner.learn(batch, 0.1)
         thetas.append((learner.actor.theta, learner.critic.theta))
     for before, after in zip(*thetas):
         np.testing.assert_array_equal(before, after)
@@ -326,4 +335,34 @@ def test_divergence_names_the_first_agent():
     agent.critic.theta[1] = np.nan
     batch = single_step_batch(agent, reward=1.0)
     with pytest.raises(TrainingDiverged, match="agent 1 critic loss"):
-        agent.update(batch, beta=0.0)
+        agent.learn(batch, beta=0.0)
+
+
+def test_each_agent_steps_only_its_own_slices():
+    # ``update(i, ...)`` is agent i's optimizer step: the other agents'
+    # parameters and optimizer state are untouched.
+    agent = make_agent()
+    actor, critic = agent.actor.theta.copy(), agent.critic.theta.copy()
+    agent.update(1, np.ones(critic.shape[1]), np.ones(actor.shape[1]))
+    np.testing.assert_array_equal(agent.actor.theta[0], actor[0])
+    np.testing.assert_array_equal(agent.critic.theta[0], critic[0])
+    assert (agent.actor.theta[1] != actor[1]).all()
+    assert (agent.critic.theta[1] != critic[1]).all()
+    assert [opt.t for opt in agent.actor_opts + agent.critic_opts] == [0, 1, 0, 1]
+
+
+def test_non_finite_gradient_names_the_first_agent(monkeypatch):
+    # Finite losses, but agent 1's critic gradient overflows: it is named
+    # before any agent steps.
+    def overflowing(values, targets, keep):
+        grad = np.zeros_like(values)
+        grad[1] = np.inf
+        return grad
+
+    monkeypatch.setattr(agents_module, "value_grad", overflowing)
+    agent = make_agent()
+    theta = agent.critic.theta.copy()
+    with np.errstate(invalid="ignore"), pytest.raises(
+            TrainingDiverged, match="agent 1 critic gradient"):
+        agent.learn(single_step_batch(agent, reward=1.0), beta=0.0)
+    np.testing.assert_array_equal(agent.critic.theta, theta)

@@ -369,13 +369,6 @@ def test_adam_rejects_non_finite_gradient():
         opt.step(np.zeros(2), np.array([1.0, np.nan]))
 
 
-def test_adam_names_the_first_non_finite_slice():
-    opt = Adam((3, 2), lr=0.1)
-    grad = np.array([[1.0, 2.0], [1.0, np.inf], [np.nan, 0.0]])
-    with pytest.raises(TrainingDiverged, match="in slice 1 "):
-        opt.step(np.zeros((3, 2)), grad)
-
-
 # ---------------------------------------------------------------------------
 # Entropy schedules
 

@@ -142,7 +142,8 @@ def test_agent_batch_excludes_committed_steps():
     for i in range(spec.num_agents):
         statuses = traj.status[:, :, i].ravel()
         np.testing.assert_array_equal(batch.keep[i], statuses != 1)
-    assert len(batch) == int((traj.status != 1).sum())
+    assert batch.keep.sum() == int((traj.status != 1).sum())
+    assert len(batch) == 10 * 32
 
 
 def test_agent_batch_k_step_targets_on_commitment():
@@ -170,7 +171,7 @@ def test_agent_batch_one_step_bootstrap_coef():
     traj = sample_batch(spec, 1, agents, mediator, 8, rng)
     batch = build_agent_batch(traj, agents, 1, 0.99)
     # horizon 10, batch 8, 3 agents: all steps trainable at k=1
-    assert len(batch) == 240
+    assert batch.keep.sum() == 240
     coefs = batch.bootstrap_coef[0].reshape(10, 8)
     assert np.all(coefs[:-1] == 0.99)
     assert np.all(coefs[-1] == 0.0)
