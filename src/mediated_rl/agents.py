@@ -38,7 +38,7 @@ class AgentBatch:
     all, in flat order t * batch + b; ``keep`` flags the trainable ones.
 
     ``reward_sum`` holds the plain reward for 1-step targets and the
-    discounted within-window sum for commit decisions with k > 1;
+    discounted return of its window for a commit decision;
     ``bootstrap_coef`` is the matching gamma power of the value at step
     ``boot_rows``, zero at episode end. The actor activations and policy are
     the ones the rollout sampled with.

@@ -261,7 +261,7 @@ def _train_iteration(config: RunConfig, spec: PayoffSpec,
     next sample.
     """
     traj = sample_batch(spec, config.k, agents, mediator, config.batch_size, rng)
-    agents.learn(build_agent_batch(traj, agents, config.k, config.gamma),
+    agents.learn(build_agent_batch(traj, config.k, config.gamma),
                  config.agent.entropy.coef(it))
     # The activations are spent; free them before the mediator's update.
     traj.agent_acts.clear()

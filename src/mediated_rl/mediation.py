@@ -1,11 +1,13 @@
 """The minimal-mediator protocol wrapped around any game.
 
-Each agent gets one extra action, ``commit``, appended as the last index of
-its action space. Committing cedes control to the mediator for the current
-commitment window of ``k`` steps. Within a window the coalition is frozen:
-committed agents are forced to keep committing (status +1) and the rest are
-barred from joining (status -1); at window boundaries (t mod k == 0) the
-status is 0 and every action is legal.
+Each agent gets one extra action, ``commit``: an agent with A env actions
+(ids 0 to A - 1) commits with action A. Committing cedes control to the
+mediator for the current commitment window of ``k`` steps. Within a window
+the coalition is frozen: committed agents are forced to keep committing
+(status +1) and the rest are barred from joining (status -1); at window
+boundaries (t mod k == 0) the status is 0 and every action is legal.
+``window_sums`` gives the discounted return of each window, on which an
+agent's commit decision and the mediator's constraints are valued.
 
 Every function here works on a batch of episodes advancing in lockstep, with
 agents along the last axis; the rollout and the oracle's Monte-Carlo check
@@ -22,11 +24,6 @@ from .errors import ContractError
 LOCKED_OUT = -1   # mid-window, not committed: cannot join
 FREE = 0          # window boundary: may choose anything
 COMMITTED = 1     # mid-window, committed: the mediator acts
-
-
-def commit_index(num_env_actions: int) -> int:
-    """The commit action is appended after the environment actions."""
-    return num_env_actions
 
 
 def legal_action_mask_batch(statuses: np.ndarray,
@@ -59,15 +56,15 @@ def window_statuses(coalition: np.ndarray, t: int, k: int) -> np.ndarray:
 
 
 def next_coalition(coalition: np.ndarray, choices: np.ndarray, t: int, k: int,
-                   commit_ids: np.ndarray) -> np.ndarray:
+                   env_actions: np.ndarray) -> np.ndarray:
     """Membership after the choices at time t.
 
     At a window boundary the coalition becomes exactly the agents choosing
-    their commit action (``commit_ids`` broadcasts against ``choices``);
-    inside a window it carries over unchanged, and members must have chosen
-    commit and everyone else must not have.
+    their commit action (``env_actions``, the env action counts, broadcasts
+    against ``choices``); inside a window it carries over unchanged, and
+    members must have chosen commit and everyone else must not have.
     """
-    chose_commit = choices == commit_ids
+    chose_commit = choices == env_actions
     if t % k == 0:
         return chose_commit
     if (coalition != chose_commit).any():
@@ -75,6 +72,15 @@ def next_coalition(coalition: np.ndarray, choices: np.ndarray, t: int, k: int,
             raise ContractError("committed agent made a non-commit choice")
         raise ContractError("locked-out agent chose commit")
     return coalition
+
+
+def window_sums(values: np.ndarray, k: int, gamma: float) -> np.ndarray:
+    """Discounted sums of ``values`` (T, ...) over each commitment window,
+    (ceil(T / k), ...); the last window ends at the horizon."""
+    flat = values.reshape(len(values), -1)
+    sums = [gamma ** np.arange(len(rows)) @ rows
+            for rows in (flat[t:t + k] for t in range(0, len(flat), k))]
+    return np.reshape(sums, (len(sums), *values.shape[1:]))
 
 
 def joint_env_actions(choices: np.ndarray, med_actions: np.ndarray,

@@ -24,6 +24,7 @@ from .agents import LearnerParams
 from .approx import Adam, Mlp, masked_softmax, policy_loss
 from .errors import TrainingDiverged
 from .games import GameKind, PayoffSpec, obs_dim
+from .mediation import window_sums
 
 # Every published run clips log lambda to this range.
 LOG_LAMBDA_BOUNDS = (-4.0, 4.0)
@@ -308,19 +309,17 @@ class MediatorLearner:
         """Batch-mean discounted window sums of per-step gaps (S, N).
 
         ``side`` flags the (step, agent) pairs the constraint concerns; gaps
-        elsewhere are zero. Sums run over each commitment window with weights
-        gamma^(t mod k); means run over window occurrences per agent.
+        elsewhere are zero. Sums run over each commitment window
+        (``mediation.window_sums``); membership is constant within a window,
+        so the window-start rows say which windows count, and means run over
+        those windows per agent.
         """
-        n = self.num_agents
-        gap_tb = gap_step.reshape(batch.horizon, batch.batch, n)
-        phase_w = self.gamma ** (np.arange(batch.horizon) % k)
-        weighted = gap_tb * phase_w[:, None, None]
-        starts = np.arange(0, batch.horizon, k)
-        window_sums = np.add.reduceat(weighted, starts, axis=0)
-        side_tb = side.reshape(batch.horizon, batch.batch, n)
-        side_w = side_tb[starts]  # membership is constant within a window
+        shape = (batch.horizon, batch.batch, self.num_agents)
+        side_w = side.reshape(shape)[::k]
         counts = side_w.sum(axis=(0, 1))
         valid = counts > 0
-        totals = (window_sums * side_w).sum(axis=(0, 1))
-        gaps = np.divide(totals, counts, out=np.zeros(n), where=valid)
+        totals = (window_sums(gap_step.reshape(shape), k, self.gamma)
+                  * side_w).sum(axis=(0, 1))
+        gaps = np.divide(totals, counts, out=np.zeros(self.num_agents),
+                         where=valid)
         return gaps, valid

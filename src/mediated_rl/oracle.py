@@ -132,10 +132,10 @@ def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
 
 
 def _check_query(spec: PayoffSpec, profile: MixedProfile, k: int,
-                 agent: int | None = None) -> None:
+                 agent: int | None = None, gamma: float = 1.0) -> None:
     """Raise unless the game has exact expectations, the profile fits it,
-    ``k`` is a window length and ``agent``, when given, is one of the
-    game's agents."""
+    ``k`` is a window length, ``agent``, when given, is one of the game's
+    agents and ``gamma`` is a discount in [0, 1]."""
     if spec.kind is GameKind.ITERATIVE_PGG:
         raise UnsupportedGameError(
             "exact expectations for the iterative PGG are not supported")
@@ -143,6 +143,8 @@ def _check_query(spec: PayoffSpec, profile: MixedProfile, k: int,
     _check_int("k", k, 1)
     if agent is not None:
         _check_int("agent", agent, 0, spec.num_agents)
+    if not isinstance(gamma, (int, float, np.number)) or not 0 <= gamma <= 1:
+        raise ContractError(f"gamma must be a number in [0, 1], got {gamma!r}")
 
 
 def uniform_profile(spec: PayoffSpec, mediated: bool) -> MixedProfile:
@@ -179,7 +181,7 @@ def expected_payoffs(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
     Covers matrix games of any (small) horizon and the one-shot PGG; general
     policies in the iterative PGG have no closed form here.
     """
-    _check_query(spec, profile, k)
+    _check_query(spec, profile, k, gamma=gamma)
     return _expected(spec, profile, _padded_policies(spec, profile)[None],
                      k, gamma)[0]
 
@@ -336,7 +338,7 @@ def best_response_gap(spec: PayoffSpec, profile: MixedProfile, agent: int,
                       k: int = 1, gamma: float = 1.0) -> float:
     """How much agent ``agent`` can gain by a pure deviation (>= 0). The
     profile and every plan are evaluated in one stacked pass."""
-    _check_query(spec, profile, k, agent)
+    _check_query(spec, profile, k, agent, gamma)
     plans = _pure_plans(spec, profile, agent, k)
     stack = np.repeat(_padded_policies(spec, profile)[None], len(plans) + 1,
                       axis=0)
@@ -418,25 +420,16 @@ def normalized_reward(spec: PayoffSpec, mean_return: float) -> float:
 
 
 def pure_nash_payoffs(spec: PayoffSpec) -> list[np.ndarray]:
-    """Payoff vectors of all pure Nash equilibria of a one-shot matrix game."""
+    """Payoff vectors of all pure Nash equilibria of a one-shot matrix game,
+    in row-major order of the joint actions. A profile is stable when no
+    agent's best reply along its own action axis beats it by over 1e-12."""
     if spec.kind is not GameKind.MATRIX or spec.horizon != 1:
         raise UnsupportedGameError("pure Nash enumeration is for one-shot matrix games")
     table = spec.payoff_tables[0]
-    out = []
-    for joint in itertools.product(*(range(a) for a in spec.num_actions)):
-        stable = True
-        for i in range(spec.num_agents):
-            for alt in range(spec.num_actions[i]):
-                dev = list(joint)
-                dev[i] = alt
-                if table[tuple(dev)][i] > table[joint][i] + 1e-12:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append(table[joint].copy())
-    return out
+    stable = np.logical_and.reduce([
+        table[..., i].max(axis=i, keepdims=True) <= table[..., i] + 1e-12
+        for i in range(spec.num_agents)])
+    return [table[tuple(joint)].copy() for joint in np.argwhere(stable)]
 
 
 def max_mediated_welfare(spec: PayoffSpec) -> tuple[float, np.ndarray]:
@@ -552,7 +545,7 @@ def conditional_commit_values(spec: PayoffSpec, profile: MixedProfile,
     restrict the agent's first-state policy to one status: committed
     (it commits) or locked out (it plays the commit-renormalized env part).
     """
-    _check_query(spec, profile, k, agent)
+    _check_query(spec, profile, k, agent, gamma)
     if not profile.mediated:
         raise ContractError("conditional commit values need a mediated profile")
     a = spec.num_actions[agent]

@@ -17,9 +17,8 @@ from .agents import AgentBatch, AgentLearner, filter_trainable_steps
 from .approx import masked_softmax, sample_categorical
 from .errors import ContractError
 from .games import GameKind, PayoffSpec, base_obs_batch, step_batch
-from .mediation import (FREE, commit_index, joint_env_actions,
-                        legal_action_mask_batch, next_coalition,
-                        window_statuses)
+from .mediation import (FREE, joint_env_actions, legal_action_mask_batch,
+                        next_coalition, window_statuses, window_sums)
 from .mediator import MediatorBatch, MediatorLearner
 
 
@@ -91,7 +90,6 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
     endow = np.ones((batch, n)) if spec.kind is GameKind.ITERATIVE_PGG else None
     coalition = np.zeros((batch, n), dtype=bool)
     env_actions = np.asarray(spec.num_actions)
-    commit_ids = np.asarray([commit_index(a) for a in spec.num_actions])
     agent_acts = [np.empty((n, t_max * batch, width))
                   for width in agents.actor.sizes]
     agent_probs = np.empty_like(agent_acts[-1])
@@ -112,7 +110,7 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
         agent_probs[:, steps] = probs = masked_softmax(logits, masks)
         choice[t] = sample_categorical(probs, rng).T
         if mediated:
-            coalition = next_coalition(coalition, choice[t], t, k, commit_ids)
+            coalition = next_coalition(coalition, choice[t], t, k, env_actions)
             member[t] = coalition
             rows_b, rows_i = np.nonzero(coalition)
             if rows_b.size:
@@ -136,40 +134,18 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
 # Training-batch assembly
 
 
-def window_reward_sums(reward: np.ndarray, k: int,
-                       gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted reward sums and end steps for the window starting at each t.
-
-    Only rows at window boundaries are meaningful; windows truncate at the
-    horizon. Returns (sums shaped like ``reward`` (T, ...), end (T,)).
-    """
-    t_max = reward.shape[0]
-    sums = np.empty_like(reward)
-    ends = np.empty(t_max, dtype=np.int64)
-    for t in range(0, t_max, k):
-        end = min(t + k, t_max)
-        ends[t:end] = end
-        coefs = gamma ** np.arange(end - t)
-        sums[t] = (coefs @ reward[t:end].reshape(end - t, -1)).reshape(sums.shape[1:])
-    return sums, ends
-
-
-def build_agent_batch(traj: TrajectoryBatch, agents: AgentLearner,
-                      k: int, gamma: float) -> AgentBatch:
+def build_agent_batch(traj: TrajectoryBatch, k: int,
+                      gamma: float) -> AgentBatch:
     """Every agent's records, over all steps: status 0 or -1 steps are
-    trainable, and commit decisions take k-step targets, over the rollout's
-    cached actor activations."""
+    trainable, and commit decisions (membership chosen at a window start)
+    take their window's discounted return and bootstrap at its end, over the
+    rollout's cached actor activations."""
     t_max, b, n = traj.reward.shape
-    reward_sum = traj.reward
-    boot_t = np.broadcast_to(np.arange(1, t_max + 1)[:, None, None], (t_max, b, n))
-    if agents.mediated:
-        committed = (traj.status == FREE) & (
-            traj.choice == commit_index(agents.num_env_actions))
-        if k > 1 and committed.any():
-            wsums, wends = window_reward_sums(traj.reward, k, gamma)
-            reward_sum = np.where(committed, wsums, reward_sum)
-            boot_t = np.where(committed, wends[:, None, None], boot_t)
     steps = np.arange(t_max)[:, None, None]
+    committed = (traj.status == FREE) & traj.member
+    window_return = np.repeat(window_sums(traj.reward, k, gamma), k, axis=0)
+    reward_sum = np.where(committed, window_return[:t_max], traj.reward)
+    boot_t = np.where(committed, np.minimum(steps + k, t_max), steps + 1)
     coef = np.where(boot_t < t_max, gamma ** (boot_t - steps), 0.0)
     # Targets ending at the horizon have coefficient 0; any step will do.
     boot_rows = np.minimum(boot_t, t_max - 1) * b + np.arange(b)[:, None]

@@ -289,7 +289,7 @@ def test_padded_action_column_stays_zero():
     agents, mediator = _build_learners(config, spec, rng)
     traj = sample_batch(spec, 1, agents, mediator, 32, rng)
     np.testing.assert_array_equal(traj.agent_probs[0, :, 3], 0.0)
-    batch = build_agent_batch(traj, agents, 1, 0.99)
+    batch = build_agent_batch(traj, 1, 0.99)
     weights = np.random.default_rng(1).normal(size=batch.actions.shape)
     _, grad = policy_loss(agents.actor, batch.actor_acts, batch.probs,
                           batch.actions, weights, 0.5, batch.keep)
@@ -318,7 +318,7 @@ def test_committed_rows_carry_no_gradient():
     thetas = []
     for scramble in (False, True):
         learner = copy.deepcopy(agents)
-        batch = build_agent_batch(copy.deepcopy(traj), learner, 10, 0.99)
+        batch = build_agent_batch(copy.deepcopy(traj), 10, 0.99)
         assert not batch.keep.all()
         if scramble:
             off = ~batch.keep

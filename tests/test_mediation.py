@@ -10,7 +10,8 @@ from mediated_rl.approx import EntropySchedule
 from mediated_rl.errors import ContractError
 from mediated_rl.games import iterative_pgg, one_shot_pgg, step_batch
 from mediated_rl.mediation import (joint_env_actions, legal_action_mask_batch,
-                                   next_coalition, window_statuses)
+                                   next_coalition, window_statuses,
+                                   window_sums)
 from mediated_rl.mediator import MediatorLearner
 from mediated_rl.rollout import sample_batch
 
@@ -151,6 +152,32 @@ def test_assemble_missing_mediator_action_raises():
     with pytest.raises(ContractError):
         joint_env_actions(np.array([[2, 0]]), np.array([[-1, -1]]),
                           np.array([[True, False]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), horizon=st.integers(1, 12),
+       gamma=st.floats(0.0, 1.0), width=st.integers(1, 3))
+def test_window_sums_match_a_per_step_loop(data, horizon, gamma, width):
+    k = data.draw(st.integers(1, horizon))
+    values = np.random.default_rng(horizon * k).normal(size=(horizon, width, 2))
+    expected = np.zeros((-(-horizon // k), width, 2))
+    for t in range(horizon):
+        expected[t // k] += gamma ** (t % k) * values[t]
+    np.testing.assert_allclose(window_sums(values, k, gamma), expected,
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_window_sums_k1_returns_the_values():
+    values = np.random.default_rng(0).normal(size=(7, 4, 3))
+    np.testing.assert_array_equal(window_sums(values, 1, 0.37), values)
+
+
+def test_window_sums_cut_final_window():
+    # Horizon 5 in windows of 3: the second window holds steps 3 and 4.
+    values = np.arange(10.0).reshape(5, 2)
+    np.testing.assert_allclose(window_sums(values, 3, 0.5),
+                               [[0 + 0.5 * 2 + 0.25 * 4, 1 + 0.5 * 3 + 0.25 * 5],
+                                [6 + 0.5 * 8, 7 + 0.5 * 9]], rtol=1e-15)
 
 
 def test_coalition_fraction():

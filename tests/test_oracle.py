@@ -183,6 +183,15 @@ BAD_ARGUMENTS = {
         spec, p, 1, np.random.default_rng(0)),
     "sample_profile_payoffs-episodes0": lambda spec, p: sample_profile_payoffs(
         spec, p, 0, np.random.default_rng(0)),
+    **{f"{name}-gamma{gamma}": lambda spec, p, query=query, gamma=gamma:
+       query(spec, p, gamma=gamma)
+       for name, query in (
+           ("expected_payoffs", expected_payoffs),
+           ("best_response_gap", lambda spec, p, gamma: best_response_gap(
+               spec, p, 0, gamma=gamma)),
+           ("conditional_commit_values", lambda spec, p, gamma:
+            oracle.conditional_commit_values(spec, p, 0, gamma=gamma)))
+       for gamma in (np.nan, -0.5, 1.5)},
 }
 
 
@@ -443,6 +452,25 @@ def test_pure_nash_pd_is_mutual_defection():
     payoffs = pure_nash_payoffs(prisoners_dilemma())
     assert len(payoffs) == 1
     np.testing.assert_array_equal(payoffs[0], (0.0, 0.0))
+
+
+def test_pure_nash_matches_enumeration_within_tolerance():
+    # A coordination game with equilibria (0, 0) and (1, 1). At (2, 2) agent
+    # 0 gains less than the 1e-12 tolerance by moving to row 0, so it counts;
+    # at (3, 3) agent 1 gains more by moving to column 0, so it does not.
+    table = np.zeros((4, 4, 2))
+    table[0, 0] = table[1, 1] = (2.0, 2.0)
+    table[2, 2] = table[3, 3] = (1.0, 1.0)
+    table[0, 2, 0] = 1.0 + 5e-13
+    table[3, 0, 1] = 1.0 + 5e-12
+    spec = games.PayoffSpec(games.GameKind.MATRIX, 2, (4, 4), 1, (table,))
+    expected = [table[joint] for joint in itertools.product(range(4), repeat=2)
+                if all(table[joint[:i] + (alt,) + joint[i + 1:]][i]
+                       <= table[joint][i] + 1e-12
+                       for i in range(2) for alt in range(4))]
+    payoffs = pure_nash_payoffs(spec)
+    np.testing.assert_array_equal(payoffs, expected)
+    np.testing.assert_array_equal(payoffs, [(2.0, 2.0), (2.0, 2.0), (1.0, 1.0)])
 
 
 def test_max_mediated_welfare_pd():

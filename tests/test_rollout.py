@@ -11,7 +11,7 @@ from mediated_rl.approx import (Mlp, masked_softmax, policy_loss,
 from mediated_rl.harness import _build_learners, default_config
 from mediated_rl.mediation import FREE, legal_action_mask_batch
 from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
-                                 sample_batch, window_reward_sums)
+                                 sample_batch)
 
 
 def learners_for(env, mediator_mode="naive", k=1, num_agents=None, seed=0):
@@ -117,28 +117,13 @@ def test_rollout_deterministic_given_seed():
 
 
 # ---------------------------------------------------------------------------
-# Window reward sums and agent batches
-
-
-def test_window_reward_sums_discounting():
-    rewards = np.arange(6, dtype=float).reshape(6, 1)  # single episode column
-    sums, ends = window_reward_sums(rewards, k=3, gamma=0.5)
-    assert ends[0] == 3 and ends[3] == 6
-    assert sums[0, 0] == pytest.approx(0 + 0.5 * 1 + 0.25 * 2)
-    assert sums[3, 0] == pytest.approx(3 + 0.5 * 4 + 0.25 * 5)
-
-
-def test_window_reward_sums_truncated_final_window():
-    rewards = np.ones((5, 1))
-    sums, ends = window_reward_sums(rewards, k=3, gamma=1.0)
-    assert ends[3] == 5
-    assert sums[3, 0] == pytest.approx(2.0)  # two steps remain
+# Agent batches
 
 
 def test_agent_batch_excludes_committed_steps():
     config, spec, rng, agents, mediator = learners_for("pgg-iter", k=10)
     traj = sample_batch(spec, 10, agents, mediator, 32, rng)
-    batch = build_agent_batch(traj, agents, 10, 0.99)
+    batch = build_agent_batch(traj, 10, 0.99)
     for i in range(spec.num_agents):
         statuses = traj.status[:, :, i].ravel()
         np.testing.assert_array_equal(batch.keep[i], statuses != 1)
@@ -149,7 +134,7 @@ def test_agent_batch_excludes_committed_steps():
 def test_agent_batch_k_step_targets_on_commitment():
     config, spec, rng, agents, mediator = learners_for("pgg-iter", k=10)
     traj = sample_batch(spec, 10, agents, mediator, 64, rng)
-    batch = build_agent_batch(traj, agents, 10, 0.99)
+    batch = build_agent_batch(traj, 10, 0.99)
     committed = traj.member[0, :, 0]
     # Episodes where agent 0 committed at t=0: the (only) trainable step for
     # that window carries the full discounted episode reward, no bootstrap.
@@ -166,10 +151,49 @@ def test_agent_batch_k_step_targets_on_commitment():
                                traj.reward[0, uncommitted, 0], rtol=1e-12)
 
 
+def test_agent_batch_cut_windows_at_k3():
+    # k=3 over horizon 10: windows start at 0, 3, 6 and 9. A commit at 3 or
+    # 6 takes its 3-step discounted return and bootstraps 3 steps on; the
+    # window at 9 is cut to one step and ends the episode.
+    config, spec, rng, agents, mediator = learners_for("pgg-iter", k=3)
+    traj = sample_batch(spec, 3, agents, mediator, 64, rng)
+    gamma, b = 0.9, traj.batch
+    batch = build_agent_batch(traj, 3, gamma)
+    for i in range(spec.num_agents):
+        for t in (3, 6, 9):
+            episodes = np.flatnonzero(traj.member[t, :, i])
+            assert episodes.size
+            rows = t * b + episodes
+            end = min(t + 3, spec.horizon)
+            window_return = sum(gamma ** (s - t) * traj.reward[s, episodes, i]
+                                for s in range(t, end))
+            np.testing.assert_allclose(batch.reward_sum[i, rows],
+                                       window_return, rtol=1e-12)
+            if t < 9:
+                np.testing.assert_array_equal(batch.boot_rows[i, rows],
+                                              (t + 3) * b + episodes)
+                np.testing.assert_allclose(batch.bootstrap_coef[i, rows],
+                                           gamma ** 3, rtol=1e-15)
+            else:
+                np.testing.assert_array_equal(batch.bootstrap_coef[i, rows], 0.0)
+
+
+@pytest.mark.parametrize("env,k", [("pd2", 2), ("pgg-iter", 5)])
+def test_commit_decisions_by_membership_match_commit_choices(env, k):
+    # Membership at a window start is the commit choice made there.
+    config, spec, rng, agents, mediator = learners_for(env, k=k)
+    traj = sample_batch(spec, k, agents, mediator, 64, rng)
+    start = traj.status == FREE
+    by_member = start & traj.member
+    assert by_member.any()
+    np.testing.assert_array_equal(
+        by_member, start & (traj.choice == np.asarray(spec.num_actions)))
+
+
 def test_agent_batch_one_step_bootstrap_coef():
     config, spec, rng, agents, mediator = learners_for("pgg-iter", k=1)
     traj = sample_batch(spec, 1, agents, mediator, 8, rng)
-    batch = build_agent_batch(traj, agents, 1, 0.99)
+    batch = build_agent_batch(traj, 1, 0.99)
     # horizon 10, batch 8, 3 agents: all steps trainable at k=1
     assert batch.keep.sum() == 240
     coefs = batch.bootstrap_coef[0].reshape(10, 8)
@@ -199,6 +223,34 @@ def test_mediator_batch_layout_and_next_inputs():
         rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(deltas[16:], batch.rewards[16:] - values[16:],
                                rtol=1e-12, atol=1e-12)
+
+
+def test_constraint_gaps_sum_each_window_at_k3():
+    # IC gaps average each member's discounted window sum of
+    # V_i(C) - V_i(C minus i) over the windows it joined; E gaps each
+    # outsider's sum of V_j(C plus j) - V_j(C) over the windows it skipped.
+    config, spec, rng, agents, mediator = learners_for("pgg-iter",
+                                                       "constrained", k=3)
+    traj = sample_batch(spec, 3, agents, mediator, 16, rng)
+    batch = build_mediator_batch(traj, mediator)
+    actual, flipped = mediator.counterfactual_values(batch.critic_cur,
+                                                     batch.member)
+    t_max, b, n = traj.reward.shape
+    gain = (flipped - actual).reshape(t_max, b, n)
+    totals, counts = np.zeros((2, n)), np.zeros((2, n))
+    for start in range(0, t_max, 3):
+        for e in range(b):
+            for i in range(n):
+                side = 0 if traj.member[start, e, i] else 1
+                sign = -1.0 if side == 0 else 1.0
+                totals[side, i] += sum(
+                    mediator.gamma ** (t - start) * sign * gain[t, e, i]
+                    for t in range(start, min(start + 3, t_max)))
+                counts[side, i] += 1
+    ic_gaps, ic_valid, e_gaps, e_valid = mediator._constraint_gaps(batch, 3)
+    assert ic_valid.all() and e_valid.all()
+    np.testing.assert_allclose([ic_gaps, e_gaps], totals / counts,
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_mediator_batch_actor_masks_heterogeneous_actions():
@@ -350,7 +402,7 @@ def fresh_agent_pass(traj, agents):
 def test_cached_gradients_match_fresh_forward(env, k):
     config, spec, rng, agents, mediator = learners_for(env, "constrained", k=k)
     traj = sample_batch(spec, k, agents, mediator, 64, rng)
-    batch = build_agent_batch(traj, agents, k, 0.99)
+    batch = build_agent_batch(traj, k, 0.99)
     acts, probs = fresh_agent_pass(traj, agents)
     weights = np.random.default_rng(0).normal(size=batch.actions.shape)
     cached = policy_loss(agents.actor, batch.actor_acts, batch.probs,
@@ -416,7 +468,7 @@ def test_agent_batch_bootstraps_from_own_records():
     # records of the same batch.
     config, spec, rng, agents, mediator = learners_for("pgg-iter", k=5)
     traj = sample_batch(spec, 5, agents, mediator, 64, rng)
-    batch = build_agent_batch(traj, agents, 5, 0.99)
+    batch = build_agent_batch(traj, 5, 0.99)
     for i in range(spec.num_agents):
         turn = batch.critic_obs[i, :, 1] * spec.horizon
         boot_turn = batch.critic_obs[i, batch.boot_rows[i], 1] * spec.horizon
