@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import (Adam, EntropySchedule, Mlp, masked_softmax, policy_loss,
-                     value_grad)
+                     value_loss)
 from .errors import TrainingDiverged
 from .games import GameKind, PayoffSpec, obs_dim
 from .mediation import COMMITTED, legal_action_mask_batch
@@ -139,10 +139,9 @@ class AgentLearner:
                                  np.zeros(len(self.actor.theta)))
         values, targets, cache = td_targets(self.critic, batch)
         advantages = targets - values
-        c_loss = (advantages ** 2 * batch.keep).sum(axis=1) / batch.keep.sum(axis=1)
+        c_loss, upstream = value_loss(advantages[..., None], batch.keep)
         _check_finite(c_loss, "critic loss")
-        c_grad = self.critic.backward(
-            cache, value_grad(values, targets, batch.keep)[..., None])
+        c_grad = self.critic.backward(cache, upstream)
         del cache  # spent; free it before the actor's backward pass
         _check_finite(c_grad, "critic gradient")
         # Advantages are constants: no gradient flows through the critic.

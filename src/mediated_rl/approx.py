@@ -2,9 +2,9 @@
 
 Everything a learner needs and nothing more: a stack of two-hidden-layer
 tanh networks, one parameter row per network, an Adam-style optimizer,
-masked-softmax policy heads, and entropy-coefficient schedules. No ML
-framework; gradients are hand-derived and checked against finite
-differences in the test suite.
+masked-softmax policy heads, the policy and value objectives, and
+entropy-coefficient schedules. No ML framework; gradients are hand-derived
+and checked against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ContractError, TrainingDiverged
 
 NEG_INF = -np.inf
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Mlp:
@@ -115,12 +117,8 @@ class Mlp:
 class Adam:
     """Adaptive-moment optimizer, elementwise over a parameter array."""
 
-    def __init__(self, shape: int | tuple[int, ...], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, shape: int | tuple[int, ...], lr: float):
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
@@ -134,11 +132,11 @@ class Adam:
                 f"nan={int(np.isnan(grad).sum())}, inf={int(np.isinf(grad).sum())})"
             )
         self.t += 1
-        self.m += (1.0 - self.beta1) * (grad - self.m)
-        self.v += (1.0 - self.beta2) * (grad * grad - self.v)
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m += (1.0 - BETA1) * (grad - self.m)
+        self.v += (1.0 - BETA2) * (grad * grad - self.v)
+        m_hat = self.m / (1.0 - BETA1 ** self.t)
+        v_hat = self.v / (1.0 - BETA2 ** self.t)
+        theta -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
         if not np.all(np.isfinite(theta)):
             raise TrainingDiverged("parameters became non-finite after update")
 
@@ -172,13 +170,6 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return z
 
 
-def masked_entropy(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy per row; zero-probability entries contribute nothing."""
-    p = np.atleast_2d(probs)
-    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -plogp.sum(axis=1)
-
-
 def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one action per row (actions along the last axis), one uniform u
     per row in C order. Zero-probability actions, such as padding and
@@ -199,27 +190,6 @@ def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarra
     return draw
 
 
-def policy_logit_grad(probs: np.ndarray, actions: np.ndarray,
-                      weights: np.ndarray, beta: float) -> np.ndarray:
-    """d/dlogits of  -weight * log pi(action) - beta * H(pi),  per row.
-
-    Masked actions (probability 0) receive exactly zero gradient, so the
-    masked policy stays at zero mass on them.
-    """
-    p = np.atleast_2d(probs)
-    rows = np.arange(p.shape[0])
-    taken = p[rows, actions]
-    if np.any(taken <= 0.0):
-        raise ContractError("taken action has zero probability under the mask")
-    g = p * weights[:, None]
-    g[rows, actions] -= weights
-    if beta != 0.0:
-        logp = np.log(np.where(p > 0.0, p, 1.0))
-        ent = -(p * logp).sum(axis=1, keepdims=True)
-        g += beta * p * (logp + ent)
-    return g
-
-
 def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
                 actions: np.ndarray, weights: np.ndarray, beta: float,
                 keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,24 +199,38 @@ def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
 
     ``acts`` (spent) and ``probs`` (S, M, A) are the activations and masked
     policy of the forward pass that chose ``actions``; ``weights`` are
-    constants.
+    constants. Masked actions (probability 0) add no entropy and get exactly
+    zero gradient; a taken action must have positive probability.
     """
-    flat, taken = probs.reshape(-1, probs.shape[-1]), actions.ravel()
-    per_row = (-weights.ravel() * np.log(flat[np.arange(taken.size), taken])
-               - beta * masked_entropy(flat)).reshape(keep.shape)
+    p = probs.reshape(-1, probs.shape[-1])
+    rows, taken, w = np.arange(len(p)), actions.ravel(), weights.ravel()
+    if np.any(p[rows, taken] <= 0.0):
+        raise ContractError("taken action has zero probability under the mask")
+    logp = np.log(np.where(p > 0.0, p, 1.0))
+    entropy = -(p * logp).sum(axis=1)
+    per_row = (-w * logp[rows, taken] - beta * entropy).reshape(keep.shape)
     counts = keep.sum(axis=-1)
     losses = (per_row * keep).sum(axis=-1) / counts
-    upstream = policy_logit_grad(flat, taken, weights.ravel(), beta)
-    upstream = upstream.reshape(probs.shape) * keep[..., None]
+    g = p * w[:, None]  # d/dlogits, per row
+    g[rows, taken] -= w
+    if beta != 0.0:
+        g += beta * p * (logp + entropy[:, None])
+    upstream = g.reshape(probs.shape) * keep[..., None]
     upstream /= counts[:, None, None]
     return losses, net.backward(acts, upstream)
 
 
-def value_grad(values: np.ndarray, targets: np.ndarray,
-               keep: np.ndarray) -> np.ndarray:
-    """d/dV of each slice's mean squared error against fixed targets over
-    the rows ``keep`` flags, per row; values, targets and keep are (S, M)."""
-    return (2.0 / keep.sum(axis=-1))[:, None] * (values - targets) * keep
+def value_loss(residuals: np.ndarray, keep: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Per slice, the mean over the rows ``keep`` (S, M) flags of the squared
+    TD residuals (S, M, outputs) summed over outputs, and its gradient
+    (S, M, outputs) w.r.t. the values; other rows carry no gradient.
+
+    A residual is target - value, with the target held constant.
+    """
+    counts = keep.sum(axis=-1)
+    losses = ((residuals ** 2).sum(axis=-1) * keep).sum(axis=-1) / counts
+    return losses, (-2.0 / counts)[:, None, None] * residuals * keep[..., None]
 
 
 @dataclass(frozen=True)
@@ -255,7 +239,8 @@ class EntropySchedule:
 
     ``linear``: start - decay * t.
     ``exponential``: geometric interpolation from start to minimum over
-    ``steps`` iterations, constant afterwards.
+    ``steps`` iterations, constant afterwards; it needs minimum > 0, since
+    a geometric path cannot reach 0.
     """
 
     strategy: str  # "linear" | "exponential"
@@ -275,8 +260,8 @@ class EntropySchedule:
             raise ContractError("entropy minimum exceeds start coefficient")
         if self.steps < 1:
             raise ContractError("entropy steps must be >= 1")
-        if self.strategy == "exponential" and not self.start > 0.0:
-            raise ContractError("an exponential entropy schedule needs start > 0")
+        if self.strategy == "exponential" and not self.minimum > 0.0:
+            raise ContractError("an exponential entropy schedule needs minimum > 0")
 
     def coef(self, iteration: int) -> float:
         if iteration < 0:

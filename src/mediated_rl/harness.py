@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import itertools
 import json
 import os
 import time
@@ -324,9 +325,9 @@ def collect_metrics(spec: PayoffSpec, config: RunConfig,
     if spec.kind is GameKind.MATRIX:
         _matrix_policy_metrics(spec, config, agents, mediator, traj, metrics)
     elif spec.kind is GameKind.ONE_SHOT_PGG:
-        _pgg_policy_metrics(spec, config, agents, mediator, metrics)
+        _pgg_policy_metrics(spec, agents, mediator, metrics)
     else:
-        _iter_pgg_policy_metrics(spec, config, agents, metrics)
+        _iter_pgg_policy_metrics(spec, agents, metrics)
 
     if mediator is not None and mediator.lagrange is not None:
         for i in range(n):
@@ -369,7 +370,7 @@ def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
                     metrics[f"piM_{_ACTION_NAMES[a]}{tag}|{ctag}/agent{i}"] = \
                         float(probs[0, a])
     if mediator is not None and spec.name == "pds":
-        _pds_joint_metrics(spec, traj, metrics)
+        _pds_joint_metrics(traj, metrics)
 
 
 def _report_coalitions(n: int) -> list[tuple[int, ...]]:
@@ -383,10 +384,13 @@ def _report_coalitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _pds_joint_metrics(spec: PayoffSpec, traj: TrajectoryBatch,
+def _pds_joint_metrics(traj: TrajectoryBatch,
                        metrics: dict[str, float]) -> None:
+    """The mediator's joint play where both agents committed; NaN where the
+    full coalition never formed, so every report carries the same keys."""
     full = traj.member.all(axis=2)
     if not full.any():
+        metrics["P_cc|full"] = metrics["P_s|full"] = float("nan")
         return
     acts = traj.med_action[full]  # (rows, 2)
     joint_cc = (acts[:, 0] == games.COOPERATE) & (acts[:, 1] == games.COOPERATE)
@@ -394,8 +398,7 @@ def _pds_joint_metrics(spec: PayoffSpec, traj: TrajectoryBatch,
     metrics["P_s|full"] = float((acts[:, 1] == games.SACRIFICE).mean())
 
 
-def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
-                        agents: AgentLearner,
+def _pgg_policy_metrics(spec: PayoffSpec, agents: AgentLearner,
                         mediator: MediatorLearner | None,
                         metrics: dict[str, float]) -> None:
     base = base_obs_batch(spec, 0, None, 1)
@@ -416,8 +419,7 @@ def _pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
         metrics[f"piM_coop|size{size}"] = float(probs[0, games.COOPERATE])
 
 
-def _iter_pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
-                             agents: AgentLearner,
+def _iter_pgg_policy_metrics(spec: PayoffSpec, agents: AgentLearner,
                              metrics: dict[str, float]) -> None:
     # Unit endowments at the first turn, as every episode starts.
     base = base_obs_batch(spec, 0, np.ones((1, spec.num_agents)), 1)
@@ -429,10 +431,6 @@ def _iter_pgg_policy_metrics(spec: PayoffSpec, config: RunConfig,
 
 # ---------------------------------------------------------------------------
 # Sweeps
-
-
-def _train_entry(args: tuple[RunConfig, int]) -> RunReport:
-    return train(*args)
 
 
 def worker_count() -> int:
@@ -455,16 +453,14 @@ def sweep(config: RunConfig) -> SweepReport:
     workers = worker_count()
     if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_train_entry,
-                                    [(config, s) for s in seeds]))
+            reports = list(pool.map(train, itertools.repeat(config), seeds))
     else:
         reports = [train(config, s) for s in seeds]
     good = [r for r in reports if not r.aborted]
     failed = [(r.seed, r.abort_reason) for r in reports if r.aborted]
     metrics: dict[str, tuple[float, float]] = {}
     if good:
-        keys = [k for k in good[0].metrics if all(k in r.metrics for r in good)]
-        for key in keys:
+        for key in good[0].metrics:  # every report of a config has the same keys
             values = np.asarray([r.metrics[key] for r in good])
             finite = values[np.isfinite(values)]
             if finite.size == 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import LearnerParams
-from .approx import Adam, Mlp, masked_softmax, policy_loss
+from .approx import Adam, Mlp, masked_softmax, policy_loss, value_loss
 from .errors import TrainingDiverged
 from .games import GameKind, PayoffSpec, obs_dim
 from .mediation import window_sums
@@ -245,16 +245,19 @@ class MediatorLearner:
         an agent) and of the multipliers after it (``lambda_ic``, ``lambda_e``).
         """
         deltas, cache = self.td_residuals(batch)
-        s = deltas.shape[0]
-        critic_loss = float((deltas ** 2).sum(axis=1).mean())
+        (critic_loss,), upstream = value_loss(
+            deltas[None], np.ones((1, len(deltas)), dtype=bool))
         if not np.isfinite(critic_loss):
             raise TrainingDiverged("mediator critic loss non-finite")
-        upstream = self._critic_upstream(deltas, batch.member, s)
-        grad = self.critic.backward(cache, upstream[None])
+        if self.symmetric:  # head 0 values the members, head 1 the rest
+            up, member = upstream[0], batch.member
+            upstream = np.stack([(up * member).sum(axis=1),
+                                 (up * ~member).sum(axis=1)], axis=1)[None]
+        grad = self.critic.backward(cache, upstream)
         del cache  # spent
         self.critic_opt.step(self.critic.theta, grad)
 
-        stats = {"critic_loss": critic_loss, "actor_loss": 0.0}
+        stats = {"critic_loss": float(critic_loss), "actor_loss": 0.0}
         r = batch.actor_actions.shape[0]
         if r > 0:
             weights = actor_head_weights(deltas, batch.member, batch.actor_step,
@@ -276,16 +279,6 @@ class MediatorLearner:
                          lambda_ic=self.lagrange.lambda_ic.tolist(),
                          lambda_e=self.lagrange.lambda_e.tolist())
         return stats
-
-    def _critic_upstream(self, deltas: np.ndarray, member: np.ndarray,
-                         s: int) -> np.ndarray:
-        scaled = (-2.0 / s) * deltas
-        if not self.symmetric:
-            return scaled
-        up = np.empty((s, 2))
-        up[:, 0] = (scaled * member).sum(axis=1)
-        up[:, 1] = (scaled * ~member).sum(axis=1)
-        return up
 
     def _constraint_gaps(self, batch: MediatorBatch, k: int
                          ) -> tuple[np.ndarray, ...]:

@@ -354,12 +354,12 @@ def test_each_agent_steps_only_its_own_slices():
 def test_non_finite_gradient_names_the_first_agent(monkeypatch):
     # Finite losses, but agent 1's critic gradient overflows: it is named
     # before any agent steps.
-    def overflowing(values, targets, keep):
-        grad = np.zeros_like(values)
-        grad[1] = np.inf
-        return grad
+    def overflowing(residuals, keep):
+        upstream = np.zeros_like(residuals)
+        upstream[1] = np.inf
+        return np.zeros(len(residuals)), upstream
 
-    monkeypatch.setattr(agents_module, "value_grad", overflowing)
+    monkeypatch.setattr(agents_module, "value_loss", overflowing)
     agent = make_agent()
     theta = agent.critic.theta.copy()
     with np.errstate(invalid="ignore"), pytest.raises(

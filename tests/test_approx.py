@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediated_rl.approx import (Adam, EntropySchedule, Mlp, masked_entropy,
-                                masked_softmax, policy_logit_grad, policy_loss,
-                                sample_categorical, value_grad)
+from mediated_rl.approx import (Adam, EntropySchedule, Mlp, masked_softmax,
+                                policy_loss, sample_categorical, value_loss)
 from mediated_rl.errors import ContractError, TrainingDiverged
 
 
@@ -81,21 +80,31 @@ def relative_error(a, b):
     return np.abs(a - b) / scale
 
 
+def entropy(probs):
+    """Shannon entropy along the last axis; zero probabilities add nothing."""
+    return -(probs * np.log(np.where(probs > 0.0, probs, 1.0))).sum(axis=-1)
+
+
+# The logit gradient itself: a stand-in network whose backward pass returns
+# its upstream gradient.
+IDENTITY_NET = SimpleNamespace(backward=lambda acts, upstream: upstream)
+
+
 @pytest.mark.parametrize("case", range(100))
 def test_value_head_gradient_matches_finite_differences(case):
     rng = rng_for(1000 + case)
-    d_in = int(rng.integers(1, 5))
-    net = Mlp((d_in, 5, 5, 1), rng)
+    d_in, n_out = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    net = Mlp((d_in, 5, 5, n_out), rng)
     x = rng.normal(size=(1, 4, d_in))
-    targets = rng.normal(size=(1, 4))
+    targets = rng.normal(size=(1, 4, n_out))
 
     def loss():
-        v = net.forward(x)[..., 0]
-        return np.mean((v - targets) ** 2)
+        return np.mean(((net.forward(x) - targets) ** 2).sum(axis=-1))
 
     values, cache = net.forward_cached(x)
-    analytic = net.backward(cache, value_grad(values[..., 0], targets,
-                                              np.ones((1, 4), dtype=bool))[..., None])
+    (value,), upstream = value_loss(targets - values, np.ones((1, 4), dtype=bool))
+    assert value == pytest.approx(loss(), rel=1e-12)
+    analytic = net.backward(cache, upstream)
     numeric = numeric_grad(loss, net.theta)
     assert relative_error(analytic[0], numeric).max() < 1e-4
 
@@ -117,12 +126,13 @@ def test_policy_head_gradient_matches_finite_differences(case):
     def loss():
         probs = masked_softmax(net.forward(x)[0], mask)
         logp = np.log(probs[np.arange(3), actions])
-        return float(np.mean(-weights * logp - beta * masked_entropy(probs)))
+        return float(np.mean(-weights * logp - beta * entropy(probs)))
 
     logits, cache = net.forward_cached(x)
-    probs = masked_softmax(logits[0], mask)
-    upstream = policy_logit_grad(probs, actions, weights, beta) / 3
-    analytic = net.backward(cache, upstream[None])
+    (value,), analytic = policy_loss(
+        net, cache, masked_softmax(logits, mask), actions[None], weights[None],
+        beta, np.ones((1, 3), dtype=bool))
+    assert value == pytest.approx(loss(), rel=1e-12)
     numeric = numeric_grad(loss, net.theta)
     assert relative_error(analytic[0], numeric).max() < 1e-4
 
@@ -152,8 +162,9 @@ def test_linear_net_squared_loss_matches_closed_form():
     residual = values[0, :, 0] - targets
     # Read before backward, which spends the cache.
     h2 = cache[2][0].copy()
-    grad = net.backward(cache, value_grad(values[..., 0], targets[None],
-                                          np.ones((1, 8), dtype=bool))[..., None])[0]
+    _, upstream = value_loss(targets[None, :, None] - values,
+                             np.ones((1, 8), dtype=bool))
+    grad = net.backward(cache, upstream)[0]
     # Gradient w.r.t. the last layer weights equals h2^T residual * 2/n.
     expected_w3 = (2.0 / 8) * h2.T @ residual[:, None]
     got_w3 = grad[-(w3.size + 1):-1].reshape(4, 1)
@@ -213,8 +224,7 @@ def test_zero_weight_rows_match_the_gradient_over_weighted_rows(head):
             return (out[..., 0] - targets) ** 2
         probs = masked_softmax(out, mask)
         logp = np.log(np.take_along_axis(probs, actions[..., None], -1)[..., 0])
-        entropy = masked_entropy(probs.reshape(-1, n_out)).reshape(2, 6)
-        return -targets * logp - 0.3 * entropy
+        return -targets * logp - 0.3 * entropy(probs)
 
     def loss():
         rows = per_row(net.forward(x))
@@ -222,12 +232,12 @@ def test_zero_weight_rows_match_the_gradient_over_weighted_rows(head):
 
     out, cache = net.forward_cached(x)
     if head == "value":
-        analytic = net.backward(
-            cache, value_grad(out[..., 0], targets, keep)[..., None])
+        losses, upstream = value_loss(targets[..., None] - out, keep)
+        analytic = net.backward(cache, upstream)
     else:
         losses, analytic = policy_loss(net, cache, masked_softmax(out, mask),
                                        actions, targets, 0.3, keep)
-        assert losses.sum() == pytest.approx(loss(), abs=1e-12)
+    assert losses.sum() == pytest.approx(loss(), abs=1e-12)
     numeric = numeric_grad(loss, net.theta)
     assert relative_error(analytic.ravel(), numeric).max() < 1e-4
 
@@ -320,18 +330,34 @@ def test_zero_probability_columns_never_drawn(row, u):
     assert row[draw] > 0.0
 
 
-def test_policy_logit_grad_zero_weight_zero_beta_is_zero():
-    probs = masked_softmax(np.array([[0.3, 0.2, -1.0]]),
-                           np.ones((1, 3), dtype=bool))
-    grad = policy_logit_grad(probs, np.array([1]), np.zeros(1), 0.0)
-    np.testing.assert_array_equal(grad, np.zeros((1, 3)))
+def test_policy_loss_zero_weight_zero_beta_is_zero():
+    probs = masked_softmax(np.array([[[0.3, 0.2, -1.0]]]),
+                           np.ones((1, 1, 3), dtype=bool))
+    losses, grad = policy_loss(IDENTITY_NET, [], probs, np.array([[1]]),
+                               np.zeros((1, 1)), 0.0, np.ones((1, 1), dtype=bool))
+    np.testing.assert_array_equal(losses, [0.0])
+    np.testing.assert_array_equal(grad, np.zeros((1, 1, 3)))
 
 
-def test_policy_logit_grad_rejects_masked_action():
-    probs = masked_softmax(np.array([[0.0, 1.0]]),
-                           np.array([[True, False]]))
+def test_policy_loss_masked_actions_get_no_entropy_and_zero_gradient():
+    mask = np.array([[[True, False, True], [False, True, True]]])
+    probs = masked_softmax(rng_for(15).normal(size=(1, 2, 3)), mask)
+    losses, grad = policy_loss(IDENTITY_NET, [], probs, np.array([[0, 2]]),
+                               np.array([[0.7, -1.3]]), 0.4,
+                               np.ones((1, 2), dtype=bool))
+    assert np.all(grad[~mask] == 0.0) and np.all(grad[mask] != 0.0)
+    legal = [probs[0, 0, [0, 2]], probs[0, 1, 1:]]
+    expected = [-w * np.log(p[a]) + 0.4 * (p * np.log(p)).sum()
+                for w, p, a in zip((0.7, -1.3), legal, (0, 1))]
+    assert losses[0] == pytest.approx(np.mean(expected), rel=1e-12)
+
+
+def test_policy_loss_rejects_masked_action():
+    probs = masked_softmax(np.array([[[0.0, 1.0]]]),
+                           np.array([[[True, False]]]))
     with pytest.raises(ContractError):
-        policy_logit_grad(probs, np.array([1]), np.ones(1), 0.0)
+        policy_loss(IDENTITY_NET, [], probs, np.array([[1]]), np.ones((1, 1)),
+                    0.0, np.ones((1, 1), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +410,12 @@ def test_exponential_schedule_endpoint():
     assert sched.coef(0) == pytest.approx(0.5)
     assert sched.coef(20000) == pytest.approx(0.01)
     assert sched.coef(50000) == pytest.approx(0.01)
+
+
+def test_exponential_schedule_needs_positive_minimum():
+    # A geometric path to 0 is 0 from the first step on: (0 / start) ** frac.
+    with pytest.raises(ContractError, match="needs minimum > 0"):
+        EntropySchedule("exponential", start=0.5, steps=20000, minimum=0.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -81,6 +81,19 @@ def test_no_public_helper_is_left_unused():
     assert dead_public_names() == []
 
 
+def test_every_approx_definition_has_a_caller_in_another_module():
+    # approx.py holds the learners' building blocks: a helper that only
+    # approx.py itself calls is a step of another definition written apart.
+    others = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "approx":
+            others |= used_names(ast.parse(path.read_text()))
+    tree = ast.parse((PACKAGE / "approx.py").read_text())
+    assert [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in others] == []
+
+
 def test_allowlist_names_exist():
     for qualified in ALLOWED:
         module, local = qualified.split(".", 1)

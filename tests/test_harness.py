@@ -185,6 +185,18 @@ def test_unknown_config_section_or_key_is_named(tmp_path, capsys, text, message)
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
+def test_exponential_schedule_to_zero_is_a_configuration_error(tmp_path, capsys):
+    # (0 / start) ** frac is 0: the entropy bonus would vanish at iteration 1.
+    path = tmp_path / "bad.ini"
+    path.write_text("[game]\nenv = pgg\n[agent]\nentropy_min = 0\n")
+    message = "[agent] an exponential entropy schedule needs minimum > 0"
+    with pytest.raises(ConfigError) as caught:
+        load_config_file(str(path))
+    assert str(caught.value) == message
+    assert cli.main(["run", "--config", str(path), "--iters", "0"]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 def resolved_config(monkeypatch, argv):
     """The RunConfig that ``mediated-rl run`` would sweep for ``argv``."""
     seen = []
@@ -504,6 +516,19 @@ def test_sweep_aggregates_across_seeds():
         finite = [v for v in values if np.isfinite(v)]
         if finite:
             assert mean == pytest.approx(np.mean(finite))
+
+
+def test_sweep_averages_pds_joint_metrics_over_the_seeds_that_measured_them():
+    # With 4 eval episodes the full coalition forms in some seeds only; the
+    # others report NaN, and the sweep averages the seeds that measured it.
+    config = replace(default_config("pds", "naive"), iterations=0,
+                     eval_episodes=4, seeds=tuple(range(8)))
+    result = sweep(config)
+    for key in ("P_cc|full", "P_s|full"):
+        values = np.array([r.metrics[key] for r in result.reports])
+        measured = values[np.isfinite(values)]
+        assert 0 < measured.size < values.size
+        assert result.metrics[key][0] == pytest.approx(measured.mean())
 
 
 def test_process_pool_sweep_equals_the_serial_sweep(monkeypatch):

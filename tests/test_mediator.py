@@ -88,6 +88,61 @@ def test_critic_converges_to_coalition_values():
     np.testing.assert_allclose(values, [[2.0, 2.0]], atol=0.02)
 
 
+@pytest.mark.parametrize("symmetric", [False, True],
+                         ids=["per-coalition", "symmetric"])
+def test_critic_gradient_matches_finite_differences(symmetric):
+    # The critic steps along the gradient of its mean summed squared TD
+    # residual with the bootstrapped targets held fixed; in the symmetric
+    # mediator members' values come from one head and the others' from the
+    # other, so both heads collect gradient.
+    mediator, spec = make_mediator(seed=5, symmetric=symmetric,
+                                   constrained=False)
+    rng = np.random.default_rng(6)
+    horizon, episodes, n = 2, 4, spec.num_agents
+    rows = horizon * episodes
+    member = rng.random((rows, n)) < 0.5
+    batch = MediatorBatch(
+        critic_cur=mediator.critic_inputs(
+            rng.normal(size=(rows, n, games.obs_dim(spec))), member),
+        rewards=rng.normal(size=(rows, n)), member=member, actor_acts=[],
+        actor_probs=np.zeros((0, spec.max_actions)),
+        actor_actions=np.zeros(0, dtype=np.int64),
+        actor_agent=np.zeros(0, dtype=np.int64),
+        actor_step=np.zeros(0, dtype=np.int64), horizon=horizon,
+        batch=episodes)
+
+    def values():
+        return mediator.agent_values(critic_out(mediator, batch.critic_cur),
+                                     member)
+
+    following = np.zeros((rows, n))
+    following[:-episodes] = values()[episodes:]
+    targets = batch.rewards + mediator.gamma * following
+
+    def loss():
+        return ((targets - values()) ** 2).sum(axis=1).mean()
+
+    theta = mediator.critic.theta.reshape(-1)  # a view
+    numeric = np.empty_like(theta)
+    for j in range(theta.size):
+        theta[j] += 1e-5
+        up = loss()
+        theta[j] -= 2e-5
+        down = loss()
+        theta[j] += 1e-5
+        numeric[j] = (up - down) / 2e-5
+    expected = loss()
+    steps = []
+    mediator.critic_opt.step = lambda _, grad: steps.append(grad.ravel())
+    stats = mediator.update(batch, beta=0.0, k=1)
+    assert stats["critic_loss"] == pytest.approx(expected, rel=1e-12)
+    (analytic,) = steps
+    scale = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+    assert (np.abs(analytic - numeric) / scale).max() < 1e-5
+    if symmetric:  # both heads' output biases move
+        assert np.all(analytic[-2:] != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Actor head weights
 
