@@ -17,7 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -160,10 +160,20 @@ def default_config(env: str, mediator_mode: str = "none", k: int = 1,
 # Reports
 
 
-@dataclass
+def _same(a, b) -> bool:
+    """Equality of nested dicts, lists and scalars in which NaN equals NaN."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (a != a and b != b)
+
+
+@dataclass(eq=False)
 class RunReport:
     """Metrics and logged ``history`` of one seeded run. Wall clock is
-    excluded from equality so identical (config, seed) runs compare equal."""
+    excluded from equality and a NaN metric (one left unmeasured) equals
+    NaN, so identical (config, seed) runs compare equal."""
 
     env: str
     mediator_mode: str
@@ -178,6 +188,12 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunReport):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
 
 
 @dataclass

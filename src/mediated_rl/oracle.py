@@ -5,18 +5,19 @@ best-response gaps, the analytically optimal constrained mediator for the
 public goods game, welfare bounds used to normalize reported rewards, and a
 Monte-Carlo sampler that cross-checks the exact expectations.
 
-Matrix games and the sampler step the commitment protocol of ``mediation``,
-with one restriction of the profile to what each status allows and one
-lookup of the mediator's per-member distributions; the exact evaluation
-enumerates every positive-weight branch where the sampler draws. The one-shot
-public goods game exploits agent symmetry (coalition sizes instead of
-subsets) to stay polynomial in N. The exact evaluation takes a stack of agent
-policies against one mediator, so a query evaluates the profile and all of
-its deviations in one pass.
+Every query reads the arrays ``MixedProfile.check`` returns. Matrix games
+and the sampler step the commitment protocol of ``mediation``, with one
+restriction of the profile to what each status allows and one index into a
+dense mediator table; the exact evaluation enumerates every positive-weight
+branch where the sampler draws. The one-shot public goods game exploits
+agent symmetry (coalition sizes instead of subsets) to stay polynomial in N.
+The exact evaluation takes a stack of agent policies against one mediator,
+so a query evaluates the profile and all of its deviations in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -68,12 +69,15 @@ class MixedProfile:
         if self.mediator_by_size is not None:
             self.mediator_by_size = np.asarray(self.mediator_by_size, dtype=np.float64)
 
-    def check(self, spec: PayoffSpec) -> None:
+    def check(self, spec: PayoffSpec) -> tuple[np.ndarray, np.ndarray]:
         """Raise ContractError unless the profile fits the game: a bool
         ``mediated``, a distribution per state and agent over its env actions
         (plus commit when mediated), and, only when mediated, the one table
         the game takes, with a distribution for every member of every
-        coalition (by size in the one-shot PGG, N+1 of them)."""
+        coalition (by size in the one-shot PGG, N+1 of them). Returns, built
+        afresh, the policies zero-padded to (T, N, A+1) and the mediator: the
+        size table in the one-shot PGG, else a (T, 2^N, N, A) table indexed by
+        ``_codes``, non-members (and all when unmediated) on action 0."""
         if not isinstance(self.mediated, bool):
             raise ContractError(
                 f"mediated must be true or false, got {self.mediated!r}")
@@ -83,12 +87,17 @@ class MixedProfile:
                 for state in self.agent_policies):
             raise ContractError(f"agent_policies needs {spec.horizon} state(s) "
                                 f"of policies over {arities} actions")
-        bad = [p for state in self.agent_policies for p in state
-               if not _is_distribution(p)]
-        if bad:
-            raise ContractError(f"agent_policies holds {bad[0]}, not a "
-                                "probability vector")
+        n = spec.num_agents
+        policies = np.zeros((spec.horizon, n, spec.max_actions + 1))
+        for t, state in enumerate(self.agent_policies):
+            for i, pol in enumerate(state):
+                if not _is_distribution(pol):
+                    raise ContractError(f"agent_policies holds {pol}, not a "
+                                        "probability vector")
+                policies[t, i, :pol.size] = pol
         by_size, by_coal = self.mediator_by_size, self.mediator_by_coalition
+        mediator = (np.zeros(n + 1) if spec.kind is GameKind.ONE_SHOT_PGG else
+                    np.tile(np.eye(spec.max_actions)[0], (spec.horizon, 2 ** n, n, 1)))
         if not self.mediated:
             if by_size is not None or by_coal is not None:
                 raise ContractError("an unmediated profile has no mediator table")
@@ -103,6 +112,7 @@ class MixedProfile:
                 raise ContractError(
                     f"mediator_by_size needs {spec.num_agents + 1} "
                     "probabilities, one per coalition size 0..N")
+            mediator = by_size
         else:
             if by_size is not None:
                 raise ContractError("mediator_by_size is for the one-shot pgg only")
@@ -111,10 +121,10 @@ class MixedProfile:
             if len(by_coal) != spec.horizon:
                 raise ContractError(f"mediator_by_coalition needs {spec.horizon} "
                                     "state(s)")
-            for table, bits in itertools.product(
-                    by_coal, itertools.product((0, 1), repeat=spec.num_agents)):
+            for t, code in np.ndindex(spec.horizon, 2 ** n):
+                bits = tuple(map(int, f"{code:0{n}b}"))  # as in _codes
                 for agent in (i for i, b in enumerate(bits) if b):
-                    dist = table.get(bits, {}).get(agent)
+                    dist = by_coal[t].get(bits, {}).get(agent)
                     if (dist is None or dist.shape != (spec.num_actions[agent],)
                             or not _is_distribution(dist)):
                         raise ContractError(
@@ -122,6 +132,8 @@ class MixedProfile:
                             f"probability vector over agent {agent}'s "
                             f"{spec.num_actions[agent]} actions for coalition "
                             + "".join(map(str, bits)))
+                    mediator[t, code, agent, :dist.shape[0]] = dist
+        return policies, mediator
 
 
 def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
@@ -132,19 +144,21 @@ def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
 
 
 def _check_query(spec: PayoffSpec, profile: MixedProfile, k: int,
-                 agent: int | None = None, gamma: float = 1.0) -> None:
+                 agent: int | None = None,
+                 gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless the game has exact expectations, the profile fits it,
     ``k`` is a window length, ``agent``, when given, is one of the game's
-    agents and ``gamma`` is a discount in [0, 1]."""
+    agents and ``gamma`` a discount in [0, 1]; return ``check``'s arrays."""
     if spec.kind is GameKind.ITERATIVE_PGG:
         raise UnsupportedGameError(
             "exact expectations for the iterative PGG are not supported")
-    profile.check(spec)
+    arrays = profile.check(spec)
     _check_int("k", k, 1)
     if agent is not None:
         _check_int("agent", agent, 0, spec.num_agents)
     if not isinstance(gamma, (int, float, np.number)) or not 0 <= gamma <= 1:
         raise ContractError(f"gamma must be a number in [0, 1], got {gamma!r}")
+    return arrays
 
 
 def uniform_profile(spec: PayoffSpec, mediated: bool) -> MixedProfile:
@@ -181,29 +195,17 @@ def expected_payoffs(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
     Covers matrix games of any (small) horizon and the one-shot PGG; general
     policies in the iterative PGG have no closed form here.
     """
-    _check_query(spec, profile, k, gamma=gamma)
-    return _expected(spec, profile, _padded_policies(spec, profile)[None],
-                     k, gamma)[0]
+    policies, mediator = _check_query(spec, profile, k, gamma=gamma)
+    return _expected(spec, mediator, policies[None], k, gamma)[0]
 
 
-def _expected(spec: PayoffSpec, profile: MixedProfile, policies: np.ndarray,
+def _expected(spec: PayoffSpec, mediator: np.ndarray, policies: np.ndarray,
               k: int, gamma: float) -> np.ndarray:
     """Expected payoffs (P, N) of a stack of padded agent policies
-    (P, T, N, A+1), each played against the mediator of ``profile``, a
-    profile already checked against the game."""
+    (P, T, N, A+1) against one mediator, both as ``check`` returns them."""
     if spec.kind is GameKind.ONE_SHOT_PGG:
-        return _pgg_expected(spec, profile, policies)
-    return _matrix_expected(spec, profile, policies, k, gamma)
-
-
-def _padded_policies(spec: PayoffSpec, profile: MixedProfile) -> np.ndarray:
-    """Agent policies as one zero-padded (T, N, A+1) array, A the largest
-    env action count (an unmediated profile's commit column stays 0)."""
-    out = np.zeros((spec.horizon, spec.num_agents, spec.max_actions + 1))
-    for t, state in enumerate(profile.agent_policies):
-        for i, pol in enumerate(state):
-            out[t, i, :pol.shape[0]] = pol
-    return out
+        return _pgg_expected(spec, mediator, policies)
+    return _matrix_expected(spec, mediator, policies, k, gamma)
 
 
 def _restrict(policies: np.ndarray, statuses: np.ndarray,
@@ -218,25 +220,15 @@ def _restrict(policies: np.ndarray, statuses: np.ndarray,
     return weights
 
 
-def _member_dists(spec: PayoffSpec, profile: MixedProfile, t: int,
-                  coalitions: np.ndarray) -> np.ndarray:
+def _member_dists(mediator: np.ndarray, t: int, coalitions: np.ndarray) -> np.ndarray:
     """The mediator's (C, N, A) distributions over env actions for coalitions
-    (C, N) in state t, from its table or by size. Non-members get a point
-    mass on action 0, a placeholder that ``joint_env_actions`` ignores.
-    Each distinct coalition is looked up once."""
-    if profile.mediator_by_size is not None:
-        contribute = profile.mediator_by_size[coalitions.sum(axis=1)][:, None]
-        contribute = np.where(coalitions, contribute, 0.0)
+    (C, N) in state t, read from its dense table or, in the one-shot PGG,
+    by size. Non-members get the placeholder point mass on action 0."""
+    if mediator.ndim == 1:
+        contribute = np.where(coalitions,
+                              mediator[coalitions.sum(axis=1)][:, None], 0.0)
         return np.stack([1.0 - contribute, contribute], axis=-1)
-    _, first, inverse = np.unique(_codes(coalitions), return_index=True,
-                                  return_inverse=True)
-    distinct = coalitions[first]
-    out = np.zeros(distinct.shape + (spec.max_actions,))
-    out[~distinct, 0] = 1.0
-    for c, i in zip(*np.nonzero(distinct)):
-        dist = profile.mediator_by_coalition[t][tuple(map(int, distinct[c]))][i]
-        out[c, i, :dist.shape[0]] = dist
-    return out[inverse]
+    return mediator[t, _codes(coalitions)]
 
 
 def _codes(coalitions: np.ndarray) -> np.ndarray:
@@ -244,17 +236,25 @@ def _codes(coalitions: np.ndarray) -> np.ndarray:
     return coalitions @ (1 << np.arange(coalitions.shape[-1])[::-1])
 
 
+@functools.lru_cache
+def _joint_grid(n: int, width: int) -> np.ndarray:
+    """Every joint action of n agents of ``width`` actions, read-only."""
+    grid = np.array(list(itertools.product(range(width), repeat=n)))
+    grid.flags.writeable = False
+    return grid
+
+
 def _branches(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive-probability joint outcomes of independent per-agent draws
     (R, N, W): the row each comes from, its joint action and probability."""
     n, width = dists.shape[1:]
-    grid = np.array(list(itertools.product(range(width), repeat=n)))
+    grid = _joint_grid(n, width)
     probs = dists[:, np.arange(n), grid].prod(axis=-1)
     rows, cols = np.nonzero(probs)
     return rows, grid[cols], probs[rows, cols]
 
 
-def _matrix_expected(spec: PayoffSpec, profile: MixedProfile,
+def _matrix_expected(spec: PayoffSpec, mediator: np.ndarray,
                      policies: np.ndarray, k: int, gamma: float) -> np.ndarray:
     """Walk the horizon forward over a distribution of (stack index,
     coalition) rows, running the rollout's protocol steps on every
@@ -273,11 +273,13 @@ def _matrix_expected(spec: PayoffSpec, profile: MixedProfile,
         coalition = next_coalition(coalitions[rows], choices, t, k, env_actions)
         weight, index = weights[rows] * probs, index[rows]
         rows, med_actions, probs = _branches(
-            _member_dists(spec, profile, t, coalition))
+            _member_dists(mediator, t, coalition))
         rewards, _ = games.step_batch(spec, t, None, joint_env_actions(
             choices[rows], med_actions, coalition[rows]))
         np.add.at(total, index[rows],
                   gamma ** t * (weight[rows] * probs)[:, None] * rewards)
+        if t + 1 == spec.horizon:
+            break
         # One key per (index, coalition): the index above the coalition bits.
         _, first, merged = np.unique(index << n | _codes(coalition),
                                      return_index=True, return_inverse=True)
@@ -286,27 +288,27 @@ def _matrix_expected(spec: PayoffSpec, profile: MixedProfile,
     return total
 
 
-def _pgg_expected(spec: PayoffSpec, profile: MixedProfile,
+def _pgg_expected(spec: PayoffSpec, by_size: np.ndarray,
                   policies: np.ndarray) -> np.ndarray:
-    """Closed form over coalition sizes: each agent contributes directly,
-    or commits and the mediator contributes with the probability for its
-    coalition's size, whose distribution is that of the number of other
-    agents committing, for every stacked profile and agent at once."""
+    """Closed form over coalition sizes for every stacked profile and agent
+    at once: an agent contributes directly, or commits and the mediator
+    contributes with p_{1+K}, K the number of other agents committing.
+    K's generating function, prod_{j != i} (1 - q_j + q_j z) over the others'
+    commit chances q_j, has degree below N, so E[p_{1+K}] is its values at
+    the N-th roots of unity dotted with the DFT of p_1..p_N, over N. Prefix
+    and suffix products leave agent i out without dividing by a factor,
+    which can vanish (q_j = 1/2 at z = -1)."""
     n_agents, mult = spec.num_agents, spec.multiplier
-    direct = policies[:, 0, :, games.COOPERATE]
-    contrib = direct
-    if profile.mediated:
-        commit = policies[:, 0, :, -1]
-        # joins[:, i, j]: the chance that agent j commits, 0 when j is i.
-        joins = (commit[:, None, :] * (1.0 - np.eye(n_agents)))[..., None]
-        stays = 1.0 - joins
-        others = np.zeros(commit.shape + (n_agents,))
-        others[..., 0] = 1.0
-        for j in range(n_agents):
-            moved = others[..., :-1] * joins[:, :, j]
-            others *= stays[:, :, j]
-            others[..., 1:] += moved
-        contrib = direct + commit * (others @ profile.mediator_by_size[1:])
+    direct, commit = policies[:, 0, :, games.COOPERATE], policies[:, 0, :, -1]
+    powers = np.arange(n_agents)
+    roots = np.exp(2j * np.pi * powers / n_agents)
+    factors = 1.0 - commit[..., None] + commit[..., None] * roots
+    ones = np.ones_like(factors[:, :1])
+    before = np.cumprod(np.concatenate([ones, factors[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1),
+                       axis=1)[:, ::-1]
+    dft = roots[np.outer(powers, powers) % n_agents].conj() @ by_size[1:]
+    contrib = direct + commit * ((before * after) @ dft).real / n_agents
     return (mult / n_agents) * contrib.sum(axis=1, keepdims=True) - contrib
 
 
@@ -314,36 +316,34 @@ def _pgg_expected(spec: PayoffSpec, profile: MixedProfile,
 # Best response
 
 
-def _pure_plans(spec: PayoffSpec, profile: MixedProfile, agent: int,
-                k: int) -> np.ndarray:
-    """All pure strategies of one agent as (P, T, A+1) point distributions,
-    padded like ``_padded_policies``.
-
-    A plan picks, in each state, one of the actions legal to the agent
-    outside the coalition: any head action at a window boundary, an env
-    action mid-window. A committed agent's mid-window choice is forced, so
-    no plan needs to fix it.
-    """
+@functools.lru_cache
+def _pure_plans(num_actions: int, mediated: bool, horizon: int, k: int,
+                width: int) -> np.ndarray:
+    """Every pure strategy of an agent with ``num_actions`` env actions, as
+    read-only (P, T, width) point distributions padded like the policies
+    ``check`` returns. A plan picks, in each state, an action legal outside
+    the coalition: any head action at a window boundary, an env action
+    mid-window (a committed agent's mid-window choice is forced)."""
     outside = np.zeros(1, dtype=bool)
-    arity = spec.num_actions[agent] + profile.mediated
     options = [np.flatnonzero(legal_action_mask_batch(
                    window_statuses(outside, t, k)[0],
-                   spec.num_actions[agent])[:arity])
-               for t in range(spec.horizon)]
-    plans = np.array(list(itertools.product(*options)))
-    return np.eye(spec.max_actions + 1)[plans]
+                   num_actions)[:num_actions + mediated])
+               for t in range(horizon)]
+    plans = np.eye(width)[np.array(list(itertools.product(*options)))]
+    plans.flags.writeable = False
+    return plans
 
 
 def best_response_gap(spec: PayoffSpec, profile: MixedProfile, agent: int,
                       k: int = 1, gamma: float = 1.0) -> float:
     """How much agent ``agent`` can gain by a pure deviation (>= 0). The
     profile and every plan are evaluated in one stacked pass."""
-    _check_query(spec, profile, k, agent, gamma)
-    plans = _pure_plans(spec, profile, agent, k)
-    stack = np.repeat(_padded_policies(spec, profile)[None], len(plans) + 1,
-                      axis=0)
+    policies, mediator = _check_query(spec, profile, k, agent, gamma)
+    plans = _pure_plans(spec.num_actions[agent], profile.mediated,
+                        spec.horizon, k, spec.max_actions + 1)
+    stack = np.repeat(policies[None], len(plans) + 1, axis=0)
     stack[1:, :, agent] = plans
-    values = _expected(spec, profile, stack, k, gamma)[:, agent]
+    values = _expected(spec, mediator, stack, k, gamma)[:, agent]
     return float(values[1:].max() - values[0])
 
 
@@ -476,11 +476,10 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
     one padded draw for all agents, coalition update, the mediator's draws,
     and joint-action assembly.
     """
-    _check_query(spec, profile, k)
+    policies, mediator = _check_query(spec, profile, k)
     _check_int("episodes", episodes, 2)
     n = spec.num_agents
     env_actions = np.asarray(spec.num_actions)
-    policies = _padded_policies(spec, profile)
     totals = np.zeros((episodes, n))
     coalition = np.zeros((episodes, n), dtype=bool)
     for t in range(spec.horizon):
@@ -488,7 +487,7 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
                           window_statuses(coalition, t, k).T, env_actions[:, None])
         choices = sample_categorical(probs, rng).T
         coalition = next_coalition(coalition, choices, t, k, env_actions)
-        med_actions = _sample_mediator(spec, profile, t, coalition, rng)
+        med_actions = _sample_mediator(mediator, t, coalition, rng)
         rewards, _ = games.step_batch(
             spec, t, None, joint_env_actions(choices, med_actions, coalition))
         totals += rewards
@@ -497,19 +496,17 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
     return mean, stderr
 
 
-def _sample_mediator(spec: PayoffSpec, profile: MixedProfile, t: int,
-                     coalition: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _sample_mediator(mediator: np.ndarray, t: int, coalition: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
     """The mediator's env actions for coalitions (E, N) in state t, -1 outside
     them. One draw serves every member of every coalition present, ordered by
     coalition (bit-row order), member and row; each uses its own coalition."""
-    _, first, group = np.unique(_codes(coalition), return_index=True,
-                                return_inverse=True)
     rows, members = np.nonzero(coalition)
-    order = np.lexsort((rows, members, group[rows]))
+    order = np.lexsort((rows, members, _codes(coalition)[rows]))
     rows, members = rows[order], members[order]
-    dists = _member_dists(spec, profile, t, coalition[first])
+    dists = _member_dists(mediator, t, coalition)
     med_actions = np.full(coalition.shape, -1, dtype=np.int64)
-    med_actions[rows, members] = sample_categorical(dists[group[rows], members], rng)
+    med_actions[rows, members] = sample_categorical(dists[rows, members], rng)
     return med_actions
 
 
@@ -522,14 +519,13 @@ def mediator_copy_profile(spec: PayoffSpec,
     member, so the one-shot PGG, whose mediator is by coalition size, has no
     copy mediator.
     """
-    profile.check(spec)
+    policies, _ = profile.check(spec)
     if spec.kind is GameKind.ONE_SHOT_PGG:
         raise ContractError("the copy mediator is per member and has no "
                             "by-size form for the one-shot pgg")
     if not profile.mediated:
         raise ContractError("copy profile needs a mediated agent profile")
-    own = _restrict(_padded_policies(spec, profile), LOCKED_OUT,
-                    np.asarray(spec.num_actions))
+    own = _restrict(policies, LOCKED_OUT, np.asarray(spec.num_actions))
     return MixedProfile(
         agent_policies=profile.agent_policies, mediated=True,
         mediator_by_coalition=_coalition_tables(
@@ -545,12 +541,12 @@ def conditional_commit_values(spec: PayoffSpec, profile: MixedProfile,
     restrict the agent's first-state policy to one status: committed
     (it commits) or locked out (it plays the commit-renormalized env part).
     """
-    _check_query(spec, profile, k, agent, gamma)
+    policies, mediator = _check_query(spec, profile, k, agent, gamma)
     if not profile.mediated:
         raise ContractError("conditional commit values need a mediated profile")
     a = spec.num_actions[agent]
-    stack = np.repeat(_padded_policies(spec, profile)[None], 2, axis=0)
+    stack = np.repeat(policies[None], 2, axis=0)
     stack[:, 0, agent, :a + 1] = _restrict(
         stack[0, 0, agent, :a + 1], np.array([COMMITTED, LOCKED_OUT]), a)
-    commit, own = _expected(spec, profile, stack, k, gamma)[:, agent]
+    commit, own = _expected(spec, mediator, stack, k, gamma)[:, agent]
     return float(commit), float(own)

@@ -388,6 +388,21 @@ def test_identical_config_and_seed_reports_equal():
     assert first.metrics == second.metrics
 
 
+def test_identical_reports_with_an_unmeasured_metric_compare_equal():
+    # pds evaluation leaves P_cc|full NaN when the full coalition never forms.
+    config = replace(default_config("pds", "naive"), iterations=0,
+                     eval_episodes=4)
+    first, second = train(config, 0), train(config, 0)
+    assert np.isnan(first.metrics["P_cc|full"])
+    assert first == second
+    assert first == replace(second, wall_clock_s=second.wall_clock_s + 1.0)
+    measured = replace(second, metrics={**second.metrics, "P_cc|full": 0.5})
+    assert first != measured and measured != first
+    logged = replace(second, history=[{"ic_gap": [np.nan]}])
+    assert logged == replace(first, history=[{"ic_gap": [np.nan]}])
+    assert logged != replace(first, history=[{"ic_gap": [0.0]}])
+
+
 def test_zero_iterations_reports_near_uniform_policies():
     config = tiny_config(iterations=0, eval_episodes=64)
     report = train(config, seed=0)

@@ -98,6 +98,49 @@ def test_pgg_payoffs_match_brute_force_enumeration(n_agents, mult, mediated):
                                    rtol=0, atol=1e-12)
 
 
+def committer_count_pgg_payoffs(spec, by_size, policies):
+    """Expected pgg payoffs of a stack of padded policies (P, 1, N, 3), with
+    the distribution of the other committers built up one agent at a time:
+    after step j, others[p, i, s] is the chance that s of agents 0..j other
+    than i commit. The oracle used this N-step loop before its closed form."""
+    n_agents, mult = spec.num_agents, spec.multiplier
+    direct = policies[:, 0, :, games.COOPERATE]
+    commit = policies[:, 0, :, -1]
+    joins = (commit[:, None, :] * (1.0 - np.eye(n_agents)))[..., None]
+    stays = 1.0 - joins
+    others = np.zeros(commit.shape + (n_agents,))
+    others[..., 0] = 1.0
+    for j in range(n_agents):
+        moved = others[..., :-1] * joins[:, :, j]
+        others *= stays[:, :, j]
+        others[..., 1:] += moved
+    contrib = direct + commit * (others @ by_size[1:])
+    return (mult / n_agents) * contrib.sum(axis=1, keepdims=True) - contrib
+
+
+@pytest.mark.parametrize("n_agents", [8, 16, 32])
+def test_pgg_closed_form_matches_the_committer_count_loop(n_agents):
+    # Commit chances of exactly 0, 1/2 and 1 among random ones: at 1/2 a
+    # factor of the generating function vanishes at the root z = -1.
+    spec = one_shot_pgg(n_agents, 2.0)
+    rng = np.random.default_rng(n_agents)
+    stack = 12
+    commit = rng.random((stack, n_agents))
+    commit[rng.random(commit.shape) < 0.6] = 0.5
+    commit[rng.random(commit.shape) < 0.2] = 0.0
+    commit[rng.random(commit.shape) < 0.2] = 1.0
+    commit[:3] = [[0.0], [0.5], [1.0]]
+    cooperate = rng.random((stack, n_agents)) * (1.0 - commit)
+    policies = np.stack([1.0 - commit - cooperate, cooperate, commit],
+                        axis=-1)[:, None]
+    for by_size in (rng.random(n_agents + 1),
+                    optimal_constrained_mediator_pgg(n_agents, 2.0)):
+        np.testing.assert_allclose(
+            oracle._pgg_expected(spec, by_size, policies),
+            committer_count_pgg_payoffs(spec, by_size, policies),
+            rtol=0, atol=1e-12)
+
+
 def test_expected_payoffs_iterative_pgg_unsupported():
     profile = uniform_profile(one_shot_pgg(3, 2.0), mediated=False)
     with pytest.raises(UnsupportedGameError):
@@ -348,6 +391,124 @@ def test_stacked_queries_match_one_profile_at_a_time(case, fill):
                     oracle.conditional_commit_values(spec, profile, agent, k, gamma),
                     one_at_a_time_commit_values(spec, profile, agent, k, gamma),
                     rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The arrays the check returns, built afresh on every query
+
+
+@pytest.mark.parametrize("mediated", [True, False])
+@pytest.mark.parametrize("spec", [prisoners_dilemma(), pd_with_sacrifice(),
+                                  two_step_pd()], ids=lambda spec: spec.name)
+def test_check_returns_padded_policies_and_a_dense_mediator_table(spec, mediated):
+    n, width = spec.num_agents, spec.max_actions
+    placeholder = np.eye(width)[0]
+    rng = np.random.default_rng(len(spec.name))
+    for _ in range(3):
+        profile = random_profile(spec, mediated, rng)
+        policies, table = profile.check(spec)
+        assert policies.shape == (spec.horizon, n, width + 1)
+        assert table.shape == (spec.horizon, 2 ** n, n, width)
+        for t, state in enumerate(profile.agent_policies):
+            for i, pol in enumerate(state):
+                np.testing.assert_array_equal(policies[t, i, :pol.size], pol)
+                assert not policies[t, i, pol.size:].any()
+        for t, (code, bits) in itertools.product(
+                range(spec.horizon),
+                enumerate(itertools.product((0, 1), repeat=n))):
+            assert oracle._codes(np.array(bits, dtype=bool)) == code
+            for i in range(n):
+                if not (mediated and bits[i]):
+                    np.testing.assert_array_equal(table[t, code, i], placeholder)
+                    continue
+                dist = profile.mediator_by_coalition[t][bits][i]
+                np.testing.assert_array_equal(table[t, code, i, :dist.size], dist)
+                assert not table[t, code, i, dist.size:].any()
+
+
+def test_check_returns_the_size_table_of_a_pgg_profile():
+    spec = one_shot_pgg(5, 2.0)
+    rng = np.random.default_rng(5)
+    profile = random_profile(spec, True, rng)
+    policies, by_size = profile.check(spec)
+    np.testing.assert_array_equal(by_size, profile.mediator_by_size)
+    np.testing.assert_array_equal(
+        policies, np.stack(profile.agent_policies[0])[None])
+    policies, by_size = random_profile(spec, False, rng).check(spec)
+    assert policies.shape == (1, 5, 3) and not policies[..., -1].any()
+    np.testing.assert_array_equal(by_size, np.zeros(6))
+
+
+def pgg_answers(spec, profile):
+    return [expected_payoffs(spec, profile),
+            [best_response_gap(spec, profile, i) for i in range(spec.num_agents)],
+            [oracle.conditional_commit_values(spec, profile, i)
+             for i in range(spec.num_agents)]]
+
+
+def pd2_answers(spec, profile):
+    return [expected_payoffs(spec, profile, 2, 0.99),
+            [best_response_gap(spec, profile, i, 2, 0.99) for i in (0, 1)],
+            [oracle.conditional_commit_values(spec, profile, i, 2, 0.99)
+             for i in (0, 1)],
+            sample_profile_payoffs(spec, profile, 50, np.random.default_rng(0), 2),
+            mediator_copy_profile(spec, profile).check(spec)[1]]
+
+
+def rebuilt(profile):
+    """A fresh profile with the same values and no shared arrays."""
+    tables = profile.mediator_by_coalition
+    return MixedProfile(
+        agent_policies=[[p.copy() for p in state]
+                        for state in profile.agent_policies],
+        mediated=profile.mediated,
+        mediator_by_coalition=None if tables is None else [
+            {bits: {i: d.copy() for i, d in dists.items()}
+             for bits, dists in table.items()} for table in tables],
+        mediator_by_size=None if profile.mediator_by_size is None
+        else profile.mediator_by_size.copy())
+
+
+def assert_same_answers(first, second):
+    for a, b in zip(first, second, strict=True):
+        for x, y in zip(a, b, strict=True) if isinstance(a, list) else [(a, b)]:
+            np.testing.assert_array_equal(x, y)
+
+
+def test_no_profile_data_outlives_a_query():
+    # Only functions of ints are cached: a profile edited in place between
+    # two queries is read afresh by the second.
+    rng = np.random.default_rng(11)
+    pd2, pgg = two_step_pd(), one_shot_pgg(4, 2.0)
+    matrix, by_size = random_profile(pd2, True, rng), random_profile(pgg, True, rng)
+    before = pd2_answers(pd2, matrix), pgg_answers(pgg, by_size)
+    matrix.agent_policies[1][0][:] = rng.dirichlet(np.ones(3))
+    matrix.mediator_by_coalition[0][(1, 1)][1][:] = rng.dirichlet(np.ones(2))
+    by_size.agent_policies[0][2][:] = rng.dirichlet(np.ones(3))
+    by_size.mediator_by_size[3] = 1.0 - by_size.mediator_by_size[3]
+    after = pd2_answers(pd2, matrix), pgg_answers(pgg, by_size)
+    assert_same_answers(after[0], pd2_answers(pd2, rebuilt(matrix)))
+    assert_same_answers(after[1], pgg_answers(pgg, rebuilt(by_size)))
+    for old, new in zip(before, after):
+        assert not np.array_equal(old[0], new[0])
+    # An edit that breaks a distribution fails the next query.
+    matrix.mediator_by_coalition[1][(1, 0)][0][0] += 0.5
+    with pytest.raises(ContractError, match="coalition 10"):
+        best_response_gap(pd2, matrix, 0, 2)
+    by_size.agent_policies[0][1][0] = -0.25
+    with pytest.raises(ContractError, match="not a probability vector"):
+        expected_payoffs(pgg, by_size)
+
+
+def test_cached_plans_and_joint_grids_are_read_only():
+    plans = oracle._pure_plans(2, True, 2, 2, 3)
+    grid = oracle._joint_grid(2, 3)
+    assert plans is oracle._pure_plans(2, True, 2, 2, 3)
+    assert grid is oracle._joint_grid(2, 3)
+    for cached in (plans, grid):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0
 
 
 # ---------------------------------------------------------------------------
