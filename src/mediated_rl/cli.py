@@ -136,12 +136,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:  # ValueError: not JSON
             raise ConfigError(f"cannot read profile: {exc}") from None
         profile = _profile_from_json(spec, data)
-        payoffs = oracle.expected_payoffs(spec, profile, k=k)
-        print("expected payoffs: "
-              + " ".join(f"agent{i}={v:.6g}" for i, v in enumerate(payoffs)))
-        for i in range(spec.num_agents):
-            gap = oracle.best_response_gap(spec, profile, i, k=k)
+        answer = oracle.exploitability(spec, profile, k=k)
+        print("expected payoffs: " + " ".join(
+            f"agent{i}={v:.6g}" for i, v in enumerate(answer.payoffs)))
+        for i, gap in enumerate(answer.gaps):
             print(f"best-response gap agent{i}: {gap:.6g}")
+        print(f"NashConv: {answer.nash_conv:.6g}")
+        if answer.commit_values is not None:
+            for i, (commit, own) in enumerate(answer.commit_values):
+                print(f"commit values agent{i}: committed={commit:.6g} "
+                      f"locked-out={own:.6g}")
     return 0
 
 

@@ -161,12 +161,21 @@ def default_config(env: str, mediator_mode: str = "none", k: int = 1,
 
 
 def _same(a, b) -> bool:
-    """Equality of nested dicts, lists and scalars in which NaN equals NaN."""
+    """Equality of nested dicts, lists, tuples and scalars in which NaN
+    equals NaN."""
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
-    if isinstance(a, list) and isinstance(b, list):
+    if isinstance(a, (list, tuple)) and type(a) is type(b):
         return len(a) == len(b) and all(map(_same, a, b))
     return a == b or (a != a and b != b)
+
+
+def _same_fields(a, b) -> bool:
+    """Dataclass equality by ``_same`` over the fields that compare."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(_same(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a) if f.compare)
 
 
 @dataclass(eq=False)
@@ -189,16 +198,13 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunReport):
-            return NotImplemented
-        return all(_same(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self) if f.compare)
+    __eq__ = _same_fields
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepReport:
-    """Seed-aggregated metrics: mean and standard deviation per metric."""
+    """Seed-aggregated metrics: mean and standard deviation per metric. A
+    NaN mean or deviation equals NaN, as in ``RunReport``."""
 
     env: str
     mediator_mode: str
@@ -207,6 +213,8 @@ class SweepReport:
     num_seeds: int
     failed: list[tuple[int, str]] = field(default_factory=list)
     reports: list[RunReport] = field(default_factory=list)
+
+    __eq__ = _same_fields
 
     def to_dict(self) -> dict:
         return {

@@ -12,7 +12,10 @@ dense mediator table; the exact evaluation enumerates every positive-weight
 branch where the sampler draws. The one-shot public goods game exploits
 agent symmetry (coalition sizes instead of subsets) to stay polynomial in N.
 The exact evaluation takes a stack of agent policies against one mediator,
-so a query evaluates the profile and all of its deviations in one pass.
+so a round of queries about one profile is one evaluation of the profile and
+every agent's pure plans and commit branches. Each query runs the full check,
+then reads that answer from a one-entry memo keyed on values (the game, ``k``,
+``gamma`` and the checked arrays), which an edited profile misses.
 """
 
 from __future__ import annotations
@@ -32,16 +35,14 @@ from .mediation import (COMMITTED, LOCKED_OUT, joint_env_actions,
                         window_statuses)
 
 DIST_TOL = 5e-12
+_memo: list = [(None, None)]  # the last (answer, key of values) of ``_answer``
 
 
-def _is_distribution(p: np.ndarray) -> bool:
-    """A 1-d vector of non-negative entries summing to 1, within DIST_TOL."""
-    if p.ndim != 1:
-        return False
-    # Profile vectors are short, so Python's min and sum beat NumPy's calls.
-    values = p.tolist()
-    return (min(values, default=-1.0) >= -DIST_TOL
-            and abs(sum(values) - 1.0) <= DIST_TOL)
+def _first_non_distribution(table: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first row of ``table`` (row-major order) that is not a
+    probability vector within DIST_TOL, or None if every row is one."""
+    bad = (table < -DIST_TOL).any(axis=-1) | ~(np.abs(table.sum(axis=-1) - 1) <= DIST_TOL)
+    return tuple(np.argwhere(bad)[0]) if bad.any() else None
 
 
 @dataclass
@@ -89,12 +90,13 @@ class MixedProfile:
                                 f"of policies over {arities} actions")
         n = spec.num_agents
         policies = np.zeros((spec.horizon, n, spec.max_actions + 1))
-        for t, state in enumerate(self.agent_policies):
-            for i, pol in enumerate(state):
-                if not _is_distribution(pol):
-                    raise ContractError(f"agent_policies holds {pol}, not a "
-                                        "probability vector")
-                policies[t, i, :pol.size] = pol
+        filled = np.arange(spec.max_actions + 1) < np.array(arities)[:, None]
+        policies[:, filled] = np.concatenate(
+            [p for state in self.agent_policies for p in state]).reshape(spec.horizon, -1)
+        if (bad := _first_non_distribution(policies)) is not None:
+            t, i = bad
+            raise ContractError(f"agent_policies holds {self.agent_policies[t][i]}, "
+                                "not a probability vector")
         by_size, by_coal = self.mediator_by_size, self.mediator_by_coalition
         mediator = (np.zeros(n + 1) if spec.kind is GameKind.ONE_SHOT_PGG else
                     np.tile(np.eye(spec.max_actions)[0], (spec.horizon, 2 ** n, n, 1)))
@@ -107,11 +109,9 @@ class MixedProfile:
                                     "not mediator_by_coalition")
             if by_size is None:
                 raise ContractError("a mediated profile needs mediator_by_size")
-            if (by_size.shape != (spec.num_agents + 1,)
-                    or not np.all((by_size >= 0.0) & (by_size <= 1.0))):
-                raise ContractError(
-                    f"mediator_by_size needs {spec.num_agents + 1} "
-                    "probabilities, one per coalition size 0..N")
+            if by_size.shape != (n + 1,) or not np.all((0.0 <= by_size) & (by_size <= 1)):
+                raise ContractError(f"mediator_by_size needs {n + 1} probabilities, "
+                                    "one per coalition size 0..N")
             mediator = by_size
         else:
             if by_size is not None:
@@ -119,20 +119,20 @@ class MixedProfile:
             if by_coal is None:
                 raise ContractError("a mediated profile needs mediator_by_coalition")
             if len(by_coal) != spec.horizon:
-                raise ContractError(f"mediator_by_coalition needs {spec.horizon} "
-                                    "state(s)")
+                raise ContractError(f"mediator_by_coalition needs {spec.horizon} state(s)")
             for t, code in np.ndindex(spec.horizon, 2 ** n):
                 bits = tuple(map(int, f"{code:0{n}b}"))  # as in _codes
                 for agent in (i for i, b in enumerate(bits) if b):
-                    dist = by_coal[t].get(bits, {}).get(agent)
-                    if (dist is None or dist.shape != (spec.num_actions[agent],)
-                            or not _is_distribution(dist)):
-                        raise ContractError(
-                            f"mediator_by_coalition needs, in every state, a "
-                            f"probability vector over agent {agent}'s "
-                            f"{spec.num_actions[agent]} actions for coalition "
-                            + "".join(map(str, bits)))
-                    mediator[t, code, agent, :dist.shape[0]] = dist
+                    dist, a = by_coal[t].get(bits, {}).get(agent), spec.num_actions[agent]
+                    # A missing or misshapen entry fails the test below.
+                    ok = getattr(dist, "shape", None) == (a,)
+                    mediator[t, code, agent, :a] = dist if ok else np.nan
+            if (bad := _first_non_distribution(mediator)) is not None:
+                _, code, agent = bad
+                raise ContractError(
+                    "mediator_by_coalition needs, in every state, a probability vector "
+                    f"over agent {agent}'s {spec.num_actions[agent]} actions for "
+                    f"coalition {code:0{n}b}")
         return policies, mediator
 
 
@@ -190,13 +190,9 @@ def _coalition_tables(spec: PayoffSpec, member_dist) -> list[dict]:
 
 def expected_payoffs(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
                      gamma: float = 1.0) -> np.ndarray:
-    """Exact per-agent expected return under the profile.
-
-    Covers matrix games of any (small) horizon and the one-shot PGG; general
-    policies in the iterative PGG have no closed form here.
-    """
-    policies, mediator = _check_query(spec, profile, k, gamma=gamma)
-    return _expected(spec, mediator, policies[None], k, gamma)[0]
+    """Exact per-agent expected return, copied from the round's one evaluation
+    (``exploitability``): matrix games and the one-shot PGG, not pgg-iter."""
+    return _answer(spec, profile, k, gamma).payoffs.copy()
 
 
 def _expected(spec: PayoffSpec, mediator: np.ndarray, policies: np.ndarray,
@@ -294,26 +290,36 @@ def _pgg_expected(spec: PayoffSpec, by_size: np.ndarray,
     at once: an agent contributes directly, or commits and the mediator
     contributes with p_{1+K}, K the number of other agents committing.
     K's generating function, prod_{j != i} (1 - q_j + q_j z) over the others'
-    commit chances q_j, has degree below N, so E[p_{1+K}] is its values at
-    the N-th roots of unity dotted with the DFT of p_1..p_N, over N. Prefix
-    and suffix products leave agent i out without dividing by a factor,
-    which can vanish (q_j = 1/2 at z = -1)."""
+    commit chances q_j, has degree below N, so E[p_{1+K}] is the real part of
+    its values at the N-th roots of unity (conjugate roots give conjugate
+    terms: those up to z = -1 suffice) dotted with the DFT of p_1..p_N, over
+    N. Prefix and suffix products leave agent i out without dividing by a
+    factor, which can vanish (q_j = 1/2 at z = -1)."""
     n_agents, mult = spec.num_agents, spec.multiplier
     direct, commit = policies[:, 0, :, games.COOPERATE], policies[:, 0, :, -1]
-    powers = np.arange(n_agents)
-    roots = np.exp(2j * np.pi * powers / n_agents)
-    factors = 1.0 - commit[..., None] + commit[..., None] * roots
+    roots, dft = _roots_of_unity(n_agents)
+    factors = 1.0 + commit[..., None] * (roots - 1.0)  # no slow real + complex broadcast
     ones = np.ones_like(factors[:, :1])
     before = np.cumprod(np.concatenate([ones, factors[:, :-1]], axis=1), axis=1)
-    after = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1),
-                       axis=1)[:, ::-1]
-    dft = roots[np.outer(powers, powers) % n_agents].conj() @ by_size[1:]
-    contrib = direct + commit * ((before * after) @ dft).real / n_agents
+    after = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    contrib = direct + commit * ((before * after) @ (dft @ by_size[1:])).real / n_agents
     return (mult / n_agents) * contrib.sum(axis=1, keepdims=True) - contrib
 
 
+@functools.lru_cache
+def _roots_of_unity(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-th roots of unity z^k for k <= n/2 and their conjugate DFT rows,
+    read-only. Each row whose conjugate root z^(n-k) is left out is doubled."""
+    k = np.arange(n // 2 + 1)
+    roots = np.exp(2j * np.pi * k / n)
+    dft = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n)
+    dft[1:(n + 1) // 2] *= 2.0
+    roots.flags.writeable = dft.flags.writeable = False
+    return roots, dft
+
+
 # ---------------------------------------------------------------------------
-# Best response
+# Best responses and commit values: every agent's answer from one evaluation
 
 
 @functools.lru_cache
@@ -334,17 +340,77 @@ def _pure_plans(num_actions: int, mediated: bool, horizon: int, k: int,
     return plans
 
 
+@functools.lru_cache
+def _all_plans(num_actions: tuple[int, ...], mediated: bool, horizon: int,
+               k: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All agents' ``_pure_plans``, each row's agent, each agent's first row; read-only."""
+    blocks = [_pure_plans(a, mediated, horizon, k, width) for a in num_actions]
+    owners = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    arrays = np.concatenate(blocks), owners, np.flatnonzero(np.diff(owners, prepend=-1))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def best_response_gap(spec: PayoffSpec, profile: MixedProfile, agent: int,
                       k: int = 1, gamma: float = 1.0) -> float:
-    """How much agent ``agent`` can gain by a pure deviation (>= 0). The
-    profile and every plan are evaluated in one stacked pass."""
-    policies, mediator = _check_query(spec, profile, k, agent, gamma)
-    plans = _pure_plans(spec.num_actions[agent], profile.mediated,
-                        spec.horizon, k, spec.max_actions + 1)
-    stack = np.repeat(policies[None], len(plans) + 1, axis=0)
-    stack[1:, :, agent] = plans
-    values = _expected(spec, mediator, stack, k, gamma)[:, agent]
-    return float(values[1:].max() - values[0])
+    """How much agent ``agent`` can gain by a pure deviation (>= 0), read
+    from the round's one evaluation (``exploitability``)."""
+    return float(_answer(spec, profile, k, gamma, agent).gaps[agent])
+
+
+@dataclass(frozen=True, eq=False)
+class Exploitability:
+    """Read-only ``payoffs`` (N,), best-response ``gaps`` (N,), ``commit_values``
+    (N, 2), committed then locked out (None when unmediated), and ``nash_conv``."""
+
+    payoffs: np.ndarray
+    gaps: np.ndarray
+    commit_values: np.ndarray | None
+    nash_conv: float
+
+
+def exploitability(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
+                   gamma: float = 1.0) -> Exploitability:
+    """Every agent's payoff, best-response gap (their sum is NashConv,
+    Lanctot et al. 2017) and commit values from one check and evaluation."""
+    return _answer(spec, profile, k, gamma)
+
+
+def _answer(spec: PayoffSpec, profile: MixedProfile, k: int, gamma: float,
+            agent: int | None = None) -> Exploitability:
+    """Run the full check, then read the one-entry memo, keyed on values only
+    (the game's fields, ``k``, ``gamma``, ``mediated``, the checked arrays)."""
+    arrays = _check_query(spec, profile, k, agent, gamma)
+    key = (vars(spec) | {"payoff_tables": [t.tobytes() for t in spec.payoff_tables or ()]},
+           k, gamma, profile.mediated, *(a.tobytes() for a in arrays))
+    if (memo := _memo[0])[1] != key:  # one read: another thread cannot split the pair
+        memo = _memo[0] = _evaluate(spec, profile.mediated, *arrays, k, gamma), key
+    return memo[0]
+
+
+def _evaluate(spec: PayoffSpec, mediated: bool, policies: np.ndarray,
+              mediator: np.ndarray, k: int, gamma: float) -> Exploitability:
+    """One ``_expected`` call over a stack of the profile, every agent's pure
+    plans, then, when mediated, each agent's first-state policy restricted to
+    committed (it commits) and to locked out (its env part, renormalized)."""
+    n, agents = spec.num_agents, np.arange(spec.num_agents)
+    plans, owners, starts = _all_plans(tuple(spec.num_actions), mediated,
+                                       spec.horizon, k, spec.max_actions + 1)
+    plan_rows = 1 + np.arange(len(plans))
+    branch_rows = 1 + len(plans) + np.arange(2 * n).reshape(2, n)
+    stack = np.repeat(policies[None], 1 + len(plans) + 2 * n * mediated, axis=0)
+    stack[plan_rows, :, owners] = plans
+    if mediated:
+        stack[branch_rows, 0, agents] = _restrict(
+            policies[0], np.array([[COMMITTED], [LOCKED_OUT]]), spec.num_actions)
+    values = _expected(spec, mediator, stack, k, gamma)
+    payoffs = values[0]
+    gaps = np.maximum.reduceat(values[plan_rows, owners], starts) - payoffs
+    commit = values[branch_rows, agents].T if mediated else None
+    for array in (payoffs, gaps, commit)[:2 + mediated]:
+        array.flags.writeable = False
+    return Exploitability(payoffs, gaps, commit, float(gaps.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +437,7 @@ def optimal_constrained_mediator_pgg(num_agents: int,
     p = np.zeros(num_agents + 1)
     p[num_agents] = 1.0
     for s in range(num_agents - 1, 0, -1):
-        if ratio * s <= 1.0:
-            p[s] = 0.0
-        else:
+        if ratio * s > 1.0:
             p[s] = min(1.0, (ratio * (s + 1) - 1.0) * p[s + 1] / (ratio * s))
     return p
 
@@ -406,8 +470,7 @@ def normalization_constants(spec: PayoffSpec) -> tuple[float, float]:
                 spec, t, endow, np.ones((1, spec.num_agents), dtype=np.int64))
             total += rewards[0]
         return 0.0, float(total.mean())
-    low = 0.0
-    high = 0.0
+    low = high = 0.0
     for table in spec.payoff_tables:
         low += float(table[(0,) * spec.num_agents].mean())
         high += float(table.sum(axis=-1).max()) / spec.num_agents
@@ -449,14 +512,9 @@ def max_mediated_welfare(spec: PayoffSpec) -> tuple[float, np.ndarray]:
     table = spec.payoff_tables[0]
     flat = table.reshape(-1, spec.num_agents)
     welfare = flat.sum(axis=1)
-    res = linprog(
-        c=-welfare,
-        A_ub=-flat.T,
-        b_ub=-fallback,
-        A_eq=np.ones((1, flat.shape[0])),
-        b_eq=np.array([1.0]),
-        bounds=[(0.0, 1.0)] * flat.shape[0],
-        method="highs")
+    res = linprog(c=-welfare, A_ub=-flat.T, b_ub=-fallback,
+                  A_eq=np.ones((1, flat.shape[0])), b_eq=np.array([1.0]),
+                  bounds=[(0.0, 1.0)] * flat.shape[0], method="highs")
     if not res.success:
         raise UnsupportedGameError(f"welfare LP failed: {res.message}")
     return float(-res.fun), res.x.reshape(table.shape[:-1])
@@ -535,18 +593,10 @@ def mediator_copy_profile(spec: PayoffSpec,
 def conditional_commit_values(spec: PayoffSpec, profile: MixedProfile,
                               agent: int, k: int = 1,
                               gamma: float = 1.0) -> tuple[float, float]:
-    """Agent's expected return conditioned on committing vs. acting itself.
-
-    Both branches keep every other agent on the original profile and
-    restrict the agent's first-state policy to one status: committed
-    (it commits) or locked out (it plays the commit-renormalized env part).
-    """
-    policies, mediator = _check_query(spec, profile, k, agent, gamma)
-    if not profile.mediated:
+    """Agent's expected return conditioned on committing vs. acting itself,
+    the others on the profile, read from the round's one evaluation."""
+    commit_values = _answer(spec, profile, k, gamma, agent).commit_values
+    if commit_values is None:
         raise ContractError("conditional commit values need a mediated profile")
-    a = spec.num_actions[agent]
-    stack = np.repeat(policies[None], 2, axis=0)
-    stack[:, 0, agent, :a + 1] = _restrict(
-        stack[0, 0, agent, :a + 1], np.array([COMMITTED, LOCKED_OUT]), a)
-    commit, own = _expected(spec, mediator, stack, k, gamma)[:, agent]
+    commit, own = commit_values[agent]
     return float(commit), float(own)

@@ -371,6 +371,24 @@ def test_oracle_reads_a_complete_mediator_table(tmp_path, capsys):
     assert "best-response gap agent1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mediated", [False, True])
+def test_oracle_prints_nash_conv_as_the_sum_of_the_gaps(tmp_path, capsys,
+                                                        mediated):
+    path = tmp_path / "profile.json"
+    profile = (pd_mediated(coalition_11=[0.3, 0.7]) if mediated else
+               {"agent_policies": [[[0.2, 0.8], [0.6, 0.4]]]})
+    path.write_text(json.dumps(profile))
+    assert cli.main(["oracle", "--env", "pd", "--profile", str(path)]) == 0
+    out = capsys.readouterr().out
+    gaps = [float(g) for g in re.findall(r"best-response gap agent\d: (\S+)", out)]
+    nash_conv = float(re.search(r"^NashConv: (\S+)$", out, re.M).group(1))
+    assert len(gaps) == 2 and nash_conv > 0
+    assert nash_conv == pytest.approx(sum(gaps), rel=1e-5)
+    commits = re.findall(r"^commit values agent(\d): committed=\S+ locked-out=\S+$",
+                         out, re.M)
+    assert commits == (["0", "1"] if mediated else [])
+
+
 def test_load_missing_config_raises(tmp_path):
     with pytest.raises(ConfigError):
         load_config_file(str(tmp_path / "absent.ini"))
@@ -401,6 +419,19 @@ def test_identical_reports_with_an_unmeasured_metric_compare_equal():
     logged = replace(second, history=[{"ic_gap": [np.nan]}])
     assert logged == replace(first, history=[{"ic_gap": [np.nan]}])
     assert logged != replace(first, history=[{"ic_gap": [0.0]}])
+
+
+def test_identical_sweeps_with_an_unmeasured_metric_compare_equal():
+    config = replace(default_config("pds", "naive"), iterations=0,
+                     eval_episodes=4, seeds=(0, 1))
+    first, second = sweep(config), sweep(config)
+    assert np.isnan(first.metrics["P_cc|full"][0])
+    assert first == second
+    measured = replace(second, metrics={**second.metrics,
+                                        "P_cc|full": (0.5, 0.0)})
+    assert first != measured and measured != first
+    assert first != replace(second, num_seeds=3)
+    assert first != first.reports[0]
 
 
 def test_zero_iterations_reports_near_uniform_policies():

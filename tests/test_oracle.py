@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,7 @@ PROFILE_QUERIES = {
     "best_response_gap": lambda spec, p: best_response_gap(spec, p, 0),
     "conditional_commit_values":
         lambda spec, p: oracle.conditional_commit_values(spec, p, 0),
+    "exploitability": lambda spec, p: oracle.exploitability(spec, p),
     "sample_profile_payoffs": lambda spec, p: sample_profile_payoffs(
         spec, p, 10, np.random.default_rng(0)),
     "mediator_copy_profile": mediator_copy_profile,
@@ -213,6 +215,7 @@ BAD_ARGUMENTS = {
     "best_response_gap-k0": lambda spec, p: best_response_gap(spec, p, 0, k=0),
     "conditional_commit_values-k-1":
         lambda spec, p: oracle.conditional_commit_values(spec, p, 0, k=-1),
+    "exploitability-k0": lambda spec, p: oracle.exploitability(spec, p, k=0),
     "sample_profile_payoffs-k0": lambda spec, p: sample_profile_payoffs(
         spec, p, 10, np.random.default_rng(0), k=0),
     "best_response_gap-agent-1": lambda spec, p: best_response_gap(spec, p, -1),
@@ -233,7 +236,8 @@ BAD_ARGUMENTS = {
            ("best_response_gap", lambda spec, p, gamma: best_response_gap(
                spec, p, 0, gamma=gamma)),
            ("conditional_commit_values", lambda spec, p, gamma:
-            oracle.conditional_commit_values(spec, p, 0, gamma=gamma)))
+            oracle.conditional_commit_values(spec, p, 0, gamma=gamma)),
+           ("exploitability", oracle.exploitability))
        for gamma in (np.nan, -0.5, 1.5)},
 }
 
@@ -249,7 +253,8 @@ def test_bad_query_argument_is_rejected(spec, case):
 def test_iterative_pgg_is_unsupported_before_the_profile_is_checked():
     misfit = MixedProfile(agent_policies=[[np.array([1.0])]])
     for query in ("expected_payoffs", "best_response_gap",
-                  "conditional_commit_values", "sample_profile_payoffs"):
+                  "conditional_commit_values", "exploitability",
+                  "sample_profile_payoffs"):
         with pytest.raises(UnsupportedGameError):
             PROFILE_QUERIES[query](iterative_pgg(3, 2.0), misfit)
 
@@ -382,15 +387,25 @@ def test_stacked_queries_match_one_profile_at_a_time(case, fill):
     rng = np.random.default_rng(list(STACKED_CASES).index(case))
     for _ in range(3):
         profile = random_profile(spec, mediated, rng, fill)
+        answer = oracle.exploitability(spec, profile, k, gamma)
+        gaps = [one_at_a_time_gap(spec, profile, agent, k, gamma)
+                for agent in range(spec.num_agents)]
+        np.testing.assert_allclose(answer.gaps, gaps, rtol=0, atol=1e-12)
+        assert answer.nash_conv == pytest.approx(sum(gaps), rel=0, abs=1e-11)
+        np.testing.assert_allclose(
+            answer.payoffs, expected_payoffs(spec, rebuilt(profile), k, gamma),
+            rtol=0, atol=1e-12)
         for agent in range(spec.num_agents):
             assert best_response_gap(spec, profile, agent, k, gamma) == \
-                pytest.approx(one_at_a_time_gap(spec, profile, agent, k, gamma),
-                              rel=0, abs=1e-12)
+                pytest.approx(gaps[agent], rel=0, abs=1e-12)
             if mediated:
+                commit = one_at_a_time_commit_values(spec, profile, agent, k, gamma)
                 np.testing.assert_allclose(
                     oracle.conditional_commit_values(spec, profile, agent, k, gamma),
-                    one_at_a_time_commit_values(spec, profile, agent, k, gamma),
-                    rtol=0, atol=1e-12)
+                    commit, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(answer.commit_values[agent], commit,
+                                           rtol=0, atol=1e-12)
+        assert (answer.commit_values is None) == (not mediated)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +491,9 @@ def assert_same_answers(first, second):
 
 
 def test_no_profile_data_outlives_a_query():
-    # Only functions of ints are cached: a profile edited in place between
-    # two queries is read afresh by the second.
+    # The one-entry memo is keyed on the checked values, not on the profile
+    # object: a profile edited in place between two queries is read afresh
+    # by the second.
     rng = np.random.default_rng(11)
     pd2, pgg = two_step_pd(), one_shot_pgg(4, 2.0)
     matrix, by_size = random_profile(pd2, True, rng), random_profile(pgg, True, rng)
@@ -505,10 +521,154 @@ def test_cached_plans_and_joint_grids_are_read_only():
     grid = oracle._joint_grid(2, 3)
     assert plans is oracle._pure_plans(2, True, 2, 2, 3)
     assert grid is oracle._joint_grid(2, 3)
-    for cached in (plans, grid):
+    every_plan = oracle._all_plans((2, 3), True, 2, 2, 4)
+    assert every_plan is oracle._all_plans((2, 3), True, 2, 2, 4)
+    for cached in (plans, grid, *every_plan, *oracle._roots_of_unity(5)):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# The all-agents query and its one-entry memo
+
+
+def fresh_answer(spec, profile, k=1, gamma=1.0):
+    """The exploitability of a rebuilt profile, after a query of another
+    game has replaced the memo's entry."""
+    oracle.exploitability(prisoners_dilemma(), uniform_profile(
+        prisoners_dilemma(), mediated=False))
+    return oracle.exploitability(spec, rebuilt(profile), k, gamma)
+
+
+def assert_same_exploitability(first, second):
+    for name in ("payoffs", "gaps", "commit_values", "nash_conv"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+
+
+def test_memo_keys_on_the_game_k_and_gamma():
+    profile = random_profile(one_shot_pgg(3, 2.0), True, np.random.default_rng(3))
+    answers = [oracle.exploitability(spec, profile)
+               for spec in (one_shot_pgg(3, 2.0), one_shot_pgg(3, 1.5))]
+    assert not np.array_equal(answers[0].payoffs, answers[1].payoffs)
+    for spec, answer in zip((one_shot_pgg(3, 2.0), one_shot_pgg(3, 1.5)), answers):
+        assert_same_exploitability(answer, fresh_answer(spec, profile))
+    pd2 = two_step_pd()
+    profile = random_profile(pd2, True, np.random.default_rng(4))
+    for first, second in (((1, 1.0), (2, 1.0)), ((1, 1.0), (1, 0.99))):
+        answers = [oracle.exploitability(pd2, profile, *args)
+                   for args in (first, second)]
+        assert not np.array_equal(answers[0].payoffs, answers[1].payoffs)
+        for args, answer in zip((first, second), answers):
+            assert_same_exploitability(answer, fresh_answer(pd2, profile, *args))
+    # A payoff table edited in place misses the memo too.
+    before = oracle.exploitability(pd2, profile)
+    pd2.payoff_tables[1][1, 1] += 1.0
+    after = oracle.exploitability(pd2, profile)
+    assert not np.array_equal(before.payoffs, after.payoffs)
+    assert_same_exploitability(after, fresh_answer(pd2, profile))
+
+
+def test_memo_misses_a_profile_edited_in_place():
+    rng = np.random.default_rng(12)
+    for spec in (two_step_pd(), one_shot_pgg(5, 2.0)):
+        profile = random_profile(spec, True, rng)
+        answers = [oracle.exploitability(spec, profile)]
+        profile.agent_policies[0][1][:] = rng.dirichlet(np.ones(3))
+        answers.append(oracle.exploitability(spec, profile))
+        if profile.mediator_by_size is None:
+            profile.mediator_by_coalition[0][(1, 1)][0][:] = [0.25, 0.75]
+        else:
+            profile.mediator_by_size[2] = 1.0 - profile.mediator_by_size[2]
+        answers.append(oracle.exploitability(spec, profile))
+        for old, new in zip(answers, answers[1:]):
+            assert not np.array_equal(old.payoffs, new.payoffs)
+        assert_same_exploitability(answers[-1], fresh_answer(spec, profile))
+
+
+def test_threads_sharing_the_memo_get_their_own_answers():
+    # Each thread asks about its own profile, so a thread's hit can race
+    # another thread's replacement of the memo.
+    cases = [(spec, random_profile(spec, True, np.random.default_rng(i)))
+             for i, spec in enumerate((prisoners_dilemma(), pd_with_sacrifice(),
+                                       one_shot_pgg(3, 2.0), two_step_pd()))]
+    expected = [expected_payoffs(spec, profile) for spec, profile in cases]
+    wrong = []
+
+    def ask(index):
+        for _ in range(300):
+            if not np.array_equal(expected_payoffs(*cases[index]), expected[index]):
+                wrong.append(index)
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def test_a_caller_cannot_change_the_next_answer():
+    spec = pd_with_sacrifice()
+    profile = random_profile(spec, True, np.random.default_rng(6))
+    payoffs = expected_payoffs(spec, profile)
+    payoffs[:] = 99.0
+    answer = oracle.exploitability(spec, profile)
+    assert not (answer.payoffs == 99.0).any()
+    np.testing.assert_array_equal(expected_payoffs(spec, profile), answer.payoffs)
+    for array in (answer.payoffs, answer.gaps, answer.commit_values):
+        with pytest.raises(ValueError):
+            array[0] = 99.0
+    assert_same_exploitability(oracle.exploitability(spec, profile),
+                               fresh_answer(spec, profile))
+
+
+def test_every_query_is_checked_before_the_memo_is_read():
+    spec = prisoners_dilemma()
+    profile = all_commit_pd_profile()
+    oracle.exploitability(spec, profile)
+    for query, message in (
+            (lambda: best_response_gap(spec, profile, 2), "agent must be"),
+            (lambda: oracle.conditional_commit_values(spec, profile, 0, gamma=2.0),
+             "gamma must be"),
+            (lambda: expected_payoffs(spec, profile, k=0), "k must be")):
+        with pytest.raises(ContractError, match=message):
+            query()
+    # The arguments are checked in a fixed order: k, then agent, then gamma.
+    with pytest.raises(ContractError, match="k must be"):
+        best_response_gap(spec, profile, -1, k=0, gamma=2.0)
+    with pytest.raises(ContractError, match="agent must be"):
+        oracle.conditional_commit_values(spec, profile, -1, gamma=2.0)
+    profile.agent_policies[0][1][:] = [0.5, 0.5, 0.5]
+    with pytest.raises(ContractError, match="not a probability vector"):
+        oracle.exploitability(spec, profile)
+
+
+def test_the_check_names_the_first_bad_entry():
+    spec = two_step_pd()
+    profile = random_profile(spec, True, np.random.default_rng(8))
+    profile.agent_policies[1][0][:] = [0.5, 0.5, 0.5]
+    profile.agent_policies[0][1][:] = [-0.5, 1.0, 0.5]
+    with pytest.raises(ContractError, match=r"holds \[-0\.5"):
+        profile.check(spec)
+    profile = random_profile(spec, True, np.random.default_rng(8))
+    del profile.mediator_by_coalition[1][(1, 1)][0]
+    profile.mediator_by_coalition[1][(1, 0)][0][:] = [0.7, 0.7]
+    profile.mediator_by_coalition[1][(0, 1)][1] = [0.5, 0.5]  # not an array
+    with pytest.raises(ContractError, match="agent 1's 2 actions for coalition 01"):
+        profile.check(spec)
+    profile.mediator_by_coalition[1][(0, 1)][1] = np.array([0.5, 0.5])
+    with pytest.raises(ContractError, match="agent 0's 2 actions for coalition 10"):
+        profile.check(spec)
+    profile.mediator_by_coalition[1][(1, 0)][0][:] = [0.3, 0.7]
+    with pytest.raises(ContractError, match="agent 0's 2 actions for coalition 11"):
+        profile.check(spec)
 
 
 # ---------------------------------------------------------------------------
