@@ -89,8 +89,12 @@ class Mlp:
         """Gradient (S, P) of each slice's sum over rows of <dout, output>.
 
         ``dout`` carries any loss weighting (e.g. 1/B for batch means); this
-        routine only sums over rows. It spends ``acts``: tanh'·delta is
-        computed in place in the hidden activations.
+        routine only sums over rows and leaves ``dout`` as it is. It spends
+        ``acts``: tanh'·delta is computed in place in the hidden activations.
+        A bias gradient wider than one column is an einsum row sum, which
+        adds the rows in ``np.sum``'s order without its layer-wide inner loop
+        per row; a one-column delta is contiguous, and ``np.sum`` adds it
+        pairwise, so both give ``delta.sum(axis=1)``'s sums exactly.
         """
         grad = np.empty_like(self.theta)
         offset = self.theta.shape[1]
@@ -105,7 +109,8 @@ class Mlp:
                 delta = h_out
             size = w[0].size
             offset -= w.shape[2]
-            grad[:, offset : offset + w.shape[2]] = delta.sum(axis=1)
+            grad[:, offset : offset + w.shape[2]] = (
+                np.einsum("srd->sd", delta) if w.shape[2] > 1 else delta.sum(axis=1))
             offset -= size
             grad[:, offset : offset + size] = np.matmul(
                 h_in.swapaxes(1, 2), delta).reshape(len(w), size)
@@ -125,7 +130,7 @@ class Adam:
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Update ``theta`` in place with one descent step along ``grad``."""
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise TrainingDiverged(
                 f"non-finite gradient (|grad|_max="
                 f"{np.abs(grad[np.isfinite(grad)]).max(initial=0.0):.3g}, "
@@ -137,7 +142,7 @@ class Adam:
         m_hat = self.m / (1.0 - BETA1 ** self.t)
         v_hat = self.v / (1.0 - BETA2 ** self.t)
         theta -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise TrainingDiverged("parameters became non-finite after update")
 
 
@@ -204,7 +209,7 @@ def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
     """
     p = probs.reshape(-1, probs.shape[-1])
     rows, taken, w = np.arange(len(p)), actions.ravel(), weights.ravel()
-    if np.any(p[rows, taken] <= 0.0):
+    if (p[rows, taken] <= 0.0).any():
         raise ContractError("taken action has zero probability under the mask")
     logp = np.log(np.where(p > 0.0, p, 1.0))
     entropy = -(p * logp).sum(axis=1)

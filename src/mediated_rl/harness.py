@@ -56,6 +56,11 @@ class RunConfig:
     def validate(self) -> PayoffSpec:
         if self.mediator_mode not in MEDIATOR_MODES:
             raise ConfigError(f"mediator_mode must be one of {MEDIATOR_MODES}")
+        for name in ("num_agents", "k", "iterations", "batch_size",
+                     "eval_episodes", "log_every"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.batch_size < 1 or self.iterations < 0:
@@ -70,8 +75,9 @@ class RunConfig:
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
         for name, params in (("agent", self.agent), ("mediator", self.mediator)):
-            if params.hidden < 1:
-                raise ConfigError(f"[{name}] hidden must be >= 1")
+            if not _is_integer(params.hidden) or params.hidden < 1:
+                raise ConfigError(f"[{name}] hidden must be an integer >= 1, "
+                                  f"got {params.hidden!r}")
             rates = {"lr_actor": params.lr_actor, "lr_critic": params.lr_critic}
             if name == "mediator":
                 rates["lambda_lr"] = params.lambda_lr
@@ -89,12 +95,19 @@ class RunConfig:
         return spec
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or NumPy integer; a bool or an integral
+    float would fail later, deep inside training."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seeds(seeds: tuple[int, ...]) -> tuple[int, ...]:
-    """``seeds`` if they name one or more distinct non-negative seeds; a
-    repeated seed would count one run twice."""
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+    """``seeds`` if they name one or more distinct non-negative integer
+    seeds; a repeated seed would count one run twice."""
+    if (not seeds or not all(map(_is_integer, seeds)) or min(seeds) < 0
+            or len(set(seeds)) < len(seeds)):
         raise ConfigError(f"seeds must name one or more distinct, "
-                          f"non-negative seeds, got {seeds}")
+                          f"non-negative integer seeds, got {seeds}")
     return seeds
 
 

@@ -298,11 +298,18 @@ def _pgg_expected(spec: PayoffSpec, by_size: np.ndarray,
     n_agents, mult = spec.num_agents, spec.multiplier
     direct, commit = policies[:, 0, :, games.COOPERATE], policies[:, 0, :, -1]
     roots, dft = _roots_of_unity(n_agents)
-    factors = 1.0 + commit[..., None] * (roots - 1.0)  # no slow real + complex broadcast
-    ones = np.ones_like(factors[:, :1])
-    before = np.cumprod(np.concatenate([ones, factors[:, :-1]], axis=1), axis=1)
-    after = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-    contrib = direct + commit * ((before * after) @ (dft @ by_size[1:])).real / n_agents
+    # The factors sit between two ones, so both cumulative products start
+    # from a 1 (1, f_0, .. and 1, f_{N-1}, ..): started at a factor, a short
+    # product takes another NumPy loop, which rounds differently at N = 3.
+    padded = np.empty((len(commit), n_agents + 2, len(roots)), dtype=complex)
+    padded[:, 0] = padded[:, -1] = 1.0
+    factors = np.multiply(commit[..., None], roots - 1.0, out=padded[:, 1:-1])
+    factors += 1.0  # no slow real + complex broadcast
+    before, after = np.empty_like(factors), np.empty_like(factors)
+    np.cumprod(padded[:, :-2], axis=1, out=before)
+    np.cumprod(padded[:, :1:-1], axis=1, out=after[:, ::-1])
+    before *= after
+    contrib = direct + commit * (before @ (dft @ by_size[1:])).real / n_agents
     return (mult / n_agents) * contrib.sum(axis=1, keepdims=True) - contrib
 
 

@@ -1,5 +1,6 @@
 """Gradient and policy-head checks for the function approximator."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,11 +91,19 @@ def entropy(probs):
 IDENTITY_NET = SimpleNamespace(backward=lambda acts, upstream: upstream)
 
 
-@pytest.mark.parametrize("case", range(100))
+@pytest.mark.parametrize("case", [
+    *range(100), pytest.param((3, 5, 4, 2), id="3-5-4-2"),
+    pytest.param((2, 6, 5, 4, 1), id="2-6-5-4-1")])
 def test_value_head_gradient_matches_finite_differences(case):
-    rng = rng_for(1000 + case)
-    d_in, n_out = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-    net = Mlp((d_in, 5, 5, n_out), rng)
+    # An integer case draws a (d_in, 5, 5, n_out) net; a tuple names the
+    # layer sizes of a net with unequal hidden widths.
+    if isinstance(case, tuple):
+        rng, sizes = rng_for(len(case)), case
+    else:
+        rng = rng_for(1000 + case)
+        sizes = (int(rng.integers(1, 5)), 5, 5, int(rng.integers(1, 4)))
+    d_in, n_out = sizes[0], sizes[-1]
+    net = Mlp(sizes, rng)
     x = rng.normal(size=(1, 4, d_in))
     targets = rng.normal(size=(1, 4, n_out))
 
@@ -240,6 +249,49 @@ def test_zero_weight_rows_match_the_gradient_over_weighted_rows(head):
     assert losses.sum() == pytest.approx(loss(), abs=1e-12)
     numeric = numeric_grad(loss, net.theta)
     assert relative_error(analytic.ravel(), numeric).max() < 1e-4
+
+
+def strided_sum_backward(net, acts, dout):
+    """``Mlp.backward`` with every bias gradient a ``delta.sum(axis=1)``:
+    the reference the backward pass must equal bit for bit."""
+    grad = np.empty_like(net.theta)
+    offset = net.theta.shape[1]
+    delta = np.asarray(dout, dtype=np.float64)
+    for li in range(len(net.weights) - 1, -1, -1):
+        w = net.weights[li]
+        h_in, h_out = acts[li], acts[li + 1]
+        if li != len(net.weights) - 1:
+            np.multiply(h_out, h_out, out=h_out)
+            np.subtract(1.0, h_out, out=h_out)
+            h_out *= delta
+            delta = h_out
+        size = w[0].size
+        offset -= w.shape[2]
+        grad[:, offset : offset + w.shape[2]] = delta.sum(axis=1)
+        offset -= size
+        grad[:, offset : offset + size] = np.matmul(
+            h_in.swapaxes(1, 2), delta).reshape(len(w), size)
+        if li > 0:
+            delta = np.matmul(delta, w.swapaxes(1, 2))
+    return grad
+
+
+@pytest.mark.parametrize("n_out", [1, 2, 3])
+def test_backward_equals_the_strided_sum_reference(n_out):
+    # A one-column bias gradient is summed pairwise, a wider one row by row
+    # in order; neither may move a bit, at equal or unequal hidden widths,
+    # and dout stays as it was.
+    for sizes in ((4, 16, 16, n_out), (3, 5, 4, n_out)):
+        for stack, rows in itertools.product((1, 3, 16), (1, 7, 128, 1280)):
+            net = Mlp(sizes, rng_for(51), stack=stack)
+            rng = rng_for(52)
+            x = rng.normal(size=(stack, rows, sizes[0]))
+            dout = rng.normal(size=(stack, rows, n_out))
+            given = dout.copy()
+            grad = net.backward(net.forward_cached(x)[1], dout)
+            np.testing.assert_array_equal(dout, given)
+            expected = strided_sum_backward(net, net.forward_cached(x)[1], dout)
+            assert grad.tobytes() == expected.tobytes(), (sizes, stack, rows)
 
 
 def test_backward_spends_its_cache():

@@ -65,12 +65,24 @@ def test_validate_rejects_bad_modes_and_k():
 
 @pytest.mark.parametrize("field,value", [
     ("eval_episodes", 0), ("eval_episodes", -3), ("log_every", -1),
-    ("seeds", ()), ("num_agents", 0), ("multiplier", 0.0)])
+    ("seeds", ()), ("num_agents", 0), ("multiplier", 0.0),
+    ("batch_size", 4.0), ("k", 1.0), ("eval_episodes", 2.0),
+    ("iterations", 2.0), ("log_every", 2.5), ("num_agents", 2.0),
+    ("batch_size", True), ("seeds", (0.5,)), ("seeds", (0, True)),
+    ("agent", replace(tiny_config().agent, hidden=8.0)),
+    ("mediator", replace(tiny_config().mediator, hidden=np.float64(8.5)))])
 def test_validate_rejects_values_that_cannot_run(field, value):
     # eval_episodes=0 used to give NaN metrics; an empty seed list, an empty
-    # game or a zero multiplier has nothing to train.
-    with pytest.raises(ConfigError):
+    # game or a zero multiplier has nothing to train. A float or bool count
+    # used to pass and fail later with a bare TypeError, or run silently.
+    with pytest.raises(ConfigError, match=re.escape(field)):
         replace(tiny_config(), **{field: value}).validate()
+
+
+def test_validate_accepts_numpy_integer_counts():
+    config = replace(tiny_config(), iterations=np.int64(0),
+                     batch_size=np.int32(4), seeds=(np.int64(3),))
+    assert train(config, 3).iterations == 0
 
 
 @pytest.mark.parametrize("flag", ["--seeds", "--k", "--num-agents",

@@ -119,13 +119,32 @@ def committer_count_pgg_payoffs(spec, by_size, policies):
     return (mult / n_agents) * contrib.sum(axis=1, keepdims=True) - contrib
 
 
-@pytest.mark.parametrize("n_agents", [8, 16, 32])
+def concatenated_pgg_expected(spec, by_size, policies):
+    """The closed form with prefix and suffix products over fresh
+    concatenations of a column of ones and the factors: the construction the
+    oracle's in-place one must equal bit for bit."""
+    n_agents, mult = spec.num_agents, spec.multiplier
+    direct, commit = policies[:, 0, :, games.COOPERATE], policies[:, 0, :, -1]
+    roots, dft = oracle._roots_of_unity(n_agents)
+    factors = 1.0 + commit[..., None] * (roots - 1.0)
+    ones = np.ones_like(factors[:, :1])
+    before = np.cumprod(np.concatenate([ones, factors[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1),
+                       axis=1)[:, ::-1]
+    contrib = direct + commit * ((before * after)
+                                 @ (dft @ by_size[1:])).real / n_agents
+    return (mult / n_agents) * contrib.sum(axis=1, keepdims=True) - contrib
+
+
+@pytest.mark.parametrize("n_agents", [8, 16, 32, 3])
 def test_pgg_closed_form_matches_the_committer_count_loop(n_agents):
     # Commit chances of exactly 0, 1/2 and 1 among random ones: at 1/2 a
-    # factor of the generating function vanishes at the root z = -1.
+    # factor of the generating function vanishes at the root z = -1. At
+    # N = 3 a cumulative product over the two factors alone, not after a
+    # one, takes another NumPy loop and rounds differently.
     spec = one_shot_pgg(n_agents, 2.0)
     rng = np.random.default_rng(n_agents)
-    stack = 12
+    stack = 81  # the stack of a pgg N = 16 exploitability round
     commit = rng.random((stack, n_agents))
     commit[rng.random(commit.shape) < 0.6] = 0.5
     commit[rng.random(commit.shape) < 0.2] = 0.0
@@ -136,10 +155,12 @@ def test_pgg_closed_form_matches_the_committer_count_loop(n_agents):
                         axis=-1)[:, None]
     for by_size in (rng.random(n_agents + 1),
                     optimal_constrained_mediator_pgg(n_agents, 2.0)):
+        payoffs = oracle._pgg_expected(spec, by_size, policies)
         np.testing.assert_allclose(
-            oracle._pgg_expected(spec, by_size, policies),
-            committer_count_pgg_payoffs(spec, by_size, policies),
+            payoffs, committer_count_pgg_payoffs(spec, by_size, policies),
             rtol=0, atol=1e-12)
+        assert payoffs.tobytes() == concatenated_pgg_expected(
+            spec, by_size, policies).tobytes()
 
 
 def test_expected_payoffs_iterative_pgg_unsupported():
