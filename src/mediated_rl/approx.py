@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, TrainingDiverged
+from .errors import ContractError, TrainingDiverged, is_integer
 
 NEG_INF = -np.inf
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
@@ -263,8 +263,9 @@ class EntropySchedule:
                                 "finite and >= 0")
         if self.minimum > self.start:
             raise ContractError("entropy minimum exceeds start coefficient")
-        if self.steps < 1:
-            raise ContractError("entropy steps must be >= 1")
+        if not is_integer(self.steps) or self.steps < 1:
+            raise ContractError(f"entropy steps must be an integer >= 1, "
+                                f"got {self.steps!r}")
         if self.strategy == "exponential" and not self.minimum > 0.0:
             raise ContractError("an exponential entropy schedule needs minimum > 0")
 

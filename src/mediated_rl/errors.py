@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer test shared across the package."""
+
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or NumPy integer; a bool or an integral
+    float would fail later, deep inside a computation."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):

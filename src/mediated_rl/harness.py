@@ -24,7 +24,7 @@ import numpy as np
 from . import games, oracle
 from .agents import AgentLearner, LearnerParams
 from .approx import EntropySchedule
-from .errors import ConfigError, ContractError, TrainingDiverged
+from .errors import ConfigError, ContractError, TrainingDiverged, is_integer
 from .games import GameKind, PayoffSpec, base_obs_batch
 from .mediation import FREE, window_statuses
 from .mediator import MediatorLearner
@@ -59,7 +59,7 @@ class RunConfig:
         for name in ("num_agents", "k", "iterations", "batch_size",
                      "eval_episodes", "log_every"):
             value = getattr(self, name)
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
@@ -75,7 +75,7 @@ class RunConfig:
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
         for name, params in (("agent", self.agent), ("mediator", self.mediator)):
-            if not _is_integer(params.hidden) or params.hidden < 1:
+            if not is_integer(params.hidden) or params.hidden < 1:
                 raise ConfigError(f"[{name}] hidden must be an integer >= 1, "
                                   f"got {params.hidden!r}")
             rates = {"lr_actor": params.lr_actor, "lr_critic": params.lr_critic}
@@ -95,16 +95,10 @@ class RunConfig:
         return spec
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or NumPy integer; a bool or an integral
-    float would fail later, deep inside training."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_seeds(seeds: tuple[int, ...]) -> tuple[int, ...]:
     """``seeds`` if they name one or more distinct non-negative integer
     seeds; a repeated seed would count one run twice."""
-    if (not seeds or not all(map(_is_integer, seeds)) or min(seeds) < 0
+    if (not seeds or not all(map(is_integer, seeds)) or min(seeds) < 0
             or len(set(seeds)) < len(seeds)):
         raise ConfigError(f"seeds must name one or more distinct, "
                           f"non-negative integer seeds, got {seeds}")
@@ -208,9 +202,6 @@ class RunReport:
     aborted: bool = False
     abort_reason: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     __eq__ = _same_fields
 
 
@@ -228,15 +219,6 @@ class SweepReport:
     reports: list[RunReport] = field(default_factory=list)
 
     __eq__ = _same_fields
-
-    def to_dict(self) -> dict:
-        return {
-            "env": self.env, "mediator_mode": self.mediator_mode, "k": self.k,
-            "num_seeds": self.num_seeds,
-            "metrics": {k: list(v) for k, v in self.metrics.items()},
-            "failed": [list(f) for f in self.failed],
-            "reports": [r.to_dict() for r in self.reports],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +241,7 @@ def _build_learners(config: RunConfig, spec: PayoffSpec,
 def train(config: RunConfig, seed: int) -> RunReport:
     """Run one seed to completion (or abort) and evaluate the final policies."""
     spec = config.validate()
+    _check_seeds((seed,))
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     agents, mediator = _build_learners(config, spec, rng)
@@ -336,10 +319,6 @@ def _mediator_action_rate(traj: TrajectoryBatch, action: int) -> float:
     return float((traj.med_action[acted] == action).mean())
 
 
-def _coalition_tag(bits: np.ndarray) -> str:
-    return "".join(str(int(b)) for b in bits)
-
-
 def collect_metrics(spec: PayoffSpec, config: RunConfig,
                     agents: AgentLearner,
                     mediator: MediatorLearner | None,
@@ -359,12 +338,9 @@ def collect_metrics(spec: PayoffSpec, config: RunConfig,
         metrics["mediator_coop_rate"] = _mediator_action_rate(
             traj, games.COOPERATE)
 
-    if spec.kind is GameKind.MATRIX:
-        _matrix_policy_metrics(spec, config, agents, mediator, traj, metrics)
-    elif spec.kind is GameKind.ONE_SHOT_PGG:
-        _pgg_policy_metrics(spec, agents, mediator, metrics)
-    else:
-        _iter_pgg_policy_metrics(spec, agents, metrics)
+    _policy_metrics(spec, config.k, agents, mediator, metrics)
+    if mediator is not None and spec.name == "pds":
+        _pds_joint_metrics(traj, metrics)
 
     if mediator is not None and mediator.lagrange is not None:
         for i in range(n):
@@ -377,48 +353,52 @@ _ACTION_NAMES = {games.DEFECT: "defect", games.COOPERATE: "coop",
                  games.SACRIFICE: "sacrifice"}
 
 
-def _matrix_policy_metrics(spec: PayoffSpec, config: RunConfig,
-                           agents: AgentLearner,
-                           mediator: MediatorLearner | None,
-                           traj: TrajectoryBatch,
-                           metrics: dict[str, float]) -> None:
-    multi = spec.horizon > 1
-    for t in range(spec.horizon):
-        tag = f"@s{t}" if multi else ""
-        base = base_obs_batch(spec, t, None, 1)
-        # An agent outside the coalition: free at a boundary, else locked out.
-        status = window_statuses(np.zeros(1, dtype=bool), t, config.k)
+def _policy_metrics(spec: PayoffSpec, k: int, agents: AgentLearner,
+                    mediator: MediatorLearner | None,
+                    metrics: dict[str, float]) -> None:
+    """The learned policies, read at each state of a matrix game and at the
+    first turn of a PGG (unit endowments, as every episode starts) with the
+    status of an agent outside the coalition: free at a window boundary,
+    locked out inside a window.
+
+    Agents report every env action on the matrix games and ``coop`` on the
+    PGGs, and ``pi_commit`` where they are free. The mediator reports its
+    play for every member of each singleton and of the full coalition (the
+    paper's tables) on the matrix games, and for agent 0 in the coalition of
+    the first s agents, for each size s, on the one-shot PGG; pgg-iter
+    reports no mediator key.
+    """
+    n = spec.num_agents
+    matrix = spec.kind is GameKind.MATRIX
+    one_shot = spec.kind is GameKind.ONE_SHOT_PGG
+    for t in range(spec.horizon if matrix else 1):
+        tag = ("@init" if spec.kind is GameKind.ITERATIVE_PGG
+               else f"@s{t}" if spec.horizon > 1 else "")
+        base = base_obs_batch(spec, t, np.ones((1, n)), 1)
+        status = window_statuses(np.zeros(1, dtype=bool), t, k)
         probs = agents.policy(base, status)[:, 0]
         for i, a_env in enumerate(agents.num_env_actions):
-            for a in range(a_env):
+            for a in range(a_env) if matrix else [games.COOPERATE]:
                 metrics[f"pi_{_ACTION_NAMES[a]}{tag}/agent{i}"] = float(probs[i, a])
             if agents.mediated and status[0] == FREE:
                 metrics[f"pi_commit{tag}/agent{i}"] = float(probs[i, a_env])
-        if mediator is None:
+        if one_shot and agents.mediated:
+            metrics["pi_commit/mean"] = float(np.mean(probs[:, -1]))
+        if mediator is None or not (matrix or one_shot):
             continue
-        for bits in _report_coalitions(spec.num_agents):
-            coalition = np.asarray(bits, dtype=bool)
-            ctag = _coalition_tag(coalition)
-            for i in range(spec.num_agents):
-                if not coalition[i]:
-                    continue
-                probs, _ = mediator.policy(base, coalition[None], [0], [i])
-                for a in range(spec.num_actions[i]):
-                    metrics[f"piM_{_ACTION_NAMES[a]}{tag}|{ctag}/agent{i}"] = \
-                        float(probs[0, a])
-    if mediator is not None and spec.name == "pds":
-        _pds_joint_metrics(traj, metrics)
-
-
-def _report_coalitions(n: int) -> list[tuple[int, ...]]:
-    """Singletons plus the full coalition; the paper's tables report these."""
-    out = []
-    for i in range(n):
-        bits = [0] * n
-        bits[i] = 1
-        out.append(tuple(bits))
-    out.append((1,) * n)
-    return out
+        coalitions = ([*np.eye(n, dtype=bool), np.ones(n, dtype=bool)] if matrix
+                      else np.tri(n, dtype=bool))
+        for coalition in coalitions:
+            ctag = "".join(str(int(b)) for b in coalition)
+            for i in np.flatnonzero(coalition) if matrix else [0]:
+                med, _ = mediator.policy(base, coalition[None], [0], [i])
+                if one_shot:
+                    metrics[f"piM_coop|size{coalition.sum()}"] = \
+                        float(med[0, games.COOPERATE])
+                else:
+                    for a in range(spec.num_actions[i]):
+                        metrics[f"piM_{_ACTION_NAMES[a]}{tag}|{ctag}/agent{i}"] = \
+                            float(med[0, a])
 
 
 def _pds_joint_metrics(traj: TrajectoryBatch,
@@ -433,37 +413,6 @@ def _pds_joint_metrics(traj: TrajectoryBatch,
     joint_cc = (acts[:, 0] == games.COOPERATE) & (acts[:, 1] == games.COOPERATE)
     metrics["P_cc|full"] = float(joint_cc.mean())
     metrics["P_s|full"] = float((acts[:, 1] == games.SACRIFICE).mean())
-
-
-def _pgg_policy_metrics(spec: PayoffSpec, agents: AgentLearner,
-                        mediator: MediatorLearner | None,
-                        metrics: dict[str, float]) -> None:
-    base = base_obs_batch(spec, 0, None, 1)
-    commit = []
-    for i, probs in enumerate(agents.policy(base, 0)[:, 0]):
-        metrics[f"pi_coop/agent{i}"] = float(probs[games.COOPERATE])
-        if agents.mediated:
-            metrics[f"pi_commit/agent{i}"] = float(probs[-1])
-            commit.append(float(probs[-1]))
-    if commit:
-        metrics["pi_commit/mean"] = float(np.mean(commit))
-    if mediator is None:
-        return
-    for size in range(1, spec.num_agents + 1):
-        coalition = np.zeros(spec.num_agents, dtype=bool)
-        coalition[:size] = True
-        probs, _ = mediator.policy(base, coalition[None], [0], [0])
-        metrics[f"piM_coop|size{size}"] = float(probs[0, games.COOPERATE])
-
-
-def _iter_pgg_policy_metrics(spec: PayoffSpec, agents: AgentLearner,
-                             metrics: dict[str, float]) -> None:
-    # Unit endowments at the first turn, as every episode starts.
-    base = base_obs_batch(spec, 0, np.ones((1, spec.num_agents)), 1)
-    for i, probs in enumerate(agents.policy(base, 0)[:, 0]):
-        metrics[f"pi_coop@init/agent{i}"] = float(probs[games.COOPERATE])
-        if agents.mediated:
-            metrics[f"pi_commit@init/agent{i}"] = float(probs[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +469,7 @@ def emit(report: RunReport | SweepReport, fmt: str, path: str | None = None) -> 
     Returns the rendered text; writes it to ``path`` when given.
     """
     if fmt == "json":
-        payload = report.to_dict()
-        text = json.dumps(payload, indent=2, sort_keys=False)
+        text = json.dumps(asdict(report), indent=2, sort_keys=False)
     elif fmt == "csv":
         text = _to_csv(report)
     elif fmt == "table":

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import games
 from .approx import sample_categorical
-from .errors import ConfigError, ContractError, UnsupportedGameError
+from .errors import (ConfigError, ContractError, UnsupportedGameError,
+                     is_integer)
 from .games import GameKind, PayoffSpec
 from .mediation import (COMMITTED, LOCKED_OUT, joint_env_actions,
                         legal_action_mask_batch, next_coalition,
@@ -138,7 +139,7 @@ class MixedProfile:
 
 def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
     """Raise unless ``value`` is an integer in [low, high)."""
-    if not isinstance(value, (int, np.integer)) or not low <= value < high:
+    if not is_integer(value) or not low <= value < high:
         raise ContractError(f"{name} must be an integer in [{low}, {high}), "
                             f"got {value!r}")
 
@@ -156,7 +157,8 @@ def _check_query(spec: PayoffSpec, profile: MixedProfile, k: int,
     _check_int("k", k, 1)
     if agent is not None:
         _check_int("agent", agent, 0, spec.num_agents)
-    if not isinstance(gamma, (int, float, np.number)) or not 0 <= gamma <= 1:
+    if (isinstance(gamma, bool) or not isinstance(gamma, (int, float, np.number))
+            or not 0 <= gamma <= 1):
         raise ContractError(f"gamma must be a number in [0, 1], got {gamma!r}")
     return arrays
 

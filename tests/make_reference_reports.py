@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from mediated_rl.harness import RunConfig, RunReport, default_config, train
@@ -36,6 +36,7 @@ REFERENCE_CONFIGS = {
     "pd-naive": ("pd", "naive", 1, None),
     "pd-constrained": ("pd", "constrained", 1, None),
     "pd-none": ("pd", "none", 1, None),
+    "pd2-none": ("pd2", "none", 1, None),
     "pd2-constrained-k1": ("pd2", "constrained", 1, None),
     "pd2-constrained-k2": ("pd2", "constrained", 2, None),
     "pd2-naive-k2": ("pd2", "naive", 2, None),
@@ -59,7 +60,7 @@ def reference_config(name: str) -> RunConfig:
 
 
 def report_digest(report: RunReport) -> str:
-    payload = report.to_dict()
+    payload = asdict(report)
     del payload["wall_clock_s"]
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()

@@ -470,6 +470,12 @@ def test_exponential_schedule_needs_positive_minimum():
         EntropySchedule("exponential", start=0.5, steps=20000, minimum=0.0)
 
 
+@pytest.mark.parametrize("steps", [2.5, True])
+def test_entropy_steps_must_be_an_integer(steps):
+    with pytest.raises(ContractError, match="steps must be an integer"):
+        EntropySchedule("exponential", start=0.5, steps=steps, minimum=0.01)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     strategy=st.sampled_from(["linear", "exponential"]),

@@ -4,7 +4,7 @@ import collections
 import json
 import re
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -83,6 +83,18 @@ def test_validate_accepts_numpy_integer_counts():
     config = replace(tiny_config(), iterations=np.int64(0),
                      batch_size=np.int32(4), seeds=(np.int64(3),))
     assert train(config, 3).iterations == 0
+
+
+@pytest.mark.parametrize("seed", [0.5, -1, True, "3"])
+def test_train_rejects_a_seed_that_cannot_run(seed):
+    # These used to fail with a bare TypeError or ValueError from
+    # SeedSequence, or (a bool) to run and report seed=True.
+    with pytest.raises(ConfigError, match="seeds"):
+        train(replace(tiny_config(), iterations=0), seed)
+
+
+def test_train_accepts_a_numpy_integer_seed():
+    assert train(replace(tiny_config(), iterations=0), np.int64(3)).seed == 3
 
 
 @pytest.mark.parametrize("flag", ["--seeds", "--k", "--num-agents",
@@ -636,6 +648,14 @@ def test_emit_json_round_trip(tmp_path, env, mode, batch_size):
     parsed = RunReport(**json.loads(path.read_text()))
     assert parsed == report
     assert json.loads(text) == json.loads(path.read_text())
+
+
+def test_emit_sweep_json_holds_every_field():
+    result = sweep(tiny_config(iterations=0, seeds=(0, 1)))
+    parsed = json.loads(emit(result, "json"))
+    assert list(parsed) == [f.name for f in fields(SweepReport)]
+    assert parsed["metrics"] == {k: list(v) for k, v in result.metrics.items()}
+    assert [RunReport(**r) for r in parsed["reports"]] == result.reports
 
 
 def test_emit_csv_fixed_header_and_rows():

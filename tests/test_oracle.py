@@ -671,6 +671,17 @@ def test_every_query_is_checked_before_the_memo_is_read():
         oracle.exploitability(spec, profile)
 
 
+def test_a_bool_is_neither_a_count_nor_a_discount():
+    spec = prisoners_dilemma()
+    profile = all_commit_pd_profile()
+    for query, message in (
+            (lambda: expected_payoffs(spec, profile, k=True), "k must be"),
+            (lambda: best_response_gap(spec, profile, True), "agent must be"),
+            (lambda: expected_payoffs(spec, profile, gamma=True), "gamma must be")):
+        with pytest.raises(ContractError, match=message):
+            query()
+
+
 def test_the_check_names_the_first_bad_entry():
     spec = two_step_pd()
     profile = random_profile(spec, True, np.random.default_rng(8))
