@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, TrainingDiverged, is_integer
+from .errors import ContractError, TrainingDiverged, is_integer, is_real
 
 NEG_INF = -np.inf
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
@@ -257,10 +257,10 @@ class EntropySchedule:
     def __post_init__(self):
         if self.strategy not in ("linear", "exponential"):
             raise ContractError(f"unknown entropy strategy {self.strategy!r}")
-        if not all(np.isfinite(v) and v >= 0.0
+        if not all(is_real(v) and np.isfinite(v) and v >= 0.0
                    for v in (self.start, self.minimum, self.decay)):
             raise ContractError("entropy start, minimum and decay must be "
-                                "finite and >= 0")
+                                "finite real numbers >= 0")
         if self.minimum > self.start:
             raise ContractError("entropy minimum exceeds start coefficient")
         if not is_integer(self.steps) or self.steps < 1:

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, is_real
 
 DEFECT = 0
 COOPERATE = 1
@@ -67,8 +67,9 @@ class PayoffSpec:
                         f"payoff table shape {table.shape} != expected {want}"
                     )
         else:
-            if self.multiplier is None:
-                raise ConfigError("PGG games need a multiplier")
+            if not is_real(self.multiplier):
+                raise ConfigError(f"PGG games need a real multiplier, "
+                                  f"got {self.multiplier!r}")
             if not 1.0 < self.multiplier < self.num_agents:
                 raise ConfigError(
                     f"PGG multiplier must satisfy 1 < n < N, got n={self.multiplier}, "

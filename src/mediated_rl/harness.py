@@ -24,7 +24,8 @@ import numpy as np
 from . import games, oracle
 from .agents import AgentLearner, LearnerParams
 from .approx import EntropySchedule
-from .errors import ConfigError, ContractError, TrainingDiverged, is_integer
+from .errors import (ConfigError, ContractError, TrainingDiverged, is_integer,
+                     is_real)
 from .games import GameKind, PayoffSpec, base_obs_batch
 from .mediation import FREE, window_statuses
 from .mediator import MediatorLearner
@@ -72,18 +73,17 @@ class RunConfig:
         _check_seeds(self.seeds)
         if self.num_agents < 2:
             raise ConfigError("num_agents must be >= 2")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError("gamma must lie in [0, 1)")
+        if not is_real(self.gamma) or not 0.0 <= self.gamma < 1.0:
+            raise ConfigError(f"gamma must be a real number in [0, 1), got {self.gamma!r}")
         for name, params in (("agent", self.agent), ("mediator", self.mediator)):
             if not is_integer(params.hidden) or params.hidden < 1:
                 raise ConfigError(f"[{name}] hidden must be an integer >= 1, "
                                   f"got {params.hidden!r}")
-            rates = {"lr_actor": params.lr_actor, "lr_critic": params.lr_critic}
-            if name == "mediator":
-                rates["lambda_lr"] = params.lambda_lr
-            for key, rate in rates.items():
-                if not (np.isfinite(rate) and rate > 0.0):
-                    raise ConfigError(f"[{name}] {key} must be finite and > 0")
+            for key in ("lr_actor", "lr_critic", "lambda_lr"):
+                rate = getattr(params, key)
+                if not (is_real(rate) and np.isfinite(rate) and rate > 0.0):
+                    raise ConfigError(f"[{name}] {key} must be a finite real "
+                                      f"number > 0, got {rate!r}")
         spec = games.make_spec(self.env, self.num_agents, self.multiplier)
         if self.num_agents != spec.num_agents:
             raise ConfigError(f"{spec.name} is a {spec.num_agents}-agent game, "
@@ -264,8 +264,8 @@ def train(config: RunConfig, seed: int) -> RunReport:
                                  config.eval_episodes, rng)
         metrics = collect_metrics(spec, config, agents, mediator, eval_traj)
     return RunReport(
-        env=config.env, mediator_mode=config.mediator_mode, k=config.k,
-        seed=seed, iterations=config.iterations, metrics=metrics,
+        env=config.env, mediator_mode=config.mediator_mode, k=int(config.k),
+        seed=int(seed), iterations=int(config.iterations), metrics=metrics,
         history=history, wall_clock_s=time.perf_counter() - start,
         aborted=aborted, abort_reason=abort_reason)
 
@@ -455,7 +455,7 @@ def sweep(config: RunConfig) -> SweepReport:
             std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
             metrics[key] = (float(finite.mean()), std)
     return SweepReport(env=config.env, mediator_mode=config.mediator_mode,
-                       k=config.k, metrics=metrics, num_seeds=len(good),
+                       k=int(config.k), metrics=metrics, num_seeds=len(good),
                        failed=failed, reports=reports)
 
 

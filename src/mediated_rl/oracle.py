@@ -13,9 +13,10 @@ branch where the sampler draws. The one-shot public goods game exploits
 agent symmetry (coalition sizes instead of subsets) to stay polynomial in N.
 The exact evaluation takes a stack of agent policies against one mediator,
 so a round of queries about one profile is one evaluation of the profile and
-every agent's pure plans and commit branches. Each query runs the full check,
-then reads that answer from a one-entry memo keyed on values (the game, ``k``,
-``gamma`` and the checked arrays), which an edited profile misses.
+every agent's pure plans and commit branches. A query reads that answer from
+a one-entry memo keyed on values: the game, ``k``, ``gamma`` and everything
+``MixedProfile.check`` reads of the profile, so an edited profile misses it
+and a hit skips the check, which would pass again.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import games
 from .approx import sample_categorical
 from .errors import (ConfigError, ContractError, UnsupportedGameError,
-                     is_integer)
+                     is_integer, is_real)
 from .games import GameKind, PayoffSpec
 from .mediation import (COMMITTED, LOCKED_OUT, joint_env_actions,
                         legal_action_mask_batch, next_coalition,
@@ -147,20 +148,29 @@ def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
 def _check_query(spec: PayoffSpec, profile: MixedProfile, k: int,
                  agent: int | None = None,
                  gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Raise unless the game has exact expectations, the profile fits it,
-    ``k`` is a window length, ``agent``, when given, is one of the game's
-    agents and ``gamma`` a discount in [0, 1]; return ``check``'s arrays."""
+    """Raise unless the game has exact expectations, the profile fits it and
+    the arguments are valid (``_check_arguments``); return ``check``'s arrays."""
+    _check_game(spec)
+    arrays = profile.check(spec)
+    _check_arguments(spec, k, agent, gamma)
+    return arrays
+
+
+def _check_game(spec: PayoffSpec) -> None:
     if spec.kind is GameKind.ITERATIVE_PGG:
         raise UnsupportedGameError(
             "exact expectations for the iterative PGG are not supported")
-    arrays = profile.check(spec)
+
+
+def _check_arguments(spec: PayoffSpec, k: int, agent: int | None,
+                     gamma: float) -> None:
+    """Raise unless ``k`` is a window length, ``agent``, when given, is one
+    of the game's agents and ``gamma`` a real discount in [0, 1]."""
     _check_int("k", k, 1)
     if agent is not None:
         _check_int("agent", agent, 0, spec.num_agents)
-    if (isinstance(gamma, bool) or not isinstance(gamma, (int, float, np.number))
-            or not 0 <= gamma <= 1):
+    if not is_real(gamma) or not 0 <= gamma <= 1:
         raise ContractError(f"gamma must be a number in [0, 1], got {gamma!r}")
-    return arrays
 
 
 def uniform_profile(spec: PayoffSpec, mediated: bool) -> MixedProfile:
@@ -388,14 +398,72 @@ def exploitability(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
 
 def _answer(spec: PayoffSpec, profile: MixedProfile, k: int, gamma: float,
             agent: int | None = None) -> Exploitability:
-    """Run the full check, then read the one-entry memo, keyed on values only
-    (the game's fields, ``k``, ``gamma``, ``mediated``, the checked arrays)."""
+    """The answer of the one-entry memo when its key matches, after the
+    per-call argument checks; else the full check and a fresh evaluation,
+    kept in the memo unless the profile has no key."""
+    key = _memo_key(spec, profile, k, gamma)
+    answer, memo_key = _memo[0]  # one read: another thread cannot split the pair
+    if key is not None and key == memo_key:
+        _check_game(spec)
+        _check_arguments(spec, k, agent, gamma)
+        return answer
     arrays = _check_query(spec, profile, k, agent, gamma)
-    key = (vars(spec) | {"payoff_tables": [t.tobytes() for t in spec.payoff_tables or ()]},
-           k, gamma, profile.mediated, *(a.tobytes() for a in arrays))
-    if (memo := _memo[0])[1] != key:  # one read: another thread cannot split the pair
-        memo = _memo[0] = _evaluate(spec, profile.mediated, *arrays, k, gamma), key
-    return memo[0]
+    answer = _evaluate(spec, profile.mediated, *arrays, k, gamma)
+    if key is not None:
+        _memo[0] = answer, key
+    return answer
+
+
+class _Unkeyed(Exception):
+    """A profile part that ``_frozen`` cannot hold exactly."""
+
+
+def _memo_key(spec: PayoffSpec, profile: MixedProfile, k: int,
+              gamma: float) -> tuple | None:
+    """The game's fields (payoff tables as bytes), ``k``, ``gamma`` and every
+    value ``MixedProfile.check`` reads: ``mediated`` and the ``_frozen``
+    policies and mediator tables. None for a profile with a part the key
+    cannot hold exactly (a subclass, a non-bool ``mediated``, another leaf or
+    container type), which is checked and evaluated on every call, and for a
+    ``k`` or ``gamma`` that is not a number, which the check rejects."""
+    if (type(profile) is not MixedProfile or type(profile.mediated) is not bool
+            or not is_integer(k) or not is_real(gamma)):
+        return None
+    try:
+        parts = tuple(map(_frozen, (profile.agent_policies,
+                                    profile.mediator_by_coalition,
+                                    profile.mediator_by_size)))
+    except _Unkeyed:
+        return None
+    game = vars(spec) | {"payoff_tables": [t.tobytes() for t in spec.payoff_tables or ()]}
+    return game, k, gamma, profile.mediated, parts
+
+
+def _frozen(value):
+    """``value`` as a comparable copy: None; a real array as its dtype, shape
+    and bytes; a plain list or tuple as its type and frozen items; a plain
+    dict as its type, its keys in order (ints, bools or tuples of them) and
+    its frozen values. Raises ``_Unkeyed`` for anything else."""
+    kind = type(value)
+    if kind is np.ndarray and value.dtype.kind in "biuf":
+        return value.dtype, value.shape, value.tobytes()
+    if kind is list or kind is tuple:
+        return kind, *map(_frozen, value)
+    if kind is dict and all(map(_plain_key, keys := tuple(value))):
+        return kind, keys, *map(_frozen, value.values())
+    if value is None:
+        return None
+    raise _Unkeyed
+
+
+_KEY_PARTS = frozenset((int, bool))
+
+
+def _plain_key(key) -> bool:
+    """Whether a dict key is an int, a bool or a tuple of them: values that
+    compare and hash alike on every call."""
+    kind = type(key)
+    return kind in _KEY_PARTS or kind is tuple and _KEY_PARTS.issuperset(map(type, key))
 
 
 def _evaluate(spec: PayoffSpec, mediated: bool, policies: np.ndarray,
@@ -440,8 +508,8 @@ def optimal_constrained_mediator_pgg(num_agents: int,
     incentive-compatibility). Sizes whose members would lose by contributing
     get p_s = 0.
     """
-    if not 1.0 < multiplier < num_agents:
-        raise ConfigError("PGG requires 1 < n < N")
+    if not is_real(multiplier) or not 1.0 < multiplier < num_agents:
+        raise ConfigError(f"PGG requires a real n with 1 < n < N, got n={multiplier!r}")
     ratio = multiplier / num_agents
     p = np.zeros(num_agents + 1)
     p[num_agents] = 1.0

@@ -476,6 +476,16 @@ def test_entropy_steps_must_be_an_integer(steps):
         EntropySchedule("exponential", start=0.5, steps=steps, minimum=0.01)
 
 
+@pytest.mark.parametrize("value", [True, "0.5", None, 0.5j])
+@pytest.mark.parametrize("field", ["start", "decay", "minimum"])
+def test_entropy_coefficients_must_be_real_numbers(field, value):
+    # A bool used to pass; a string, None or a complex number ended in a
+    # bare TypeError.
+    args = {"start": 0.5, "decay": 0.0, "minimum": 0.0, field: value}
+    with pytest.raises(ContractError, match="finite real numbers"):
+        EntropySchedule("linear", **args)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     strategy=st.sampled_from(["linear", "exponential"]),

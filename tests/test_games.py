@@ -54,6 +54,12 @@ def test_invalid_pgg_multiplier_rejected(n):
         one_shot_pgg(3, n)
 
 
+@pytest.mark.parametrize("n", ["2", 2j, np.complex128(2.0)])
+def test_pgg_multiplier_must_be_a_real_number(n):
+    with pytest.raises(ConfigError, match="real multiplier"):
+        one_shot_pgg(3, n)
+
+
 def test_make_spec_ids():
     assert make_spec("pd").name == "pd"
     assert make_spec("pgg-iter", 3, 2.0).kind is GameKind.ITERATIVE_PGG

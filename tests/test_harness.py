@@ -11,7 +11,7 @@ import pytest
 
 from mediated_rl import cli, harness
 from mediated_rl.approx import Mlp
-from mediated_rl.errors import ConfigError
+from mediated_rl.errors import ConfigError, is_real
 from mediated_rl.harness import (RunConfig, RunReport, SweepReport,
                                  default_config, emit, load_config_file,
                                  sweep, train)
@@ -95,6 +95,53 @@ def test_train_rejects_a_seed_that_cannot_run(seed):
 
 def test_train_accepts_a_numpy_integer_seed():
     assert train(replace(tiny_config(), iterations=0), np.int64(3)).seed == 3
+
+
+def test_reports_hold_python_ints():
+    # A NumPy integer seed, iteration count or seed list used to pass
+    # validation and then fail JSON emission.
+    config = replace(default_config("pd", "naive"), iterations=0, eval_episodes=4)
+    reports = [train(config, np.int64(3)),
+               train(replace(config, iterations=np.int64(0)), 3),
+               sweep(replace(config, seeds=(np.int64(0), np.int64(1))))]
+    for report in reports:
+        json.loads(emit(report, "json"))
+    for run in (*reports[:2], *reports[2].reports):
+        assert [type(run.seed), type(run.k), type(run.iterations)] == [int] * 3
+    assert type(reports[2].k) is int
+
+
+@pytest.mark.parametrize("field,value,name", [
+    ("gamma", False, "gamma"), ("gamma", np.complex128(0.5), "gamma"),
+    ("gamma", "0.9", "gamma"), ("gamma", None, "gamma"),
+    ("multiplier", "2", "multiplier"),
+    ("agent", replace(tiny_config().agent, lr_actor="1e-3"), "lr_actor"),
+    ("agent", replace(tiny_config().agent, lr_critic=None), "lr_critic"),
+    ("mediator", replace(tiny_config().mediator, lambda_lr=True), "lambda_lr"),
+    ("mediator", replace(tiny_config().mediator, lr_actor=1j), "lr_actor")])
+def test_validate_rejects_a_value_that_is_not_a_real_number(field, value, name):
+    # These used to train (a bool or complex gamma, a bool lambda_lr) or end
+    # in a bare TypeError.
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        replace(tiny_config(), **{field: value}).validate()
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        replace(tiny_config("pgg"), **{field: value}).validate()
+
+
+def test_validate_accepts_numpy_real_numbers():
+    config = replace(tiny_config("pgg"), gamma=np.float32(0.5),
+                     multiplier=np.float64(2.0),
+                     mediator=replace(tiny_config().mediator,
+                                      lambda_lr=np.float32(1e-3)))
+    config.validate()
+
+
+def test_a_real_number_is_an_int_or_a_float():
+    for value in (0, 1.5, np.int64(2), np.float32(0.5), float("nan")):
+        assert is_real(value)
+    for value in (True, np.bool_(True), 1j, np.complex128(0.5), "0.5", None,
+                  np.array([0.5])):
+        assert not is_real(value)
 
 
 @pytest.mark.parametrize("flag", ["--seeds", "--k", "--num-agents",

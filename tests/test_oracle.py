@@ -704,6 +704,167 @@ def test_the_check_names_the_first_bad_entry():
 
 
 # ---------------------------------------------------------------------------
+# A memo hit skips the profile check, not the argument checks
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The games of every ``MixedProfile.check`` call from here on."""
+    calls = []
+    check = MixedProfile.check
+
+    def counted(profile, spec):
+        calls.append(spec.name)
+        return check(profile, spec)
+
+    monkeypatch.setattr(MixedProfile, "check", counted)
+    return calls
+
+
+def forget():
+    """Replace the memo's entry with an answer about another game."""
+    oracle.exploitability(prisoners_dilemma(),
+                          uniform_profile(prisoners_dilemma(), mediated=False))
+
+
+def outcome(query):
+    """What a query returns, or the message of the ContractError it raises."""
+    try:
+        return query()
+    except ContractError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(first, second):
+    if isinstance(first, str) or isinstance(second, str):
+        assert first == second
+    else:
+        assert_same_exploitability(first, second)
+
+
+# name -> (game, k)
+ROUND_CASES = {
+    **{f"{make.__name__}-k{k}": (make, k)
+       for make in (prisoners_dilemma, pd_with_sacrifice, two_step_pd)
+       for k in (1, 2)},
+    **{f"pgg-n{n}": (lambda n=n: one_shot_pgg(n, 2.0), 1) for n in (3, 8, 16)},
+}
+
+
+@pytest.mark.parametrize("case", list(ROUND_CASES))
+def test_a_round_of_per_agent_queries_checks_the_profile_once(case, check_calls):
+    make, k = ROUND_CASES[case]
+    spec = make()
+    profile = random_profile(spec, True, np.random.default_rng(len(case)))
+    forget()
+    check_calls.clear()
+    payoffs = expected_payoffs(spec, profile, k)
+    agents = range(spec.num_agents)
+    gaps = [best_response_gap(spec, profile, i, k) for i in agents]
+    commit = [oracle.conditional_commit_values(spec, profile, i, k) for i in agents]
+    assert check_calls == [spec.name]
+    fresh = fresh_answer(spec, profile, k)
+    assert payoffs.tobytes() == fresh.payoffs.tobytes()
+    assert np.array(gaps).tobytes() == fresh.gaps.tobytes()
+    assert np.array(commit).tobytes() == fresh.commit_values.tobytes()
+
+
+def test_a_hit_still_checks_every_argument_in_order(check_calls):
+    spec = two_step_pd()
+    profile = random_profile(spec, True, np.random.default_rng(13))
+    oracle.exploitability(spec, profile, 2)
+    complex_gamma = np.complex128(0.5)
+    for query, message in (
+            (lambda: expected_payoffs(spec, profile, k=True), "k must be"),
+            (lambda: best_response_gap(spec, profile, True, 2), "agent must be"),
+            (lambda: oracle.conditional_commit_values(spec, profile, 2, 2),
+             "agent must be"),
+            (lambda: best_response_gap(spec, profile, -1, 2), "agent must be"),
+            (lambda: expected_payoffs(spec, profile, 2, gamma=True), "gamma must be"),
+            (lambda: expected_payoffs(spec, profile, 2, gamma=complex_gamma),
+             "gamma must be"),
+            # k, then agent, then gamma
+            (lambda: best_response_gap(spec, profile, True, k=True, gamma=True),
+             "k must be"),
+            (lambda: oracle.conditional_commit_values(
+                spec, profile, 2, 2, gamma=complex_gamma), "agent must be")):
+        with pytest.raises(ContractError, match=message):
+            query()
+    # None of them replaced the memo's entry, so the next query hits.
+    calls = len(check_calls)
+    best_response_gap(spec, profile, 1, 2)
+    assert len(check_calls) == calls
+
+
+def entry_as_list(profile):
+    table = profile.mediator_by_coalition[1][(1, 0)]
+    table[0] = table[0].tolist()
+
+
+def dist_as_float32(profile):
+    table = profile.mediator_by_coalition[0][(1, 1)]
+    table[0] = table[0].astype(np.float32)
+
+
+MEMO_EDITS = {
+    "entry-as-list": entry_as_list,
+    "coalition-added": lambda p: p.mediator_by_coalition[0].update({(1, 1, 1): {}}),
+    "empty-coalition-deleted": lambda p: p.mediator_by_coalition[1].pop((0, 0)),
+    "coalition-deleted": lambda p: p.mediator_by_coalition[1].pop((1, 1)),
+    "mediated-one": lambda p: setattr(p, "mediated", 1),
+    "dist-as-float32": dist_as_float32,
+    "policies-as-tuples": lambda p: setattr(
+        p, "agent_policies", tuple(map(tuple, p.agent_policies))),
+}
+
+
+@pytest.mark.parametrize("edit", list(MEMO_EDITS))
+def test_an_edit_the_check_reads_misses_the_memo(edit, check_calls):
+    spec = two_step_pd()
+    profile = random_profile(spec, True, np.random.default_rng(14))
+    profile.mediator_by_coalition[0][(1, 1)][0] = np.array([0.25, 0.75])
+    oracle.exploitability(spec, profile, 2)
+    MEMO_EDITS[edit](profile)
+    check_calls.clear()
+    answer = outcome(lambda: oracle.exploitability(spec, profile, 2))
+    assert check_calls == [spec.name]
+    assert_same_outcome(answer, outcome(lambda: fresh_answer(spec, profile, 2)))
+
+
+class Table(dict):
+    """A dict subclass, which may answer lookups its own way."""
+
+
+def coalition_tables_as(profile, wrap):
+    profile.mediator_by_coalition = [wrap(table)
+                                     for table in profile.mediator_by_coalition]
+
+
+UNKEYED_PARTS = {
+    "dict-subclass": lambda p: coalition_tables_as(p, Table),
+    "numpy-coalition-keys": lambda p: coalition_tables_as(p, lambda table: {
+        tuple(map(np.int64, bits)): dists for bits, dists in table.items()}),
+    "object-array": lambda p: p.agent_policies[0].__setitem__(
+        1, p.agent_policies[0][1].astype(object)),
+    "list-subclass": lambda p: setattr(
+        p, "agent_policies", type("States", (list,), {})(p.agent_policies)),
+}
+
+
+@pytest.mark.parametrize("part", list(UNKEYED_PARTS))
+def test_a_profile_the_key_cannot_hold_skips_the_memo(part, check_calls):
+    spec = two_step_pd()
+    profile = random_profile(spec, True, np.random.default_rng(15))
+    UNKEYED_PARTS[part](profile)
+    check_calls.clear()
+    answers = pd2_answers(spec, profile)
+    # No query read the memo: five oracle queries, the sampler, the copy
+    # mediator and the copy's own check each ran the full check.
+    assert len(check_calls) == 8
+    assert_same_answers(answers, pd2_answers(spec, rebuilt(profile)))
+
+
+# ---------------------------------------------------------------------------
 # Optimal constrained PGG mediator
 
 
@@ -755,6 +916,13 @@ def test_optimal_pgg_mediator_full_commit_has_no_gap(n_agents, mult):
 def test_optimal_pgg_mediator_rejects_bad_multiplier():
     with pytest.raises(ConfigError):
         optimal_constrained_mediator_pgg(3, 3.0)
+
+
+@pytest.mark.parametrize("multiplier", ["2", 2j, None])
+def test_optimal_pgg_mediator_needs_a_real_multiplier(multiplier):
+    # These used to end in a bare TypeError.
+    with pytest.raises(ConfigError, match="real n"):
+        optimal_constrained_mediator_pgg(3, multiplier)
 
 
 # ---------------------------------------------------------------------------
