@@ -57,15 +57,17 @@ class AgentBatch:
         return self.keep.shape[1]
 
 
-def td_targets(critic: Mlp, batch: AgentBatch
+def td_targets(critic: Mlp, batch: AgentBatch,
+               out: list[np.ndarray] | None = None
                ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Current values, bootstrapped targets, and the critic forward cache.
+    """Current values, bootstrapped targets, and the critic forward cache,
+    whose layer outputs are written into ``out`` when given.
 
     One forward pass gives both: every bootstrap step is itself a record.
     Targets carry no gradient: the bootstrap term is a constant.
     """
-    out, cache = critic.forward_cached(batch.critic_obs)
-    values = out[..., 0]
+    values, cache = critic.forward_cached(batch.critic_obs, out)
+    values = values[..., 0]
     targets = batch.reward_sum + batch.bootstrap_coef * np.take_along_axis(
         values, batch.boot_rows, axis=1)
     return values, targets, cache
@@ -109,6 +111,13 @@ class AgentLearner:
             self.critic.draw(i, rng)
         self.actor_opts = [Adam(p.size, params.lr_actor) for p in self.actor.theta]
         self.critic_opts = [Adam(p.size, params.lr_critic) for p in self.critic.theta]
+        # Held across learn calls of one batch length R, so the heap keeps
+        # their pages instead of trimming them and faulting them back in: the
+        # critic's layer outputs (N, R, width) and the delta·Wᵀ work array
+        # that the critic's and the actor's backward passes share (both
+        # networks' hidden layers are h wide).
+        self._critic_acts: list[np.ndarray] = []
+        self._delta_work = np.empty((n, 0, h))
 
     def actor_inputs(self, base: np.ndarray,
                      status: np.ndarray | int) -> np.ndarray:
@@ -137,16 +146,20 @@ class AgentLearner:
         if not batch.keep.any():
             return dict.fromkeys(("critic_loss", "actor_loss"),
                                  np.zeros(len(self.actor.theta)))
-        values, targets, cache = td_targets(self.critic, batch)
+        n, rows = len(self.critic.theta), len(batch)
+        if self._delta_work.shape[1] != rows:
+            self._critic_acts = [np.empty((n, rows, d)) for d in self.critic.sizes[1:]]
+            self._delta_work = np.empty((n, rows, self.critic.sizes[1]))
+        values, targets, cache = td_targets(self.critic, batch, self._critic_acts)
         advantages = targets - values
         c_loss, upstream = value_loss(advantages[..., None], batch.keep)
         _check_finite(c_loss, "critic loss")
-        c_grad = self.critic.backward(cache, upstream)
-        del cache  # spent; free it before the actor's backward pass
+        c_grad = self.critic.backward(cache, upstream, self._delta_work)
         _check_finite(c_grad, "critic gradient")
         # Advantages are constants: no gradient flows through the critic.
         a_loss, a_grad = policy_loss(self.actor, batch.actor_acts, batch.probs,
-                                     batch.actions, advantages, beta, batch.keep)
+                                     batch.actions, advantages, beta, batch.keep,
+                                     self._delta_work)
         _check_finite(a_loss, "actor loss")
         _check_finite(a_grad, "actor gradient")
         for i in range(len(c_grad)):

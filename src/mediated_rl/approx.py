@@ -9,6 +9,7 @@ and checked against finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,12 @@ class Mlp:
         out, _ = self.forward_cached(x)
         return out
 
-    def forward_cached(self, x: np.ndarray
+    def forward_cached(self, x: np.ndarray,
+                       out: list[np.ndarray] | None = None
                        ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass that also returns the activations needed by backward:
-        the input, then each layer's output."""
+        the input, then each layer's output. Each layer's output is written
+        into ``out[layer]`` (S, rows, width) when ``out`` is given."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[::2] != (len(self.theta), self.sizes[0]):
             raise ContractError(f"input shape {x.shape} does not match "
@@ -78,19 +81,23 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(h, w)
+            h = np.matmul(h, w, out=None if out is None else out[li])
             h += b[:, None]
             if li != last:
                 np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
-    def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
+    def backward(self, acts: list[np.ndarray], dout: np.ndarray,
+                 work: np.ndarray | None = None) -> np.ndarray:
         """Gradient (S, P) of each slice's sum over rows of <dout, output>.
 
         ``dout`` carries any loss weighting (e.g. 1/B for batch means); this
         routine only sums over rows and leaves ``dout`` as it is. It spends
-        ``acts``: tanh'·delta is computed in place in the hidden activations.
+        ``acts``: tanh'·delta is computed in place in the hidden activations,
+        and each delta·Wᵀ is written into the leading elements of ``work``, a
+        C-contiguous float64 array of at least S·rows·(widest hidden layer)
+        elements, allocated here when not given.
         A bias gradient wider than one column is an einsum row sum, which
         adds the rows in ``np.sum``'s order without its layer-wide inner loop
         per row; a one-column delta is contiguous, and ``np.sum`` adds it
@@ -99,6 +106,9 @@ class Mlp:
         grad = np.empty_like(self.theta)
         offset = self.theta.shape[1]
         delta = np.asarray(dout, dtype=np.float64)
+        if work is None:
+            work = np.empty(delta.shape[:2] + (max(self.sizes[1:-1], default=0),))
+        work = work.reshape(-1)
         for li in range(len(self.weights) - 1, -1, -1):
             w = self.weights[li]
             h_in, h_out = acts[li], acts[li + 1]
@@ -115,7 +125,9 @@ class Mlp:
             grad[:, offset : offset + size] = np.matmul(
                 h_in.swapaxes(1, 2), delta).reshape(len(w), size)
             if li > 0:
-                delta = np.matmul(delta, w.swapaxes(1, 2))
+                shape = delta.shape[:2] + w.shape[1:2]
+                delta = np.matmul(delta, w.swapaxes(1, 2),
+                                  out=work[:math.prod(shape)].reshape(shape))
         return grad
 
 
@@ -197,15 +209,17 @@ def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarra
 
 def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
                 actions: np.ndarray, weights: np.ndarray, beta: float,
-                keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                keep: np.ndarray, work: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Per slice, the mean of  -weight * log pi(action) - beta * H(pi)  over
     the rows ``keep`` (S, M) flags, and its gradient (S, P) w.r.t. the policy
     network's parameters; other rows carry no gradient.
 
     ``acts`` (spent) and ``probs`` (S, M, A) are the activations and masked
     policy of the forward pass that chose ``actions``; ``weights`` are
-    constants. Masked actions (probability 0) add no entropy and get exactly
-    zero gradient; a taken action must have positive probability.
+    constants; ``work`` goes to ``Mlp.backward``. Masked actions
+    (probability 0) add no entropy and get exactly zero gradient; a taken
+    action must have positive probability.
     """
     p = probs.reshape(-1, probs.shape[-1])
     rows, taken, w = np.arange(len(p)), actions.ravel(), weights.ravel()
@@ -222,7 +236,7 @@ def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
         g += beta * p * (logp + entropy[:, None])
     upstream = g.reshape(probs.shape) * keep[..., None]
     upstream /= counts[:, None, None]
-    return losses, net.backward(acts, upstream)
+    return losses, net.backward(acts, upstream, work)
 
 
 def value_loss(residuals: np.ndarray, keep: np.ndarray

@@ -366,3 +366,30 @@ def test_non_finite_gradient_names_the_first_agent(monkeypatch):
             TrainingDiverged, match="agent 1 critic gradient"):
         agent.learn(single_step_batch(agent, reward=1.0), beta=0.0)
     np.testing.assert_array_equal(agent.critic.theta, theta)
+
+
+def test_held_arrays_leave_learning_unchanged():
+    # The critic's activations and the delta·Wᵀ work array are held across
+    # learn calls and replaced only when the batch length changes; learning
+    # on them is bit for bit learning on fresh arrays, whatever they held.
+    # The twin learner is built, not deep-copied: a deep copy of an Mlp
+    # loses the views of ``weights`` and ``biases`` into ``theta``.
+    config = default_config("pgg-iter", "constrained", k=10)
+    spec = config.validate()
+    agents, mediator = _build_learners(config, spec, np.random.default_rng(5))
+    fresh, _ = _build_learners(config, spec, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    batches = [build_agent_batch(sample_batch(spec, 10, agents, mediator, size,
+                                              rng), 10, 0.99)
+               for size in (8, 8, 4, 4, 8)]
+    held = []
+    for batch in batches:
+        agents.learn(copy.deepcopy(batch), 0.1)
+        held.append([agents._delta_work, *agents._critic_acts])
+        fresh._critic_acts, fresh._delta_work = [], np.empty((3, 0, 0))
+        fresh.learn(copy.deepcopy(batch), 0.1)
+    assert [len(b) for b in batches] == [80, 80, 40, 40, 80]
+    for before, after, same in zip(held, held[1:], (True, False, True, False)):
+        assert all((a is b) == same for a, b in zip(before, after))
+    assert agents.actor.theta.tobytes() == fresh.actor.theta.tobytes()
+    assert agents.critic.theta.tobytes() == fresh.critic.theta.tobytes()

@@ -88,7 +88,7 @@ def entropy(probs):
 
 # The logit gradient itself: a stand-in network whose backward pass returns
 # its upstream gradient.
-IDENTITY_NET = SimpleNamespace(backward=lambda acts, upstream: upstream)
+IDENTITY_NET = SimpleNamespace(backward=lambda acts, upstream, work: upstream)
 
 
 @pytest.mark.parametrize("case", [
@@ -280,18 +280,27 @@ def strided_sum_backward(net, acts, dout):
 def test_backward_equals_the_strided_sum_reference(n_out):
     # A one-column bias gradient is summed pairwise, a wider one row by row
     # in order; neither may move a bit, at equal or unequal hidden widths,
-    # and dout stays as it was.
+    # and dout stays as it was. Nor may the array delta·Wᵀ is written into:
+    # none, one held as a learner holds it (replaced when the stack or the
+    # row count changes, and reused with the last call's values in it), or
+    # the largest so far, whose leading elements each layer's width takes.
     for sizes in ((4, 16, 16, n_out), (3, 5, 4, n_out)):
-        for stack, rows in itertools.product((1, 3, 16), (1, 7, 128, 1280)):
+        widest = max(sizes[1:-1])
+        held = largest = np.empty((0, 0, widest))
+        for stack, rows in itertools.product((16, 3, 1), (1280, 7, 128, 1)):
             net = Mlp(sizes, rng_for(51), stack=stack)
             rng = rng_for(52)
             x = rng.normal(size=(stack, rows, sizes[0]))
             dout = rng.normal(size=(stack, rows, n_out))
             given = dout.copy()
-            grad = net.backward(net.forward_cached(x)[1], dout)
-            np.testing.assert_array_equal(dout, given)
             expected = strided_sum_backward(net, net.forward_cached(x)[1], dout)
-            assert grad.tobytes() == expected.tobytes(), (sizes, stack, rows)
+            if held.shape != (stack, rows, widest):
+                held = np.full((stack, rows, widest), np.nan)
+            largest = max(largest, held, key=np.size)
+            for work in (None, held, held, largest):
+                grad = net.backward(net.forward_cached(x)[1], dout, work)
+                np.testing.assert_array_equal(dout, given)
+                assert grad.tobytes() == expected.tobytes(), (sizes, stack, rows)
 
 
 def test_backward_spends_its_cache():

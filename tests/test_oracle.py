@@ -1000,17 +1000,29 @@ def test_max_mediated_welfare_pd():
     assert dist[1, 1] == pytest.approx(1.0)
 
 
-def test_importing_the_package_leaves_scipy_optimize_unloaded():
-    # scipy.optimize takes most of the package's import time; only the
-    # welfare LP needs it, and imports it when called.
+def loaded_after_importing_the_package(*modules):
+    """Which of ``modules`` a fresh interpreter holds after ``import mediated_rl``."""
     src = str(Path(mediated_rl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mediated_rl; print('scipy.optimize' in sys.modules)"],
+         f"import sys, mediated_rl; print(sorted({set(modules)!r} & set(sys.modules)))"],
         capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes most of the package's import time; only the
+    # welfare LP needs it, and imports it when called.
+    assert loaded_after_importing_the_package("scipy.optimize") == "[]"
+
+
+def test_importing_the_package_leaves_multiprocessing_unloaded():
+    # Only a sweep over worker processes needs the process pool, and
+    # imports it when it runs one.
+    assert loaded_after_importing_the_package(
+        "multiprocessing", "concurrent.futures.process") == "[]"
 
 
 def test_max_mediated_welfare_pds_mixes_cooperation_and_sacrifice():
