@@ -28,8 +28,9 @@ class Mlp:
     Parameters live in one float64 array ``theta`` (S, P), a row per network;
     ``weights`` (S, d_in, d_out) and ``biases`` (S, d_out) are writable views
     into it, so optimizer updates on ``theta`` are immediately visible to
-    ``forward``. A layer is one ``np.matmul`` over (S, rows, width), which
-    equals each slice's own 2-D product bit for bit.
+    ``forward``. A copy or an unpickled network keeps ``theta`` alone and
+    rebuilds the views into its own. A layer is one ``np.matmul`` over (S,
+    rows, width), which equals each slice's own 2-D product bit for bit.
     """
 
     def __init__(self, sizes: tuple[int, ...],
@@ -39,17 +40,32 @@ class Mlp:
         self.sizes = tuple(int(s) for s in sizes)
         n_params = sum((d_in + 1) * d_out for d_in, d_out in zip(sizes, sizes[1:]))
         self.theta = np.zeros((stack, n_params))
+        self._bind()
+        for s in range(stack if rng is not None else 0):
+            self.draw(s, rng)
+
+    def _bind(self) -> None:
+        """Make ``weights`` and ``biases`` views into ``theta``."""
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         offset = 0
-        for d_in, d_out in zip(sizes, sizes[1:]):
+        for d_in, d_out in zip(self.sizes, self.sizes[1:]):
             w = self.theta[:, offset : offset + d_in * d_out]
-            self.weights.append(w.reshape(stack, d_in, d_out))
+            self.weights.append(w.reshape(len(self.theta), d_in, d_out))
             offset += d_in * d_out
             self.biases.append(self.theta[:, offset : offset + d_out])
             offset += d_out
-        for s in range(stack if rng is not None else 0):
-            self.draw(s, rng)
+
+    def __getstate__(self) -> dict:
+        """Everything but the views, which ``__setstate__`` rebuilds: a deep
+        copy or a pickle of the views would be arrays of their own, which
+        optimizer steps on the copy's ``theta`` no longer reach."""
+        return {key: value for key, value in vars(self).items()
+                if key not in ("weights", "biases")}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind()
 
     def draw(self, s: int, rng: np.random.Generator,
              d_last: int | None = None) -> None:

@@ -5,18 +5,19 @@ best-response gaps, the analytically optimal constrained mediator for the
 public goods game, welfare bounds used to normalize reported rewards, and a
 Monte-Carlo sampler that cross-checks the exact expectations.
 
-Every query reads the arrays ``MixedProfile.check`` returns. Matrix games
-and the sampler step the commitment protocol of ``mediation``, with one
-restriction of the profile to what each status allows and one index into a
-dense mediator table; the exact evaluation enumerates every positive-weight
-branch where the sampler draws. The one-shot public goods game exploits
-agent symmetry (coalition sizes instead of subsets) to stay polynomial in N.
-The exact evaluation takes a stack of agent policies against one mediator,
-so a round of queries about one profile is one evaluation of the profile and
-every agent's pure plans and commit branches. A query reads that answer from
-a one-entry memo keyed on values: the game, ``k``, ``gamma`` and everything
-``MixedProfile.check`` reads of the profile, so an edited profile misses it
-and a hit skips the check, which would pass again.
+Every query reads the arrays ``MixedProfile.check`` returns. The exact
+evaluation takes a stack of agent policies against one mediator, so a round
+of queries about one profile is one evaluation of the profile and every
+agent's pure plans and commit branches. In matrix games it runs a chain over
+coalition states: every legal branch of the protocol, found by the steps of
+``mediation`` once per game shape and cached as read-only index arrays,
+along which each evaluation multiplies the restricted policies and the
+mediator table; the Monte-Carlo sampler draws where the chain branches. The
+one-shot public goods game exploits agent symmetry (coalition sizes instead
+of subsets) to stay polynomial in N. A query reads its answer from a
+one-entry memo keyed on the game, ``k``, ``gamma`` and every value
+``MixedProfile.check`` reads, so an edited profile misses it and a hit
+skips the check, which would pass again.
 """
 
 from __future__ import annotations
@@ -245,55 +246,64 @@ def _codes(coalitions: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache
-def _joint_grid(n: int, width: int) -> np.ndarray:
-    """Every joint action of n agents of ``width`` actions, read-only."""
-    grid = np.array(list(itertools.product(range(width), repeat=n)))
-    grid.flags.writeable = False
-    return grid
-
-
-def _branches(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive-probability joint outcomes of independent per-agent draws
-    (R, N, W): the row each comes from, its joint action and probability."""
-    n, width = dists.shape[1:]
-    grid = _joint_grid(n, width)
-    probs = dists[:, np.arange(n), grid].prod(axis=-1)
-    rows, cols = np.nonzero(probs)
-    return rows, grid[cols], probs[rows, cols]
+def _chain(num_actions: tuple[int, ...], horizon: int, k: int) -> tuple:
+    """The protocol's legal branches, found once per game shape by running
+    ``mediation``'s steps from every reachable coalition, as read-only arrays.
+    State t's branches, ``spans[t]``, pair an entering coalition (``sources[t]``
+    of the last state's next ones) with a legal joint choice, whose entries in
+    the flattened (T, status, N, A+1) restricted policies are ``picks`` (N, B),
+    and are grouped by their next coalition from ``starts[t]`` on. For every
+    joint mediator action, ``members`` (B, M, N) indexes the flattened mediator
+    table and ``joints[t]`` holds the executed joint actions."""
+    n, env_actions, most = len(num_actions), np.asarray(num_actions), max(num_actions)
+    choice_grid = np.array(list(itertools.product(range(most + 1), repeat=n)))
+    med_grid = np.array(list(itertools.product(*map(range, num_actions))))
+    slots, coalitions = np.arange(n), np.zeros((1, n), dtype=bool)
+    picks, sources, starts, members, joints = [], [], [], [], []
+    for t in range(horizon):
+        statuses = window_statuses(coalitions, t, k)
+        legal = legal_action_mask_batch(statuses, env_actions)[:, slots, choice_grid]
+        source, rows = np.nonzero(legal.all(axis=-1))
+        after = next_coalition(coalitions[source], choice_grid[rows], t, k, env_actions)
+        order = np.argsort(_codes(after), kind="stable")
+        source, choices, after = source[order], choice_grid[rows[order]], after[order]
+        codes, status = _codes(after)[:, None, None], statuses[source] - LOCKED_OUT
+        picks.append(((t * 3 + status) * n + slots) * (most + 1) + choices)
+        sources.append(source)
+        starts.append(np.unique(codes, return_index=True)[1])
+        members.append(((t << n | codes) * n + slots) * most + med_grid)
+        joints.append(joint_env_actions(choices[:, None], med_grid, after[:, None]).reshape(-1, n))
+        coalitions = after[starts[t]]
+    bounds = np.cumsum([0, *map(len, sources)])
+    picks, members = np.concatenate(picks).T.copy(), np.concatenate(members)
+    for array in (picks, members, *sources, *starts, *joints):
+        array.flags.writeable = False
+    return (picks, tuple(map(slice, bounds[:-1], bounds[1:])), tuple(sources),
+            tuple(starts), members, tuple(joints))
 
 
 def _matrix_expected(spec: PayoffSpec, mediator: np.ndarray,
                      policies: np.ndarray, k: int, gamma: float) -> np.ndarray:
-    """Walk the horizon forward over a distribution of (stack index,
-    coalition) rows, running the rollout's protocol steps on every
-    positive-weight branch of the agents' choices and then of the mediator's
-    actions. Branches merge by index and coalition after each step, because
-    the future depends on them alone."""
-    n = spec.num_agents
-    env_actions = np.asarray(spec.num_actions)
-    index = np.arange(policies.shape[0])
-    coalitions = np.zeros((index.size, n), dtype=bool)
-    weights = np.ones(index.size)
-    total = np.zeros((index.size, n))
-    for t in range(spec.horizon):
-        rows, choices, probs = _branches(_restrict(
-            policies[index, t], window_statuses(coalitions, t, k), env_actions))
-        coalition = next_coalition(coalitions[rows], choices, t, k, env_actions)
-        weight, index = weights[rows] * probs, index[rows]
-        rows, med_actions, probs = _branches(
-            _member_dists(mediator, t, coalition))
-        rewards, _ = games.step_batch(spec, t, None, joint_env_actions(
-            choices[rows], med_actions, coalition[rows]))
-        np.add.at(total, index[rows],
-                  gamma ** t * (weight[rows] * probs)[:, None] * rewards)
-        if t + 1 == spec.horizon:
-            break
-        # One key per (index, coalition): the index above the coalition bits.
-        _, first, merged = np.unique(index << n | _codes(coalition),
-                                     return_index=True, return_inverse=True)
-        coalitions, index = coalition[first], index[first]
-        weights = np.bincount(merged, weight)
-    return total
+    """Run the game shape's cached ``_chain`` forward. Every (state, status,
+    agent) policy is restricted once; an agent branch weighs its coalition's
+    weight times its agents' gathered probabilities, passes that on to the
+    coalition it leads to and earns the discounted rewards of the mediator's
+    joint actions times their gathered probabilities."""
+    picks, spans, sources, starts, members, joints = _chain(
+        tuple(spec.num_actions), spec.horizon, k)
+    restricted = _restrict(policies[:, :, None], np.arange(LOCKED_OUT, COMMITTED + 1)[:, None],
+                           np.asarray(spec.num_actions))
+    weights = np.take(restricted.reshape(len(policies), -1), picks, axis=1).prod(axis=1)
+    for t in range(1, spec.horizon):
+        entering = np.add.reduceat(weights[:, spans[t - 1]], starts[t - 1], axis=1)
+        weights[:, spans[t]] *= entering[:, sources[t]]
+    rewards = np.concatenate([gamma ** t * games.step_batch(spec, t, None, joint)[0]
+                              for t, joint in enumerate(joints)]).reshape(members.shape)
+    rewards *= mediator.reshape(-1)[members].prod(axis=-1, keepdims=True)
+    # Rows summed in C order: neither BLAS nor a strided sum adds a lone row
+    # as it adds the rows of a stack.
+    values = np.ascontiguousarray(rewards.sum(axis=1).T)
+    return (weights[:, None] * values).sum(axis=-1)
 
 
 def _pgg_expected(spec: PayoffSpec, by_size: np.ndarray,
@@ -342,28 +352,18 @@ def _roots_of_unity(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache
-def _pure_plans(num_actions: int, mediated: bool, horizon: int, k: int,
-                width: int) -> np.ndarray:
-    """Every pure strategy of an agent with ``num_actions`` env actions, as
-    read-only (P, T, width) point distributions padded like the policies
-    ``check`` returns. A plan picks, in each state, an action legal outside
-    the coalition: any head action at a window boundary, an env action
-    mid-window (a committed agent's mid-window choice is forced)."""
-    outside = np.zeros(1, dtype=bool)
-    options = [np.flatnonzero(legal_action_mask_batch(
-                   window_statuses(outside, t, k)[0],
-                   num_actions)[:num_actions + mediated])
-               for t in range(horizon)]
-    plans = np.eye(width)[np.array(list(itertools.product(*options)))]
-    plans.flags.writeable = False
-    return plans
-
-
-@functools.lru_cache
 def _all_plans(num_actions: tuple[int, ...], mediated: bool, horizon: int,
                k: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All agents' ``_pure_plans``, each row's agent, each agent's first row; read-only."""
-    blocks = [_pure_plans(a, mediated, horizon, k, width) for a in num_actions]
+    """Every pure strategy of every agent, as (P, T, width) point
+    distributions padded like the policies ``check`` returns, each row's
+    agent and each agent's first row; read-only. A plan picks, in each state,
+    an action legal outside the coalition: any head action at a window
+    boundary, an env action mid-window (a committed agent's is forced)."""
+    outside, blocks = np.zeros(1, dtype=bool), []
+    for a in num_actions:
+        options = [np.flatnonzero(legal_action_mask_batch(
+            window_statuses(outside, t, k)[0], a)[:a + mediated]) for t in range(horizon)]
+        blocks.append(np.eye(width)[np.array(list(itertools.product(*options)))])
     owners = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
     arrays = np.concatenate(blocks), owners, np.flatnonzero(np.diff(owners, prepend=-1))
     for array in arrays:

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_oracle_reference.py
+    PYTHONPATH=src python tests/make_oracle_reference.py [--check]
 
 Each reference case is a seeded random profile of pd, pds, pd2 or the
 one-shot pgg (N = 3, 8 or 16), mediated or not, with a window length k and
@@ -17,13 +17,16 @@ and, for mediated profiles, every agent's conditional commit values.
 A refactor of the oracle leaves the fixture unchanged. A change that alters
 the oracle's answers on purpose regenerates it and says why; the script
 prints, for each case, the largest absolute change of each answer against
-the fixture it replaces.
+the fixture it replaces. With ``--check`` it prints the same changes,
+writes nothing and exits 1 if the fixture would change.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,15 +128,22 @@ def largest_change(old, new) -> str:
     return f"{np.max(np.abs(np.subtract(new, old)), initial=0.0):.3g}"
 
 
-def main() -> None:
-    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write the exact-oracle pins.")
+    parser.add_argument("--check", action="store_true",
+                        help="print the changes, write nothing, exit 1 if any")
+    check = parser.parse_args(argv).check
+    text = FIXTURE.read_text() if FIXTURE.exists() else "{}"
+    old = json.loads(text)
     pins = {}
     for name in REFERENCE_CASES:
         data = reference_profile(name)
         pins[name] = {"profile": data, **oracle_answers(name, data)}
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE} ({len(pins)} cases)")
+    new_text = json.dumps(pins, indent=1, sort_keys=True) + "\n"
+    if not check:
+        FIXTURE.parent.mkdir(exist_ok=True)
+        FIXTURE.write_text(new_text)
+        print(f"wrote {FIXTURE} ({len(pins)} cases)")
     for name, pin in pins.items():
         before = old.get(name)
         if before is None:
@@ -144,7 +154,8 @@ def main() -> None:
             print(f"  {name}: " + ", ".join(
                 f"{query} {largest_change(before[query], answer)}"
                 for query, answer in pin.items() if query != "profile"))
+    return int(check and new_text != text)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

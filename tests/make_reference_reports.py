@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_reference_reports.py
+    PYTHONPATH=src python tests/make_reference_reports.py [--check]
 
 Each reference config trains seed 0 for a short schedule. The fixture keeps
 a sha256 digest of each RunReport (wall clock excluded), its final metrics
@@ -13,14 +13,18 @@ A refactor leaves the fixture unchanged. A change that alters training on
 purpose regenerates it and names every config that moved, with the reason;
 the script prints the configs whose digests moved, the final metrics that
 changed in each, and the largest absolute change of its final metrics and
-of its history values against the fixture it replaces.
+of its history values against the fixture it replaces. With ``--check`` it
+prints the same changes, writes nothing and exits 1 if the fixture would
+change.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -111,12 +115,19 @@ def largest_change(old, new) -> str:
     return f"{max(changes, default=0.0):.3g}"
 
 
-def main() -> None:
-    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write the RunReport pins.")
+    parser.add_argument("--check", action="store_true",
+                        help="print the changes, write nothing, exit 1 if any")
+    check = parser.parse_args(argv).check
+    text = FIXTURE.read_text() if FIXTURE.exists() else "{}"
+    old = json.loads(text)
     pins = {name: reference_pin(name) for name in REFERENCE_CONFIGS}
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE} ({len(pins)} configs)")
+    new_text = json.dumps(pins, indent=1, sort_keys=True) + "\n"
+    if not check:
+        FIXTURE.parent.mkdir(exist_ok=True)
+        FIXTURE.write_text(new_text)
+        print(f"wrote {FIXTURE} ({len(pins)} configs)")
     for name, pin in pins.items():
         before = old.get(name, {"digest": None, "metrics": {}})
         if pin["digest"] != before["digest"]:
@@ -127,7 +138,8 @@ def main() -> None:
                   + largest_change(before["metrics"], pin["metrics"])
                   + ", of history values "
                   + largest_change(before.get("history"), pin["history"]))
+    return int(check and new_text != text)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,6 +2,7 @@
 agent stack."""
 
 import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from mediated_rl.agents import (AgentBatch, AgentLearner, LearnerParams,
 from mediated_rl.approx import EntropySchedule, Mlp, masked_softmax, policy_loss
 from mediated_rl.errors import TrainingDiverged
 from mediated_rl.harness import _build_learners, _train_iteration, default_config
-from mediated_rl.rollout import build_agent_batch, sample_batch
+from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
+                                 sample_batch)
 
 
 def make_params(hidden=8):
@@ -368,16 +370,39 @@ def test_non_finite_gradient_names_the_first_agent(monkeypatch):
     np.testing.assert_array_equal(agent.critic.theta, theta)
 
 
+def test_copied_and_unpickled_learners_train_as_the_original():
+    # A deep copy and a pickle round trip of trained learners keep their
+    # networks' views into ``theta``, so their steps reach ``forward``.
+    config = default_config("pgg-iter", "constrained", k=10)
+    spec = config.validate()
+    agents, mediator = _build_learners(config, spec, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for it in range(2):
+        _train_iteration(config, spec, agents, mediator, rng, it)
+    twins = [(agents, mediator), copy.deepcopy((agents, mediator)),
+             pickle.loads(pickle.dumps((agents, mediator)))]
+    for it in range(2, 7):
+        traj = sample_batch(spec, config.k, agents, mediator, 8, rng)
+        agent_batch = build_agent_batch(traj, config.k, config.gamma)
+        mediator_batch = build_mediator_batch(traj, mediator)
+        for learner, med in twins:
+            learner.learn(copy.deepcopy(agent_batch), 0.1)
+            med.update(copy.deepcopy(mediator_batch), 0.1, config.k)
+    for learner, med in twins[1:]:
+        for net, original in ((learner.actor, agents.actor), (learner.critic, agents.critic),
+                              (med.actor, mediator.actor), (med.critic, mediator.critic)):
+            assert net.theta.tobytes() == original.theta.tobytes()
+            assert all(np.shares_memory(w, net.theta) for w in net.weights + net.biases)
+
+
 def test_held_arrays_leave_learning_unchanged():
     # The critic's activations and the delta·Wᵀ work array are held across
     # learn calls and replaced only when the batch length changes; learning
     # on them is bit for bit learning on fresh arrays, whatever they held.
-    # The twin learner is built, not deep-copied: a deep copy of an Mlp
-    # loses the views of ``weights`` and ``biases`` into ``theta``.
     config = default_config("pgg-iter", "constrained", k=10)
     spec = config.validate()
     agents, mediator = _build_learners(config, spec, np.random.default_rng(5))
-    fresh, _ = _build_learners(config, spec, np.random.default_rng(5))
+    fresh = copy.deepcopy(agents)
     rng = np.random.default_rng(6)
     batches = [build_agent_batch(sample_batch(spec, 10, agents, mediator, size,
                                               rng), 10, 0.99)

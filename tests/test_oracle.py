@@ -15,6 +15,8 @@ from mediated_rl import games, oracle
 from mediated_rl.errors import ConfigError, ContractError, UnsupportedGameError
 from mediated_rl.games import (iterative_pgg, one_shot_pgg, pd_with_sacrifice,
                                prisoners_dilemma, two_step_pd)
+from mediated_rl.mediation import (joint_env_actions, next_coalition,
+                                  window_statuses)
 from mediated_rl.oracle import (MixedProfile, best_response_gap,
                                 expected_payoffs, full_commit_pgg_profile,
                                 max_mediated_welfare, mediator_copy_profile,
@@ -430,6 +432,129 @@ def test_stacked_queries_match_one_profile_at_a_time(case, fill):
 
 
 # ---------------------------------------------------------------------------
+# The matrix-game chain against the walk it replaced
+
+
+def walk_branches(dists):
+    """Positive-probability joint outcomes of independent per-agent draws
+    (R, N, W): the row each comes from, its joint action and probability."""
+    n, width = dists.shape[1:]
+    grid = np.array(list(itertools.product(range(width), repeat=n)))
+    probs = dists[:, np.arange(n), grid].prod(axis=-1)
+    rows, cols = np.nonzero(probs)
+    return rows, grid[cols], probs[rows, cols]
+
+
+def walk_matrix_expected(spec, mediator, policies, k, gamma):
+    """The oracle's matrix-game evaluation before its protocol chain: walk
+    the horizon forward over a distribution of (stack index, coalition)
+    rows, running the protocol's steps on every positive-weight branch of
+    the agents' choices and then of the mediator's actions, and merge
+    branches by index and coalition after each step."""
+    n = spec.num_agents
+    env_actions = np.asarray(spec.num_actions)
+    index = np.arange(policies.shape[0])
+    coalitions = np.zeros((index.size, n), dtype=bool)
+    weights = np.ones(index.size)
+    total = np.zeros((index.size, n))
+    for t in range(spec.horizon):
+        rows, choices, probs = walk_branches(oracle._restrict(
+            policies[index, t], window_statuses(coalitions, t, k), env_actions))
+        coalition = next_coalition(coalitions[rows], choices, t, k, env_actions)
+        weight, index = weights[rows] * probs, index[rows]
+        rows, med_actions, probs = walk_branches(
+            oracle._member_dists(mediator, t, coalition))
+        rewards, _ = games.step_batch(spec, t, None, joint_env_actions(
+            choices[rows], med_actions, coalition[rows]))
+        np.add.at(total, index[rows],
+                  gamma ** t * (weight[rows] * probs)[:, None] * rewards)
+        if t + 1 == spec.horizon:
+            break
+        _, first, merged = np.unique(index << n | oracle._codes(coalition),
+                                     return_index=True, return_inverse=True)
+        coalitions, index = coalition[first], index[first]
+        weights = np.bincount(merged, weight)
+    return total
+
+
+def three_agent_game():
+    """Three agents of 2, 3 and 2 actions over three states of seeded
+    payoffs: a matrix game beyond the two-agent builtins."""
+    rng = np.random.default_rng(33)
+    tables = tuple(rng.integers(-5, 8, size=(2, 3, 2, 3)).astype(float)
+                   for _ in range(3))
+    return games.PayoffSpec(kind=games.GameKind.MATRIX, num_agents=3,
+                            num_actions=(2, 3, 2), horizon=3,
+                            payoff_tables=tables, name="three-agent")
+
+
+def random_stack(spec, mediated, fill, rng, size=8):
+    """The padded policies of ``size`` random profiles and the mediator
+    table of the first, as ``MixedProfile.check`` returns them."""
+    arrays = [random_profile(spec, mediated, rng, fill).check(spec)
+              for _ in range(size)]
+    return arrays[0][1], np.stack([policies for policies, _ in arrays])
+
+
+CHAIN_GAMES = {"pd": prisoners_dilemma, "pds": pd_with_sacrifice,
+               "pd2": two_step_pd, "three-agent": three_agent_game}
+
+
+@pytest.mark.parametrize("fill", ["dense", "no-commit-mass", "no-env-mass",
+                                  "unmediated"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("game", list(CHAIN_GAMES))
+def test_chain_matches_the_walk(game, k, fill):
+    spec = CHAIN_GAMES[game]()
+    rng = np.random.default_rng([k, len(game)])
+    for gamma in (1.0, 0.9):
+        mediator, stack = random_stack(spec, fill != "unmediated", fill, rng)
+        np.testing.assert_allclose(
+            oracle._matrix_expected(spec, mediator, stack, k, gamma),
+            walk_matrix_expected(spec, mediator, stack, k, gamma),
+            rtol=0, atol=1e-13)
+
+
+def test_three_agent_game_matches_the_walk_and_the_sampler():
+    spec, k = three_agent_game(), 2
+    profile = random_profile(spec, True, np.random.default_rng(5))
+    policies, mediator = profile.check(spec)
+    exact = expected_payoffs(spec, profile, k)
+    np.testing.assert_allclose(
+        exact, walk_matrix_expected(spec, mediator, policies[None], k, 1.0)[0],
+        rtol=0, atol=1e-13)
+    mean, stderr = sample_profile_payoffs(spec, profile, 50_000,
+                                          np.random.default_rng(8), k)
+    np.testing.assert_array_less(np.abs(mean - exact), 5.0 * stderr)
+
+
+@pytest.mark.parametrize("game", list(CHAIN_GAMES))
+def test_identical_stack_rows_give_identical_bytes(game):
+    # At every position of stacks of every size, and alone.
+    spec = CHAIN_GAMES[game]()
+    rng = np.random.default_rng(len(game))
+    mediator, stack = random_stack(spec, True, "dense", rng, size=40)
+    lone = oracle._matrix_expected(spec, mediator, stack[:1], 2, 0.9)[0]
+    for size in (2, 3, 8, 17, 40):
+        rows = stack[:size].copy()
+        rows[rng.permutation(size)[:size // 2 + 1]] = stack[0]
+        values = oracle._matrix_expected(spec, mediator, rows, 2, 0.9)
+        for row, value in zip(rows, values):
+            if np.array_equal(row, stack[0]):
+                assert value.tobytes() == lone.tobytes()
+
+
+@pytest.mark.parametrize("spec", [prisoners_dilemma(), pd_with_sacrifice(),
+                                  two_step_pd()], ids=lambda spec: spec.name)
+def test_a_pure_equilibrium_has_gaps_of_exactly_zero(spec):
+    # Each agent's own plan is a row of the stack equal to the profile's, so
+    # it ties the profile's value to the bit.
+    defect = MixedProfile(agent_policies=[
+        [np.eye(a)[0] for a in spec.num_actions] for _ in range(spec.horizon)])
+    assert oracle.exploitability(spec, defect, 2, 0.9).gaps.tolist() == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
 # The arrays the check returns, built afresh on every query
 
 
@@ -538,13 +663,13 @@ def test_no_profile_data_outlives_a_query():
 
 
 def test_cached_plans_and_joint_grids_are_read_only():
-    plans = oracle._pure_plans(2, True, 2, 2, 3)
-    grid = oracle._joint_grid(2, 3)
-    assert plans is oracle._pure_plans(2, True, 2, 2, 3)
-    assert grid is oracle._joint_grid(2, 3)
     every_plan = oracle._all_plans((2, 3), True, 2, 2, 4)
     assert every_plan is oracle._all_plans((2, 3), True, 2, 2, 4)
-    for cached in (plans, grid, *every_plan, *oracle._roots_of_unity(5)):
+    chain = oracle._chain((2, 3), 2, 2)
+    assert chain is oracle._chain((2, 3), 2, 2)
+    picks, _, sources, starts, members, joints = chain
+    for cached in (*every_plan, picks, *sources, *starts, members, *joints,
+                   *oracle._roots_of_unity(5)):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0] = 0
