@@ -7,8 +7,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import games, harness, oracle
 from .errors import ConfigError, ContractError
 
@@ -82,36 +80,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if report.failed else 0
 
 
-def _profile_from_json(spec, data) -> oracle.MixedProfile:
-    """A profile decoded from JSON (coalition keys such as "10" become bit
-    tuples, agent keys ints, numbers float arrays), then checked against the
-    game by ``MixedProfile.check``."""
+def _profile_from_json(data) -> oracle.MixedProfile:
+    """A profile decoded from JSON: coalition keys such as "10" become bit
+    tuples and agent keys ints; ``MixedProfile`` converts the numbers."""
     if not isinstance(data, dict) or "agent_policies" not in data:
         raise ConfigError("a profile is a JSON object with agent_policies")
     by_coal = data.get("mediator_by_coalition")
     try:
         if by_coal is not None:
             by_coal = [{tuple(int(c) for c in bits): {
-                            int(a): np.asarray(d, dtype=np.float64)
-                            for a, d in per_agent.items()}
+                            int(a): d for a, d in per_agent.items()}
                         for bits, per_agent in state.items()}
                        for state in by_coal]
     except (AttributeError, TypeError, ValueError):  # not a mapping of numbers
         raise ConfigError('mediator_by_coalition maps coalition bits such as '
                           '"10" to {agent id: distribution}') from None
     try:
-        profile = oracle.MixedProfile(
+        return oracle.MixedProfile(
             agent_policies=data["agent_policies"],
             mediated=data.get("mediated", False),
             mediator_by_coalition=by_coal,
             mediator_by_size=data.get("mediator_by_size"))
     except (TypeError, ValueError) as exc:  # not lists of numbers
         raise ConfigError(f"profile entries must be lists of numbers ({exc})") from None
-    try:
-        profile.check(spec)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from None
-    return profile
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -135,8 +126,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 data = json.load(handle)
         except (OSError, ValueError) as exc:  # ValueError: not JSON
             raise ConfigError(f"cannot read profile: {exc}") from None
-        profile = _profile_from_json(spec, data)
-        answer = oracle.exploitability(spec, profile, k=k)
+        try:
+            answer = oracle.exploitability(spec, _profile_from_json(data), k=k)
+        except ContractError as exc:  # the profile does not fit the game
+            raise ConfigError(str(exc)) from None
         print("expected payoffs: " + " ".join(
             f"agent{i}={v:.6g}" for i, v in enumerate(answer.payoffs)))
         for i, gap in enumerate(answer.gaps):

@@ -12,12 +12,12 @@ agent order; payoff tables are indexed ``table[a_0, a_1, ..., agent]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, is_real
+from .errors import ConfigError, ContractError, is_integer, is_real
 
 DEFECT = 0
 COOPERATE = 1
@@ -38,7 +38,8 @@ class PayoffSpec:
     """Immutable description of a game.
 
     ``payoff_tables`` is one array per state (matrix games only), each of
-    shape ``num_actions + (num_agents,)``. PGG variants instead carry the
+    shape ``num_actions + (num_agents,)``, kept as read-only float64 copies;
+    ``num_actions`` is kept as a tuple. PGG variants instead carry the
     multiplier ``n`` with 1 < n < N.
     """
 
@@ -51,16 +52,19 @@ class PayoffSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.num_agents < 1:
-            raise ConfigError("num_agents must be positive")
+        _check_agent_count(self.num_agents)
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        object.__setattr__(self, "num_actions", tuple(self.num_actions))
+        if self.payoff_tables is not None:
+            object.__setattr__(self, "payoff_tables",
+                               tuple(map(_read_only, self.payoff_tables)))
         if len(self.num_actions) != self.num_agents:
             raise ConfigError("num_actions must list one action count per agent")
         if self.kind is GameKind.MATRIX:
             if self.payoff_tables is None or len(self.payoff_tables) != self.horizon:
                 raise ConfigError("matrix games need one payoff table per state")
-            want = tuple(self.num_actions) + (self.num_agents,)
+            want = self.num_actions + (self.num_agents,)
             for table in self.payoff_tables:
                 if table.shape != want:
                     raise ConfigError(
@@ -82,6 +86,24 @@ class PayoffSpec:
     def max_actions(self) -> int:
         return max(self.num_actions)
 
+    def __reduce__(self):
+        """Rebuild through the constructor, so copies and pickles keep
+        read-only tables."""
+        return PayoffSpec, tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+def _check_agent_count(num_agents) -> None:
+    """Raise ConfigError unless ``num_agents`` is a positive integer."""
+    if not is_integer(num_agents) or num_agents < 1:
+        raise ConfigError(f"num_agents must be a positive integer, got {num_agents!r}")
+
 
 # ---------------------------------------------------------------------------
 # Environment constructors
@@ -89,13 +111,12 @@ class PayoffSpec:
 
 def _matrix_spec(name: str, tables: list[list[list[tuple[float, ...]]]],
                  num_actions: tuple[int, ...]) -> PayoffSpec:
-    arrays = tuple(np.asarray(t, dtype=np.float64) for t in tables)
     return PayoffSpec(
         kind=GameKind.MATRIX,
         num_agents=len(num_actions),
         num_actions=num_actions,
-        horizon=len(arrays),
-        payoff_tables=arrays,
+        horizon=len(tables),
+        payoff_tables=tables,
         name=name,
     )
 
@@ -132,6 +153,7 @@ def two_step_pd() -> PayoffSpec:
 
 
 def one_shot_pgg(num_agents: int, multiplier: float) -> PayoffSpec:
+    _check_agent_count(num_agents)
     return PayoffSpec(
         kind=GameKind.ONE_SHOT_PGG,
         num_agents=num_agents,
@@ -144,6 +166,7 @@ def one_shot_pgg(num_agents: int, multiplier: float) -> PayoffSpec:
 
 def iterative_pgg(num_agents: int, multiplier: float,
                   horizon: int = ITER_PGG_HORIZON) -> PayoffSpec:
+    _check_agent_count(num_agents)
     return PayoffSpec(
         kind=GameKind.ITERATIVE_PGG,
         num_agents=num_agents,

@@ -423,10 +423,13 @@ def worker_count() -> int:
     if not value:
         return 1
     try:
-        return max(1, int(value))
+        workers = int(value)
     except ValueError:
         raise ConfigError(
             f"{WORKER_ENV_VAR} must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{WORKER_ENV_VAR} must be at least 1, got {value!r}")
+    return workers
 
 
 def sweep(config: RunConfig) -> SweepReport:

@@ -14,10 +14,10 @@ coalition states: every legal branch of the protocol, found by the steps of
 along which each evaluation multiplies the restricted policies and the
 mediator table; the Monte-Carlo sampler draws where the chain branches. The
 one-shot public goods game exploits agent symmetry (coalition sizes instead
-of subsets) to stay polynomial in N. A query reads its answer from a
-one-entry memo keyed on the game, ``k``, ``gamma`` and every value
-``MixedProfile.check`` reads, so an edited profile misses it and a hit
-skips the check, which would pass again.
+of subsets) to stay polynomial in N. Profiles and games are immutable, so a
+query reads its answer from a one-entry memo that holds the last game and
+profile objects with their ``k`` and ``gamma``; a hit skips the profile
+check, which would pass again.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,13 +33,13 @@ from . import games
 from .approx import sample_categorical
 from .errors import (ConfigError, ContractError, UnsupportedGameError,
                      is_integer, is_real)
-from .games import GameKind, PayoffSpec
+from .games import GameKind, PayoffSpec, _check_agent_count, _read_only
 from .mediation import (COMMITTED, LOCKED_OUT, joint_env_actions,
                         legal_action_mask_batch, next_coalition,
                         window_statuses)
 
 DIST_TOL = 5e-12
-_memo: list = [(None, None)]  # the last (answer, key of values) of ``_answer``
+_memo: list = [(None,) * 5]  # the last (spec, profile, k, gamma, answer) of ``_answer``
 
 
 def _first_non_distribution(table: np.ndarray) -> tuple[int, ...] | None:
@@ -48,30 +49,45 @@ def _first_non_distribution(table: np.ndarray) -> tuple[int, ...] | None:
     return tuple(np.argwhere(bad)[0]) if bad.any() else None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MixedProfile:
     """Stationary mixed strategies for agents and (optionally) the mediator.
 
     ``agent_policies[state][agent]`` is a distribution over that agent's env
     actions, plus a trailing commit entry when ``mediated``. The mediator's
     per-coalition policy is either explicit per coalition
-    (``mediator_by_coalition[state][bits][agent]``, a float array; bits a
-    0/1 tuple) or, for the symmetric PGG, a contribute probability per
-    coalition size (``mediator_by_size[s]``). Construction only converts
-    the policies and the size table to float arrays; ``check`` says whether
-    the profile fits a game.
+    (``mediator_by_coalition[state][bits][agent]``; bits a 0/1 tuple) or,
+    for the symmetric PGG, a contribute probability per coalition size
+    (``mediator_by_size[s]``). A profile is an immutable value: construction
+    copies every policy, mediator entry and the size table into read-only
+    float64 arrays, held in tuples and read-only mappings (keys as given).
+    ``check`` says whether the profile fits a game.
     """
 
-    agent_policies: list[list[np.ndarray]]
+    agent_policies: tuple[tuple[np.ndarray, ...], ...]
     mediated: bool = False
-    mediator_by_coalition: list[dict[tuple[int, ...], dict[int, np.ndarray]]] | None = None
+    mediator_by_coalition: tuple[MappingProxyType, ...] | None = None
     mediator_by_size: np.ndarray | None = None
 
     def __post_init__(self):
-        self.agent_policies = [[np.asarray(p, dtype=np.float64) for p in state]
-                               for state in self.agent_policies]
-        if self.mediator_by_size is not None:
-            self.mediator_by_size = np.asarray(self.mediator_by_size, dtype=np.float64)
+        tables, by_size = self.mediator_by_coalition, self.mediator_by_size
+        object.__setattr__(self, "agent_policies", tuple(
+            tuple(map(_read_only, state)) for state in self.agent_policies))
+        if tables is not None:
+            object.__setattr__(self, "mediator_by_coalition", tuple(
+                MappingProxyType({bits: MappingProxyType(
+                    {agent: _read_only(dist) for agent, dist in dists.items()})
+                    for bits, dists in table.items()}) for table in tables))
+        if by_size is not None:
+            object.__setattr__(self, "mediator_by_size", _read_only(by_size))
+
+    def __reduce__(self):
+        """Rebuild from plain dicts: a read-only mapping neither copies nor pickles."""
+        tables = self.mediator_by_coalition and [
+            {bits: dict(dists) for bits, dists in table.items()}
+            for table in self.mediator_by_coalition]
+        return MixedProfile, (self.agent_policies, self.mediated, tables,
+                              self.mediator_by_size)
 
     def check(self, spec: PayoffSpec) -> tuple[np.ndarray, np.ndarray]:
         """Raise ContractError unless the profile fits the game: a bool
@@ -151,16 +167,12 @@ def _check_query(spec: PayoffSpec, profile: MixedProfile, k: int,
                  gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless the game has exact expectations, the profile fits it and
     the arguments are valid (``_check_arguments``); return ``check``'s arrays."""
-    _check_game(spec)
-    arrays = profile.check(spec)
-    _check_arguments(spec, k, agent, gamma)
-    return arrays
-
-
-def _check_game(spec: PayoffSpec) -> None:
     if spec.kind is GameKind.ITERATIVE_PGG:
         raise UnsupportedGameError(
             "exact expectations for the iterative PGG are not supported")
+    arrays = profile.check(spec)
+    _check_arguments(spec, k, agent, gamma)
+    return arrays
 
 
 def _check_arguments(spec: PayoffSpec, k: int, agent: int | None,
@@ -290,7 +302,7 @@ def _matrix_expected(spec: PayoffSpec, mediator: np.ndarray,
     coalition it leads to and earns the discounted rewards of the mediator's
     joint actions times their gathered probabilities."""
     picks, spans, sources, starts, members, joints = _chain(
-        tuple(spec.num_actions), spec.horizon, k)
+        spec.num_actions, spec.horizon, k)
     restricted = _restrict(policies[:, :, None], np.arange(LOCKED_OUT, COMMITTED + 1)[:, None],
                            np.asarray(spec.num_actions))
     weights = np.take(restricted.reshape(len(policies), -1), picks, axis=1).prod(axis=1)
@@ -398,72 +410,18 @@ def exploitability(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
 
 def _answer(spec: PayoffSpec, profile: MixedProfile, k: int, gamma: float,
             agent: int | None = None) -> Exploitability:
-    """The answer of the one-entry memo when its key matches, after the
-    per-call argument checks; else the full check and a fresh evaluation,
-    kept in the memo unless the profile has no key."""
-    key = _memo_key(spec, profile, k, gamma)
-    answer, memo_key = _memo[0]  # one read: another thread cannot split the pair
-    if key is not None and key == memo_key:
-        _check_game(spec)
+    """The one-entry memo's answer when it holds these game and profile
+    objects at an equal ``k`` and ``gamma``, after the per-call argument
+    checks; else the full check and a fresh evaluation, which replaces it."""
+    memo_spec, memo_profile, memo_k, memo_gamma, answer = _memo[0]  # one read
+    if spec is memo_spec and profile is memo_profile:
         _check_arguments(spec, k, agent, gamma)
-        return answer
+        if k == memo_k and gamma == memo_gamma:
+            return answer
     arrays = _check_query(spec, profile, k, agent, gamma)
     answer = _evaluate(spec, profile.mediated, *arrays, k, gamma)
-    if key is not None:
-        _memo[0] = answer, key
+    _memo[0] = spec, profile, k, gamma, answer
     return answer
-
-
-class _Unkeyed(Exception):
-    """A profile part that ``_frozen`` cannot hold exactly."""
-
-
-def _memo_key(spec: PayoffSpec, profile: MixedProfile, k: int,
-              gamma: float) -> tuple | None:
-    """The game's fields (payoff tables as bytes), ``k``, ``gamma`` and every
-    value ``MixedProfile.check`` reads: ``mediated`` and the ``_frozen``
-    policies and mediator tables. None for a profile with a part the key
-    cannot hold exactly (a subclass, a non-bool ``mediated``, another leaf or
-    container type), which is checked and evaluated on every call, and for a
-    ``k`` or ``gamma`` that is not a number, which the check rejects."""
-    if (type(profile) is not MixedProfile or type(profile.mediated) is not bool
-            or not is_integer(k) or not is_real(gamma)):
-        return None
-    try:
-        parts = tuple(map(_frozen, (profile.agent_policies,
-                                    profile.mediator_by_coalition,
-                                    profile.mediator_by_size)))
-    except _Unkeyed:
-        return None
-    game = vars(spec) | {"payoff_tables": [t.tobytes() for t in spec.payoff_tables or ()]}
-    return game, k, gamma, profile.mediated, parts
-
-
-def _frozen(value):
-    """``value`` as a comparable copy: None; a real array as its dtype, shape
-    and bytes; a plain list or tuple as its type and frozen items; a plain
-    dict as its type, its keys in order (ints, bools or tuples of them) and
-    its frozen values. Raises ``_Unkeyed`` for anything else."""
-    kind = type(value)
-    if kind is np.ndarray and value.dtype.kind in "biuf":
-        return value.dtype, value.shape, value.tobytes()
-    if kind is list or kind is tuple:
-        return kind, *map(_frozen, value)
-    if kind is dict and all(map(_plain_key, keys := tuple(value))):
-        return kind, keys, *map(_frozen, value.values())
-    if value is None:
-        return None
-    raise _Unkeyed
-
-
-_KEY_PARTS = frozenset((int, bool))
-
-
-def _plain_key(key) -> bool:
-    """Whether a dict key is an int, a bool or a tuple of them: values that
-    compare and hash alike on every call."""
-    kind = type(key)
-    return kind in _KEY_PARTS or kind is tuple and _KEY_PARTS.issuperset(map(type, key))
 
 
 def _evaluate(spec: PayoffSpec, mediated: bool, policies: np.ndarray,
@@ -472,7 +430,7 @@ def _evaluate(spec: PayoffSpec, mediated: bool, policies: np.ndarray,
     plans, then, when mediated, each agent's first-state policy restricted to
     committed (it commits) and to locked out (its env part, renormalized)."""
     n, agents = spec.num_agents, np.arange(spec.num_agents)
-    plans, owners, starts = _all_plans(tuple(spec.num_actions), mediated,
+    plans, owners, starts = _all_plans(spec.num_actions, mediated,
                                        spec.horizon, k, spec.max_actions + 1)
     plan_rows = 1 + np.arange(len(plans))
     branch_rows = 1 + len(plans) + np.arange(2 * n).reshape(2, n)
@@ -508,6 +466,7 @@ def optimal_constrained_mediator_pgg(num_agents: int,
     incentive-compatibility). Sizes whose members would lose by contributing
     get p_s = 0.
     """
+    _check_agent_count(num_agents)
     if not is_real(multiplier) or not 1.0 < multiplier < num_agents:
         raise ConfigError(f"PGG requires a real n with 1 < n < N, got n={multiplier!r}")
     ratio = multiplier / num_agents
@@ -522,9 +481,8 @@ def optimal_constrained_mediator_pgg(num_agents: int,
 def full_commit_pgg_profile(spec: PayoffSpec,
                             p_by_size: np.ndarray) -> MixedProfile:
     """Everyone commits; the mediator plays the given size-indexed policy."""
-    point = np.array([0.0, 0.0, 1.0])
     return MixedProfile(
-        agent_policies=[[point.copy() for _ in range(spec.num_agents)]],
+        agent_policies=[[[0.0, 0.0, 1.0]] * spec.num_agents],
         mediated=True, mediator_by_size=p_by_size)
 
 

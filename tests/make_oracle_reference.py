@@ -106,7 +106,7 @@ def oracle_answers(name: str, data: dict) -> dict:
     """The exact oracle's answers on one case's profile."""
     _, _, mediated, k, gamma, _, _ = REFERENCE_CASES[name]
     spec = reference_spec(name)
-    profile = _profile_from_json(spec, data)
+    profile = _profile_from_json(data)
     agents = range(spec.num_agents)
     return {
         "expected_payoffs": oracle.expected_payoffs(

@@ -1,6 +1,9 @@
 """Payoff rules and environment invariants."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -9,9 +12,10 @@ from hypothesis import strategies as st
 
 from mediated_rl import games, harness
 from mediated_rl.errors import ConfigError, ContractError
-from mediated_rl.games import (GameKind, iterative_pgg, make_spec,
+from mediated_rl.games import (GameKind, PayoffSpec, iterative_pgg, make_spec,
                                one_shot_pgg, pd_with_sacrifice,
                                prisoners_dilemma, two_step_pd)
+from mediated_rl.oracle import optimal_constrained_mediator_pgg
 from mediated_rl.rollout import sample_batch
 
 
@@ -58,6 +62,40 @@ def test_invalid_pgg_multiplier_rejected(n):
 def test_pgg_multiplier_must_be_a_real_number(n):
     with pytest.raises(ConfigError, match="real multiplier"):
         one_shot_pgg(3, n)
+
+
+@pytest.mark.parametrize("count", [3.0, True, "3", None, 0, -2])
+def test_agent_count_must_be_a_positive_integer(count):
+    # A float count used to end in a bare TypeError, and a bool count in a
+    # complaint about the multiplier.
+    for build in (lambda: make_spec("pgg", count), lambda: make_spec("pgg-iter", count),
+                  lambda: PayoffSpec(GameKind.ONE_SHOT_PGG, count, (2, 2, 2),
+                                     multiplier=2.0),
+                  lambda: optimal_constrained_mediator_pgg(count, 2.0)):
+        with pytest.raises(ConfigError, match="num_agents"):
+            build()
+
+
+def test_a_game_keeps_read_only_copies_of_its_tables():
+    tables = [[[[0, 0], [7, -5]], [[-5, 7], [2, 2]]]]
+    spec = PayoffSpec(GameKind.MATRIX, 2, [2, 2], payoff_tables=tables)
+    tables[0][0][0][0] = 99
+    assert spec.num_actions == (2, 2)
+    np.testing.assert_array_equal(spec.payoff_tables[0],
+                                  prisoners_dilemma().payoff_tables[0])
+    for make in (prisoners_dilemma, pd_with_sacrifice, two_step_pd):
+        game = make()
+        for twin in (game, copy.copy(game), copy.deepcopy(game),
+                     pickle.loads(pickle.dumps(game))):
+            assert twin.num_actions == game.num_actions
+            for table, original in zip(twin.payoff_tables, game.payoff_tables,
+                                       strict=True):
+                np.testing.assert_array_equal(table, original)
+                assert table.dtype == np.float64
+                with pytest.raises(ValueError):
+                    table[(0,) * table.ndim] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                twin.payoff_tables = None
 
 
 def test_make_spec_ids():

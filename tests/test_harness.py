@@ -169,6 +169,17 @@ def test_non_integer_worker_count_is_a_configuration_error(monkeypatch, capsys):
     assert harness.WORKER_ENV_VAR in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_worker_count_below_one_is_a_configuration_error(monkeypatch, capsys, value):
+    # These used to run one worker.
+    monkeypatch.setenv(harness.WORKER_ENV_VAR, value)
+    with pytest.raises(ConfigError, match=f"{harness.WORKER_ENV_VAR}.*{value}"):
+        harness.worker_count()
+    status = cli.main(["run", "--env", "pd", "--iters", "0", "--seeds", "1"])
+    assert status == 2
+    assert harness.WORKER_ENV_VAR in capsys.readouterr().err
+
+
 def test_config_file_round_trip(tmp_path):
     text = textwrap.dedent("""\
         [game]
@@ -407,6 +418,8 @@ def pd_mediated(coalition_11):
     (PGG_MEDIATED | {"mediator_by_coalition": [{}]}, ["--env", "pgg"]),
     ({"agent_policies": [[[0.5, 0.5]] * 3], "mediator_by_size": [0, 0, 1, 1]},
      ["--env", "pgg"]),
+    (pd_mediated(coalition_11=["a", "b"]), []),
+    (pd_mediated(coalition_11=None), []),
 ], ids=["not-a-distribution", "no-mediator-table", "k0-profile", "k0",
         "one-agent", "missing-file", "not-json", "partial-mediator-table",
         "bad-coalition-key", "size-table-length", "size-table-range",
@@ -415,7 +428,7 @@ def pd_mediated(coalition_11):
         "k-past-horizon", "matrix-multiplier", "non-numeric-policy", "null-policy",
         "policies-not-a-list", "top-level-array", "no-agent-policies",
         "mediated-string", "mediated-integer", "coalition-table-on-pgg",
-        "size-table-unmediated"])
+        "size-table-unmediated", "coalition-non-numeric", "coalition-null"])
 def test_bad_oracle_input_is_a_configuration_error(tmp_path, capsys,
                                                    profile, flags):
     path = tmp_path / "profile.json"

@@ -1,11 +1,15 @@
 """Exact-oracle checks: payoffs, best responses, optimal mediators."""
 
+import copy
+import dataclasses
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -616,10 +620,11 @@ def pd2_answers(spec, profile):
             mediator_copy_profile(spec, profile).check(spec)[1]]
 
 
-def rebuilt(profile):
-    """A fresh profile with the same values and no shared arrays."""
+def plain_values(profile):
+    """A profile's values as keyword arguments of plain lists, dicts and
+    writable arrays, shared with nothing."""
     tables = profile.mediator_by_coalition
-    return MixedProfile(
+    return dict(
         agent_policies=[[p.copy() for p in state]
                         for state in profile.agent_policies],
         mediated=profile.mediated,
@@ -630,6 +635,11 @@ def rebuilt(profile):
         else profile.mediator_by_size.copy())
 
 
+def rebuilt(profile):
+    """A fresh profile with the same values and no shared arrays."""
+    return MixedProfile(**plain_values(profile))
+
+
 def assert_same_answers(first, second):
     for a, b in zip(first, second, strict=True):
         for x, y in zip(a, b, strict=True) if isinstance(a, list) else [(a, b)]:
@@ -637,29 +647,34 @@ def assert_same_answers(first, second):
 
 
 def test_no_profile_data_outlives_a_query():
-    # The one-entry memo is keyed on the checked values, not on the profile
-    # object: a profile edited in place between two queries is read afresh
-    # by the second.
+    # A profile holds copies of the values it is built from: editing them
+    # changes no answer about it, and a profile built from the edited values
+    # is read afresh by its first query.
     rng = np.random.default_rng(11)
     pd2, pgg = two_step_pd(), one_shot_pgg(4, 2.0)
-    matrix, by_size = random_profile(pd2, True, rng), random_profile(pgg, True, rng)
+    matrix_values = plain_values(random_profile(pd2, True, rng))
+    pgg_values = plain_values(random_profile(pgg, True, rng))
+    matrix, by_size = MixedProfile(**matrix_values), MixedProfile(**pgg_values)
     before = pd2_answers(pd2, matrix), pgg_answers(pgg, by_size)
-    matrix.agent_policies[1][0][:] = rng.dirichlet(np.ones(3))
-    matrix.mediator_by_coalition[0][(1, 1)][1][:] = rng.dirichlet(np.ones(2))
-    by_size.agent_policies[0][2][:] = rng.dirichlet(np.ones(3))
-    by_size.mediator_by_size[3] = 1.0 - by_size.mediator_by_size[3]
+    matrix_values["agent_policies"][1][0][:] = rng.dirichlet(np.ones(3))
+    matrix_values["mediator_by_coalition"][0][(1, 1)][1][:] = rng.dirichlet(np.ones(2))
+    pgg_values["agent_policies"][0][2][:] = rng.dirichlet(np.ones(3))
+    pgg_values["mediator_by_size"][3] = 1.0 - pgg_values["mediator_by_size"][3]
+    assert_same_answers(pd2_answers(pd2, matrix), before[0])
+    assert_same_answers(pgg_answers(pgg, by_size), before[1])
+    matrix, by_size = MixedProfile(**matrix_values), MixedProfile(**pgg_values)
     after = pd2_answers(pd2, matrix), pgg_answers(pgg, by_size)
     assert_same_answers(after[0], pd2_answers(pd2, rebuilt(matrix)))
     assert_same_answers(after[1], pgg_answers(pgg, rebuilt(by_size)))
     for old, new in zip(before, after):
         assert not np.array_equal(old[0], new[0])
-    # An edit that breaks a distribution fails the next query.
-    matrix.mediator_by_coalition[1][(1, 0)][0][0] += 0.5
+    # A profile built with a broken distribution fails its first query.
+    matrix_values["mediator_by_coalition"][1][(1, 0)][0][0] += 0.5
     with pytest.raises(ContractError, match="coalition 10"):
-        best_response_gap(pd2, matrix, 0, 2)
-    by_size.agent_policies[0][1][0] = -0.25
+        best_response_gap(pd2, MixedProfile(**matrix_values), 0, 2)
+    pgg_values["agent_policies"][0][1][0] = -0.25
     with pytest.raises(ContractError, match="not a probability vector"):
-        expected_payoffs(pgg, by_size)
+        expected_payoffs(pgg, MixedProfile(**pgg_values))
 
 
 def test_cached_plans_and_joint_grids_are_read_only():
@@ -707,25 +722,36 @@ def test_memo_keys_on_the_game_k_and_gamma():
         assert not np.array_equal(answers[0].payoffs, answers[1].payoffs)
         for args, answer in zip((first, second), answers):
             assert_same_exploitability(answer, fresh_answer(pd2, profile, *args))
-    # A payoff table edited in place misses the memo too.
+    # A game built from an edited payoff table is another object, which
+    # misses the memo too.
     before = oracle.exploitability(pd2, profile)
-    pd2.payoff_tables[1][1, 1] += 1.0
-    after = oracle.exploitability(pd2, profile)
+    tables = [table.copy() for table in pd2.payoff_tables]
+    tables[1][1, 1] += 1.0
+    edited = dataclasses.replace(pd2, payoff_tables=tables)
+    after = oracle.exploitability(edited, profile)
     assert not np.array_equal(before.payoffs, after.payoffs)
-    assert_same_exploitability(after, fresh_answer(pd2, profile))
+    assert_same_exploitability(after, fresh_answer(edited, profile))
+    assert_same_exploitability(before, fresh_answer(pd2, profile))
 
 
 def test_memo_misses_a_profile_edited_in_place():
+    # A profile refuses edits in place; a profile built from edited values
+    # is another object, and its first query misses the memo.
     rng = np.random.default_rng(12)
     for spec in (two_step_pd(), one_shot_pgg(5, 2.0)):
-        profile = random_profile(spec, True, rng)
+        values = plain_values(random_profile(spec, True, rng))
+        profile = MixedProfile(**values)
         answers = [oracle.exploitability(spec, profile)]
-        profile.agent_policies[0][1][:] = rng.dirichlet(np.ones(3))
+        with pytest.raises(ValueError):
+            profile.agent_policies[0][1][:] = rng.dirichlet(np.ones(3))
+        values["agent_policies"][0][1][:] = rng.dirichlet(np.ones(3))
+        profile = MixedProfile(**values)
         answers.append(oracle.exploitability(spec, profile))
-        if profile.mediator_by_size is None:
-            profile.mediator_by_coalition[0][(1, 1)][0][:] = [0.25, 0.75]
+        if values["mediator_by_size"] is None:
+            values["mediator_by_coalition"][0][(1, 1)][0][:] = [0.25, 0.75]
         else:
-            profile.mediator_by_size[2] = 1.0 - profile.mediator_by_size[2]
+            values["mediator_by_size"][2] = 1.0 - values["mediator_by_size"][2]
+        profile = MixedProfile(**values)
         answers.append(oracle.exploitability(spec, profile))
         for old, new in zip(answers, answers[1:]):
             assert not np.array_equal(old.payoffs, new.payoffs)
@@ -791,9 +817,10 @@ def test_every_query_is_checked_before_the_memo_is_read():
         best_response_gap(spec, profile, -1, k=0, gamma=2.0)
     with pytest.raises(ContractError, match="agent must be"):
         oracle.conditional_commit_values(spec, profile, -1, gamma=2.0)
-    profile.agent_policies[0][1][:] = [0.5, 0.5, 0.5]
+    values = plain_values(profile)
+    values["agent_policies"][0][1][:] = [0.5, 0.5, 0.5]
     with pytest.raises(ContractError, match="not a probability vector"):
-        oracle.exploitability(spec, profile)
+        oracle.exploitability(spec, MixedProfile(**values))
 
 
 def test_a_bool_is_neither_a_count_nor_a_discount():
@@ -809,23 +836,28 @@ def test_a_bool_is_neither_a_count_nor_a_discount():
 
 def test_the_check_names_the_first_bad_entry():
     spec = two_step_pd()
-    profile = random_profile(spec, True, np.random.default_rng(8))
-    profile.agent_policies[1][0][:] = [0.5, 0.5, 0.5]
-    profile.agent_policies[0][1][:] = [-0.5, 1.0, 0.5]
+    values = plain_values(random_profile(spec, True, np.random.default_rng(8)))
+    values["agent_policies"][1][0][:] = [0.5, 0.5, 0.5]
+    values["agent_policies"][0][1][:] = [-0.5, 1.0, 0.5]
     with pytest.raises(ContractError, match=r"holds \[-0\.5"):
-        profile.check(spec)
-    profile = random_profile(spec, True, np.random.default_rng(8))
-    del profile.mediator_by_coalition[1][(1, 1)][0]
-    profile.mediator_by_coalition[1][(1, 0)][0][:] = [0.7, 0.7]
-    profile.mediator_by_coalition[1][(0, 1)][1] = [0.5, 0.5]  # not an array
+        MixedProfile(**values).check(spec)
+    values = plain_values(random_profile(spec, True, np.random.default_rng(8)))
+    tables = values["mediator_by_coalition"]
+    del tables[1][(1, 1)][0]
+    tables[1][(1, 0)][0][:] = [0.7, 0.7]
+    tables[1][(0, 1)][1] = [0.5, 0.25, 0.25]  # one entry too many
     with pytest.raises(ContractError, match="agent 1's 2 actions for coalition 01"):
-        profile.check(spec)
-    profile.mediator_by_coalition[1][(0, 1)][1] = np.array([0.5, 0.5])
+        MixedProfile(**values).check(spec)
+    tables[1][(0, 1)][1] = [0.5, 0.5]  # a list entry is converted
     with pytest.raises(ContractError, match="agent 0's 2 actions for coalition 10"):
-        profile.check(spec)
-    profile.mediator_by_coalition[1][(1, 0)][0][:] = [0.3, 0.7]
+        MixedProfile(**values).check(spec)
+    tables[1][(1, 0)][0][:] = [0.3, 0.7]
     with pytest.raises(ContractError, match="agent 0's 2 actions for coalition 11"):
-        profile.check(spec)
+        MixedProfile(**values).check(spec)
+    # An entry that is not numbers fails at construction.
+    tables[1][(0, 1)][1] = ["a", "b"]
+    with pytest.raises(ValueError):
+        MixedProfile(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -921,38 +953,41 @@ def test_a_hit_still_checks_every_argument_in_order(check_calls):
     assert len(check_calls) == calls
 
 
-def entry_as_list(profile):
-    table = profile.mediator_by_coalition[1][(1, 0)]
+def entry_as_list(values):
+    table = values["mediator_by_coalition"][1][(1, 0)]
     table[0] = table[0].tolist()
 
 
-def dist_as_float32(profile):
-    table = profile.mediator_by_coalition[0][(1, 1)]
+def dist_as_float32(values):
+    table = values["mediator_by_coalition"][0][(1, 1)]
     table[0] = table[0].astype(np.float32)
 
 
+# Edits of a profile's plain values, each built into a new profile.
 MEMO_EDITS = {
     "entry-as-list": entry_as_list,
-    "coalition-added": lambda p: p.mediator_by_coalition[0].update({(1, 1, 1): {}}),
-    "empty-coalition-deleted": lambda p: p.mediator_by_coalition[1].pop((0, 0)),
-    "coalition-deleted": lambda p: p.mediator_by_coalition[1].pop((1, 1)),
-    "mediated-one": lambda p: setattr(p, "mediated", 1),
+    "coalition-added": lambda v: v["mediator_by_coalition"][0].update({(1, 1, 1): {}}),
+    "empty-coalition-deleted": lambda v: v["mediator_by_coalition"][1].pop((0, 0)),
+    "coalition-deleted": lambda v: v["mediator_by_coalition"][1].pop((1, 1)),
+    "mediated-one": lambda v: v.update(mediated=1),
     "dist-as-float32": dist_as_float32,
-    "policies-as-tuples": lambda p: setattr(
-        p, "agent_policies", tuple(map(tuple, p.agent_policies))),
+    "policies-as-tuples": lambda v: v.update(
+        agent_policies=tuple(map(tuple, v["agent_policies"]))),
 }
 
 
 @pytest.mark.parametrize("edit", list(MEMO_EDITS))
 def test_an_edit_the_check_reads_misses_the_memo(edit, check_calls):
     spec = two_step_pd()
-    profile = random_profile(spec, True, np.random.default_rng(14))
-    profile.mediator_by_coalition[0][(1, 1)][0] = np.array([0.25, 0.75])
-    oracle.exploitability(spec, profile, 2)
-    MEMO_EDITS[edit](profile)
+    values = plain_values(random_profile(spec, True, np.random.default_rng(14)))
+    values["mediator_by_coalition"][0][(1, 1)][0] = np.array([0.25, 0.75])
+    oracle.exploitability(spec, MixedProfile(**values), 2)
+    MEMO_EDITS[edit](values)
+    profile = MixedProfile(**values)
     check_calls.clear()
     answer = outcome(lambda: oracle.exploitability(spec, profile, 2))
     assert check_calls == [spec.name]
+    assert isinstance(answer, str) == (edit in ("coalition-deleted", "mediated-one"))
     assert_same_outcome(answer, outcome(lambda: fresh_answer(spec, profile, 2)))
 
 
@@ -960,33 +995,102 @@ class Table(dict):
     """A dict subclass, which may answer lookups its own way."""
 
 
-def coalition_tables_as(profile, wrap):
-    profile.mediator_by_coalition = [wrap(table)
-                                     for table in profile.mediator_by_coalition]
+def coalition_tables_as(values, wrap):
+    values["mediator_by_coalition"] = [wrap(table)
+                                       for table in values["mediator_by_coalition"]]
 
 
+# Parts that construction normalizes: containers become tuples and read-only
+# mappings, arrays read-only float64 copies; keys stay as given.
 UNKEYED_PARTS = {
-    "dict-subclass": lambda p: coalition_tables_as(p, Table),
-    "numpy-coalition-keys": lambda p: coalition_tables_as(p, lambda table: {
+    "dict-subclass": lambda v: coalition_tables_as(v, Table),
+    "numpy-coalition-keys": lambda v: coalition_tables_as(v, lambda table: {
         tuple(map(np.int64, bits)): dists for bits, dists in table.items()}),
-    "object-array": lambda p: p.agent_policies[0].__setitem__(
-        1, p.agent_policies[0][1].astype(object)),
-    "list-subclass": lambda p: setattr(
-        p, "agent_policies", type("States", (list,), {})(p.agent_policies)),
+    "object-array": lambda v: v["agent_policies"][0].__setitem__(
+        1, v["agent_policies"][0][1].astype(object)),
+    "list-subclass": lambda v: v.update(
+        agent_policies=type("States", (list,), {})(v["agent_policies"])),
 }
+
+
+def round_answers(spec, profile, k):
+    """A round of per-agent queries: payoffs, then every gap and commit value."""
+    agents = range(spec.num_agents)
+    return [expected_payoffs(spec, profile, k),
+            [best_response_gap(spec, profile, i, k) for i in agents],
+            [oracle.conditional_commit_values(spec, profile, i, k) for i in agents]]
 
 
 @pytest.mark.parametrize("part", list(UNKEYED_PARTS))
 def test_a_profile_the_key_cannot_hold_skips_the_memo(part, check_calls):
+    # Construction normalizes each part, so the memo holds such a profile
+    # like any other.
     spec = two_step_pd()
-    profile = random_profile(spec, True, np.random.default_rng(15))
-    UNKEYED_PARTS[part](profile)
+    plain = random_profile(spec, True, np.random.default_rng(15))
+    values = plain_values(plain)
+    UNKEYED_PARTS[part](values)
+    profile = MixedProfile(**values)
+    assert_read_only(profile)
+    forget()
     check_calls.clear()
-    answers = pd2_answers(spec, profile)
-    # No query read the memo: five oracle queries, the sampler, the copy
-    # mediator and the copy's own check each ran the full check.
-    assert len(check_calls) == 8
-    assert_same_answers(answers, pd2_answers(spec, rebuilt(profile)))
+    answers = round_answers(spec, profile, 2)
+    assert check_calls == [spec.name]
+    assert_same_answers(answers, round_answers(spec, plain, 2))
+    assert_same_answers(pd2_answers(spec, profile), pd2_answers(spec, plain))
+
+
+def assert_read_only(profile):
+    """Every field, container and array of ``profile`` refuses a write."""
+    for name in ("agent_policies", "mediated", "mediator_by_coalition",
+                 "mediator_by_size"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(profile, name, None)
+    arrays = [p for state in profile.agent_policies for p in state]
+    assert type(profile.agent_policies) is tuple
+    for state in profile.agent_policies:
+        assert type(state) is tuple
+        with pytest.raises(TypeError):
+            state[0] = state[0]
+    for table in profile.mediator_by_coalition or ():
+        assert type(table) is MappingProxyType
+        for bits, dists in table.items():
+            assert type(dists) is MappingProxyType
+            with pytest.raises(TypeError):
+                table[bits] = {}
+            with pytest.raises(TypeError):
+                dists[0] = np.ones(2)
+            arrays += dists.values()
+    if profile.mediator_by_size is not None:
+        arrays.append(profile.mediator_by_size)
+    for array in arrays:
+        assert type(array) is np.ndarray and array.dtype == np.float64
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
+@pytest.mark.parametrize("mediated", [True, False])
+@pytest.mark.parametrize("spec", [two_step_pd(), one_shot_pgg(4, 2.0)],
+                         ids=lambda spec: spec.name)
+def test_a_profile_refuses_every_write(spec, mediated):
+    profile = random_profile(spec, mediated, np.random.default_rng(16))
+    before = oracle.exploitability(spec, profile)
+    assert_read_only(profile)
+    forget()
+    assert_same_exploitability(oracle.exploitability(spec, profile), before)
+
+
+@pytest.mark.parametrize("spec", [two_step_pd(), pd_with_sacrifice(),
+                                  one_shot_pgg(4, 2.0)], ids=lambda spec: spec.name)
+def test_copied_and_pickled_profiles_answer_as_the_original(spec):
+    profile = random_profile(spec, True, np.random.default_rng(17))
+    answer = oracle.exploitability(spec, profile, 2, 0.9)
+    for twin in (copy.copy(profile), copy.deepcopy(profile),
+                 pickle.loads(pickle.dumps(profile))):
+        assert type(twin) is MixedProfile and twin is not profile
+        assert_read_only(twin)
+        assert_same_exploitability(oracle.exploitability(spec, twin, 2, 0.9), answer)
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert_same_exploitability(oracle.exploitability(twin, profile, 2, 0.9), answer)
 
 
 # ---------------------------------------------------------------------------
