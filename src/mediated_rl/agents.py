@@ -129,16 +129,18 @@ class AgentLearner:
             out[..., self.base_dim] = np.transpose(status)
         return out
 
-    def policy(self, base: np.ndarray, status: np.ndarray | int) -> np.ndarray:
+    def policy(self, base: np.ndarray, status: np.ndarray | int
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Masked policies (N, M, max actions, zero past an agent's own) at
-        observations (M, N, obs_dim) under statuses (scalar or (M, N))."""
-        logits = self.actor.forward(self.actor_inputs(base, status))
+        observations (M, N, obs_dim) under statuses (scalar or (M, N)), and
+        the actor's forward cache, as ``Mlp.forward_cached`` returns it."""
+        logits, cache = self.actor.forward_cached(self.actor_inputs(base, status))
         if self.mediated:
             masks = legal_action_mask_batch(np.transpose(status),
                                             self.num_env_actions[:, None])
         else:
             masks = np.arange(logits.shape[-1]) < self.num_actions[:, None, None]
-        return masked_softmax(logits, masks)
+        return masked_softmax(logits, masks), cache
 
     def learn(self, batch: AgentBatch, beta: float) -> dict[str, np.ndarray]:
         """One gradient step for every agent from a full batch, computed in one

@@ -33,14 +33,14 @@ class GameKind(Enum):
     ITERATIVE_PGG = "pgg_iter"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PayoffSpec:
     """Immutable description of a game.
 
     ``payoff_tables`` is one array per state (matrix games only), each of
     shape ``num_actions + (num_agents,)``, kept as read-only float64 copies;
     ``num_actions`` is kept as a tuple. PGG variants instead carry the
-    multiplier ``n`` with 1 < n < N.
+    multiplier ``n`` with 1 < n < N. A spec equals only itself.
     """
 
     kind: GameKind

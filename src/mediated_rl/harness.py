@@ -375,7 +375,7 @@ def _policy_metrics(spec: PayoffSpec, k: int, agents: AgentLearner,
                else f"@s{t}" if spec.horizon > 1 else "")
         base = base_obs_batch(spec, t, np.ones((1, n)), 1)
         status = window_statuses(np.zeros(1, dtype=bool), t, k)
-        probs = agents.policy(base, status)[:, 0]
+        probs = agents.policy(base, status)[0][:, 0]
         for i, a_env in enumerate(agents.num_env_actions):
             for a in range(a_env) if matrix else [games.COOPERATE]:
                 metrics[f"pi_{_ACTION_NAMES[a]}{tag}/agent{i}"] = float(probs[i, a])

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import AgentBatch, AgentLearner, filter_trainable_steps
-from .approx import masked_softmax, sample_categorical
+from .approx import sample_categorical
 from .errors import ContractError
 from .games import GameKind, PayoffSpec, base_obs_batch, step_batch
+# Unused here: perfbench's tracer wraps rollout.legal_action_mask_batch by name.
 from .mediation import (FREE, joint_env_actions, legal_action_mask_batch,
                         next_coalition, window_statuses, window_sums)
 from .mediator import MediatorBatch, MediatorLearner
@@ -27,12 +28,12 @@ class TrajectoryBatch:
     """Batch of episodes, time-major: leading axes are (horizon, batch, agents).
 
     The rollout also keeps what its policies computed, because training takes
-    one gradient step on exactly this batch. The stacked agent actor runs on
+    one gradient step on exactly this batch. ``AgentLearner.policy`` runs on
     every step, also where the commit is forced (status +1), and
-    ``agent_acts`` holds its activations, input first, and ``agent_probs``
+    ``agent_acts`` holds its actor cache, input first, and ``agent_probs``
     every agent's masked policy, both agent-major in flat step order
-    t * batch + b. The mediator's actor activations and policy cover its
-    (step, member) samples, listed t-major like ``np.nonzero(member)``.
+    t * batch + b. The mediator's actor cache and policy cover its R (step,
+    member) samples, listed t-major like ``np.nonzero(member)``.
     """
 
     base: np.ndarray        # (T, B, N, obs width) observations before each step
@@ -55,28 +56,16 @@ class TrajectoryBatch:
         return self.reward.shape[1]
 
 
-def _stack_steps(steps: list[list[np.ndarray]],
-                 widths: tuple[int, ...]) -> list[np.ndarray]:
-    """One array per block width from per-step lists of row blocks, rows in
-    step order; no steps give empty blocks. Empties ``steps``, so the
-    per-step blocks are freed as soon as they are stacked."""
-    empty = [np.empty((0, width)) for width in widths]
-    stacked = [np.concatenate(blocks) for blocks in zip(empty, *steps)]
-    steps.clear()
-    return stacked
-
-
 def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
                  mediator: MediatorLearner | None, batch: int,
                  rng: np.random.Generator) -> TrajectoryBatch:
     """Roll out ``batch`` complete episodes under the current policies.
 
-    At each step one stacked actor pass, one masked softmax and one draw
-    serve all agents. Policies with fewer actions are padded with
-    zero-probability columns, which are never drawn; draws stay agent-major
-    (agent 0's batch first), as if each agent sampled in turn. Agent
-    activations go straight into arrays of all steps; the mediator's forward
-    caches are kept per step and stacked once, after the last step.
+    Each step samples every agent from one ``AgentLearner.policy`` call and
+    one draw, agent-major (agent 0's batch first) as if each agent sampled
+    in turn; padding columns of smaller action sets are never drawn. Then
+    ``MediatorLearner.policy`` samples the members, on zero rows (drawing
+    nothing) when there are none.
     """
     t_max, n = spec.horizon, spec.num_agents
     mediated = mediator is not None
@@ -94,36 +83,28 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
                   for width in agents.actor.sizes]
     agent_probs = np.empty_like(agent_acts[-1])
     med_steps: list[list[np.ndarray]] = []  # per step: forward cache, policy
-    open_masks = np.arange(agent_probs.shape[-1]) < agents.num_actions[:, None, None]
 
     for t in range(t_max):
         steps = slice(t * batch, (t + 1) * batch)
         base_t = base_obs_batch(spec, t, endow, batch)
         base.append(base_t)
         status[t] = window_statuses(coalition, t, k)
-        logits, cache = agents.actor.forward_cached(
-            agents.actor_inputs(base_t, status[t]))
-        for stacked, layer in zip(agent_acts, cache):
+        probs, cache = agents.policy(base_t, status[t])
+        for stacked, layer in zip([*agent_acts, agent_probs], [*cache, probs]):
             stacked[:, steps] = layer
-        masks = (legal_action_mask_batch(status[t].T, env_actions[:, None])
-                 if mediated else open_masks)
-        agent_probs[:, steps] = probs = masked_softmax(logits, masks)
         choice[t] = sample_categorical(probs, rng).T
         if mediated:
             coalition = next_coalition(coalition, choice[t], t, k, env_actions)
             member[t] = coalition
             rows_b, rows_i = np.nonzero(coalition)
-            if rows_b.size:
-                step_probs, cache = mediator.policy(base_t, coalition,
-                                                    rows_b, rows_i)
-                med_steps.append([*cache, step_probs])
-                med_action[t, rows_b, rows_i] = sample_categorical(step_probs, rng)
+            step_probs, cache = mediator.policy(base_t, coalition, rows_b, rows_i)
+            med_steps.append([*cache, step_probs])
+            med_action[t, rows_b, rows_i] = sample_categorical(step_probs, rng)
         env_action = joint_env_actions(choice[t], med_action[t], coalition)
         reward[t], endow = step_batch(spec, t, endow, env_action)
     med_acts = med_probs = None
     if mediated:
-        *med_acts, med_probs = _stack_steps(
-            med_steps, (*mediator.actor.sizes, mediator.max_env_actions))
+        *med_acts, med_probs = [np.concatenate(blocks) for blocks in zip(*med_steps)]
     return TrajectoryBatch(base=np.stack(base), status=status, choice=choice,
                            member=member, med_action=med_action, reward=reward,
                            agent_acts=agent_acts, agent_probs=agent_probs,

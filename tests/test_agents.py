@@ -82,7 +82,7 @@ def actor_step(agent, grad):
 
 def agent0_policy(agent, status):
     """Agent 0's policy at the constant observation."""
-    return agent.policy(np.ones((1, 2, 1)), status)[0, 0]
+    return agent.policy(np.ones((1, 2, 1)), status)[0][0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_update_empty_batch_is_noop():
 def test_unmediated_agent_has_no_commit_head():
     agent = make_agent(mediated=False)
     np.testing.assert_array_equal(agent.num_actions, [2, 2])
-    probs = agent.policy(np.ones((1, 2, 1)), 0)
+    probs, _ = agent.policy(np.ones((1, 2, 1)), 0)
     assert probs.shape == (2, 1, 2)
 
 
@@ -304,7 +304,7 @@ def test_padded_action_column_stays_zero():
         view.theta[:] = param
         assert not view.weights[-1][0][:, 3].any()
         assert not view.biases[-1][0][3]
-    probs = agents.policy(traj.base[0, :4], 0)
+    probs, _ = agents.policy(traj.base[0, :4], 0)
     np.testing.assert_array_equal(probs[0, :, 3], 0.0)
 
 

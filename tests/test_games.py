@@ -98,6 +98,15 @@ def test_a_game_keeps_read_only_copies_of_its_tables():
                 twin.payoff_tables = None
 
 
+def test_a_game_equals_only_itself_and_keys_a_dict():
+    # Arrays have no single truth value, so specs compare by identity.
+    for make in (prisoners_dilemma, two_step_pd, lambda: make_spec("pgg", 3, 2.0)):
+        game, twin = make(), make()
+        assert game == game and game != twin
+        assert {game: 1, twin: 2}[game] == 1
+        assert copy.deepcopy(game) != game
+
+
 def test_make_spec_ids():
     assert make_spec("pd").name == "pd"
     assert make_spec("pgg-iter", 3, 2.0).kind is GameKind.ITERATIVE_PGG

@@ -94,16 +94,25 @@ def test_unmediated_rollout_has_no_commit():
 
 
 def test_mediated_batch_without_members_has_empty_mediator_caches():
-    # Nobody commits, so the mediator never acts: its caches are empty
-    # arrays of the actor's widths, and its update still runs.
-    config, spec, rng, agents, mediator = learners_for("pd", "constrained")
-    agents.actor.biases[-1][:, 2] = -1e3  # the commit logit
-    traj = sample_batch(spec, 1, agents, mediator, 32, rng)
-    assert not traj.member.any()
-    assert ([a.shape for a in traj.med_acts]
-            == [(0, width) for width in mediator.actor.sizes])
-    assert traj.med_probs.shape == (0, mediator.max_env_actions)
-    mediator.update(build_mediator_batch(traj, mediator), 0.1, 1)
+    # Nobody commits, so the mediator runs on zero rows and draws nothing:
+    # the generator ends where the reference, which skips the mediator, leaves
+    # it, the caches are empty arrays of the actor's widths, and the update
+    # still runs.
+    for env in ("pd", "pds", "pd2", "pgg", "pgg-iter"):
+        config, spec, rng, agents, mediator = learners_for(env, "constrained")
+        for i, commit in enumerate(agents.num_env_actions):
+            agents.actor.biases[-1][i, commit] = -1e3
+        state = rng.bit_generator.state
+        traj = sample_batch(spec, 1, agents, mediator, 32, rng)
+        after = rng.random()
+        rng.bit_generator.state = state
+        reference_rollout(spec, 1, agents, mediator, 32, rng)
+        assert rng.random() == after
+        assert not traj.member.any()
+        assert ([a.shape for a in traj.med_acts]
+                == [(0, width) for width in mediator.actor.sizes])
+        assert traj.med_probs.shape == (0, mediator.max_env_actions)
+        mediator.update(build_mediator_batch(traj, mediator), 0.1, 1)
 
 
 def test_rollout_deterministic_given_seed():
@@ -448,7 +457,7 @@ def test_policy_queries_match_the_rollout(env, k):
                     continue
                 queried += rows.size
                 np.testing.assert_allclose(
-                    agents.policy(traj.base[t, rows], s)[i],
+                    agents.policy(traj.base[t, rows], s)[0][i],
                     traj.agent_probs[i, t * b + rows], rtol=0, atol=1e-12)
     assert queried > 0
     # Mediator samples are listed t-major, as the rollout drew them.
