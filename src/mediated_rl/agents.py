@@ -16,7 +16,7 @@ import numpy as np
 
 from .approx import (Adam, EntropySchedule, Mlp, masked_softmax, policy_loss,
                      value_loss)
-from .errors import TrainingDiverged
+from .errors import ContractError, TrainingDiverged
 from .games import GameKind, PayoffSpec, obs_dim
 from .mediation import COMMITTED, legal_action_mask_batch
 
@@ -41,7 +41,8 @@ class AgentBatch:
     discounted return of its window for a commit decision;
     ``bootstrap_coef`` is the matching gamma power of the value at step
     ``boot_rows``, zero at episode end. The actor activations and policy are
-    the ones the rollout sampled with.
+    the ones the rollout sampled with: R rows, or in a one-shot game one row
+    that stands for all R.
     """
 
     critic_obs: np.ndarray      # (N, R, base_dim)
@@ -50,8 +51,8 @@ class AgentBatch:
     boot_rows: np.ndarray       # (N, R) step whose value bootstraps the target
     bootstrap_coef: np.ndarray  # (N, R)
     keep: np.ndarray            # (N, R) bool: trainable
-    actor_acts: list[np.ndarray]  # per layer, input first: (N, R, width)
-    probs: np.ndarray           # (N, R, max actions) masked policy
+    actor_acts: list[np.ndarray]  # per layer, input first: (N, R or 1, width)
+    probs: np.ndarray           # (N, R or 1, max actions) masked policy
 
     def __len__(self) -> int:  # records per agent: R, trainable or not
         return self.keep.shape[1]
@@ -60,14 +61,17 @@ class AgentBatch:
 def td_targets(critic: Mlp, batch: AgentBatch,
                out: list[np.ndarray] | None = None
                ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Current values, bootstrapped targets, and the critic forward cache,
-    whose layer outputs are written into ``out`` when given.
+    """Current values (N, R), bootstrapped targets, and the critic forward
+    cache, whose layer outputs are written into ``out`` when given.
 
     One forward pass gives both: every bootstrap step is itself a record.
+    The critic runs on the rows the actor cache holds, all R or the one row
+    of a one-shot game, and its values are broadcast to every record.
     Targets carry no gradient: the bootstrap term is a constant.
     """
-    values, cache = critic.forward_cached(batch.critic_obs, out)
-    values = values[..., 0]
+    rows = batch.actor_acts[0].shape[1]
+    values, cache = critic.forward_cached(batch.critic_obs[:, :rows], out)
+    values = np.broadcast_to(values[..., 0], batch.keep.shape)
     targets = batch.reward_sum + batch.bootstrap_coef * np.take_along_axis(
         values, batch.boot_rows, axis=1)
     return values, targets, cache
@@ -91,13 +95,16 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 class AgentLearner:
     """A seed's N self-interested actor-critic learners, stacked by agent.
     The critic sees the base observation; the actor also sees the commitment
-    status where it varies."""
+    status where it varies. A one-shot game (horizon 1) has one state, so
+    there each network runs on one row per agent, which stands for every
+    episode of a batch."""
 
     def __init__(self, spec: PayoffSpec, params: LearnerParams,
                  rng: np.random.Generator, mediated: bool = True, k: int = 1):
         n = spec.num_agents
         self.num_env_actions = np.asarray(spec.num_actions)
         self.mediated = mediated
+        self._one_state = spec.horizon == 1
         self.base_dim = obs_dim(spec)
         self.status_feature = mediated and spec.horizon > 1 and (
             spec.kind is GameKind.MATRIX or k > 1)
@@ -111,13 +118,26 @@ class AgentLearner:
             self.critic.draw(i, rng)
         self.actor_opts = [Adam(p.size, params.lr_actor) for p in self.actor.theta]
         self.critic_opts = [Adam(p.size, params.lr_critic) for p in self.critic.theta]
-        # Held across learn calls of one batch length R, so the heap keeps
-        # their pages instead of trimming them and faulting them back in: the
-        # critic's layer outputs (N, R, width) and the delta·Wᵀ work array
+        # Held across learn calls over one row count, so the heap keeps their
+        # pages instead of trimming them and faulting them back in: the
+        # critic's layer outputs (N, rows, width) and the delta·Wᵀ work array
         # that the critic's and the actor's backward passes share (both
-        # networks' hidden layers are h wide).
+        # networks' hidden layers are h wide). They are no state: a copy
+        # leaves them out.
         self._critic_acts: list[np.ndarray] = []
         self._delta_work = np.empty((n, 0, h))
+
+    def __getstate__(self) -> dict:
+        """Everything but the held work arrays, which ``__setstate__``
+        restores empty: the copy allocates its own on its first ``learn``."""
+        return {key: value for key, value in vars(self).items()
+                if key not in ("_critic_acts", "_delta_work")}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._critic_acts = []
+        self._delta_work = np.empty((len(self.critic.theta), 0,
+                                     self.critic.sizes[1]))
 
     def actor_inputs(self, base: np.ndarray,
                      status: np.ndarray | int) -> np.ndarray:
@@ -133,7 +153,19 @@ class AgentLearner:
                ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Masked policies (N, M, max actions, zero past an agent's own) at
         observations (M, N, obs_dim) under statuses (scalar or (M, N)), and
-        the actor's forward cache, as ``Mlp.forward_cached`` returns it."""
+        the actor's forward cache, as ``Mlp.forward_cached`` returns it.
+
+        In a one-shot game every row is the one state: the actor runs on the
+        first row alone, and the policies and cache have one row, (N, 1,
+        ...), which stands for all M. Rows that differ there raise
+        ``ContractError``."""
+        if self._one_state:
+            status = np.asarray(status)
+            if ((base != base[:1]).any()
+                    or (status.ndim and (status != status[:1]).any())):
+                raise ContractError("the rows of a one-shot game's policy "
+                                    "query differ")
+            base, status = base[:1], status[:1] if status.ndim else status
         logits, cache = self.actor.forward_cached(self.actor_inputs(base, status))
         if self.mediated:
             masks = legal_action_mask_batch(np.transpose(status),
@@ -148,7 +180,7 @@ class AgentLearner:
         if not batch.keep.any():
             return dict.fromkeys(("critic_loss", "actor_loss"),
                                  np.zeros(len(self.actor.theta)))
-        n, rows = len(self.critic.theta), len(batch)
+        n, rows = len(self.critic.theta), batch.actor_acts[0].shape[1]
         if self._delta_work.shape[1] != rows:
             self._critic_acts = [np.empty((n, rows, d)) for d in self.critic.sizes[1:]]
             self._delta_work = np.empty((n, rows, self.critic.sizes[1]))

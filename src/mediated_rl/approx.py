@@ -109,7 +109,9 @@ class Mlp:
         """Gradient (S, P) of each slice's sum over rows of <dout, output>.
 
         ``dout`` carries any loss weighting (e.g. 1/B for batch means); this
-        routine only sums over rows and leaves ``dout`` as it is. It spends
+        routine only sums over rows and leaves ``dout`` as it is. Activations
+        of one row stand for R equal rows when ``dout`` has R: ``dout`` is
+        summed over its rows first, the same gradient up to round-off. It spends
         ``acts``: tanh'·delta is computed in place in the hidden activations,
         and each delta·Wᵀ is written into the leading elements of ``work``, a
         C-contiguous float64 array of at least S·rows·(widest hidden layer)
@@ -122,6 +124,8 @@ class Mlp:
         grad = np.empty_like(self.theta)
         offset = self.theta.shape[1]
         delta = np.asarray(dout, dtype=np.float64)
+        if acts[0].shape[1] == 1 != delta.shape[1]:
+            delta = delta.sum(axis=1, keepdims=True)
         if work is None:
             work = np.empty(delta.shape[:2] + (max(self.sizes[1:-1], default=0),))
         work = work.reshape(-1)
@@ -232,11 +236,12 @@ def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
     network's parameters; other rows carry no gradient.
 
     ``acts`` (spent) and ``probs`` (S, M, A) are the activations and masked
-    policy of the forward pass that chose ``actions``; ``weights`` are
-    constants; ``work`` goes to ``Mlp.backward``. Masked actions
-    (probability 0) add no entropy and get exactly zero gradient; a taken
-    action must have positive probability.
+    policy of the forward pass that chose ``actions``, or of one row that
+    stands for all M; ``weights`` are constants; ``work`` goes to
+    ``Mlp.backward``. Masked actions (probability 0) add no entropy and get
+    exactly zero gradient; a taken action must have positive probability.
     """
+    probs = np.broadcast_to(probs, keep.shape + probs.shape[-1:])
     p = probs.reshape(-1, probs.shape[-1])
     rows, taken, w = np.arange(len(p)), actions.ravel(), weights.ravel()
     if (p[rows, taken] <= 0.0).any():

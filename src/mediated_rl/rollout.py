@@ -32,8 +32,10 @@ class TrajectoryBatch:
     every step, also where the commit is forced (status +1), and
     ``agent_acts`` holds its actor cache, input first, and ``agent_probs``
     every agent's masked policy, both agent-major in flat step order
-    t * batch + b. The mediator's actor cache and policy cover its R (step,
-    member) samples, listed t-major like ``np.nonzero(member)``.
+    t * rows + b, over the rows the policy returned per step: the batch's,
+    or in a one-shot game the one row that stands for all. The mediator's
+    actor cache and policy cover its R (step, member) samples, listed
+    t-major like ``np.nonzero(member)``.
     """
 
     base: np.ndarray        # (T, B, N, obs width) observations before each step
@@ -42,8 +44,8 @@ class TrajectoryBatch:
     member: np.ndarray      # (T, B, N) coalition flags
     med_action: np.ndarray  # (T, B, N) mediator env actions, -1 outside coalition
     reward: np.ndarray      # (T, B, N)
-    agent_acts: list[np.ndarray]  # per layer: (N, T*B, width)
-    agent_probs: np.ndarray  # (N, T*B, max actions), zero past an agent's actions
+    agent_acts: list[np.ndarray]  # per layer: (N, T*rows, width), rows B or 1
+    agent_probs: np.ndarray  # (N, T*rows, max actions), zero past an agent's actions
     med_acts: list[np.ndarray] | None  # per layer: (R, width)
     med_probs: np.ndarray | None       # (R, max env actions)
 
@@ -63,7 +65,8 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
 
     Each step samples every agent from one ``AgentLearner.policy`` call and
     one draw, agent-major (agent 0's batch first) as if each agent sampled
-    in turn; padding columns of smaller action sets are never drawn. Then
+    in turn; padding columns of smaller action sets are never drawn. A
+    policy of one row is drawn from for every episode. Then
     ``MediatorLearner.policy`` samples the members, on zero rows (drawing
     nothing) when there are none.
     """
@@ -79,19 +82,23 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
     endow = np.ones((batch, n)) if spec.kind is GameKind.ITERATIVE_PGG else None
     coalition = np.zeros((batch, n), dtype=bool)
     env_actions = np.asarray(spec.num_actions)
-    agent_acts = [np.empty((n, t_max * batch, width))
-                  for width in agents.actor.sizes]
-    agent_probs = np.empty_like(agent_acts[-1])
     med_steps: list[list[np.ndarray]] = []  # per step: forward cache, policy
 
     for t in range(t_max):
-        steps = slice(t * batch, (t + 1) * batch)
         base_t = base_obs_batch(spec, t, endow, batch)
         base.append(base_t)
         status[t] = window_statuses(coalition, t, k)
         probs, cache = agents.policy(base_t, status[t])
+        rows = probs.shape[1]
+        if t == 0:
+            agent_acts = [np.empty((n, t_max * rows, a.shape[-1])) for a in cache]
+            agent_probs = np.empty((n, t_max * rows, probs.shape[-1]))
         for stacked, layer in zip([*agent_acts, agent_probs], [*cache, probs]):
-            stacked[:, steps] = layer
+            stacked[:, t * rows:(t + 1) * rows] = layer
+        # One row stands for every episode; a full policy skips the
+        # broadcast, whose few microseconds a step multi-step games would pay.
+        if rows != batch:
+            probs = np.broadcast_to(probs, (n, batch, probs.shape[-1]))
         choice[t] = sample_categorical(probs, rng).T
         if mediated:
             coalition = next_coalition(coalition, choice[t], t, k, env_actions)

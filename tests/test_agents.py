@@ -13,7 +13,7 @@ from mediated_rl import games
 from mediated_rl.agents import (AgentBatch, AgentLearner, LearnerParams,
                                 filter_trainable_steps, td_targets)
 from mediated_rl.approx import EntropySchedule, Mlp, masked_softmax, policy_loss
-from mediated_rl.errors import TrainingDiverged
+from mediated_rl.errors import ContractError, TrainingDiverged
 from mediated_rl.harness import _build_learners, _train_iteration, default_config
 from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
                                  sample_batch)
@@ -418,3 +418,74 @@ def test_held_arrays_leave_learning_unchanged():
         assert all((a is b) == same for a, b in zip(before, after))
     assert agents.actor.theta.tobytes() == fresh.actor.theta.tobytes()
     assert agents.critic.theta.tobytes() == fresh.critic.theta.tobytes()
+
+
+def test_copies_leave_out_the_held_arrays():
+    # The held work arrays are no state: a deep copy or a pickle of a
+    # trained learner carries neither, and the copy starts with empty ones.
+    config = default_config("pgg-iter", "constrained", k=10)
+    spec = config.validate()
+    agents, mediator = _build_learners(config, spec, np.random.default_rng(5))
+    _train_iteration(config, spec, agents, mediator, np.random.default_rng(6), 0)
+    held = agents._delta_work.nbytes + sum(a.nbytes for a in agents._critic_acts)
+    assert agents._delta_work.size and held > 10**6
+    data = pickle.dumps(agents)
+    assert len(data) < held
+    for twin in (pickle.loads(data), copy.deepcopy(agents)):
+        assert twin._critic_acts == []
+        assert twin._delta_work.shape == (3, 0, agents.critic.sizes[1])
+
+
+# ---------------------------------------------------------------------------
+# One-shot games: one row per agent stands for the batch
+
+
+def tiled_batch(learner, batch):
+    """``batch`` with ``learner``'s actor activations and policy computed on
+    all R rows, as a multi-step game runs them: each a copy of the one
+    state, at status 0."""
+    base = batch.critic_obs.swapaxes(0, 1)
+    logits, acts = learner.actor.forward_cached(learner.actor_inputs(base, 0))
+    masks = np.arange(logits.shape[-1]) < learner.num_actions[:, None, None]
+    return replace(batch, actor_acts=acts, probs=masked_softmax(logits, masks))
+
+
+@pytest.mark.parametrize("env,mode,num_agents", [
+    ("pd", "naive", None), ("pds", "constrained", None),
+    ("pgg", "constrained", 16)])
+def test_one_shot_learning_matches_the_tiled_rows(env, mode, num_agents):
+    # The rollout caches one row per agent; learning on it equals learning
+    # on that row tiled to every record, up to round-off.
+    config = replace(default_config(env, mode, num_agents=num_agents),
+                     batch_size=64)
+    spec = config.validate()
+    agents, mediator = _build_learners(config, spec, np.random.default_rng(2))
+    reference = copy.deepcopy(agents)
+    rng = np.random.default_rng(3)
+    for it in range(5):
+        traj = sample_batch(spec, 1, agents, mediator, 64, rng)
+        batch = build_agent_batch(traj, 1, config.gamma)
+        assert batch.actor_acts[0].shape == (spec.num_agents, 1, 1)
+        assert len(batch) == 64
+        beta = config.agent.entropy.coef(it)
+        reference.learn(tiled_batch(reference, batch), beta)
+        agents.learn(batch, beta)
+    for net, twin in ((agents.actor, reference.actor),
+                      (agents.critic, reference.critic)):
+        np.testing.assert_allclose(net.theta, twin.theta, rtol=0, atol=1e-12)
+
+
+def test_one_shot_policy_rows_must_agree():
+    # A one-shot game's policy runs on the first row for all of them, so a
+    # query whose rows differ, in observation or status, is refused.
+    agent = make_agent()
+    probs, cache = agent.policy(np.ones((5, 2, 1)), np.zeros((5, 2), np.int64))
+    assert probs.shape == (2, 1, 3) and cache[0].shape == (2, 1, 1)
+    base = np.ones((5, 2, 1))
+    base[3, 1] = 0.5
+    with pytest.raises(ContractError, match="differ"):
+        agent.policy(base, 0)
+    status = np.zeros((5, 2), np.int64)
+    status[4, 0] = -1
+    with pytest.raises(ContractError, match="differ"):
+        agent.policy(np.ones((5, 2, 1)), status)

@@ -621,6 +621,33 @@ def test_each_network_sees_each_row_once_per_iteration(monkeypatch):
     assert rows[id(mediator.critic), "update"] == steps * (2 + spec.num_agents)
 
 
+@pytest.mark.parametrize("env,k,one_shot", [
+    ("pd", 1, True), ("pgg", 1, True), ("pd2", 2, False), ("pgg-iter", 10, False)])
+def test_one_shot_agent_networks_run_one_row_per_agent(monkeypatch, env, k,
+                                                       one_shot):
+    # A one-shot game has one state: the rollout and the update run each
+    # agent's actor and critic on one row, which stands for every episode.
+    # A multi-step game runs the actor on every episode at each step and the
+    # critic on every step of every episode.
+    config = replace(default_config(env, "constrained", k=k), batch_size=32)
+    spec = config.validate()
+    agents, mediator = harness._build_learners(config, spec,
+                                               np.random.default_rng(0))
+    shapes = collections.defaultdict(list)
+    original = Mlp.forward_cached
+
+    def spy(net, x, *args):
+        shapes[id(net)].append(np.shape(x))
+        return original(net, x, *args)
+    monkeypatch.setattr(Mlp, "forward_cached", spy)
+    harness._train_iteration(config, spec, agents, mediator,
+                             np.random.default_rng(1), 0)
+    n, t_max = spec.num_agents, spec.horizon
+    rows = 1 if one_shot else config.batch_size
+    assert shapes[id(agents.actor)] == [(n, rows, agents.actor.sizes[0])] * t_max
+    assert shapes[id(agents.critic)] == [(n, t_max * rows, agents.critic.sizes[0])]
+
+
 FAULTS_PER_ITERATION = textwrap.dedent("""
     import resource
     from dataclasses import replace

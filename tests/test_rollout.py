@@ -444,10 +444,13 @@ def test_cached_gradients_match_fresh_forward(env, k):
                                    ("pgg-iter", 10)])
 def test_policy_queries_match_the_rollout(env, k):
     # Evaluation queries a learner's policy through the same rows and masks
-    # the rollout samples with.
+    # the rollout samples with. A one-shot game stores one row, which
+    # stands for every episode: a query of any of its rows, alone or all
+    # together, returns that row.
     config, spec, rng, agents, mediator = learners_for(env, "constrained", k=k)
     traj = sample_batch(spec, k, agents, mediator, 64, rng)
-    b = traj.batch
+    per_step = 1 if spec.horizon == 1 else traj.batch
+    assert traj.agent_probs.shape[1] == spec.horizon * per_step
     queried = 0
     for t in range(spec.horizon):
         for i in range(spec.num_agents):
@@ -456,9 +459,13 @@ def test_policy_queries_match_the_rollout(env, k):
                 if rows.size == 0:
                     continue
                 queried += rows.size
-                np.testing.assert_allclose(
-                    agents.policy(traj.base[t, rows], s)[0][i],
-                    traj.agent_probs[i, t * b + rows], rtol=0, atol=1e-12)
+                groups = [rows] if per_step > 1 else [rows, *rows[:, None]]
+                for group in groups:
+                    stored = group if per_step > 1 else np.array([0])
+                    np.testing.assert_allclose(
+                        agents.policy(traj.base[t, group], s)[0][i],
+                        traj.agent_probs[i, t * per_step + stored],
+                        rtol=0, atol=1e-12)
     assert queried > 0
     # Mediator samples are listed t-major, as the rollout drew them.
     sample = 0
