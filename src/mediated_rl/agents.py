@@ -191,9 +191,11 @@ class AgentLearner:
         c_grad = self.critic.backward(cache, upstream, self._delta_work)
         _check_finite(c_grad, "critic gradient")
         # Advantages are constants: no gradient flows through the critic.
+        # Every record of a one-shot game was taken on the actor's one row.
+        index = None if rows == len(batch) else np.zeros(len(batch), np.intp)
         a_loss, a_grad = policy_loss(self.actor, batch.actor_acts, batch.probs,
                                      batch.actions, advantages, beta, batch.keep,
-                                     self._delta_work)
+                                     index, self._delta_work)
         _check_finite(a_loss, "actor loss")
         _check_finite(a_grad, "actor gradient")
         for i in range(len(c_grad)):

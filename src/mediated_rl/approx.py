@@ -229,33 +229,51 @@ def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarra
 
 def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
                 actions: np.ndarray, weights: np.ndarray, beta: float,
-                keep: np.ndarray, work: np.ndarray | None = None
+                keep: np.ndarray, rows: np.ndarray | None = None,
+                work: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per slice, the mean of  -weight * log pi(action) - beta * H(pi)  over
-    the rows ``keep`` (S, M) flags, and its gradient (S, P) w.r.t. the policy
-    network's parameters; other rows carry no gradient.
+    the records ``keep`` (S, M) flags, and its gradient (S, P) w.r.t. the
+    policy network's parameters; other records carry no gradient.
 
-    ``acts`` (spent) and ``probs`` (S, M, A) are the activations and masked
-    policy of the forward pass that chose ``actions``, or of one row that
-    stands for all M; ``weights`` are constants; ``work`` goes to
+    ``acts`` (spent) and ``probs`` (S, U, A) are the activations and masked
+    policy of the forward pass that chose ``actions``. Record m of slice s
+    was taken on row ``rows[s, m]`` (or ``rows[m]`` for every slice) of
+    that pass, and on row m when ``rows`` is None. Each row's logit gradient
+    sums its kept records': p·Σw minus w scattered onto the taken actions,
+    plus beta·K·p·(log p + H) for its K kept records; a row no kept record
+    names gets none. ``weights`` are constants; ``work`` goes to
     ``Mlp.backward``. Masked actions (probability 0) add no entropy and get
     exactly zero gradient; a taken action must have positive probability.
     """
-    probs = np.broadcast_to(probs, keep.shape + probs.shape[-1:])
     p = probs.reshape(-1, probs.shape[-1])
-    rows, taken, w = np.arange(len(p)), actions.ravel(), weights.ravel()
-    if (p[rows, taken] <= 0.0).any():
+    if rows is None:
+        records = np.arange(keep.size)
+    else:
+        records = (np.arange(len(keep))[:, None] * probs.shape[1]
+                   + rows).ravel()
+    taken, w = actions.ravel(), weights.ravel()
+    if (p[records, taken] <= 0.0).any():
         raise ContractError("taken action has zero probability under the mask")
     logp = np.log(np.where(p > 0.0, p, 1.0))
     entropy = -(p * logp).sum(axis=1)
-    per_row = (-w * logp[rows, taken] - beta * entropy).reshape(keep.shape)
+    per_record = (-w * logp[records, taken] - beta * (
+        entropy if rows is None else entropy[records])).reshape(keep.shape)
     counts = keep.sum(axis=-1)
-    losses = (per_row * keep).sum(axis=-1) / counts
-    g = p * w[:, None]  # d/dlogits, per row
-    g[rows, taken] -= w
+    losses = (per_record * keep).sum(axis=-1) / counts
+    w = w * keep.ravel()  # d/dlogits; unkept records add nothing
+    if rows is None:  # one record per row
+        g = p * w[:, None]
+        g[records, taken] -= w
+        kept = keep.reshape(-1, 1)
+    else:  # summed over each row's records
+        g = p * np.bincount(records, w, len(p))[:, None]
+        g -= np.bincount(records * p.shape[1] + taken, w,
+                         p.size).reshape(p.shape)
+        kept = np.bincount(records, keep.ravel(), len(p))[:, None]
     if beta != 0.0:
-        g += beta * p * (logp + entropy[:, None])
-    upstream = g.reshape(probs.shape) * keep[..., None]
+        g += beta * kept * p * (logp + entropy[:, None])
+    upstream = g.reshape(probs.shape)
     upstream /= counts[:, None, None]
     return losses, net.backward(acts, upstream, work)
 

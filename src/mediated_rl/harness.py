@@ -390,7 +390,7 @@ def _policy_metrics(spec: PayoffSpec, k: int, agents: AgentLearner,
         for coalition in coalitions:
             ctag = "".join(str(int(b)) for b in coalition)
             for i in np.flatnonzero(coalition) if matrix else [0]:
-                med, _ = mediator.policy(base, coalition[None], [0], [i])
+                med = mediator.policy(base, coalition[None], [0], [i])[0]
                 if one_shot:
                     metrics[f"piM_coop|size{coalition.sum()}"] = \
                         float(med[0, games.COOPERATE])

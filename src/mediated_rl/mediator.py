@@ -22,7 +22,7 @@ import numpy as np
 
 from .agents import LearnerParams
 from .approx import Adam, Mlp, masked_softmax, policy_loss, value_loss
-from .errors import TrainingDiverged
+from .errors import ContractError, TrainingDiverged
 from .games import GameKind, PayoffSpec, obs_dim
 from .mediation import window_sums
 
@@ -94,14 +94,17 @@ class MediatorBatch:
     Steps are flattened time-major: flat index = t * batch + b, so windowed
     reductions can slice along t, and step s bootstraps from step s + batch
     except on the last step of an episode. Actor samples are the rollout's
-    (step, member) draws with the activations and policy it sampled with.
+    (step, member) draws. The actor activations and policy are the ones it
+    sampled with: one row per sample, or in a one-shot game one row per
+    distinct state, where ``actor_rows`` gives each sample's row.
     """
 
     critic_cur: np.ndarray    # (S, critic_dim)
     rewards: np.ndarray       # (S, N)
     member: np.ndarray        # (S, N) bool
-    actor_acts: list[np.ndarray]  # per layer, input first: (R, width)
-    actor_probs: np.ndarray   # (R, max_env_actions) masked policy
+    actor_acts: list[np.ndarray]  # per layer, input first: (U, width)
+    actor_probs: np.ndarray   # (U, max_env_actions) masked policy
+    actor_rows: np.ndarray | None  # (R,) row per sample; None: row r, U = R
     actor_actions: np.ndarray  # (R,)
     actor_agent: np.ndarray   # (R,) agent index per sample
     actor_step: np.ndarray    # (R,) flat step index per sample
@@ -119,6 +122,7 @@ class MediatorLearner:
         self.num_env_actions = np.asarray(spec.num_actions)
         self.max_env_actions = spec.max_actions
         self.symmetric = spec.kind is GameKind.ONE_SHOT_PGG
+        self._one_state = spec.horizon == 1
         self.gamma = gamma
         h = params.hidden
         base_dim = obs_dim(spec)
@@ -167,14 +171,38 @@ class MediatorLearner:
 
     def policy(self, base_t: np.ndarray, coalition: np.ndarray,
                rows_b: np.ndarray, rows_i: np.ndarray
-               ) -> tuple[np.ndarray, list[np.ndarray]]:
+               ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray,
+                          np.ndarray | None]:
         """Masked policy for the (episode, member) pairs (see
-        ``actor_inputs``) and the actor's forward cache, as
-        ``Mlp.forward_cached`` returns it but without the stack axis."""
+        ``actor_inputs``), one row per pair, then the actor's forward cache
+        (as ``Mlp.forward_cached`` returns it but without the stack axis)
+        and policy over the rows it ran on, and each pair's row.
+
+        In a one-shot game the actor input is fixed by the coalition and the
+        member (by |C| alone in the symmetric PGG), so the actor runs once
+        per distinct key, on rows sorted by key, and the pairs' policy is
+        gathered from them. Elsewhere it runs on every pair's row, the
+        row policy is the pairs' policy, and the index is None.
+        Observations that differ in a one-shot game raise ``ContractError``.
+        """
+        index = None
+        if self._one_state:
+            if (base_t != base_t[:1, :1]).any():
+                raise ContractError("the rows of a one-shot game's policy "
+                                    "query differ")
+            if self.symmetric:
+                key = coalition.sum(axis=1)[rows_b]
+            else:
+                codes = coalition @ (1 << np.arange(self.num_agents))
+                key = codes[rows_b] * self.num_agents + rows_i
+            _, first, index = np.unique(key, return_index=True,
+                                        return_inverse=True)
+            rows_b, rows_i = np.asarray(rows_b)[first], np.asarray(rows_i)[first]
         logits, cache = self.actor.forward_cached(
             self.actor_inputs(base_t, coalition, rows_b, rows_i)[None])
-        return (masked_softmax(logits[0], self.action_masks(rows_i)),
-                [layer[0] for layer in cache])
+        probs = masked_softmax(logits[0], self.action_masks(rows_i))
+        cache = [layer[0] for layer in cache]
+        return (probs if index is None else probs[index]), cache, probs, index
 
     # -- values ------------------------------------------------------------
 
@@ -265,7 +293,8 @@ class MediatorLearner:
             (actor_loss,), grad = policy_loss(
                 self.actor, [layer[None] for layer in batch.actor_acts],
                 batch.actor_probs[None], batch.actor_actions[None],
-                weights[None], beta, np.ones((1, r), dtype=bool))
+                weights[None], beta, np.ones((1, r), dtype=bool),
+                batch.actor_rows)
             if not np.isfinite(actor_loss):
                 raise TrainingDiverged("mediator actor loss non-finite")
             self.actor_opt.step(self.actor.theta, grad)

@@ -34,8 +34,9 @@ class TrajectoryBatch:
     every agent's masked policy, both agent-major in flat step order
     t * rows + b, over the rows the policy returned per step: the batch's,
     or in a one-shot game the one row that stands for all. The mediator's
-    actor cache and policy cover its R (step, member) samples, listed
-    t-major like ``np.nonzero(member)``.
+    R (step, member) samples are listed t-major like ``np.nonzero(member)``;
+    its actor cache and policy hold a row per sample, or in a one-shot game
+    a row per distinct state, and ``med_rows`` gives each sample's row.
     """
 
     base: np.ndarray        # (T, B, N, obs width) observations before each step
@@ -46,8 +47,9 @@ class TrajectoryBatch:
     reward: np.ndarray      # (T, B, N)
     agent_acts: list[np.ndarray]  # per layer: (N, T*rows, width), rows B or 1
     agent_probs: np.ndarray  # (N, T*rows, max actions), zero past an agent's actions
-    med_acts: list[np.ndarray] | None  # per layer: (R, width)
-    med_probs: np.ndarray | None       # (R, max env actions)
+    med_acts: list[np.ndarray] | None  # per layer: (U, width)
+    med_probs: np.ndarray | None       # (U, max env actions)
+    med_rows: np.ndarray | None        # (R,) row per sample; None: U = R
 
     @property
     def horizon(self) -> int:
@@ -67,8 +69,8 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
     one draw, agent-major (agent 0's batch first) as if each agent sampled
     in turn; padding columns of smaller action sets are never drawn. A
     policy of one row is drawn from for every episode. Then
-    ``MediatorLearner.policy`` samples the members, on zero rows (drawing
-    nothing) when there are none.
+    ``MediatorLearner.policy`` samples the members, one draw per member,
+    on zero rows (drawing nothing) when there are none.
     """
     t_max, n = spec.horizon, spec.num_agents
     mediated = mediator is not None
@@ -83,6 +85,7 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
     coalition = np.zeros((batch, n), dtype=bool)
     env_actions = np.asarray(spec.num_actions)
     med_steps: list[list[np.ndarray]] = []  # per step: forward cache, policy
+    med_rows = None
 
     for t in range(t_max):
         base_t = base_obs_batch(spec, t, endow, batch)
@@ -104,8 +107,10 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
             coalition = next_coalition(coalition, choice[t], t, k, env_actions)
             member[t] = coalition
             rows_b, rows_i = np.nonzero(coalition)
-            step_probs, cache = mediator.policy(base_t, coalition, rows_b, rows_i)
-            med_steps.append([*cache, step_probs])
+            # Only a one-shot game, one step long, returns a row index.
+            step_probs, cache, row_probs, med_rows = mediator.policy(
+                base_t, coalition, rows_b, rows_i)
+            med_steps.append([*cache, row_probs])
             med_action[t, rows_b, rows_i] = sample_categorical(step_probs, rng)
         env_action = joint_env_actions(choice[t], med_action[t], coalition)
         reward[t], endow = step_batch(spec, t, endow, env_action)
@@ -115,7 +120,8 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
     return TrajectoryBatch(base=np.stack(base), status=status, choice=choice,
                            member=member, med_action=med_action, reward=reward,
                            agent_acts=agent_acts, agent_probs=agent_probs,
-                           med_acts=med_acts, med_probs=med_probs)
+                           med_acts=med_acts, med_probs=med_probs,
+                           med_rows=med_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,7 @@ def build_mediator_batch(traj: TrajectoryBatch,
         member=member,
         actor_acts=traj.med_acts,
         actor_probs=traj.med_probs,
+        actor_rows=traj.med_rows,
         actor_actions=traj.med_action[t_idx, b_idx, i_idx],
         actor_agent=i_idx,
         actor_step=t_idx * b + b_idx,

@@ -294,7 +294,8 @@ def test_padded_action_column_stays_zero():
     batch = build_agent_batch(traj, 1, 0.99)
     weights = np.random.default_rng(1).normal(size=batch.actions.shape)
     _, grad = policy_loss(agents.actor, batch.actor_acts, batch.probs,
-                          batch.actions, weights, 0.5, batch.keep)
+                          batch.actions, weights, 0.5, batch.keep,
+                          np.zeros(len(batch), np.intp))
     for it in range(50):
         _train_iteration(config, spec, agents, mediator, rng, it)
     moments = [np.stack([getattr(opt, m) for opt in agents.actor_opts])

@@ -432,6 +432,94 @@ def test_policy_loss_masked_actions_get_no_entropy_and_zero_gradient():
     assert losses[0] == pytest.approx(np.mean(expected), rel=1e-12)
 
 
+def one_record_per_row_loss(net, acts, probs, actions, weights, beta, keep,
+                            work=None):
+    """``policy_loss`` with one record per activation row, written out: the
+    formula that the identity index, and no index, must give bit for bit."""
+    probs = np.broadcast_to(probs, keep.shape + probs.shape[-1:])
+    p = probs.reshape(-1, probs.shape[-1])
+    rows, taken, w = np.arange(len(p)), actions.ravel(), weights.ravel()
+    logp = np.log(np.where(p > 0.0, p, 1.0))
+    entropy = -(p * logp).sum(axis=1)
+    per_row = (-w * logp[rows, taken] - beta * entropy).reshape(keep.shape)
+    counts = keep.sum(axis=-1)
+    losses = (per_row * keep).sum(axis=-1) / counts
+    g = p * w[:, None]
+    g[rows, taken] -= w
+    if beta != 0.0:
+        g += beta * p * (logp + entropy[:, None])
+    upstream = g.reshape(probs.shape) * keep[..., None]
+    upstream /= counts[:, None, None]
+    return losses, net.backward(acts, upstream, work)
+
+
+def indexed_records(seed, stack, records, rows, shared):
+    """A stacked policy net, inputs (stack, rows, 2), legal-action masks, and
+    records that index the rows: one index for every slice when ``shared``.
+    Some records are not kept, but each slice keeps its first."""
+    rng = rng_for(seed)
+    net = Mlp((2, 5, 4, 3), rng, stack=stack)
+    x = rng.normal(size=(stack, rows, 2))
+    mask = rng.random((stack, rows, 3)) < 0.6
+    mask[..., 1] = True
+    index = rng.integers(0, rows, size=records if shared else (stack, records))
+    keep = rng.random((stack, records)) < 0.7
+    keep[:, 0] = True
+    record_mask = np.take_along_axis(
+        mask, np.broadcast_to(index, keep.shape)[..., None], axis=1)
+    actions = np.argmax(record_mask * rng.random(record_mask.shape), axis=-1)
+    weights = rng.normal(size=(stack, records))
+    return net, x, mask, index, keep, record_mask, actions, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), stack=st.integers(1, 3),
+       records=st.integers(1, 12), rows=st.integers(1, 6),
+       shared=st.booleans(), beta=st.sampled_from([0.0, 0.3]))
+def test_policy_loss_sums_records_onto_their_rows(seed, stack, records, rows,
+                                                  shared, beta):
+    # Records (S, M) that index activation rows (S, U), some rows named by
+    # no kept record, give the loss and gradient of the same records on
+    # their own tiled rows.
+    net, x, mask, index, keep, record_mask, actions, weights = \
+        indexed_records(seed, stack, records, rows, shared)
+    logits, cache = net.forward_cached(x)
+    losses, grad = policy_loss(net, cache, masked_softmax(logits, mask),
+                               actions, weights, beta, keep, index)
+    tiled = np.take_along_axis(x, np.broadcast_to(index, keep.shape)[..., None],
+                               axis=1)
+    logits, cache = net.forward_cached(tiled)
+    expected = policy_loss(net, cache, masked_softmax(logits, record_mask),
+                           actions, weights, beta, keep)
+    np.testing.assert_allclose(losses, expected[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad, expected[1], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), stack=st.integers(1, 3),
+       records=st.integers(1, 12), shared=st.booleans(),
+       beta=st.sampled_from([0.0, 0.3]))
+def test_policy_loss_identity_index_is_one_record_per_row(seed, stack, records,
+                                                          shared, beta):
+    # Record m on row m, and no index at all, both give the one-record-per-
+    # row formula bit for bit.
+    net, x, mask, _, keep, _, actions, weights = \
+        indexed_records(seed, stack, records, records, shared)
+    identity = np.arange(records)
+    if not shared:
+        identity = np.tile(identity, (stack, 1))
+    logits, _ = net.forward_cached(x)
+    probs = masked_softmax(logits, mask)
+    actions = np.argmax(mask * rng_for(seed).random(mask.shape), axis=-1)
+    expected = one_record_per_row_loss(net, net.forward_cached(x)[1], probs,
+                                       actions, weights, beta, keep)
+    for index in (identity, None):
+        losses, grad = policy_loss(net, net.forward_cached(x)[1], probs,
+                                   actions, weights, beta, keep, index)
+        np.testing.assert_array_equal(losses, expected[0])
+        np.testing.assert_array_equal(grad, expected[1])
+
+
 def test_policy_loss_rejects_masked_action():
     probs = masked_softmax(np.array([[[0.0, 1.0]]]),
                            np.array([[[True, False]]]))

@@ -21,6 +21,7 @@ from mediated_rl.errors import ConfigError, is_real
 from mediated_rl.harness import (RunConfig, RunReport, SweepReport,
                                  default_config, emit, load_config_file,
                                  sweep, train)
+from mediated_rl.rollout import build_mediator_batch
 
 
 def tiny_config(env="pd", mode="naive", **kwargs):
@@ -621,31 +622,56 @@ def test_each_network_sees_each_row_once_per_iteration(monkeypatch):
     assert rows[id(mediator.critic), "update"] == steps * (2 + spec.num_agents)
 
 
-@pytest.mark.parametrize("env,k,one_shot", [
-    ("pd", 1, True), ("pgg", 1, True), ("pd2", 2, False), ("pgg-iter", 10, False)])
+@pytest.mark.parametrize("env,k,one_shot,num_agents", [
+    pytest.param("pd", 1, True, None, id="pd-1-True"),
+    pytest.param("pgg", 1, True, None, id="pgg-1-True"),
+    pytest.param("pgg", 1, True, 16, id="pgg16-1-True"),
+    pytest.param("pd2", 2, False, None, id="pd2-2-False"),
+    pytest.param("pgg-iter", 10, False, None, id="pgg-iter-10-False")])
 def test_one_shot_agent_networks_run_one_row_per_agent(monkeypatch, env, k,
-                                                       one_shot):
+                                                       one_shot, num_agents):
     # A one-shot game has one state: the rollout and the update run each
-    # agent's actor and critic on one row, which stands for every episode.
-    # A multi-step game runs the actor on every episode at each step and the
-    # critic on every step of every episode.
-    config = replace(default_config(env, "constrained", k=k), batch_size=32)
+    # agent's actor and critic on one row, which stands for every episode,
+    # and the mediator's actor on one row per distinct (coalition, member),
+    # at most N * 2^(N-1), or N in the symmetric PGG. A multi-step game runs
+    # the agents' actor on every episode at each step, their critic on every
+    # step of every episode, and the mediator's actor on every member.
+    config = replace(default_config(env, "constrained", k=k,
+                                    num_agents=num_agents), batch_size=32)
     spec = config.validate()
     agents, mediator = harness._build_learners(config, spec,
                                                np.random.default_rng(0))
     shapes = collections.defaultdict(list)
     original = Mlp.forward_cached
+    batches = []
 
     def spy(net, x, *args):
         shapes[id(net)].append(np.shape(x))
         return original(net, x, *args)
+
+    def kept(traj, mediator):
+        batches.append(build_mediator_batch(traj, mediator))
+        return batches[-1]
     monkeypatch.setattr(Mlp, "forward_cached", spy)
+    monkeypatch.setattr(harness, "build_mediator_batch", kept)
     harness._train_iteration(config, spec, agents, mediator,
                              np.random.default_rng(1), 0)
     n, t_max = spec.num_agents, spec.horizon
     rows = 1 if one_shot else config.batch_size
     assert shapes[id(agents.actor)] == [(n, rows, agents.actor.sizes[0])] * t_max
     assert shapes[id(agents.critic)] == [(n, t_max * rows, agents.critic.sizes[0])]
+    (batch,) = batches
+    members = batch.member.reshape(t_max, -1).sum(axis=1)
+    med_rows = [shape[1] for shape in shapes[id(mediator.actor)]]
+    assert all(shape[::2] == (1, mediator.actor.sizes[0])
+               for shape in shapes[id(mediator.actor)])
+    if one_shot:
+        assert med_rows == [len(batch.actor_probs)]
+        assert med_rows[0] <= (n if mediator.symmetric else n * 2 ** (n - 1))
+        assert med_rows[0] < members[0] == len(batch.actor_rows)
+    else:
+        assert med_rows == members.tolist() and batch.actor_rows is None
+    assert len(batch.actor_actions) == members.sum()
 
 
 FAULTS_PER_ITERATION = textwrap.dedent("""

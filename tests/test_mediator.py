@@ -5,7 +5,9 @@ import pytest
 
 from mediated_rl import games
 from mediated_rl.agents import LearnerParams
-from mediated_rl.approx import EntropySchedule, masked_softmax
+from mediated_rl.approx import (EntropySchedule, masked_softmax,
+                                sample_categorical)
+from mediated_rl.errors import ContractError
 from mediated_rl.mediator import (LagrangeState, MediatorBatch,
                                   MediatorLearner, actor_head_weights)
 
@@ -47,6 +49,7 @@ def one_shot_batch(mediator, spec, member, rewards, actions):
         member=member,
         actor_acts=acts,
         actor_probs=masked_softmax(acts[-1], mediator.action_masks(rows_i)),
+        actor_rows=None,
         actor_actions=np.asarray(actions),
         actor_agent=rows_i,
         actor_step=np.zeros(rows_i.size, dtype=np.int64),
@@ -105,7 +108,7 @@ def test_critic_gradient_matches_finite_differences(symmetric):
         critic_cur=mediator.critic_inputs(
             rng.normal(size=(rows, n, games.obs_dim(spec))), member),
         rewards=rng.normal(size=(rows, n)), member=member, actor_acts=[],
-        actor_probs=np.zeros((0, spec.max_actions)),
+        actor_probs=np.zeros((0, spec.max_actions)), actor_rows=None,
         actor_actions=np.zeros(0, dtype=np.int64),
         actor_agent=np.zeros(0, dtype=np.int64),
         actor_step=np.zeros(0, dtype=np.int64), horizon=horizon,
@@ -194,12 +197,70 @@ def test_e_term_subtracts_outside_residuals():
 # Factorization
 
 
+@pytest.mark.parametrize("spec", [games.pd_with_sacrifice(),
+                                  games.one_shot_pgg(3, 2.0)],
+                         ids=["pds", "pgg"])
+def test_one_shot_policy_gives_each_distinct_sample_its_own_row(spec):
+    # Every sample is a state of its own, and the samples come in reverse
+    # order of their keys, while the distinct rows come back sorted by key:
+    # each sample must still get its own row's policy, masked by its own
+    # member's actions, and its draws stay inside them.
+    mediator = MediatorLearner(spec, make_params(), gamma=0.99,
+                               rng=np.random.default_rng(4))
+    n = spec.num_agents
+    if n == 2:  # keys code * N + member: 7, 6, 5, 2
+        coalition = np.array([[True, True], [False, True], [True, False]])
+        rows_b, rows_i = np.array([0, 0, 1, 2]), np.array([1, 0, 1, 0])
+    else:  # keys |C|: 3, 2, 1
+        coalition = np.tri(n, dtype=bool)[::-1]
+        rows_b, rows_i = np.arange(n), np.zeros(n, dtype=np.int64)
+    base = np.ones((len(coalition), n, 1))
+    probs, cache, row_probs, rows = mediator.policy(base, coalition, rows_b,
+                                                    rows_i)
+    assert len(row_probs) == len(cache[0]) == len(probs) == len(rows_b)
+    np.testing.assert_array_equal(rows, np.arange(len(rows_b))[::-1])
+    np.testing.assert_array_equal(row_probs[rows], probs)
+    for r, (b, i) in enumerate(zip(rows_b, rows_i)):
+        actor_in = mediator.actor_inputs(base, coalition, [b], [i])
+        np.testing.assert_array_equal(cache[0][rows[r]], actor_in[0])
+        alone = masked_softmax(mediator.actor.forward(actor_in[None])[0],
+                               mediator.action_masks(np.array([i])))
+        np.testing.assert_allclose(probs[r], alone[0], rtol=0, atol=1e-15)
+    draws = sample_categorical(np.repeat(probs, 200, axis=0),
+                               np.random.default_rng(5))
+    assert (draws < np.repeat(mediator.num_env_actions[rows_i], 200)).all()
+
+
+def test_one_shot_policy_runs_each_state_once():
+    # Samples of one (coalition, member) share a row, in the order the
+    # keys sort, and a query whose observations differ is refused; a
+    # multi-step game runs a row per sample and has no index.
+    mediator, spec = make_mediator(seed=3)
+    coalition = np.array([[True, True], [True, False], [True, True]])
+    rows_b, rows_i = np.nonzero(coalition)
+    probs, cache, row_probs, rows = mediator.policy(
+        np.ones((3, 2, 1)), coalition, rows_b, rows_i)
+    np.testing.assert_array_equal(rows, [1, 2, 0, 1, 2])
+    assert len(row_probs) == len(cache[-1]) == 3
+    np.testing.assert_array_equal(probs, row_probs[rows])
+    base = np.ones((3, 2, 1))
+    base[2, 1] = 0.5
+    with pytest.raises(ContractError, match="differ"):
+        mediator.policy(base, coalition, rows_b, rows_i)
+    pd2 = MediatorLearner(games.two_step_pd(), make_params(), gamma=0.99,
+                          rng=np.random.default_rng(3))
+    probs, cache, row_probs, rows = pd2.policy(
+        np.ones((3, 2, 1)), coalition, rows_b, rows_i)
+    assert rows is None and row_probs is probs
+    assert len(probs) == len(cache[-1]) == len(rows_b)
+
+
 def test_joint_policy_is_product_of_heads():
     mediator, spec = make_mediator(seed=3)
     base = np.ones((1, 2, 1))
     member = np.array([[True, True]])
     rows_b, rows_i = np.nonzero(member)
-    probs, _ = mediator.policy(base, member, rows_b, rows_i)
+    probs = mediator.policy(base, member, rows_b, rows_i)[0]
     joint_logp = np.log(probs[0, 1]) + np.log(probs[1, 0])
     per_head = np.log(probs[np.arange(2), [1, 0]]).sum()
     assert joint_logp == per_head

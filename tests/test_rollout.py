@@ -264,16 +264,18 @@ def test_constraint_gaps_sum_each_window_at_k3():
 
 def test_mediator_batch_actor_masks_heterogeneous_actions():
     # The cached policy gives agent 0's missing sacrifice action no mass.
+    # pds is one-shot: the cache holds a row per distinct state.
     config, spec, rng, agents, mediator = learners_for("pds")
     traj = sample_batch(spec, 1, agents, mediator, 64, rng)
     batch = build_mediator_batch(traj, mediator)
+    assert len(batch.actor_probs) <= 4 < len(batch.actor_rows)
+    probs = batch.actor_probs[batch.actor_rows]
     agent0_rows = batch.actor_agent == 0
     agent1_rows = batch.actor_agent == 1
     if agent0_rows.any():
-        np.testing.assert_array_equal(
-            batch.actor_probs[agent0_rows][:, 2], 0.0)
+        np.testing.assert_array_equal(probs[agent0_rows][:, 2], 0.0)
     if agent1_rows.any():
-        assert (batch.actor_probs[agent1_rows] > 0.0).all()
+        assert (probs[agent1_rows] > 0.0).all()
     np.testing.assert_allclose(batch.actor_probs.sum(axis=1), 1.0)
 
 
@@ -414,8 +416,10 @@ def test_cached_gradients_match_fresh_forward(env, k):
     batch = build_agent_batch(traj, k, 0.99)
     acts, probs = fresh_agent_pass(traj, agents)
     weights = np.random.default_rng(0).normal(size=batch.actions.shape)
+    one_row = spec.horizon == 1  # every record on the one row
     cached = policy_loss(agents.actor, batch.actor_acts, batch.probs,
-                         batch.actions, weights, 0.1, batch.keep)
+                         batch.actions, weights, 0.1, batch.keep,
+                         np.zeros(len(batch), np.intp) if one_row else None)
     fresh = policy_loss(agents.actor, acts, probs, batch.actions, weights, 0.1,
                         batch.keep)
     np.testing.assert_allclose(cached[0], fresh[0], rtol=0, atol=1e-12)
@@ -431,9 +435,10 @@ def test_cached_gradients_match_fresh_forward(env, k):
     probs = masked_softmax(logits[0], mediator.action_masks(batch.actor_agent))
     weights = np.random.default_rng(9).normal(size=(1, steps.size))
     keep = np.ones((1, steps.size), dtype=bool)
+    assert (batch.actor_rows is None) != one_row
     cached = policy_loss(mediator.actor, [a[None] for a in batch.actor_acts],
                          batch.actor_probs[None], batch.actor_actions[None],
-                         weights, 0.1, keep)
+                         weights, 0.1, keep, batch.actor_rows)
     fresh = policy_loss(mediator.actor, acts, probs[None],
                         batch.actor_actions[None], weights, 0.1, keep)
     np.testing.assert_allclose(cached[0], fresh[0], rtol=0, atol=1e-12)
@@ -467,15 +472,18 @@ def test_policy_queries_match_the_rollout(env, k):
                         traj.agent_probs[i, t * per_step + stored],
                         rtol=0, atol=1e-12)
     assert queried > 0
-    # Mediator samples are listed t-major, as the rollout drew them.
+    # Mediator samples are listed t-major, as the rollout drew them; a
+    # one-shot game stores a row per distinct state and each sample's row.
+    stored = (traj.med_probs if traj.med_rows is None
+              else traj.med_probs[traj.med_rows])
     sample = 0
     for t in range(spec.horizon):
         for e, i in zip(*np.nonzero(traj.member[t])):
-            probs, _ = mediator.policy(traj.base[t], traj.member[t], [e], [i])
-            np.testing.assert_allclose(probs[0], traj.med_probs[sample],
+            probs = mediator.policy(traj.base[t], traj.member[t], [e], [i])[0]
+            np.testing.assert_allclose(probs[0], stored[sample],
                                        rtol=0, atol=1e-12)
             sample += 1
-    assert sample == traj.med_probs.shape[0] > 0
+    assert sample == len(stored) > 0
 
 
 def test_agent_batch_bootstraps_from_own_records():
