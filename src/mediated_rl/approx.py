@@ -248,30 +248,22 @@ def policy_loss(net: Mlp, acts: list[np.ndarray], probs: np.ndarray,
     """
     p = probs.reshape(-1, probs.shape[-1])
     if rows is None:
-        records = np.arange(keep.size)
-    else:
-        records = (np.arange(len(keep))[:, None] * probs.shape[1]
-                   + rows).ravel()
+        rows = np.arange(keep.shape[-1])
+    records = (np.arange(len(keep))[:, None] * probs.shape[1] + rows).ravel()
     taken, w = actions.ravel(), weights.ravel()
     if (p[records, taken] <= 0.0).any():
         raise ContractError("taken action has zero probability under the mask")
     logp = np.log(np.where(p > 0.0, p, 1.0))
     entropy = -(p * logp).sum(axis=1)
-    per_record = (-w * logp[records, taken] - beta * (
-        entropy if rows is None else entropy[records])).reshape(keep.shape)
+    per_record = (-w * logp[records, taken]
+                  - beta * entropy[records]).reshape(keep.shape)
     counts = keep.sum(axis=-1)
     losses = (per_record * keep).sum(axis=-1) / counts
     w = w * keep.ravel()  # d/dlogits; unkept records add nothing
-    if rows is None:  # one record per row
-        g = p * w[:, None]
-        g[records, taken] -= w
-        kept = keep.reshape(-1, 1)
-    else:  # summed over each row's records
-        g = p * np.bincount(records, w, len(p))[:, None]
-        g -= np.bincount(records * p.shape[1] + taken, w,
-                         p.size).reshape(p.shape)
-        kept = np.bincount(records, keep.ravel(), len(p))[:, None]
+    g = p * np.bincount(records, w, len(p))[:, None]
+    g -= np.bincount(records * p.shape[1] + taken, w, p.size).reshape(p.shape)
     if beta != 0.0:
+        kept = np.bincount(records, keep.ravel(), len(p))[:, None]
         g += beta * kept * p * (logp + entropy[:, None])
     upstream = g.reshape(probs.shape)
     upstream /= counts[:, None, None]

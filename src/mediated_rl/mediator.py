@@ -171,19 +171,18 @@ class MediatorLearner:
 
     def policy(self, base_t: np.ndarray, coalition: np.ndarray,
                rows_b: np.ndarray, rows_i: np.ndarray
-               ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray,
-                          np.ndarray | None]:
-        """Masked policy for the (episode, member) pairs (see
-        ``actor_inputs``), one row per pair, then the actor's forward cache
-        (as ``Mlp.forward_cached`` returns it but without the stack axis)
-        and policy over the rows it ran on, and each pair's row.
+               ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
+        """Masked policy of the rows the actor ran on for the (episode,
+        member) pairs (see ``actor_inputs``), the actor's forward cache over
+        them (as ``Mlp.forward_cached`` returns it but without the stack
+        axis), and each pair's row.
 
         In a one-shot game the actor input is fixed by the coalition and the
         member (by |C| alone in the symmetric PGG), so the actor runs once
-        per distinct key, on rows sorted by key, and the pairs' policy is
-        gathered from them. Elsewhere it runs on every pair's row, the
-        row policy is the pairs' policy, and the index is None.
-        Observations that differ in a one-shot game raise ``ContractError``.
+        per distinct key, on rows sorted by key, and pair r's policy is row
+        ``index[r]``. Elsewhere it runs on every pair's row, in pair order,
+        and the index is None. Observations that differ in a one-shot game
+        raise ``ContractError``.
         """
         index = None
         if self._one_state:
@@ -201,8 +200,7 @@ class MediatorLearner:
         logits, cache = self.actor.forward_cached(
             self.actor_inputs(base_t, coalition, rows_b, rows_i)[None])
         probs = masked_softmax(logits[0], self.action_masks(rows_i))
-        cache = [layer[0] for layer in cache]
-        return (probs if index is None else probs[index]), cache, probs, index
+        return probs, [layer[0] for layer in cache], index
 
     # -- values ------------------------------------------------------------
 

@@ -108,10 +108,11 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
             member[t] = coalition
             rows_b, rows_i = np.nonzero(coalition)
             # Only a one-shot game, one step long, returns a row index.
-            step_probs, cache, row_probs, med_rows = mediator.policy(
+            row_probs, cache, med_rows = mediator.policy(
                 base_t, coalition, rows_b, rows_i)
             med_steps.append([*cache, row_probs])
-            med_action[t, rows_b, rows_i] = sample_categorical(step_probs, rng)
+            med_action[t, rows_b, rows_i] = sample_categorical(
+                row_probs if med_rows is None else row_probs[med_rows], rng)
         env_action = joint_env_actions(choice[t], med_action[t], coalition)
         reward[t], endow = step_batch(spec, t, endow, env_action)
     med_acts = med_probs = None

@@ -215,11 +215,10 @@ def test_one_shot_policy_gives_each_distinct_sample_its_own_row(spec):
         coalition = np.tri(n, dtype=bool)[::-1]
         rows_b, rows_i = np.arange(n), np.zeros(n, dtype=np.int64)
     base = np.ones((len(coalition), n, 1))
-    probs, cache, row_probs, rows = mediator.policy(base, coalition, rows_b,
-                                                    rows_i)
-    assert len(row_probs) == len(cache[0]) == len(probs) == len(rows_b)
+    row_probs, cache, rows = mediator.policy(base, coalition, rows_b, rows_i)
+    assert len(row_probs) == len(cache[0]) == len(rows_b)
     np.testing.assert_array_equal(rows, np.arange(len(rows_b))[::-1])
-    np.testing.assert_array_equal(row_probs[rows], probs)
+    probs = row_probs[rows]
     for r, (b, i) in enumerate(zip(rows_b, rows_i)):
         actor_in = mediator.actor_inputs(base, coalition, [b], [i])
         np.testing.assert_array_equal(cache[0][rows[r]], actor_in[0])
@@ -238,20 +237,19 @@ def test_one_shot_policy_runs_each_state_once():
     mediator, spec = make_mediator(seed=3)
     coalition = np.array([[True, True], [True, False], [True, True]])
     rows_b, rows_i = np.nonzero(coalition)
-    probs, cache, row_probs, rows = mediator.policy(
+    row_probs, cache, rows = mediator.policy(
         np.ones((3, 2, 1)), coalition, rows_b, rows_i)
     np.testing.assert_array_equal(rows, [1, 2, 0, 1, 2])
     assert len(row_probs) == len(cache[-1]) == 3
-    np.testing.assert_array_equal(probs, row_probs[rows])
     base = np.ones((3, 2, 1))
     base[2, 1] = 0.5
     with pytest.raises(ContractError, match="differ"):
         mediator.policy(base, coalition, rows_b, rows_i)
     pd2 = MediatorLearner(games.two_step_pd(), make_params(), gamma=0.99,
                           rng=np.random.default_rng(3))
-    probs, cache, row_probs, rows = pd2.policy(
+    probs, cache, rows = pd2.policy(
         np.ones((3, 2, 1)), coalition, rows_b, rows_i)
-    assert rows is None and row_probs is probs
+    assert rows is None
     assert len(probs) == len(cache[-1]) == len(rows_b)
 
 
@@ -260,7 +258,8 @@ def test_joint_policy_is_product_of_heads():
     base = np.ones((1, 2, 1))
     member = np.array([[True, True]])
     rows_b, rows_i = np.nonzero(member)
-    probs = mediator.policy(base, member, rows_b, rows_i)[0]
+    row_probs, _, rows = mediator.policy(base, member, rows_b, rows_i)
+    probs = row_probs[rows]
     joint_logp = np.log(probs[0, 1]) + np.log(probs[1, 0])
     per_head = np.log(probs[np.arange(2), [1, 0]]).sum()
     assert joint_logp == per_head
