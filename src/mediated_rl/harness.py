@@ -26,7 +26,7 @@ from .approx import EntropySchedule
 from .errors import (ConfigError, ContractError, TrainingDiverged, is_integer,
                      is_real)
 from .games import GameKind, PayoffSpec, base_obs_batch
-from .mediation import FREE, window_statuses
+from .mediation import FREE, coalition_codes, window_statuses
 from .mediator import MediatorLearner
 from .rollout import (TrajectoryBatch, build_agent_batch, build_mediator_batch,
                       sample_batch)
@@ -364,8 +364,8 @@ def _policy_metrics(spec: PayoffSpec, k: int, agents: AgentLearner,
     PGGs, and ``pi_commit`` where they are free. The mediator reports its
     play for every member of each singleton and of the full coalition (the
     paper's tables) on the matrix games, and for agent 0 in the coalition of
-    the first s agents, for each size s, on the one-shot PGG; pgg-iter
-    reports no mediator key.
+    the first s agents, for each size s, on the one-shot PGG, one query per
+    state; pgg-iter reports no mediator key.
     """
     n = spec.num_agents
     matrix = spec.kind is GameKind.MATRIX
@@ -385,19 +385,20 @@ def _policy_metrics(spec: PayoffSpec, k: int, agents: AgentLearner,
             metrics["pi_commit/mean"] = float(np.mean(probs[:, -1]))
         if mediator is None or not (matrix or one_shot):
             continue
-        coalitions = ([*np.eye(n, dtype=bool), np.ones(n, dtype=bool)] if matrix
-                      else np.tri(n, dtype=bool))
-        for coalition in coalitions:
-            ctag = "".join(str(int(b)) for b in coalition)
-            for i in np.flatnonzero(coalition) if matrix else [0]:
-                med = mediator.policy(base, coalition[None], [0], [i])[0]
-                if one_shot:
-                    metrics[f"piM_coop|size{coalition.sum()}"] = \
-                        float(med[0, games.COOPERATE])
-                else:
-                    for a in range(spec.num_actions[i]):
-                        metrics[f"piM_{_ACTION_NAMES[a]}{tag}|{ctag}/agent{i}"] = \
-                            float(med[0, a])
+        coalitions = (np.vstack([np.eye(n, dtype=bool), np.ones(n, dtype=bool)])
+                      if matrix else np.tri(n, dtype=bool))
+        med, _, index = mediator.policy(
+            np.repeat(base, len(coalitions), axis=0), coalitions)
+        med = med if index is None else med[index]
+        codes = coalition_codes(coalitions)
+        for (c, i), dist in zip(zip(*np.nonzero(coalitions)), med):
+            if matrix:
+                for a in range(spec.num_actions[i]):
+                    metrics[f"piM_{_ACTION_NAMES[a]}{tag}|{codes[c]:0{n}b}/agent{i}"] = \
+                        float(dist[a])
+            elif i == 0:
+                metrics[f"piM_coop|size{coalitions[c].sum()}"] = \
+                    float(dist[games.COOPERATE])
 
 
 def _pds_joint_metrics(traj: TrajectoryBatch,
@@ -441,9 +442,9 @@ def sweep(config: RunConfig) -> SweepReport:
     workers = worker_count()
     if workers > 1 and len(seeds) > 1:
         # Imported here: loading multiprocessing costs every other process
-        # about 1.3 MB of resident memory.
+        # about 1.3 MB of resident memory. The pool forks every worker at once.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
             reports = list(pool.map(train, itertools.repeat(config), seeds))
     else:
         reports = [train(config, s) for s in seeds]

@@ -47,6 +47,12 @@ def legal_action_mask_batch(statuses: np.ndarray,
     return out
 
 
+def coalition_codes(coalitions: np.ndarray) -> np.ndarray:
+    """One integer per coalition row (..., N), agent 0 the highest bit: code
+    c is the bit string ``f"{c:0{N}b}"`` of the members."""
+    return coalitions @ (1 << np.arange(coalitions.shape[-1])[::-1])
+
+
 def window_statuses(coalition: np.ndarray, t: int, k: int) -> np.ndarray:
     """Statuses in {-1, 0, 1} for the decisions at time t, shaped like
     ``coalition``, the membership carried into t."""

@@ -24,7 +24,7 @@ from .agents import LearnerParams
 from .approx import Adam, Mlp, masked_softmax, policy_loss, value_loss
 from .errors import ContractError, TrainingDiverged
 from .games import GameKind, PayoffSpec, obs_dim
-from .mediation import window_sums
+from .mediation import coalition_codes, window_sums
 
 # Every published run clips log lambda to this range.
 LOG_LAMBDA_BOUNDS = (-4.0, 4.0)
@@ -169,21 +169,22 @@ class MediatorLearner:
         return (np.arange(self.max_env_actions)[None, :]
                 < self.num_env_actions[agent_rows][:, None])
 
-    def policy(self, base_t: np.ndarray, coalition: np.ndarray,
-               rows_b: np.ndarray, rows_i: np.ndarray
+    def policy(self, base_t: np.ndarray, coalition: np.ndarray
                ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
-        """Masked policy of the rows the actor ran on for the (episode,
-        member) pairs (see ``actor_inputs``), the actor's forward cache over
-        them (as ``Mlp.forward_cached`` returns it but without the stack
-        axis), and each pair's row.
+        """Masked policy of the rows the actor ran on for every member of
+        coalitions (B, N) over observations (B, N, obs_dim), the actor's
+        forward cache over them (as ``Mlp.forward_cached`` returns it but
+        without the stack axis), and each member's row. Members come in
+        ``np.nonzero(coalition)`` order.
 
         In a one-shot game the actor input is fixed by the coalition and the
         member (by |C| alone in the symmetric PGG), so the actor runs once
-        per distinct key, on rows sorted by key, and pair r's policy is row
-        ``index[r]``. Elsewhere it runs on every pair's row, in pair order,
-        and the index is None. Observations that differ in a one-shot game
-        raise ``ContractError``.
+        per distinct key, on rows sorted by key, and member r's policy is
+        row ``index[r]``. Elsewhere it runs on every member's row, in member
+        order, and the index is None. Observations that differ in a one-shot
+        game raise ``ContractError``.
         """
+        rows_b, rows_i = np.nonzero(coalition)
         index = None
         if self._one_state:
             if (base_t != base_t[:1, :1]).any():
@@ -192,11 +193,10 @@ class MediatorLearner:
             if self.symmetric:
                 key = coalition.sum(axis=1)[rows_b]
             else:
-                codes = coalition @ (1 << np.arange(self.num_agents))
-                key = codes[rows_b] * self.num_agents + rows_i
+                key = coalition_codes(coalition)[rows_b] * self.num_agents + rows_i
             _, first, index = np.unique(key, return_index=True,
                                         return_inverse=True)
-            rows_b, rows_i = np.asarray(rows_b)[first], np.asarray(rows_i)[first]
+            rows_b, rows_i = rows_b[first], rows_i[first]
         logits, cache = self.actor.forward_cached(
             self.actor_inputs(base_t, coalition, rows_b, rows_i)[None])
         probs = masked_softmax(logits[0], self.action_masks(rows_i))

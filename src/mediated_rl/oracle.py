@@ -14,10 +14,10 @@ coalition states: every legal branch of the protocol, found by the steps of
 along which each evaluation multiplies the restricted policies and the
 mediator table; the Monte-Carlo sampler draws where the chain branches. The
 one-shot public goods game exploits agent symmetry (coalition sizes instead
-of subsets) to stay polynomial in N. Profiles and games are immutable, so a
-query reads its answer from a one-entry memo that holds the last game and
-profile objects with their ``k`` and ``gamma``; a hit skips the profile
-check, which would pass again.
+of subsets) to stay polynomial in N. Profiles and games are immutable and
+hash by identity, so a query checks its arguments, then reads a one-entry
+``lru_cache`` of the last game and profile objects, ``k`` and ``gamma``; a
+hit skips the profile check, which would pass again.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from .approx import sample_categorical
 from .errors import (ConfigError, ContractError, UnsupportedGameError,
                      is_integer, is_real)
 from .games import GameKind, PayoffSpec, _check_agent_count, _read_only
-from .mediation import (COMMITTED, LOCKED_OUT, joint_env_actions,
-                        legal_action_mask_batch, next_coalition,
-                        window_statuses)
+from .mediation import (COMMITTED, LOCKED_OUT, coalition_codes,
+                        joint_env_actions, legal_action_mask_batch,
+                        next_coalition, window_statuses)
 
 DIST_TOL = 5e-12
-_memo: list = [(None,) * 5]  # the last (spec, profile, k, gamma, answer) of ``_answer``
 
 
 def _first_non_distribution(table: np.ndarray) -> tuple[int, ...] | None:
@@ -97,7 +96,7 @@ class MixedProfile:
         coalition (by size in the one-shot PGG, N+1 of them). Returns, built
         afresh, the policies zero-padded to (T, N, A+1) and the mediator: the
         size table in the one-shot PGG, else a (T, 2^N, N, A) table indexed by
-        ``_codes``, non-members (and all when unmediated) on action 0."""
+        ``coalition_codes``, non-members (and all when unmediated) on action 0."""
         if not isinstance(self.mediated, bool):
             raise ContractError(
                 f"mediated must be true or false, got {self.mediated!r}")
@@ -139,8 +138,9 @@ class MixedProfile:
                 raise ContractError("a mediated profile needs mediator_by_coalition")
             if len(by_coal) != spec.horizon:
                 raise ContractError(f"mediator_by_coalition needs {spec.horizon} state(s)")
-            for t, code in np.ndindex(spec.horizon, 2 ** n):
-                bits = tuple(map(int, f"{code:0{n}b}"))  # as in _codes
+            grid = list(itertools.product((0, 1), repeat=n))
+            for t, (bits, code) in itertools.product(
+                    range(spec.horizon), zip(grid, coalition_codes(np.array(grid)))):
                 for agent in (i for i, b in enumerate(bits) if b):
                     dist, a = by_coal[t].get(bits, {}).get(agent), spec.num_actions[agent]
                     # A missing or misshapen entry fails the test below.
@@ -162,17 +162,13 @@ def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
                             f"got {value!r}")
 
 
-def _check_query(spec: PayoffSpec, profile: MixedProfile, k: int,
-                 agent: int | None = None,
-                 gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Raise unless the game has exact expectations, the profile fits it and
-    the arguments are valid (``_check_arguments``); return ``check``'s arrays."""
+def _check_query(spec: PayoffSpec, profile: MixedProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Raise unless the game has exact expectations and the profile fits it;
+    return ``check``'s arrays. Callers check their arguments first."""
     if spec.kind is GameKind.ITERATIVE_PGG:
         raise UnsupportedGameError(
             "exact expectations for the iterative PGG are not supported")
-    arrays = profile.check(spec)
-    _check_arguments(spec, k, agent, gamma)
-    return arrays
+    return profile.check(spec)
 
 
 def _check_arguments(spec: PayoffSpec, k: int, agent: int | None,
@@ -249,12 +245,7 @@ def _member_dists(mediator: np.ndarray, t: int, coalitions: np.ndarray) -> np.nd
         contribute = np.where(coalitions,
                               mediator[coalitions.sum(axis=1)][:, None], 0.0)
         return np.stack([1.0 - contribute, contribute], axis=-1)
-    return mediator[t, _codes(coalitions)]
-
-
-def _codes(coalitions: np.ndarray) -> np.ndarray:
-    """One integer per coalition row; agent 0 is the highest bit."""
-    return coalitions @ (1 << np.arange(coalitions.shape[-1])[::-1])
+    return mediator[t, coalition_codes(coalitions)]
 
 
 @functools.lru_cache
@@ -277,9 +268,9 @@ def _chain(num_actions: tuple[int, ...], horizon: int, k: int) -> tuple:
         legal = legal_action_mask_batch(statuses, env_actions)[:, slots, choice_grid]
         source, rows = np.nonzero(legal.all(axis=-1))
         after = next_coalition(coalitions[source], choice_grid[rows], t, k, env_actions)
-        order = np.argsort(_codes(after), kind="stable")
+        order = np.argsort(coalition_codes(after), kind="stable")
         source, choices, after = source[order], choice_grid[rows[order]], after[order]
-        codes, status = _codes(after)[:, None, None], statuses[source] - LOCKED_OUT
+        codes, status = coalition_codes(after)[:, None, None], statuses[source] - LOCKED_OUT
         picks.append(((t * 3 + status) * n + slots) * (most + 1) + choices)
         sources.append(source)
         starts.append(np.unique(codes, return_index=True)[1])
@@ -410,18 +401,18 @@ def exploitability(spec: PayoffSpec, profile: MixedProfile, k: int = 1,
 
 def _answer(spec: PayoffSpec, profile: MixedProfile, k: int, gamma: float,
             agent: int | None = None) -> Exploitability:
-    """The one-entry memo's answer when it holds these game and profile
-    objects at an equal ``k`` and ``gamma``, after the per-call argument
-    checks; else the full check and a fresh evaluation, which replaces it."""
-    memo_spec, memo_profile, memo_k, memo_gamma, answer = _memo[0]  # one read
-    if spec is memo_spec and profile is memo_profile:
-        _check_arguments(spec, k, agent, gamma)
-        if k == memo_k and gamma == memo_gamma:
-            return answer
-    arrays = _check_query(spec, profile, k, agent, gamma)
-    answer = _evaluate(spec, profile.mediated, *arrays, k, gamma)
-    _memo[0] = spec, profile, k, gamma, answer
-    return answer
+    """The answer about these game and profile objects at ``k`` and
+    ``gamma``, after the per-call argument checks."""
+    _check_arguments(spec, k, agent, gamma)
+    return _evaluated(spec, profile, k, gamma)
+
+
+@functools.lru_cache(maxsize=1)
+def _evaluated(spec: PayoffSpec, profile: MixedProfile, k: int,
+               gamma: float) -> Exploitability:
+    """The checked profile's evaluation, kept for the next query."""
+    return _evaluate(spec, profile.mediated, *_check_query(spec, profile),
+                     k, gamma)
 
 
 def _evaluate(spec: PayoffSpec, mediated: bool, policies: np.ndarray,
@@ -569,8 +560,9 @@ def sample_profile_payoffs(spec: PayoffSpec, profile: MixedProfile,
     one padded draw for all agents, coalition update, the mediator's draws,
     and joint-action assembly.
     """
-    policies, mediator = _check_query(spec, profile, k)
+    _check_int("k", k, 1)
     _check_int("episodes", episodes, 2)
+    policies, mediator = _check_query(spec, profile)
     n = spec.num_agents
     env_actions = np.asarray(spec.num_actions)
     totals = np.zeros((episodes, n))
@@ -595,7 +587,7 @@ def _sample_mediator(mediator: np.ndarray, t: int, coalition: np.ndarray,
     them. One draw serves every member of every coalition present, ordered by
     coalition (bit-row order), member and row; each uses its own coalition."""
     rows, members = np.nonzero(coalition)
-    order = np.lexsort((rows, members, _codes(coalition)[rows]))
+    order = np.lexsort((rows, members, coalition_codes(coalition)[rows]))
     rows, members = rows[order], members[order]
     dists = _member_dists(mediator, t, coalition)
     med_actions = np.full(coalition.shape, -1, dtype=np.int64)

@@ -68,9 +68,9 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
     Each step samples every agent from one ``AgentLearner.policy`` call and
     one draw, agent-major (agent 0's batch first) as if each agent sampled
     in turn; padding columns of smaller action sets are never drawn. A
-    policy of one row is drawn from for every episode. Then
-    ``MediatorLearner.policy`` samples the members, one draw per member,
-    on zero rows (drawing nothing) when there are none.
+    policy of one row is drawn from for every episode. Then one
+    ``MediatorLearner.policy`` call and one draw sample the members in
+    ``np.nonzero`` order, on zero rows (drawing nothing) when there are none.
     """
     t_max, n = spec.horizon, spec.num_agents
     mediated = mediator is not None
@@ -106,12 +106,10 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
         if mediated:
             coalition = next_coalition(coalition, choice[t], t, k, env_actions)
             member[t] = coalition
-            rows_b, rows_i = np.nonzero(coalition)
             # Only a one-shot game, one step long, returns a row index.
-            row_probs, cache, med_rows = mediator.policy(
-                base_t, coalition, rows_b, rows_i)
+            row_probs, cache, med_rows = mediator.policy(base_t, coalition)
             med_steps.append([*cache, row_probs])
-            med_action[t, rows_b, rows_i] = sample_categorical(
+            med_action[t][coalition] = sample_categorical(
                 row_probs if med_rows is None else row_probs[med_rows], rng)
         env_action = joint_env_actions(choice[t], med_action[t], coalition)
         reward[t], endow = step_batch(spec, t, endow, env_action)

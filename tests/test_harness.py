@@ -1,6 +1,7 @@
 """Config handling, report emission, determinism, and sweep aggregation."""
 
 import collections
+import concurrent.futures
 import json
 import os
 import platform
@@ -21,6 +22,7 @@ from mediated_rl.errors import ConfigError, is_real
 from mediated_rl.harness import (RunConfig, RunReport, SweepReport,
                                  default_config, emit, load_config_file,
                                  sweep, train)
+from mediated_rl.mediator import MediatorLearner
 from mediated_rl.rollout import build_mediator_batch
 
 
@@ -719,6 +721,31 @@ def test_report_probabilities_in_unit_interval():
             assert -1e-9 <= value <= 1.0 + 1e-9, key
 
 
+@pytest.mark.parametrize("env,states", [("pd", 1), ("pds", 1), ("pd2", 2),
+                                        ("pgg", 1), ("pgg-iter", 0)])
+def test_report_queries_the_mediator_once_per_state(env, states, monkeypatch):
+    # One query answers every member of every coalition the report reads:
+    # each state of a matrix game, the first turn of the one-shot pgg and no
+    # state of pgg-iter, which reports no mediator key.
+    calls = []
+    policy = MediatorLearner.policy
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[1]))
+        return policy(self, *args, **kwargs)
+
+    monkeypatch.setattr(MediatorLearner, "policy", counted)
+    config = tiny_config(env, "naive")
+    spec = config.validate()
+    agents, mediator = harness._build_learners(config, spec,
+                                               np.random.default_rng(0))
+    metrics = {}
+    harness._policy_metrics(spec, config.k, agents, mediator, metrics)
+    n = spec.num_agents
+    assert calls == [n + 1 if env.startswith("pd") else n] * states
+    assert any(key.startswith("piM_") for key in metrics) == (states > 0)
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -766,6 +793,34 @@ def test_process_pool_sweep_equals_the_serial_sweep(monkeypatch):
     pooled = sweep(config)
     assert pooled.reports == serial.reports
     assert pooled.metrics == serial.metrics
+
+
+@pytest.mark.parametrize("workers,seeds,pool", [("64", (0, 1), 2),
+                                               ("2", (0, 1, 2), 2)])
+def test_sweep_pool_has_no_more_workers_than_seeds(monkeypatch, workers,
+                                                  seeds, pool):
+    # A process pool forks all its workers at the first submit; a fake pool
+    # records its size and maps in this process, so no pool is started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv(harness.WORKER_ENV_VAR, workers)
+    config = tiny_config(iterations=0, eval_episodes=4, seeds=seeds)
+    assert sweep(config).reports == [train(config, s) for s in seeds]
+    assert sizes == [pool]
 
 
 def test_sweep_flags_failed_seeds(monkeypatch):

@@ -201,23 +201,24 @@ def test_e_term_subtracts_outside_residuals():
                                   games.one_shot_pgg(3, 2.0)],
                          ids=["pds", "pgg"])
 def test_one_shot_policy_gives_each_distinct_sample_its_own_row(spec):
-    # Every sample is a state of its own, and the samples come in reverse
-    # order of their keys, while the distinct rows come back sorted by key:
-    # each sample must still get its own row's policy, masked by its own
-    # member's actions, and its draws stay inside them.
+    # The coalitions come in falling order of their keys, while the
+    # distinct rows come back sorted by key: each member must still get its
+    # own row's policy, masked by its own actions, and its draws stay
+    # inside them.
     mediator = MediatorLearner(spec, make_params(), gamma=0.99,
                                rng=np.random.default_rng(4))
     n = spec.num_agents
-    if n == 2:  # keys code * N + member: 7, 6, 5, 2
-        coalition = np.array([[True, True], [False, True], [True, False]])
-        rows_b, rows_i = np.array([0, 0, 1, 2]), np.array([1, 0, 1, 0])
-    else:  # keys |C|: 3, 2, 1
+    if n == 2:  # keys code * N + member: 6, 7, 4, 3
+        coalition = np.array([[True, True], [True, False], [False, True]])
+        expected = [2, 3, 1, 0]
+    else:  # keys |C|: 3, 3, 3, 2, 2, 1
         coalition = np.tri(n, dtype=bool)[::-1]
-        rows_b, rows_i = np.arange(n), np.zeros(n, dtype=np.int64)
+        expected = [2, 2, 2, 1, 1, 0]
     base = np.ones((len(coalition), n, 1))
-    row_probs, cache, rows = mediator.policy(base, coalition, rows_b, rows_i)
-    assert len(row_probs) == len(cache[0]) == len(rows_b)
-    np.testing.assert_array_equal(rows, np.arange(len(rows_b))[::-1])
+    row_probs, cache, rows = mediator.policy(base, coalition)
+    rows_b, rows_i = np.nonzero(coalition)
+    assert len(row_probs) == len(cache[0]) == max(expected) + 1
+    np.testing.assert_array_equal(rows, expected)
     probs = row_probs[rows]
     for r, (b, i) in enumerate(zip(rows_b, rows_i)):
         actor_in = mediator.actor_inputs(base, coalition, [b], [i])
@@ -236,29 +237,25 @@ def test_one_shot_policy_runs_each_state_once():
     # multi-step game runs a row per sample and has no index.
     mediator, spec = make_mediator(seed=3)
     coalition = np.array([[True, True], [True, False], [True, True]])
-    rows_b, rows_i = np.nonzero(coalition)
-    row_probs, cache, rows = mediator.policy(
-        np.ones((3, 2, 1)), coalition, rows_b, rows_i)
+    row_probs, cache, rows = mediator.policy(np.ones((3, 2, 1)), coalition)
     np.testing.assert_array_equal(rows, [1, 2, 0, 1, 2])
     assert len(row_probs) == len(cache[-1]) == 3
     base = np.ones((3, 2, 1))
     base[2, 1] = 0.5
     with pytest.raises(ContractError, match="differ"):
-        mediator.policy(base, coalition, rows_b, rows_i)
+        mediator.policy(base, coalition)
     pd2 = MediatorLearner(games.two_step_pd(), make_params(), gamma=0.99,
                           rng=np.random.default_rng(3))
-    probs, cache, rows = pd2.policy(
-        np.ones((3, 2, 1)), coalition, rows_b, rows_i)
+    probs, cache, rows = pd2.policy(np.ones((3, 2, 1)), coalition)
     assert rows is None
-    assert len(probs) == len(cache[-1]) == len(rows_b)
+    assert len(probs) == len(cache[-1]) == coalition.sum()
 
 
 def test_joint_policy_is_product_of_heads():
     mediator, spec = make_mediator(seed=3)
     base = np.ones((1, 2, 1))
     member = np.array([[True, True]])
-    rows_b, rows_i = np.nonzero(member)
-    row_probs, _, rows = mediator.policy(base, member, rows_b, rows_i)
+    row_probs, _, rows = mediator.policy(base, member)
     probs = row_probs[rows]
     joint_logp = np.log(probs[0, 1]) + np.log(probs[1, 0])
     per_head = np.log(probs[np.arange(2), [1, 0]]).sum()

@@ -19,8 +19,8 @@ from mediated_rl import games, oracle
 from mediated_rl.errors import ConfigError, ContractError, UnsupportedGameError
 from mediated_rl.games import (iterative_pgg, one_shot_pgg, pd_with_sacrifice,
                                prisoners_dilemma, two_step_pd)
-from mediated_rl.mediation import (joint_env_actions, next_coalition,
-                                  window_statuses)
+from mediated_rl.mediation import (coalition_codes, joint_env_actions,
+                                  next_coalition, window_statuses)
 from mediated_rl.oracle import (MixedProfile, best_response_gap,
                                 expected_payoffs, full_commit_pgg_profile,
                                 max_mediated_welfare, mediator_copy_profile,
@@ -474,7 +474,7 @@ def walk_matrix_expected(spec, mediator, policies, k, gamma):
                   gamma ** t * (weight[rows] * probs)[:, None] * rewards)
         if t + 1 == spec.horizon:
             break
-        _, first, merged = np.unique(index << n | oracle._codes(coalition),
+        _, first, merged = np.unique(index << n | coalition_codes(coalition),
                                      return_index=True, return_inverse=True)
         coalitions, index = coalition[first], index[first]
         weights = np.bincount(merged, weight)
@@ -581,7 +581,9 @@ def test_check_returns_padded_policies_and_a_dense_mediator_table(spec, mediated
         for t, (code, bits) in itertools.product(
                 range(spec.horizon),
                 enumerate(itertools.product((0, 1), repeat=n))):
-            assert oracle._codes(np.array(bits, dtype=bool)) == code
+            # The one code: agent 0 is the highest bit of the members' bit string.
+            assert coalition_codes(np.array(bits, dtype=bool)) == code
+            assert f"{code:0{n}b}" == "".join(map(str, bits))
             for i in range(n):
                 if not (mediated and bits[i]):
                     np.testing.assert_array_equal(table[t, code, i], placeholder)

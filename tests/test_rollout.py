@@ -478,11 +478,13 @@ def test_policy_queries_match_the_rollout(env, k):
               else traj.med_probs[traj.med_rows])
     sample = 0
     for t in range(spec.horizon):
-        for e, i in zip(*np.nonzero(traj.member[t])):
-            probs = mediator.policy(traj.base[t], traj.member[t], [e], [i])[0]
-            np.testing.assert_allclose(probs[0], stored[sample],
-                                       rtol=0, atol=1e-12)
-            sample += 1
+        for e in np.flatnonzero(traj.member[t].any(axis=1)):
+            probs, _, rows = mediator.policy(traj.base[t, [e]],
+                                             traj.member[t, [e]])
+            for row in probs if rows is None else probs[rows]:
+                np.testing.assert_allclose(row, stored[sample],
+                                           rtol=0, atol=1e-12)
+                sample += 1
     assert sample == len(stored) > 0
 
 
