@@ -1,11 +1,12 @@
 """Independent per-agent actor-critic learners, trained as one stack.
 
 Each agent owns a policy network over (env actions + commit) and a value
-network, as slice i of one stacked actor and critic, and its own optimizer
-state; nothing is shared across slices. Training is commit-aware:
-when the commitment window k exceeds 1, the step on which an agent commits is
-trained with the k-step temporal difference, and the mid-window steps where
-the mediator acted for it carry weight 0.
+network, as slice i of one stacked actor and critic. Its parameters, actor
+then critic, are row i of one array, and its one optimizer steps that row;
+no parameter or optimizer state is shared across agents. Training is
+commit-aware: when the commitment window k exceeds 1, the step on which an
+agent commits is trained with the k-step temporal difference, and the
+mid-window steps where the mediator acted for it carry weight 0.
 """
 
 from __future__ import annotations
@@ -97,7 +98,13 @@ class AgentLearner:
     The critic sees the base observation; the actor also sees the commitment
     status where it varies. A one-shot game (horizon 1) has one state, so
     there each network runs on one row per agent, which stands for every
-    episode of a batch."""
+    episode of a batch.
+
+    ``theta`` (N, P_actor + P_critic) holds every parameter; ``actor.theta``
+    and ``critic.theta`` are views of its column blocks, so agent i's two
+    networks are one contiguous row, which its own ``Adam`` steps with
+    ``lr_actor`` on the actor block and ``lr_critic`` on the critic block.
+    Adam is elementwise, so that is the step two optimizers would take."""
 
     def __init__(self, spec: PayoffSpec, params: LearnerParams,
                  rng: np.random.Generator, mediated: bool = True, k: int = 1):
@@ -113,11 +120,14 @@ class AgentLearner:
         actor_dim = self.base_dim + self.status_feature
         self.actor = Mlp((actor_dim, h, h, self.num_actions.max()), stack=n)
         self.critic = Mlp((self.base_dim, h, h, 1), stack=n)
+        sizes = [self.actor.theta.shape[1], self.critic.theta.shape[1]]
+        self._bind(np.zeros((n, sum(sizes))))
         for i in range(n):  # as separate networks draw, actor then critic
             self.actor.draw(i, rng, self.num_actions[i])
             self.critic.draw(i, rng)
-        self.actor_opts = [Adam(p.size, params.lr_actor) for p in self.actor.theta]
-        self.critic_opts = [Adam(p.size, params.lr_critic) for p in self.critic.theta]
+        lr = np.repeat([params.lr_actor, params.lr_critic], sizes)
+        lr.flags.writeable = False  # one vector for the N optimizers
+        self.optimizers = [Adam(lr.size, lr) for _ in range(n)]
         # Held across learn calls over one row count, so the heap keeps their
         # pages instead of trimming them and faulting them back in: the
         # critic's layer outputs (N, rows, width) and the delta·Wᵀ work array
@@ -128,16 +138,26 @@ class AgentLearner:
         self._delta_work = np.empty((n, 0, h))
 
     def __getstate__(self) -> dict:
-        """Everything but the held work arrays, which ``__setstate__``
-        restores empty: the copy allocates its own on its first ``learn``."""
+        """Everything but ``theta``, whose blocks the networks hold, and the
+        held work arrays, which ``__setstate__`` restores empty: the copy
+        allocates its own on its first ``learn``."""
         return {key: value for key, value in vars(self).items()
-                if key not in ("_critic_acts", "_delta_work")}
+                if key not in ("theta", "_critic_acts", "_delta_work")}
 
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
+        # The copied networks hold arrays of their own: join them again.
+        self._bind(np.concatenate((self.actor.theta, self.critic.theta), axis=1))
         self._critic_acts = []
-        self._delta_work = np.empty((len(self.critic.theta), 0,
-                                     self.critic.sizes[1]))
+        self._delta_work = np.empty((len(self.theta), 0, self.critic.sizes[1]))
+
+    def _bind(self, theta: np.ndarray) -> None:
+        """Hold every parameter in ``theta`` (N, P_actor + P_critic), whose
+        column blocks, actor first, become the networks' parameters."""
+        split = self.actor.theta.shape[1]
+        self.theta = theta
+        self.actor.bind(theta[:, :split])
+        self.critic.bind(theta[:, split:])
 
     def actor_inputs(self, base: np.ndarray,
                      status: np.ndarray | int) -> np.ndarray:
@@ -179,8 +199,8 @@ class AgentLearner:
         pass per stack; returns the per-agent losses."""
         if not batch.keep.any():
             return dict.fromkeys(("critic_loss", "actor_loss"),
-                                 np.zeros(len(self.actor.theta)))
-        n, rows = len(self.critic.theta), batch.actor_acts[0].shape[1]
+                                 np.zeros(len(self.theta)))
+        n, rows = len(self.theta), batch.actor_acts[0].shape[1]
         if self._delta_work.shape[1] != rows:
             self._critic_acts = [np.empty((n, rows, d)) for d in self.critic.sizes[1:]]
             self._delta_work = np.empty((n, rows, self.critic.sizes[1]))
@@ -198,11 +218,12 @@ class AgentLearner:
                                      index, self._delta_work)
         _check_finite(a_loss, "actor loss")
         _check_finite(a_grad, "actor gradient")
-        for i in range(len(c_grad)):
-            self.update(i, c_grad[i], a_grad[i])
+        grad = np.concatenate((a_grad, c_grad), axis=1)
+        for i in range(n):
+            self.update(i, grad[i])
         return {"critic_loss": c_loss, "actor_loss": a_loss}
 
-    def update(self, i: int, critic_grad: np.ndarray, actor_grad: np.ndarray) -> None:
-        """Agent i's optimizer steps on its own slices of the stack."""
-        self.critic_opts[i].step(self.critic.theta[i], critic_grad)
-        self.actor_opts[i].step(self.actor.theta[i], actor_grad)
+    def update(self, i: int, grad: np.ndarray) -> None:
+        """Agent i's optimizer step on its own row of ``theta``, along
+        ``grad``, its actor's gradient and then its critic's."""
+        self.optimizers[i].step(self.theta[i], grad)

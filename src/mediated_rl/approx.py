@@ -28,9 +28,10 @@ class Mlp:
     Parameters live in one float64 array ``theta`` (S, P), a row per network;
     ``weights`` (S, d_in, d_out) and ``biases`` (S, d_out) are writable views
     into it, so optimizer updates on ``theta`` are immediately visible to
-    ``forward``. A copy or an unpickled network keeps ``theta`` alone and
-    rebuilds the views into its own. A layer is one ``np.matmul`` over (S,
-    rows, width), which equals each slice's own 2-D product bit for bit.
+    ``forward``. ``bind`` moves them into an array the caller owns. A copy
+    or an unpickled network keeps ``theta`` alone and rebuilds the views
+    into its own. A layer is one ``np.matmul`` over (S, rows, width), which
+    equals each slice's own 2-D product bit for bit.
     """
 
     def __init__(self, sizes: tuple[int, ...],
@@ -43,6 +44,13 @@ class Mlp:
         self._bind()
         for s in range(stack if rng is not None else 0):
             self.draw(s, rng)
+
+    def bind(self, theta: np.ndarray) -> None:
+        """Keep the parameters in ``theta`` (S, P), an array the caller owns,
+        such as a column block of a wider one; the network takes its values
+        as they are."""
+        self.theta = theta
+        self._bind()
 
     def _bind(self) -> None:
         """Make ``weights`` and ``biases`` views into ``theta``."""
@@ -152,10 +160,15 @@ class Mlp:
 
 
 class Adam:
-    """Adaptive-moment optimizer, elementwise over a parameter array."""
+    """Adaptive-moment optimizer, elementwise over a parameter array.
 
-    def __init__(self, shape: int | tuple[int, ...], lr: float):
-        self.lr = float(lr)
+    ``lr`` is one learning rate for every parameter, or an array of one per
+    parameter: elementwise, a step over a concatenation with each block's
+    rate is the blocks' own steps, bit for bit, while they step together.
+    """
+
+    def __init__(self, shape: int | tuple[int, ...], lr: float | np.ndarray):
+        self.lr = lr if isinstance(lr, np.ndarray) else float(lr)
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0

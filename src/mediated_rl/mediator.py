@@ -87,6 +87,24 @@ def actor_head_weights(deltas: np.ndarray, member: np.ndarray,
     return w
 
 
+def distinct_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For non-negative integer keys (R,), one position of each distinct key,
+    in ascending key order, and each key's place in that order: the keys and
+    inverse of ``np.unique(key, return_index=True, return_inverse=True)``,
+    with any occurrence in place of the first.
+
+    A presence array over the key range gives each key its slot by a
+    running count, and a scatter of positions gives each slot one of them.
+    """
+    present = np.zeros(key.max(initial=0) + 1, dtype=bool)
+    present[key] = True
+    slot = np.cumsum(present) - 1
+    index = slot[key]
+    first = np.empty(slot[-1] + 1, dtype=np.intp)
+    first[index] = np.arange(len(key))
+    return first, index
+
+
 @dataclass
 class MediatorBatch:
     """Stacked transition data for one training iteration.
@@ -194,8 +212,7 @@ class MediatorLearner:
                 key = coalition.sum(axis=1)[rows_b]
             else:
                 key = coalition_codes(coalition)[rows_b] * self.num_agents + rows_i
-            _, first, index = np.unique(key, return_index=True,
-                                        return_inverse=True)
+            first, index = distinct_keys(key)
             rows_b, rows_i = rows_b[first], rows_i[first]
         logits, cache = self.actor.forward_cached(
             self.actor_inputs(base_t, coalition, rows_b, rows_i)[None])

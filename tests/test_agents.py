@@ -12,7 +12,8 @@ from mediated_rl import agents as agents_module
 from mediated_rl import games
 from mediated_rl.agents import (AgentBatch, AgentLearner, LearnerParams,
                                 filter_trainable_steps, td_targets)
-from mediated_rl.approx import EntropySchedule, Mlp, masked_softmax, policy_loss
+from mediated_rl.approx import (Adam, EntropySchedule, Mlp, masked_softmax,
+                                policy_loss)
 from mediated_rl.errors import ContractError, TrainingDiverged
 from mediated_rl.harness import _build_learners, _train_iteration, default_config
 from mediated_rl.rollout import (build_agent_batch, build_mediator_batch,
@@ -75,9 +76,11 @@ def actor_loss(agent, batch, advantages, beta):
 
 
 def actor_step(agent, grad):
-    """Every agent's own optimizer step on its actor slice."""
-    for i, opt in enumerate(agent.actor_opts):
-        opt.step(agent.actor.theta[i], grad[i])
+    """Every agent's own optimizer step along an actor gradient, with none
+    on its critic block, which the step leaves where it is."""
+    critic = np.zeros_like(agent.critic.theta)
+    for i, row in enumerate(np.concatenate((grad, critic), axis=1)):
+        agent.update(i, row)
 
 
 def agent0_policy(agent, status):
@@ -298,7 +301,8 @@ def test_padded_action_column_stays_zero():
                           np.zeros(len(batch), np.intp))
     for it in range(50):
         _train_iteration(config, spec, agents, mediator, rng, it)
-    moments = [np.stack([getattr(opt, m) for opt in agents.actor_opts])
+    split = agents.actor.theta.shape[1]  # the actor block of each row
+    moments = [np.stack([getattr(opt, m)[:split] for opt in agents.optimizers])
                for m in "mv"]
     for param in (agents.actor.theta, *moments, grad):
         view = Mlp(agents.actor.sizes, stack=2)
@@ -346,12 +350,38 @@ def test_each_agent_steps_only_its_own_slices():
     # parameters and optimizer state are untouched.
     agent = make_agent()
     actor, critic = agent.actor.theta.copy(), agent.critic.theta.copy()
-    agent.update(1, np.ones(critic.shape[1]), np.ones(actor.shape[1]))
+    agent.update(1, np.ones(agent.theta.shape[1]))
     np.testing.assert_array_equal(agent.actor.theta[0], actor[0])
     np.testing.assert_array_equal(agent.critic.theta[0], critic[0])
     assert (agent.actor.theta[1] != actor[1]).all()
     assert (agent.critic.theta[1] != critic[1]).all()
-    assert [opt.t for opt in agent.actor_opts + agent.critic_opts] == [0, 1, 0, 1]
+    assert [opt.t for opt in agent.optimizers] == [0, 1]
+    assert not agent.optimizers[0].m.any() and agent.optimizers[1].m.all()
+
+
+def test_one_learn_takes_one_adam_step_per_agent(monkeypatch):
+    # Each agent's actor and critic step together: N steps per ``learn``,
+    # each on that agent's whole row of ``theta``.
+    steps = []
+    step = Adam.step
+
+    def counted(opt, theta, grad):
+        steps.append(theta)
+        step(opt, theta, grad)
+
+    monkeypatch.setattr(Adam, "step", counted)
+    config = replace(default_config("pgg", "constrained", num_agents=5),
+                     batch_size=16)
+    spec = config.validate()
+    rng = np.random.default_rng(2)
+    agents, mediator = _build_learners(config, spec, rng)
+    batch = build_agent_batch(sample_batch(spec, 1, agents, mediator, 16, rng),
+                              1, 0.99)
+    agents.learn(batch, 0.1)
+    assert len(steps) == 5
+    for i, theta in enumerate(steps):
+        assert theta.shape == agents.theta[i].shape
+        assert np.shares_memory(theta, agents.theta[i])
 
 
 def test_non_finite_gradient_names_the_first_agent(monkeypatch):
@@ -373,7 +403,8 @@ def test_non_finite_gradient_names_the_first_agent(monkeypatch):
 
 def test_copied_and_unpickled_learners_train_as_the_original():
     # A deep copy and a pickle round trip of trained learners keep their
-    # networks' views into ``theta``, so their steps reach ``forward``.
+    # networks' views into ``theta``, so their steps reach ``forward``, and
+    # the agents' networks stay views of the learner's one parameter array.
     config = default_config("pgg-iter", "constrained", k=10)
     spec = config.validate()
     agents, mediator = _build_learners(config, spec, np.random.default_rng(5))
@@ -394,6 +425,12 @@ def test_copied_and_unpickled_learners_train_as_the_original():
                               (med.actor, mediator.actor), (med.critic, mediator.critic)):
             assert net.theta.tobytes() == original.theta.tobytes()
             assert all(np.shares_memory(w, net.theta) for w in net.weights + net.biases)
+    for learner, _ in twins:
+        split = learner.actor.theta.shape[1]
+        for net, block in ((learner.actor, learner.theta[:, :split]),
+                           (learner.critic, learner.theta[:, split:])):
+            assert np.shares_memory(net.theta, block)
+            assert net.theta.__array_interface__ == block.__array_interface__
 
 
 def test_held_arrays_leave_learning_unchanged():

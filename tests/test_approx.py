@@ -213,6 +213,26 @@ def test_stack_equals_each_slice_as_a_stack_of_one():
                 alone.backward(cache_s, dout[s:s + 1])[0], grad[s])
 
 
+def test_bound_stack_reads_and_trains_the_callers_array():
+    # ``bind`` moves the parameters into a column block of a wider array:
+    # the views follow it, and a backward pass reads the same weights.
+    sizes = (3, 8, 8, 2)
+    net = Mlp(sizes, rng_for(23), stack=2)
+    outer = np.zeros((2, net.theta.shape[1] + 5))
+    outer[:, 5:] = net.theta
+    x = rng_for(24).normal(size=(2, 4, 3))
+    out, cache = net.forward_cached(x)
+    grad = net.backward(cache, np.ones_like(out))
+    net.bind(outer[:, 5:])
+    assert all(np.shares_memory(p, outer) for p in net.weights + net.biases)
+    bound_out, bound_cache = net.forward_cached(x)
+    np.testing.assert_array_equal(bound_out, out)
+    np.testing.assert_array_equal(net.backward(bound_cache, np.ones_like(out)),
+                                  grad)
+    outer[:, 5:] = 0.0
+    assert not net.forward(x).any()
+
+
 @pytest.mark.parametrize("head", ["value", "policy"])
 def test_zero_weight_rows_match_the_gradient_over_weighted_rows(head):
     # Each slice's loss is its mean over the rows ``keep`` flags; rows
@@ -555,6 +575,27 @@ def test_adam_update_magnitude_approaches_learning_rate():
         prev = theta.copy()
         opt.step(theta, np.array([2.5]))
     assert abs((prev - theta)[0] - 0.05) < 0.05 * 0.02
+
+
+def test_per_parameter_rate_equals_one_adam_per_block():
+    # One step over a concatenation with a rate per parameter is each
+    # block's own scalar-rate step, bit for bit, step after step.
+    rng = rng_for(31)
+    sizes, rates = (5, 3), (1e-2, 3e-3)
+    theta = rng.normal(size=sum(sizes))
+    joint = Adam(theta.size, np.repeat(rates, sizes))
+    blocks = [Adam(size, rate) for size, rate in zip(sizes, rates)]
+    parts = np.split(theta.copy(), [sizes[0]])
+    for _ in range(6):
+        grad = rng.normal(size=theta.size)
+        joint.step(theta, grad)
+        for opt, part, g in zip(blocks, parts, np.split(grad, [sizes[0]])):
+            opt.step(part, g)
+        for got, opts in ((theta, parts), (joint.m, [o.m for o in blocks]),
+                          (joint.v, [o.v for o in blocks])):
+            assert got.tobytes() == np.concatenate(opts).tobytes()
+        assert joint.t == blocks[0].t == blocks[1].t
+    assert joint.t == 6
 
 
 def test_adam_rejects_non_finite_gradient():

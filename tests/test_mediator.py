@@ -9,7 +9,8 @@ from mediated_rl.approx import (EntropySchedule, masked_softmax,
                                 sample_categorical)
 from mediated_rl.errors import ContractError
 from mediated_rl.mediator import (LagrangeState, MediatorBatch,
-                                  MediatorLearner, actor_head_weights)
+                                  MediatorLearner, actor_head_weights,
+                                  distinct_keys)
 
 
 def make_params(hidden=8):
@@ -249,6 +250,24 @@ def test_one_shot_policy_runs_each_state_once():
     probs, cache, rows = pd2.policy(np.ones((3, 2, 1)), coalition)
     assert rows is None
     assert len(probs) == len(cache[-1]) == coalition.sum()
+
+
+@pytest.mark.parametrize("key", [
+    np.random.default_rng(7).integers(0, 64, size=690),
+    np.full(100, 5),
+    np.random.default_rng(8).permutation(50),
+    np.array([3]),
+    np.zeros(0, dtype=np.int64),
+], ids=["random", "all-equal", "all-distinct", "one", "empty"])
+def test_distinct_keys_match_np_unique(key):
+    # The slots (one position per distinct key, in ascending key order)
+    # and each key's slot are np.unique's; any occurrence may stand for
+    # its key.
+    first, index = distinct_keys(key)
+    values, inverse = np.unique(key, return_inverse=True)
+    np.testing.assert_array_equal(key[first], values)
+    np.testing.assert_array_equal(index, inverse)
+    assert first.dtype == index.dtype == np.intp
 
 
 def test_joint_policy_is_product_of_heads():
