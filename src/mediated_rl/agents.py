@@ -196,7 +196,11 @@ class AgentLearner:
 
     def learn(self, batch: AgentBatch, beta: float) -> dict[str, np.ndarray]:
         """One gradient step for every agent from a full batch, computed in one
-        pass per stack; returns the per-agent losses."""
+        pass per stack; returns the per-agent losses.
+
+        In a one-shot game both networks ran on one row per agent, which
+        every record was taken on: the critic's upstream gradient is summed
+        onto that row, and the policy loss sums the records onto it."""
         if not batch.keep.any():
             return dict.fromkeys(("critic_loss", "actor_loss"),
                                  np.zeros(len(self.theta)))
@@ -208,11 +212,13 @@ class AgentLearner:
         advantages = targets - values
         c_loss, upstream = value_loss(advantages[..., None], batch.keep)
         _check_finite(c_loss, "critic loss")
+        one_row = rows != len(batch)
+        if one_row:
+            upstream = upstream.sum(axis=1, keepdims=True)
         c_grad = self.critic.backward(cache, upstream, self._delta_work)
         _check_finite(c_grad, "critic gradient")
         # Advantages are constants: no gradient flows through the critic.
-        # Every record of a one-shot game was taken on the actor's one row.
-        index = None if rows == len(batch) else np.zeros(len(batch), np.intp)
+        index = np.zeros(len(batch), np.intp) if one_row else None
         a_loss, a_grad = policy_loss(self.actor, batch.actor_acts, batch.probs,
                                      batch.actions, advantages, beta, batch.keep,
                                      index, self._delta_work)

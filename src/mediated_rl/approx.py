@@ -31,7 +31,9 @@ class Mlp:
     ``forward``. ``bind`` moves them into an array the caller owns. A copy
     or an unpickled network keeps ``theta`` alone and rebuilds the views
     into its own. A layer is one ``np.matmul`` over (S, rows, width), which
-    equals each slice's own 2-D product bit for bit.
+    equals each slice's own 2-D product bit for bit. ``backward`` takes an
+    upstream gradient with a row per activation row: a caller whose one row
+    stands for many sums their gradients onto it first.
     """
 
     def __init__(self, sizes: tuple[int, ...],
@@ -116,14 +118,13 @@ class Mlp:
                  work: np.ndarray | None = None) -> np.ndarray:
         """Gradient (S, P) of each slice's sum over rows of <dout, output>.
 
-        ``dout`` carries any loss weighting (e.g. 1/B for batch means); this
-        routine only sums over rows and leaves ``dout`` as it is. Activations
-        of one row stand for R equal rows when ``dout`` has R: ``dout`` is
-        summed over its rows first, the same gradient up to round-off. It spends
-        ``acts``: tanh'·delta is computed in place in the hidden activations,
-        and each delta·Wᵀ is written into the leading elements of ``work``, a
-        C-contiguous float64 array of at least S·rows·(widest hidden layer)
-        elements, allocated here when not given.
+        ``dout`` (S, rows, d_out), a row per activation row, carries any loss
+        weighting (e.g. 1/B for batch means); this routine only sums over
+        rows and leaves ``dout`` as it is. It spends ``acts``: tanh'·delta is
+        computed in place in the hidden activations, and each delta·Wᵀ is
+        written into the leading elements of ``work``, a C-contiguous float64
+        array of at least S·rows·(widest hidden layer) elements, allocated
+        here when not given.
         A bias gradient wider than one column is an einsum row sum, which
         adds the rows in ``np.sum``'s order without its layer-wide inner loop
         per row; a one-column delta is contiguous, and ``np.sum`` adds it
@@ -132,8 +133,6 @@ class Mlp:
         grad = np.empty_like(self.theta)
         offset = self.theta.shape[1]
         delta = np.asarray(dout, dtype=np.float64)
-        if acts[0].shape[1] == 1 != delta.shape[1]:
-            delta = delta.sum(axis=1, keepdims=True)
         if work is None:
             work = np.empty(delta.shape[:2] + (max(self.sizes[1:-1], default=0),))
         work = work.reshape(-1)

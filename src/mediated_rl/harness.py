@@ -472,10 +472,13 @@ def sweep(config: RunConfig) -> SweepReport:
 def emit(report: RunReport | SweepReport, fmt: str, path: str | None = None) -> str:
     """Render a report as csv, json, or an aligned text table.
 
-    Returns the rendered text; writes it to ``path`` when given.
+    JSON has no NaN or infinity, so json output writes a non-finite number,
+    such as a metric left unmeasured, as null. Returns the rendered text;
+    writes it to ``path`` when given.
     """
     if fmt == "json":
-        text = json.dumps(asdict(report), indent=2, sort_keys=False)
+        text = json.dumps(_finite_or_null(asdict(report)), indent=2,
+                          allow_nan=False)
     elif fmt == "csv":
         text = _to_csv(report)
     elif fmt == "table":
@@ -486,6 +489,18 @@ def emit(report: RunReport | SweepReport, fmt: str, path: str | None = None) -> 
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     return text
+
+
+def _finite_or_null(value):
+    """``value`` with None in place of every non-finite float in it, at
+    any depth."""
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def _to_csv(report: RunReport | SweepReport) -> str:

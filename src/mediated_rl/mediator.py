@@ -23,7 +23,7 @@ import numpy as np
 from .agents import LearnerParams
 from .approx import Adam, Mlp, masked_softmax, policy_loss, value_loss
 from .errors import ContractError, TrainingDiverged
-from .games import GameKind, PayoffSpec, obs_dim
+from .games import GameKind, PayoffSpec, base_obs_batch, obs_dim
 from .mediation import coalition_codes, window_sums
 
 # Every published run clips log lambda to this range.
@@ -87,24 +87,6 @@ def actor_head_weights(deltas: np.ndarray, member: np.ndarray,
     return w
 
 
-def distinct_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For non-negative integer keys (R,), one position of each distinct key,
-    in ascending key order, and each key's place in that order: the keys and
-    inverse of ``np.unique(key, return_index=True, return_inverse=True)``,
-    with any occurrence in place of the first.
-
-    A presence array over the key range gives each key its slot by a
-    running count, and a scatter of positions gives each slot one of them.
-    """
-    present = np.zeros(key.max(initial=0) + 1, dtype=bool)
-    present[key] = True
-    slot = np.cumsum(present) - 1
-    index = slot[key]
-    first = np.empty(slot[-1] + 1, dtype=np.intp)
-    first[index] = np.arange(len(key))
-    return first, index
-
-
 @dataclass
 class MediatorBatch:
     """Stacked transition data for one training iteration.
@@ -113,8 +95,8 @@ class MediatorBatch:
     reductions can slice along t, and step s bootstraps from step s + batch
     except on the last step of an episode. Actor samples are the rollout's
     (step, member) draws. The actor activations and policy are the ones it
-    sampled with: one row per sample, or in a one-shot game one row per
-    distinct state, where ``actor_rows`` gives each sample's row.
+    sampled with: one row per sample, or in a one-shot game the rows of the
+    game's state table, where ``actor_rows`` gives each sample's row.
     """
 
     critic_cur: np.ndarray    # (S, critic_dim)
@@ -140,7 +122,6 @@ class MediatorLearner:
         self.num_env_actions = np.asarray(spec.num_actions)
         self.max_env_actions = spec.max_actions
         self.symmetric = spec.kind is GameKind.ONE_SHOT_PGG
-        self._one_state = spec.horizon == 1
         self.gamma = gamma
         h = params.hidden
         base_dim = obs_dim(spec)
@@ -158,6 +139,26 @@ class MediatorLearner:
         self.critic_opt = Adam(self.critic.theta.shape, params.lr_critic)
         self.lagrange = (LagrangeState.fresh(n, params.lambda_lr)
                          if constrained else None)
+        # A one-shot game's state table, as the exact oracle lays it out:
+        # every coalition size, member 0 standing for all members, in the
+        # symmetric PGG; elsewhere row code * N + i for agent i and each of
+        # the 2^N coalitions, in ``coalition_codes`` order. The iterative PGG,
+        # which the oracle does not solve, runs a row per member at any
+        # horizon: its 2^N coalitions would outgrow the members of a batch.
+        self._table = None
+        if spec.horizon == 1 and spec.kind is not GameKind.ITERATIVE_PGG:
+            if self.symmetric:
+                coalition = np.tri(n + 1, n, -1, dtype=bool)
+                agent = np.zeros(n + 1, dtype=np.intp)
+            else:
+                code, agent = divmod(np.arange(n << n), n)
+                coalition = (code[:, None] >> np.arange(n)[::-1] & 1).astype(bool)
+            rows = np.arange(len(agent))
+            obs = base_obs_batch(spec, 0, None, len(agent))
+            self._table = (self.actor_inputs(obs, coalition, rows, agent),
+                           self.action_masks(agent))
+            for array in self._table:  # policy hands the inputs out in its cache
+                array.flags.writeable = False
 
     # -- inputs ------------------------------------------------------------
 
@@ -195,28 +196,28 @@ class MediatorLearner:
         without the stack axis), and each member's row. Members come in
         ``np.nonzero(coalition)`` order.
 
-        In a one-shot game the actor input is fixed by the coalition and the
-        member (by |C| alone in the symmetric PGG), so the actor runs once
-        per distinct key, on rows sorted by key, and member r's policy is
-        row ``index[r]``. Elsewhere it runs on every member's row, in member
-        order, and the index is None. Observations that differ in a one-shot
-        game raise ``ContractError``.
+        In a one-shot game (pd, pds, pgg) the actor input is fixed by the
+        coalition and the member (by |C| alone in the symmetric PGG), so the
+        actor runs on the game's whole state table, in the oracle's layout,
+        and a member's row is its key: |C| in the symmetric PGG, else
+        ``coalition_codes(C) * N + i`` for member i. Observations other than
+        the game's one raise ``ContractError`` there. Elsewhere the actor
+        runs on every member's row, in member order, and the index is None.
         """
         rows_b, rows_i = np.nonzero(coalition)
-        index = None
-        if self._one_state:
-            if (base_t != base_t[:1, :1]).any():
-                raise ContractError("the rows of a one-shot game's policy "
-                                    "query differ")
-            if self.symmetric:
-                key = coalition.sum(axis=1)[rows_b]
-            else:
-                key = coalition_codes(coalition)[rows_b] * self.num_agents + rows_i
-            first, index = distinct_keys(key)
-            rows_b, rows_i = rows_b[first], rows_i[first]
-        logits, cache = self.actor.forward_cached(
-            self.actor_inputs(base_t, coalition, rows_b, rows_i)[None])
-        probs = masked_softmax(logits[0], self.action_masks(rows_i))
+        if self._table is None:
+            inputs = self.actor_inputs(base_t, coalition, rows_b, rows_i)
+            masks, index = self.action_masks(rows_i), None
+        else:
+            inputs, masks = self._table
+            # Every row of the table starts with the game's one observation.
+            if (base_t != inputs[0, :base_t.shape[-1]]).any():
+                raise ContractError("the observations of a one-shot game's "
+                                    "policy query differ from its state's")
+            index = (coalition.sum(axis=1)[rows_b] if self.symmetric else
+                     coalition_codes(coalition)[rows_b] * self.num_agents + rows_i)
+        logits, cache = self.actor.forward_cached(inputs[None])
+        probs = masked_softmax(logits[0], masks)
         return probs, [layer[0] for layer in cache], index
 
     # -- values ------------------------------------------------------------

@@ -36,7 +36,7 @@ class TrajectoryBatch:
     or in a one-shot game the one row that stands for all. The mediator's
     R (step, member) samples are listed t-major like ``np.nonzero(member)``;
     its actor cache and policy hold a row per sample, or in a one-shot game
-    a row per distinct state, and ``med_rows`` gives each sample's row.
+    the rows of its state table, and ``med_rows`` gives each sample's row.
     """
 
     base: np.ndarray        # (T, B, N, obs width) observations before each step
@@ -70,7 +70,8 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
     in turn; padding columns of smaller action sets are never drawn. A
     policy of one row is drawn from for every episode. Then one
     ``MediatorLearner.policy`` call and one draw sample the members in
-    ``np.nonzero`` order, on zero rows (drawing nothing) when there are none.
+    ``np.nonzero`` order, each from its own row, drawing nothing when there
+    are none.
     """
     t_max, n = spec.horizon, spec.num_agents
     mediated = mediator is not None

@@ -492,8 +492,9 @@ def tiled_batch(learner, batch):
     ("pd", "naive", None), ("pds", "constrained", None),
     ("pgg", "constrained", 16)])
 def test_one_shot_learning_matches_the_tiled_rows(env, mode, num_agents):
-    # The rollout caches one row per agent; learning on it equals learning
-    # on that row tiled to every record, up to round-off.
+    # The rollout caches one row per agent; learning on it, with the
+    # critic's upstream summed onto that row, equals learning on that row
+    # tiled to every record, in losses and parameters, up to round-off.
     config = replace(default_config(env, mode, num_agents=num_agents),
                      batch_size=64)
     spec = config.validate()
@@ -506,8 +507,11 @@ def test_one_shot_learning_matches_the_tiled_rows(env, mode, num_agents):
         assert batch.actor_acts[0].shape == (spec.num_agents, 1, 1)
         assert len(batch) == 64
         beta = config.agent.entropy.coef(it)
-        reference.learn(tiled_batch(reference, batch), beta)
-        agents.learn(batch, beta)
+        expected = reference.learn(tiled_batch(reference, batch), beta)
+        losses = agents.learn(batch, beta)
+        for key in ("critic_loss", "actor_loss"):
+            np.testing.assert_allclose(losses[key], expected[key],
+                                       rtol=0, atol=1e-12)
     for net, twin in ((agents.actor, reference.actor),
                       (agents.critic, reference.critic)):
         np.testing.assert_allclose(net.theta, twin.theta, rtol=0, atol=1e-12)

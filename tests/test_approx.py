@@ -323,25 +323,6 @@ def test_backward_equals_the_strided_sum_reference(n_out):
                 assert grad.tobytes() == expected.tobytes(), (sizes, stack, rows)
 
 
-@pytest.mark.parametrize("n_out", [1, 3])
-def test_one_row_activations_stand_for_their_rows_tiled(n_out):
-    # Activations of one row with a dout of R rows give the gradient of the
-    # activations tiled to R rows, up to the order the rows are added in;
-    # dout stays as it was.
-    net = Mlp((2, 16, 16, n_out), rng_for(61), stack=3)
-    rng = rng_for(62)
-    x = rng.normal(size=(3, 1, 2))
-    for rows in (2, 7, 128):
-        dout = rng.normal(size=(3, rows, n_out))
-        given = dout.copy()
-        tiled = net.backward(net.forward_cached(np.repeat(x, rows, axis=1))[1],
-                             dout)
-        grad = net.backward(net.forward_cached(x)[1], dout,
-                            np.empty((3, rows, 16)))
-        np.testing.assert_array_equal(dout, given)
-        np.testing.assert_allclose(grad, tiled, rtol=0, atol=1e-12)
-
-
 def test_backward_spends_its_cache():
     # tanh'·delta overwrites the hidden activations, so a forward cache
     # serves one backward pass; its input and output are left as they were.

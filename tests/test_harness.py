@@ -634,10 +634,11 @@ def test_one_shot_agent_networks_run_one_row_per_agent(monkeypatch, env, k,
                                                        one_shot, num_agents):
     # A one-shot game has one state: the rollout and the update run each
     # agent's actor and critic on one row, which stands for every episode,
-    # and the mediator's actor on one row per distinct (coalition, member),
-    # at most N * 2^(N-1), or N in the symmetric PGG. A multi-step game runs
-    # the agents' actor on every episode at each step, their critic on every
-    # step of every episode, and the mediator's actor on every member.
+    # and the mediator's actor on the game's state table: N * 2^N rows, a
+    # row per (coalition, agent), or N + 1 in the symmetric PGG, a row per
+    # size. A multi-step game runs the agents' actor on every episode at
+    # each step, their critic on every step of every episode, and the
+    # mediator's actor on every member.
     config = replace(default_config(env, "constrained", k=k,
                                     num_agents=num_agents), batch_size=32)
     spec = config.validate()
@@ -669,7 +670,7 @@ def test_one_shot_agent_networks_run_one_row_per_agent(monkeypatch, env, k,
                for shape in shapes[id(mediator.actor)])
     if one_shot:
         assert med_rows == [len(batch.actor_probs)]
-        assert med_rows[0] <= (n if mediator.symmetric else n * 2 ** (n - 1))
+        assert med_rows[0] == (n + 1 if mediator.symmetric else n * 2 ** n)
         assert med_rows[0] < members[0] == len(batch.actor_rows)
     else:
         assert med_rows == members.tolist() and batch.actor_rows is None
@@ -868,6 +869,29 @@ def test_emit_sweep_json_holds_every_field():
     assert list(parsed) == [f.name for f in fields(SweepReport)]
     assert parsed["metrics"] == {k: list(v) for k, v in result.metrics.items()}
     assert [RunReport(**r) for r in parsed["reports"]] == result.reports
+
+
+def test_emit_json_writes_non_finite_numbers_as_null():
+    # pds evaluation leaves P_*|full NaN when the full coalition never forms,
+    # and a sweep's mean of no finite value is NaN. JSON has no NaN token, so
+    # strict parsers (jq, JSON.parse) refused the output; it writes null.
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    config = replace(default_config("pds", "naive"), iterations=0,
+                     eval_episodes=4, seeds=(0, 1))
+    result = sweep(config)
+    report = replace(result.reports[0],
+                     history=[{"ic_gap": [np.nan, 0.5], "lambda": np.inf}])
+    assert np.isnan(report.metrics["P_cc|full"])
+    assert np.isnan(result.metrics["P_s|full"][0])
+    run = json.loads(emit(report, "json"), parse_constant=refuse)
+    assert run["metrics"]["P_cc|full"] is run["metrics"]["P_s|full"] is None
+    assert run["history"] == [{"ic_gap": [None, 0.5], "lambda": None}]
+    assert run["metrics"]["welfare"] == report.metrics["welfare"]
+    aggregate = json.loads(emit(result, "json"), parse_constant=refuse)
+    assert aggregate["metrics"]["P_s|full"] == [None, 0.0]
+    assert aggregate["reports"][1]["metrics"]["P_cc|full"] is None
 
 
 def test_emit_csv_fixed_header_and_rows():

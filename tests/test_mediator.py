@@ -8,9 +8,10 @@ from mediated_rl.agents import LearnerParams
 from mediated_rl.approx import (EntropySchedule, masked_softmax,
                                 sample_categorical)
 from mediated_rl.errors import ContractError
+from mediated_rl.mediation import coalition_codes
 from mediated_rl.mediator import (LagrangeState, MediatorBatch,
-                                  MediatorLearner, actor_head_weights,
-                                  distinct_keys)
+                                  MediatorLearner, actor_head_weights)
+from mediated_rl.oracle import MixedProfile
 
 
 def make_params(hidden=8):
@@ -202,23 +203,23 @@ def test_e_term_subtracts_outside_residuals():
                                   games.one_shot_pgg(3, 2.0)],
                          ids=["pds", "pgg"])
 def test_one_shot_policy_gives_each_distinct_sample_its_own_row(spec):
-    # The coalitions come in falling order of their keys, while the
-    # distinct rows come back sorted by key: each member must still get its
-    # own row's policy, masked by its own actions, and its draws stay
+    # The coalitions come in falling order of their keys, and each member's
+    # row is its key in the game's state table: each member must still get
+    # its own row's policy, masked by its own actions, and its draws stay
     # inside them.
     mediator = MediatorLearner(spec, make_params(), gamma=0.99,
                                rng=np.random.default_rng(4))
     n = spec.num_agents
     if n == 2:  # keys code * N + member: 6, 7, 4, 3
         coalition = np.array([[True, True], [True, False], [False, True]])
-        expected = [2, 3, 1, 0]
+        expected, table = [6, 7, 4, 3], n * 2 ** n
     else:  # keys |C|: 3, 3, 3, 2, 2, 1
         coalition = np.tri(n, dtype=bool)[::-1]
-        expected = [2, 2, 2, 1, 1, 0]
+        expected, table = [3, 3, 3, 2, 2, 1], n + 1
     base = np.ones((len(coalition), n, 1))
     row_probs, cache, rows = mediator.policy(base, coalition)
     rows_b, rows_i = np.nonzero(coalition)
-    assert len(row_probs) == len(cache[0]) == max(expected) + 1
+    assert len(row_probs) == len(cache[0]) == table
     np.testing.assert_array_equal(rows, expected)
     probs = row_probs[rows]
     for r, (b, i) in enumerate(zip(rows_b, rows_i)):
@@ -233,18 +234,19 @@ def test_one_shot_policy_gives_each_distinct_sample_its_own_row(spec):
 
 
 def test_one_shot_policy_runs_each_state_once():
-    # Samples of one (coalition, member) share a row, in the order the
-    # keys sort, and a query whose observations differ is refused; a
-    # multi-step game runs a row per sample and has no index.
+    # Samples of one (coalition, member) share their row of the state
+    # table, and a query at other observations than the game's is refused;
+    # a multi-step game runs a row per sample and has no index.
     mediator, spec = make_mediator(seed=3)
     coalition = np.array([[True, True], [True, False], [True, True]])
     row_probs, cache, rows = mediator.policy(np.ones((3, 2, 1)), coalition)
-    np.testing.assert_array_equal(rows, [1, 2, 0, 1, 2])
-    assert len(row_probs) == len(cache[-1]) == 3
+    np.testing.assert_array_equal(rows, [6, 7, 4, 6, 7])
+    assert len(row_probs) == len(cache[-1]) == 8
     base = np.ones((3, 2, 1))
     base[2, 1] = 0.5
-    with pytest.raises(ContractError, match="differ"):
-        mediator.policy(base, coalition)
+    for query in (base, np.full((3, 2, 1), 0.5)):
+        with pytest.raises(ContractError, match="differ"):
+            mediator.policy(query, coalition)
     pd2 = MediatorLearner(games.two_step_pd(), make_params(), gamma=0.99,
                           rng=np.random.default_rng(3))
     probs, cache, rows = pd2.policy(np.ones((3, 2, 1)), coalition)
@@ -252,22 +254,59 @@ def test_one_shot_policy_runs_each_state_once():
     assert len(probs) == len(cache[-1]) == coalition.sum()
 
 
-@pytest.mark.parametrize("key", [
-    np.random.default_rng(7).integers(0, 64, size=690),
-    np.full(100, 5),
-    np.random.default_rng(8).permutation(50),
-    np.array([3]),
-    np.zeros(0, dtype=np.int64),
-], ids=["random", "all-equal", "all-distinct", "one", "empty"])
-def test_distinct_keys_match_np_unique(key):
-    # The slots (one position per distinct key, in ascending key order)
-    # and each key's slot are np.unique's; any occurrence may stand for
-    # its key.
-    first, index = distinct_keys(key)
-    values, inverse = np.unique(key, return_inverse=True)
-    np.testing.assert_array_equal(key[first], values)
-    np.testing.assert_array_equal(index, inverse)
-    assert first.dtype == index.dtype == np.intp
+@pytest.mark.parametrize("spec", [games.prisoners_dilemma(),
+                                  games.pd_with_sacrifice()],
+                         ids=["pd", "pds"])
+def test_one_shot_table_has_the_oracles_coalition_layout(spec):
+    # Row code * N + i is agent i's policy in the coalition that
+    # coalition_codes numbers code, so the rows of the members fill an exact
+    # oracle profile as they are, and each member of each coalition finds
+    # its row at its flat index in the coalitions' (2^N, N) array.
+    mediator = MediatorLearner(spec, make_params(), gamma=0.99,
+                               rng=np.random.default_rng(6))
+    n = spec.num_agents
+    probs, cache, rows = mediator.policy(np.ones((1, n, 1)),
+                                         np.zeros((1, n), dtype=bool))
+    assert len(probs) == n * 2 ** n and len(rows) == 0
+    inputs = cache[0]  # the observation, C one-hot, then agent one-hot
+    assert not inputs.flags.writeable  # the table itself
+    coalitions = inputs[::n, 1:1 + n].astype(bool)
+    np.testing.assert_array_equal(coalition_codes(coalitions), np.arange(2 ** n))
+    np.testing.assert_array_equal(inputs[:, 1:1 + n], np.repeat(coalitions, n, axis=0))
+    np.testing.assert_array_equal(inputs[:, 1 + n:], np.tile(np.eye(n), (2 ** n, 1)))
+    _, _, rows = mediator.policy(np.ones((2 ** n, n, 1)), coalitions)
+    np.testing.assert_array_equal(rows, np.flatnonzero(coalitions))
+    by_coalition = {tuple(bits.astype(int).tolist()): {
+        i: probs[code * n + i, :spec.num_actions[i]] for i in np.flatnonzero(bits)}
+        for code, bits in enumerate(coalitions)}
+    uniform = [np.full(a + 1, 1 / (a + 1)) for a in spec.num_actions]
+    profile = MixedProfile([uniform], mediated=True,
+                           mediator_by_coalition=[by_coalition])
+    _, dense = profile.check(spec)
+    for code, bits in enumerate(coalitions):
+        for i in np.flatnonzero(bits):
+            a = spec.num_actions[i]
+            np.testing.assert_array_equal(dense[0, code, i, :a],
+                                          probs[code * n + i, :a])
+
+
+@pytest.mark.parametrize("n", [3, 16])
+def test_one_shot_pgg_table_has_the_oracles_size_layout(n):
+    # Row s is the policy of a coalition of s agents: its contribute
+    # probabilities are an exact oracle profile's size table as they are.
+    spec = games.one_shot_pgg(n, 2.0)
+    mediator = MediatorLearner(spec, make_params(), gamma=0.99,
+                               rng=np.random.default_rng(7))
+    coalitions = np.tri(n + 1, n, -1, dtype=bool)
+    probs, cache, rows = mediator.policy(np.ones((n + 1, n, 1)), coalitions)
+    assert len(probs) == n + 1
+    np.testing.assert_array_equal(cache[0][:, 1], np.arange(n + 1) / n)
+    np.testing.assert_array_equal(
+        rows, coalitions.sum(axis=1)[np.nonzero(coalitions)[0]])
+    by_size = probs[:, games.COOPERATE]
+    profile = MixedProfile([[np.full(3, 1 / 3)] * n], mediated=True,
+                           mediator_by_size=by_size)
+    np.testing.assert_array_equal(profile.check(spec)[1], by_size)
 
 
 def test_joint_policy_is_product_of_heads():

@@ -94,10 +94,11 @@ def test_unmediated_rollout_has_no_commit():
 
 
 def test_mediated_batch_without_members_has_empty_mediator_caches():
-    # Nobody commits, so the mediator runs on zero rows and draws nothing:
-    # the generator ends where the reference, which skips the mediator, leaves
-    # it, the caches are empty arrays of the actor's widths, and the update
-    # still runs.
+    # Nobody commits, so the mediator draws nothing: the generator ends where
+    # the reference, which skips the mediator, leaves it, and the update
+    # still runs. A multi-step game runs the actor on zero rows, so its
+    # caches are empty arrays of the actor's widths; a one-shot game's hold
+    # its state table, N + 1 rows in the PGG and N * 2^N elsewhere.
     for env in ("pd", "pds", "pd2", "pgg", "pgg-iter"):
         config, spec, rng, agents, mediator = learners_for(env, "constrained")
         for i, commit in enumerate(agents.num_env_actions):
@@ -109,9 +110,12 @@ def test_mediated_batch_without_members_has_empty_mediator_caches():
         reference_rollout(spec, 1, agents, mediator, 32, rng)
         assert rng.random() == after
         assert not traj.member.any()
+        n = spec.num_agents
+        rows = (0 if spec.horizon > 1 else n + 1 if mediator.symmetric
+                else n * 2 ** n)
         assert ([a.shape for a in traj.med_acts]
-                == [(0, width) for width in mediator.actor.sizes])
-        assert traj.med_probs.shape == (0, mediator.max_env_actions)
+                == [(rows, width) for width in mediator.actor.sizes])
+        assert traj.med_probs.shape == (rows, mediator.max_env_actions)
         mediator.update(build_mediator_batch(traj, mediator), 0.1, 1)
 
 
@@ -264,11 +268,11 @@ def test_constraint_gaps_sum_each_window_at_k3():
 
 def test_mediator_batch_actor_masks_heterogeneous_actions():
     # The cached policy gives agent 0's missing sacrifice action no mass.
-    # pds is one-shot: the cache holds a row per distinct state.
+    # pds is one-shot: the cache holds the game's 8 states.
     config, spec, rng, agents, mediator = learners_for("pds")
     traj = sample_batch(spec, 1, agents, mediator, 64, rng)
     batch = build_mediator_batch(traj, mediator)
-    assert len(batch.actor_probs) <= 4 < len(batch.actor_rows)
+    assert len(batch.actor_probs) == 8 < len(batch.actor_rows)
     probs = batch.actor_probs[batch.actor_rows]
     agent0_rows = batch.actor_agent == 0
     agent1_rows = batch.actor_agent == 1
@@ -473,7 +477,7 @@ def test_policy_queries_match_the_rollout(env, k):
                         rtol=0, atol=1e-12)
     assert queried > 0
     # Mediator samples are listed t-major, as the rollout drew them; a
-    # one-shot game stores a row per distinct state and each sample's row.
+    # one-shot game stores its state table and each sample's row.
     stored = (traj.med_probs if traj.med_rows is None
               else traj.med_probs[traj.med_rows])
     sample = 0
