@@ -16,7 +16,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -166,58 +166,36 @@ def default_config(env: str, mediator_mode: str = "none", k: int = 1,
 # Reports
 
 
-def _same(a, b) -> bool:
-    """Equality of nested dicts, lists, tuples and scalars in which NaN
-    equals NaN."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
-    if isinstance(a, (list, tuple)) and type(a) is type(b):
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b or (a != a and b != b)
-
-
-def _same_fields(a, b) -> bool:
-    """Dataclass equality by ``_same`` over the fields that compare."""
-    if type(a) is not type(b):
-        return NotImplemented
-    return all(_same(getattr(a, f.name), getattr(b, f.name))
-               for f in fields(a) if f.compare)
-
-
-@dataclass(eq=False)
+@dataclass
 class RunReport:
-    """Metrics and logged ``history`` of one seeded run. Wall clock is
-    excluded from equality and a NaN metric (one left unmeasured) equals
-    NaN, so identical (config, seed) runs compare equal."""
+    """Metrics and logged ``history`` of one seeded run. A metric the
+    evaluation could not measure is None. Wall clock is excluded from
+    equality, so identical (config, seed) runs compare equal."""
 
     env: str
     mediator_mode: str
     k: int
     seed: int
     iterations: int
-    metrics: dict[str, float]
+    metrics: dict[str, float | None]
     history: list[dict] = field(default_factory=list)
     wall_clock_s: float = field(default=0.0, compare=False)
     aborted: bool = False
     abort_reason: str = ""
 
-    __eq__ = _same_fields
 
-
-@dataclass(eq=False)
+@dataclass
 class SweepReport:
-    """Seed-aggregated metrics: mean and standard deviation per metric. A
-    NaN mean or deviation equals NaN, as in ``RunReport``."""
+    """Seed-aggregated metrics: mean and standard deviation per metric over
+    the seeds that measured it; (None, None) where no seed did."""
 
     env: str
     mediator_mode: str
     k: int
-    metrics: dict[str, tuple[float, float]]  # name -> (mean, std)
+    metrics: dict[str, tuple[float | None, float | None]]  # name -> (mean, std)
     num_seeds: int
     failed: list[tuple[int, str]] = field(default_factory=list)
     reports: list[RunReport] = field(default_factory=list)
-
-    __eq__ = _same_fields
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +283,24 @@ def _train_iteration(config: RunConfig, spec: PayoffSpec,
 
 
 def _empirical_commit_rate(traj: TrajectoryBatch) -> float:
-    decisions = traj.status == FREE
-    if not decisions.any():
-        return 0.0
-    return float(traj.member[decisions].mean())
+    # Every episode starts free, so there is always a decision to average.
+    return float(traj.member[traj.status == FREE].mean())
 
 
-def _mediator_action_rate(traj: TrajectoryBatch, action: int) -> float:
+def _mediator_action_rate(traj: TrajectoryBatch, action: int) -> float | None:
     acted = traj.med_action >= 0
     if not acted.any():
-        return float("nan")
+        return None
     return float((traj.med_action[acted] == action).mean())
 
 
 def collect_metrics(spec: PayoffSpec, config: RunConfig,
                     agents: AgentLearner,
                     mediator: MediatorLearner | None,
-                    traj: TrajectoryBatch) -> dict[str, float]:
-    """Direct policy queries plus empirical statistics of the eval episodes."""
-    metrics: dict[str, float] = {}
+                    traj: TrajectoryBatch) -> dict[str, float | None]:
+    """Direct policy queries plus empirical statistics of the eval episodes;
+    a statistic of events that never happened is None."""
+    metrics: dict[str, float | None] = {}
     n = spec.num_agents
     returns = traj.reward.sum(axis=0)  # (episodes, N)
     per_agent = returns.mean(axis=0)
@@ -402,12 +379,12 @@ def _policy_metrics(spec: PayoffSpec, k: int, agents: AgentLearner,
 
 
 def _pds_joint_metrics(traj: TrajectoryBatch,
-                       metrics: dict[str, float]) -> None:
-    """The mediator's joint play where both agents committed; NaN where the
+                       metrics: dict[str, float | None]) -> None:
+    """The mediator's joint play where both agents committed; None where the
     full coalition never formed, so every report carries the same keys."""
     full = traj.member.all(axis=2)
     if not full.any():
-        metrics["P_cc|full"] = metrics["P_s|full"] = float("nan")
+        metrics["P_cc|full"] = metrics["P_s|full"] = None
         return
     acts = traj.med_action[full]  # (rows, 2)
     joint_cc = (acts[:, 0] == games.COOPERATE) & (acts[:, 1] == games.COOPERATE)
@@ -436,7 +413,9 @@ def worker_count() -> int:
 def sweep(config: RunConfig) -> SweepReport:
     """Run every seed, aggregate seed means and standard deviations.
 
-    Failed seeds are recorded, flagged, and excluded from the aggregates.
+    Failed seeds are recorded, flagged, and excluded from the aggregates. A
+    metric aggregates the seeds that measured it, and is (None, None) when
+    none did.
     """
     seeds = config.seeds
     workers = worker_count()
@@ -450,16 +429,16 @@ def sweep(config: RunConfig) -> SweepReport:
         reports = [train(config, s) for s in seeds]
     good = [r for r in reports if not r.aborted]
     failed = [(r.seed, r.abort_reason) for r in reports if r.aborted]
-    metrics: dict[str, tuple[float, float]] = {}
+    metrics: dict[str, tuple[float | None, float | None]] = {}
     if good:
         for key in good[0].metrics:  # every report of a config has the same keys
-            values = np.asarray([r.metrics[key] for r in good])
-            finite = values[np.isfinite(values)]
-            if finite.size == 0:
-                metrics[key] = (float("nan"), 0.0)
+            measured = np.asarray([r.metrics[key] for r in good
+                                   if r.metrics[key] is not None])
+            if measured.size == 0:
+                metrics[key] = (None, None)
                 continue
-            std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
-            metrics[key] = (float(finite.mean()), std)
+            std = float(measured.std(ddof=1)) if measured.size > 1 else 0.0
+            metrics[key] = (float(measured.mean()), std)
     return SweepReport(env=config.env, mediator_mode=config.mediator_mode,
                        k=int(config.k), metrics=metrics, num_seeds=len(good),
                        failed=failed, reports=reports)
@@ -472,13 +451,13 @@ def sweep(config: RunConfig) -> SweepReport:
 def emit(report: RunReport | SweepReport, fmt: str, path: str | None = None) -> str:
     """Render a report as csv, json, or an aligned text table.
 
-    JSON has no NaN or infinity, so json output writes a non-finite number,
-    such as a metric left unmeasured, as null. Returns the rendered text;
-    writes it to ``path`` when given.
+    An unmeasured (None) metric is null in json and nan in csv and the
+    table. JSON has no NaN or infinity, so a non-finite number in a report
+    raises ValueError. Returns the rendered text; writes it to ``path`` when
+    given.
     """
     if fmt == "json":
-        text = json.dumps(_finite_or_null(asdict(report)), indent=2,
-                          allow_nan=False)
+        text = json.dumps(asdict(report), indent=2, allow_nan=False)
     elif fmt == "csv":
         text = _to_csv(report)
     elif fmt == "table":
@@ -491,16 +470,9 @@ def emit(report: RunReport | SweepReport, fmt: str, path: str | None = None) -> 
     return text
 
 
-def _finite_or_null(value):
-    """``value`` with None in place of every non-finite float in it, at
-    any depth."""
-    if isinstance(value, float):
-        return value if np.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
-    return value
+def _number(value: float | None, spec: str) -> str:
+    """``value`` formatted by ``spec``; an unmeasured (None) value as nan."""
+    return format(float("nan") if value is None else value, spec)
 
 
 def _to_csv(report: RunReport | SweepReport) -> str:
@@ -511,12 +483,13 @@ def _to_csv(report: RunReport | SweepReport) -> str:
                          "mean", "std", "num_seeds"])
         for key, (mean, std) in report.metrics.items():
             writer.writerow([report.env, report.mediator_mode, report.k,
-                             key, f"{mean:.6g}", f"{std:.6g}", report.num_seeds])
+                             key, _number(mean, ".6g"), _number(std, ".6g"),
+                             report.num_seeds])
     else:
         writer.writerow(["env", "mediator_mode", "k", "seed", "metric", "value"])
         for key, value in report.metrics.items():
             writer.writerow([report.env, report.mediator_mode, report.k,
-                             report.seed, key, f"{value:.6g}"])
+                             report.seed, key, _number(value, ".6g")])
     return buffer.getvalue()
 
 
@@ -525,11 +498,11 @@ def _to_table(report: RunReport | SweepReport) -> str:
     if isinstance(report, SweepReport):
         lines.append(f"seeds={report.num_seeds} failed={len(report.failed)}")
         for key, (mean, std) in report.metrics.items():
-            lines.append(f"{key:<32} {mean:>8.3f} +- {std:.3f}")
+            lines.append(f"{key:<32} {_number(mean, '>8.3f')} +- {_number(std, '.3f')}")
     else:
         lines.append(f"seed={report.seed}")
         for key, value in report.metrics.items():
-            lines.append(f"{key:<32} {value:>8.3f}")
+            lines.append(f"{key:<32} {_number(value, '>8.3f')}")
     return "\n".join(lines) + "\n"
 
 

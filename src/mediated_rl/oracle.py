@@ -93,10 +93,12 @@ class MixedProfile:
         ``mediated``, a distribution per state and agent over its env actions
         (plus commit when mediated), and, only when mediated, the one table
         the game takes, with a distribution for every member of every
-        coalition (by size in the one-shot PGG, N+1 of them). Returns, built
-        afresh, the policies zero-padded to (T, N, A+1) and the mediator: the
-        size table in the one-shot PGG, else a (T, 2^N, N, A) table indexed by
-        ``coalition_codes``, non-members (and all when unmediated) on action 0."""
+        coalition (by size in the one-shot PGG, N+1 of them) and no entry for
+        a coalition the game lacks or an agent outside its coalition. Returns,
+        built afresh, the policies zero-padded to (T, N, A+1) and the
+        mediator: the size table in the one-shot PGG, else a (T, 2^N, N, A)
+        table indexed by ``coalition_codes``, non-members (and all when
+        unmediated) on action 0."""
         if not isinstance(self.mediated, bool):
             raise ContractError(
                 f"mediated must be true or false, got {self.mediated!r}")
@@ -139,6 +141,19 @@ class MixedProfile:
             if len(by_coal) != spec.horizon:
                 raise ContractError(f"mediator_by_coalition needs {spec.horizon} state(s)")
             grid = list(itertools.product((0, 1), repeat=n))
+            members = {bits: {i for i, b in enumerate(bits) if b} for bits in grid}
+            for t, table in enumerate(by_coal):
+                if not table.keys() <= members.keys():
+                    bits = next(bits for bits in table if bits not in members)
+                    raise ContractError(f"mediator_by_coalition names {bits!r} in "
+                                        f"state {t}, not a coalition of {n} agents")
+                for bits, dists in table.items():
+                    if not dists.keys() <= members[bits]:
+                        agent = next(a for a in dists if a not in members[bits])
+                        raise ContractError(
+                            f"mediator_by_coalition has an entry for agent {agent!r} "
+                            f"under coalition {''.join(str(int(b)) for b in bits)} "
+                            f"in state {t}, which is not a member of it")
             for t, (bits, code) in itertools.product(
                     range(spec.horizon), zip(grid, coalition_codes(np.array(grid)))):
                 for agent in (i for i, b in enumerate(bits) if b):

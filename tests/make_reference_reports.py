@@ -6,8 +6,7 @@ Run from the repository root:
 
 Each reference config trains seed 0 for a short schedule. The fixture keeps
 a sha256 digest of each RunReport (wall clock excluded), its final metrics
-and its history, which name what moved when a digest changes. Digests are
-compared rather than reports because a NaN metric never equals itself.
+and its history, which name what moved when a digest changes.
 
 A refactor leaves the fixture unchanged. A change that alters training on
 purpose regenerates it and names every config that moved, with the reason;
@@ -23,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -80,7 +78,7 @@ def reference_pin(name: str) -> dict:
 
 def moved_metrics(old: dict, new: dict) -> list[str]:
     """Metric names whose value changed, appeared or disappeared. Values
-    compare as JSON text, where NaN equals NaN."""
+    compare as JSON text."""
     return sorted(key for key in old.keys() | new.keys()
                   if json.dumps(old.get(key)) != json.dumps(new.get(key)))
 
@@ -99,7 +97,7 @@ def leaves(value, path: str = "") -> dict:
 def largest_change(old, new) -> str:
     """The largest absolute difference between the numbers of two JSON
     values; "reshaped" when their scalars do not line up, and "not pinned"
-    when the old fixture did not hold the value. NaN equals NaN."""
+    when the old fixture did not hold the value."""
     if old is None:
         return "not pinned"
     old, new = leaves(old), leaves(new)
@@ -109,9 +107,7 @@ def largest_change(old, new) -> str:
             or (not isinstance(old[k], numbers) and old[k] != new[k])
             for k in old):
         return "reshaped"
-    changes = [abs(new[k] - old[k]) for k in old
-               if isinstance(old[k], numbers)
-               and not (math.isnan(old[k]) and math.isnan(new[k]))]
+    changes = [abs(new[k] - old[k]) for k in old if isinstance(old[k], numbers)]
     return f"{max(changes, default=0.0):.3g}"
 
 

@@ -379,12 +379,12 @@ PD_POLICY = [[[0.5, 0.5], [0.5, 0.5]]]
 PGG_MEDIATED = {"agent_policies": [[[0.5, 0.25, 0.25]] * 3], "mediated": True}
 
 
-def pd_mediated(coalition_11):
+def pd_mediated(coalition_11, entries=None):
     """A mediated pd profile whose full coalition plays ``coalition_11``
-    for agent 0."""
+    for agent 0; ``entries`` adds or replaces coalitions of its table."""
     coop = [0.0, 1.0]
     table = {"10": {"0": coop}, "01": {"1": coop},
-             "11": {"0": coalition_11, "1": coop}}
+             "11": {"0": coalition_11, "1": coop}, **(entries or {})}
     return {"agent_policies": [[[0.2, 0.3, 0.5]] * 2], "mediated": True,
             "mediator_by_coalition": [table]}
 
@@ -423,6 +423,7 @@ def pd_mediated(coalition_11):
      ["--env", "pgg"]),
     (pd_mediated(coalition_11=["a", "b"]), []),
     (pd_mediated(coalition_11=None), []),
+    (pd_mediated([0.0, 1.0], {"01": {"0": [0.0, 1.0], "1": [0.0, 1.0]}}), []),
 ], ids=["not-a-distribution", "no-mediator-table", "k0-profile", "k0",
         "one-agent", "missing-file", "not-json", "partial-mediator-table",
         "bad-coalition-key", "size-table-length", "size-table-range",
@@ -431,7 +432,8 @@ def pd_mediated(coalition_11):
         "k-past-horizon", "matrix-multiplier", "non-numeric-policy", "null-policy",
         "policies-not-a-list", "top-level-array", "no-agent-policies",
         "mediated-string", "mediated-integer", "coalition-table-on-pgg",
-        "size-table-unmediated", "coalition-non-numeric", "coalition-null"])
+        "size-table-unmediated", "coalition-non-numeric", "coalition-null",
+        "coalition-non-member"])
 def test_bad_oracle_input_is_a_configuration_error(tmp_path, capsys,
                                                    profile, flags):
     path = tmp_path / "profile.json"
@@ -500,17 +502,17 @@ def test_identical_config_and_seed_reports_equal():
 
 
 def test_identical_reports_with_an_unmeasured_metric_compare_equal():
-    # pds evaluation leaves P_cc|full NaN when the full coalition never forms.
+    # pds evaluation leaves P_cc|full None when the full coalition never forms.
     config = replace(default_config("pds", "naive"), iterations=0,
                      eval_episodes=4)
     first, second = train(config, 0), train(config, 0)
-    assert np.isnan(first.metrics["P_cc|full"])
+    assert first.metrics["P_cc|full"] is None
     assert first == second
     assert first == replace(second, wall_clock_s=second.wall_clock_s + 1.0)
     measured = replace(second, metrics={**second.metrics, "P_cc|full": 0.5})
     assert first != measured and measured != first
-    logged = replace(second, history=[{"ic_gap": [np.nan]}])
-    assert logged == replace(first, history=[{"ic_gap": [np.nan]}])
+    logged = replace(second, history=[{"ic_gap": [None]}])
+    assert logged == replace(first, history=[{"ic_gap": [None]}])
     assert logged != replace(first, history=[{"ic_gap": [0.0]}])
 
 
@@ -518,7 +520,7 @@ def test_identical_sweeps_with_an_unmeasured_metric_compare_equal():
     config = replace(default_config("pds", "naive"), iterations=0,
                      eval_episodes=4, seeds=(0, 1))
     first, second = sweep(config), sweep(config)
-    assert np.isnan(first.metrics["P_cc|full"][0])
+    assert first.metrics["P_cc|full"][0] is None
     assert first == second
     measured = replace(second, metrics={**second.metrics,
                                         "P_cc|full": (0.5, 0.0)})
@@ -775,15 +777,28 @@ def test_sweep_aggregates_across_seeds():
 
 def test_sweep_averages_pds_joint_metrics_over_the_seeds_that_measured_them():
     # With 4 eval episodes the full coalition forms in some seeds only; the
-    # others report NaN, and the sweep averages the seeds that measured it.
+    # others report None, and the sweep averages the seeds that measured it.
     config = replace(default_config("pds", "naive"), iterations=0,
                      eval_episodes=4, seeds=tuple(range(8)))
     result = sweep(config)
     for key in ("P_cc|full", "P_s|full"):
-        values = np.array([r.metrics[key] for r in result.reports])
-        measured = values[np.isfinite(values)]
-        assert 0 < measured.size < values.size
-        assert result.metrics[key][0] == pytest.approx(measured.mean())
+        values = [r.metrics[key] for r in result.reports]
+        measured = [v for v in values if v is not None]
+        assert 0 < len(measured) < len(values)
+        assert result.metrics[key][0] == pytest.approx(np.mean(measured))
+
+
+def test_a_sweep_metric_no_seed_measured_is_none():
+    # Neither seed forms the full coalition in 4 episodes. A deviation of 0.0
+    # would claim the seeds agreed on a value that neither measured.
+    config = replace(default_config("pds", "naive"), iterations=0,
+                     eval_episodes=4, seeds=(0, 1))
+    result = sweep(config)
+    assert [r.metrics["P_s|full"] for r in result.reports] == [None, None]
+    assert result.metrics["P_s|full"] == (None, None)
+    assert json.loads(emit(result, "json"))["metrics"]["P_s|full"] == [None, None]
+    assert re.search(r"^P_s\|full +nan \+- nan$", emit(result, "table"), re.M)
+    assert "pds,naive,1,P_s|full,nan,nan,2\n" in emit(result, "csv")
 
 
 def test_process_pool_sweep_equals_the_serial_sweep(monkeypatch):
@@ -872,26 +887,46 @@ def test_emit_sweep_json_holds_every_field():
 
 
 def test_emit_json_writes_non_finite_numbers_as_null():
-    # pds evaluation leaves P_*|full NaN when the full coalition never forms,
-    # and a sweep's mean of no finite value is NaN. JSON has no NaN token, so
-    # strict parsers (jq, JSON.parse) refused the output; it writes null.
+    # pds evaluation leaves P_*|full None when the full coalition never forms,
+    # and a sweep's mean of no measured value is None; strict parsers (jq,
+    # JSON.parse) read both as null. JSON has no NaN token, so a non-finite
+    # number in a report is a fault and json output refuses it.
     def refuse(token):
         raise ValueError(f"not JSON: {token}")
 
     config = replace(default_config("pds", "naive"), iterations=0,
                      eval_episodes=4, seeds=(0, 1))
     result = sweep(config)
-    report = replace(result.reports[0],
-                     history=[{"ic_gap": [np.nan, 0.5], "lambda": np.inf}])
-    assert np.isnan(report.metrics["P_cc|full"])
-    assert np.isnan(result.metrics["P_s|full"][0])
+    report = replace(result.reports[0], history=[{"ic_gap": [None, 0.5]}])
+    assert report.metrics["P_cc|full"] is None
+    assert result.metrics["P_s|full"][0] is None
     run = json.loads(emit(report, "json"), parse_constant=refuse)
     assert run["metrics"]["P_cc|full"] is run["metrics"]["P_s|full"] is None
-    assert run["history"] == [{"ic_gap": [None, 0.5], "lambda": None}]
+    assert run["history"] == [{"ic_gap": [None, 0.5]}]
     assert run["metrics"]["welfare"] == report.metrics["welfare"]
     aggregate = json.loads(emit(result, "json"), parse_constant=refuse)
-    assert aggregate["metrics"]["P_s|full"] == [None, 0.0]
+    assert aggregate["metrics"]["P_s|full"] == [None, None]
     assert aggregate["reports"][1]["metrics"]["P_cc|full"] is None
+    for bad in (replace(report, history=[{"lambda": np.inf}]),
+                replace(report, metrics={**report.metrics, "welfare": np.nan})):
+        with pytest.raises(ValueError):
+            emit(bad, "json")
+
+
+def test_a_report_with_an_unmeasured_metric_survives_a_json_round_trip():
+    # Two episodes a batch leave some incentive gap unmeasured in the history,
+    # and neither seed forms the full coalition in 4 evaluation episodes.
+    config = replace(default_config("pds", "constrained"), iterations=3,
+                     batch_size=2, log_every=1, eval_episodes=4, seeds=(2, 3))
+    result = sweep(config)
+    report = result.reports[0]
+    assert report.metrics["P_cc|full"] is None
+    assert result.metrics["P_cc|full"] == (None, None)
+    assert any(None in entry["ic_gap"] for entry in report.history)
+    assert RunReport(**json.loads(emit(report, "json"))) == report
+    parsed = json.loads(emit(result, "json"))
+    assert {key: tuple(value) for key, value in parsed["metrics"].items()} \
+        == result.metrics
 
 
 def test_emit_csv_fixed_header_and_rows():

@@ -862,6 +862,34 @@ def test_the_check_names_the_first_bad_entry():
         MixedProfile(**values)
 
 
+# Entries a complete pd2 table must not hold: coalitions the game lacks and
+# agents outside the coalition they are filed under.
+STRAY_ENTRIES = {
+    "three-agents": ((1, 1, 1), {}, r"names \(1, 1, 1\) in state 1"),
+    "one-agent": ((2,), {}, r"names \(2,\) in state 1"),
+    "string-key": ("11", {}, "names '11' in state 1"),
+    "empty-coalition-member": ((0, 0), {0: [1.0, 0.0]},
+                               "agent 0 under coalition 00 in state 1"),
+    "non-member": ((0, 1), {0: [1.0, 0.0], 1: [1.0, 0.0]},
+                   "agent 0 under coalition 01 in state 1"),
+    "agent-id-past-n": ((1, 1), {0: [1.0, 0.0], 1: [1.0, 0.0], 2: [1.0, 0.0]},
+                        "agent 2 under coalition 11"),
+    "negative-agent-id": ((1, 0), {0: [1.0, 0.0], -1: [1.0, 0.0]},
+                          "agent -1 under coalition 10"),
+}
+
+
+@pytest.mark.parametrize("stray", list(STRAY_ENTRIES))
+def test_the_check_refuses_an_entry_outside_the_game(stray):
+    spec = two_step_pd()
+    values = plain_values(random_profile(spec, True, np.random.default_rng(8)))
+    MixedProfile(**values).check(spec)
+    bits, dists, message = STRAY_ENTRIES[stray]
+    values["mediator_by_coalition"][1][bits] = dists
+    with pytest.raises(ContractError, match=message):
+        MixedProfile(**values).check(spec)
+
+
 # ---------------------------------------------------------------------------
 # A memo hit skips the profile check, not the argument checks
 
@@ -989,7 +1017,8 @@ def test_an_edit_the_check_reads_misses_the_memo(edit, check_calls):
     check_calls.clear()
     answer = outcome(lambda: oracle.exploitability(spec, profile, 2))
     assert check_calls == [spec.name]
-    assert isinstance(answer, str) == (edit in ("coalition-deleted", "mediated-one"))
+    assert isinstance(answer, str) == (
+        edit in ("coalition-added", "coalition-deleted", "mediated-one"))
     assert_same_outcome(answer, outcome(lambda: fresh_answer(spec, profile, 2)))
 
 
