@@ -366,9 +366,8 @@ def _policy_metrics(spec: PayoffSpec, k: int, agents: AgentLearner,
                       if matrix else np.tri(n, dtype=bool))
         med, _, index = mediator.policy(
             np.repeat(base, len(coalitions), axis=0), coalitions)
-        med = med if index is None else med[index]
         codes = coalition_codes(coalitions)
-        for (c, i), dist in zip(zip(*np.nonzero(coalitions)), med):
+        for (c, i), dist in zip(zip(*np.nonzero(coalitions)), med[index]):
             if matrix:
                 for a in range(spec.num_actions[i]):
                     metrics[f"piM_{_ACTION_NAMES[a]}{tag}|{codes[c]:0{n}b}/agent{i}"] = \

@@ -16,6 +16,9 @@ both step the protocol through them.
 
 from __future__ import annotations
 
+import functools
+from types import MappingProxyType
+
 import numpy as np
 
 from .errors import ContractError
@@ -51,6 +54,28 @@ def coalition_codes(coalitions: np.ndarray) -> np.ndarray:
     """One integer per coalition row (..., N), agent 0 the highest bit: code
     c is the bit string ``f"{c:0{N}b}"`` of the members."""
     return coalitions @ (1 << np.arange(coalitions.shape[-1])[::-1])
+
+
+@functools.lru_cache
+def state_table(num_agents: int, horizon: int, by_size: bool = False) -> tuple:
+    """Every (turn, coalition code, agent) row of a game shape, as read-only
+    turns (R,), coalition bits (R, N) and agents (R,) in ``coalition_codes``
+    order, the flat index of a dense (T, 2^N, N, ...) table (with ``by_size``,
+    the one-shot PGG's, a row per coalition size 0..N, member 0 standing for
+    all), then turn 0's coalitions as 0/1 tuples in order, each mapped to its
+    members. The package's one decoder of codes into bits."""
+    n = num_agents
+    if by_size:
+        turn = agent = np.zeros(n + 1, dtype=np.intp)
+        coalition = np.tri(n + 1, n, -1, dtype=bool)
+    else:
+        turn, code, agent = np.indices((horizon, 2 ** n, n)).reshape(3, -1)
+        coalition = (code[:, None] >> np.arange(n)[::-1] & 1).astype(bool)
+    for array in (turn, coalition, agent):
+        array.flags.writeable = False
+    firsts = coalition[(turn == 0) & (agent == 0)].astype(int).tolist()
+    return turn, coalition, agent, MappingProxyType(
+        {tuple(bits): frozenset(np.flatnonzero(bits).tolist()) for bits in firsts})
 
 
 def window_statuses(coalition: np.ndarray, t: int, k: int) -> np.ndarray:

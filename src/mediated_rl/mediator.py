@@ -24,7 +24,7 @@ from .agents import LearnerParams
 from .approx import Adam, Mlp, masked_softmax, policy_loss, value_loss
 from .errors import ContractError, TrainingDiverged
 from .games import GameKind, PayoffSpec, base_obs_batch, obs_dim
-from .mediation import coalition_codes, window_sums
+from .mediation import coalition_codes, state_table, window_sums
 
 # Every published run clips log lambda to this range.
 LOG_LAMBDA_BOUNDS = (-4.0, 4.0)
@@ -95,8 +95,9 @@ class MediatorBatch:
     reductions can slice along t, and step s bootstraps from step s + batch
     except on the last step of an episode. Actor samples are the rollout's
     (step, member) draws. The actor activations and policy are the ones it
-    sampled with: one row per sample, or in a one-shot game the rows of the
-    game's state table, where ``actor_rows`` gives each sample's row.
+    sampled with: the game's state table, a block per step, where
+    ``actor_rows`` gives each sample's row, or in the iterative PGG a row per
+    sample.
     """
 
     critic_cur: np.ndarray    # (S, critic_dim)
@@ -139,24 +140,15 @@ class MediatorLearner:
         self.critic_opt = Adam(self.critic.theta.shape, params.lr_critic)
         self.lagrange = (LagrangeState.fresh(n, params.lambda_lr)
                          if constrained else None)
-        # A one-shot game's state table, as the exact oracle lays it out:
-        # every coalition size, member 0 standing for all members, in the
-        # symmetric PGG; elsewhere row code * N + i for agent i and each of
-        # the 2^N coalitions, in ``coalition_codes`` order. The iterative PGG,
-        # which the oracle does not solve, runs a row per member at any
-        # horizon: its 2^N coalitions would outgrow the members of a batch.
+        # Actor inputs and masks per turn of the state table the oracle reads
+        # too; the iterative PGG's continuous endowments have none.
         self._table = None
-        if spec.horizon == 1 and spec.kind is not GameKind.ITERATIVE_PGG:
-            if self.symmetric:
-                coalition = np.tri(n + 1, n, -1, dtype=bool)
-                agent = np.zeros(n + 1, dtype=np.intp)
-            else:
-                code, agent = divmod(np.arange(n << n), n)
-                coalition = (code[:, None] >> np.arange(n)[::-1] & 1).astype(bool)
-            rows = np.arange(len(agent))
-            obs = base_obs_batch(spec, 0, None, len(agent))
-            self._table = (self.actor_inputs(obs, coalition, rows, agent),
-                           self.action_masks(agent))
+        if spec.kind is not GameKind.ITERATIVE_PGG:
+            turn, coalition, agent, _ = state_table(n, spec.horizon, self.symmetric)
+            obs = np.stack([base_obs_batch(spec, t, None, 1)[0] for t in range(spec.horizon)])
+            self._table = tuple(a.reshape(spec.horizon, -1, a.shape[-1]) for a in (
+                self.actor_inputs(obs[turn], coalition, np.arange(len(turn)), agent),
+                self.action_masks(agent)))
             for array in self._table:  # policy hands the inputs out in its cache
                 array.flags.writeable = False
 
@@ -196,12 +188,11 @@ class MediatorLearner:
         without the stack axis), and each member's row. Members come in
         ``np.nonzero(coalition)`` order.
 
-        In a one-shot game (pd, pds, pgg) the actor input is fixed by the
-        coalition and the member (by |C| alone in the symmetric PGG), so the
-        actor runs on the game's whole state table, in the oracle's layout,
-        and a member's row is its key: |C| in the symmetric PGG, else
-        ``coalition_codes(C) * N + i`` for member i. Observations other than
-        the game's one raise ``ContractError`` there. Elsewhere the actor
+        In every game but the iterative PGG the actor runs on the block of
+        the game's state table (``mediation.state_table``) at the turn the
+        observations give, and raises ``ContractError`` if they give none; a
+        member's row is its key in the block: |C| in the symmetric PGG, else
+        ``coalition_codes(C) * N + i`` for member i. In the iterative PGG it
         runs on every member's row, in member order, and the index is None.
         """
         rows_b, rows_i = np.nonzero(coalition)
@@ -209,11 +200,14 @@ class MediatorLearner:
             inputs = self.actor_inputs(base_t, coalition, rows_b, rows_i)
             masks, index = self.action_masks(rows_i), None
         else:
+            # Every row of a turn's block starts with that turn's observation.
             inputs, masks = self._table
-            # Every row of the table starts with the game's one observation.
-            if (base_t != inputs[0, :base_t.shape[-1]]).any():
-                raise ContractError("the observations of a one-shot game's "
-                                    "policy query differ from its state's")
+            match = (base_t == inputs[:, :1, None, :base_t.shape[-1]]).all(axis=(1, 2, 3))
+            t = match.argmax()
+            if not match[t]:
+                raise ContractError("the observations of a policy query "
+                                    "match no turn of the game")
+            inputs, masks = inputs[t], masks[t]
             index = (coalition.sum(axis=1)[rows_b] if self.symmetric else
                      coalition_codes(coalition)[rows_b] * self.num_agents + rows_i)
         logits, cache = self.actor.forward_cached(inputs[None])

@@ -36,7 +36,7 @@ from .errors import (ConfigError, ContractError, UnsupportedGameError,
 from .games import GameKind, PayoffSpec, _check_agent_count, _read_only
 from .mediation import (COMMITTED, LOCKED_OUT, coalition_codes,
                         joint_env_actions, legal_action_mask_batch,
-                        next_coalition, window_statuses)
+                        next_coalition, state_table, window_statuses)
 
 DIST_TOL = 5e-12
 
@@ -140,27 +140,24 @@ class MixedProfile:
                 raise ContractError("a mediated profile needs mediator_by_coalition")
             if len(by_coal) != spec.horizon:
                 raise ContractError(f"mediator_by_coalition needs {spec.horizon} state(s)")
-            grid = list(itertools.product((0, 1), repeat=n))
-            members = {bits: {i for i, b in enumerate(bits) if b} for bits in grid}
+            *_, members = state_table(n, spec.horizon)
             for t, table in enumerate(by_coal):
-                if not table.keys() <= members.keys():
-                    bits = next(bits for bits in table if bits not in members)
-                    raise ContractError(f"mediator_by_coalition names {bits!r} in "
-                                        f"state {t}, not a coalition of {n} agents")
                 for bits, dists in table.items():
+                    if bits not in members:
+                        raise ContractError(f"mediator_by_coalition names {bits!r} in "
+                                            f"state {t}, not a coalition of {n} agents")
                     if not dists.keys() <= members[bits]:
                         agent = next(a for a in dists if a not in members[bits])
                         raise ContractError(
                             f"mediator_by_coalition has an entry for agent {agent!r} "
                             f"under coalition {''.join(str(int(b)) for b in bits)} "
                             f"in state {t}, which is not a member of it")
-            for t, (bits, code) in itertools.product(
-                    range(spec.horizon), zip(grid, coalition_codes(np.array(grid)))):
-                for agent in (i for i, b in enumerate(bits) if b):
-                    dist, a = by_coal[t].get(bits, {}).get(agent), spec.num_actions[agent]
-                    # A missing or misshapen entry fails the test below.
-                    ok = getattr(dist, "shape", None) == (a,)
-                    mediator[t, code, agent, :a] = dist if ok else np.nan
+                for code, (bits, agents) in enumerate(members.items()):
+                    for agent in agents:
+                        dist, a = table.get(bits, {}).get(agent), spec.num_actions[agent]
+                        # A missing or misshapen entry fails the test below.
+                        ok = getattr(dist, "shape", None) == (a,)
+                        mediator[t, code, agent, :a] = dist if ok else np.nan
             if (bad := _first_non_distribution(mediator)) is not None:
                 _, code, agent = bad
                 raise ContractError(
@@ -216,7 +213,7 @@ def _coalition_tables(spec: PayoffSpec, member_dist) -> list[dict]:
     """Per-state mediator tables in which member i of every coalition plays
     ``member_dist(t, i)`` in state t."""
     return [{bits: {i: member_dist(t, i) for i in range(spec.num_agents) if bits[i]}
-             for bits in itertools.product((0, 1), repeat=spec.num_agents)}
+             for bits in state_table(spec.num_agents, spec.horizon)[-1]}
             for t in range(spec.horizon)]
 
 

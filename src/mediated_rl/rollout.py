@@ -35,8 +35,9 @@ class TrajectoryBatch:
     t * rows + b, over the rows the policy returned per step: the batch's,
     or in a one-shot game the one row that stands for all. The mediator's
     R (step, member) samples are listed t-major like ``np.nonzero(member)``;
-    its actor cache and policy hold a row per sample, or in a one-shot game
-    the rows of its state table, and ``med_rows`` gives each sample's row.
+    its actor cache and policy hold each step's block of its state table,
+    where ``med_rows`` gives each sample's row, or in the iterative PGG a
+    row per sample.
     """
 
     base: np.ndarray        # (T, B, N, obs width) observations before each step
@@ -86,7 +87,7 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
     coalition = np.zeros((batch, n), dtype=bool)
     env_actions = np.asarray(spec.num_actions)
     med_steps: list[list[np.ndarray]] = []  # per step: forward cache, policy
-    med_rows = None
+    med_index = []  # per step: its samples' rows in the caches of all steps
 
     for t in range(t_max):
         base_t = base_obs_batch(spec, t, endow, batch)
@@ -107,16 +108,20 @@ def sample_batch(spec: PayoffSpec, k: int, agents: AgentLearner,
         if mediated:
             coalition = next_coalition(coalition, choice[t], t, k, env_actions)
             member[t] = coalition
-            # Only a one-shot game, one step long, returns a row index.
-            row_probs, cache, med_rows = mediator.policy(base_t, coalition)
+            # Every game but the iterative PGG returns a row index into this
+            # step's block of the state table, after t blocks of its size.
+            row_probs, cache, index = mediator.policy(base_t, coalition)
             med_steps.append([*cache, row_probs])
+            if index is not None:
+                med_index.append(index + t * len(row_probs))
             med_action[t][coalition] = sample_categorical(
-                row_probs if med_rows is None else row_probs[med_rows], rng)
+                row_probs if index is None else row_probs[index], rng)
         env_action = joint_env_actions(choice[t], med_action[t], coalition)
         reward[t], endow = step_batch(spec, t, endow, env_action)
     med_acts = med_probs = None
     if mediated:
         *med_acts, med_probs = [np.concatenate(blocks) for blocks in zip(*med_steps)]
+    med_rows = np.concatenate(med_index) if med_index else None
     return TrajectoryBatch(base=np.stack(base), status=status, choice=choice,
                            member=member, med_action=med_action, reward=reward,
                            agent_acts=agent_acts, agent_probs=agent_probs,

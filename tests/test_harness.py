@@ -635,12 +635,12 @@ def test_each_network_sees_each_row_once_per_iteration(monkeypatch):
 def test_one_shot_agent_networks_run_one_row_per_agent(monkeypatch, env, k,
                                                        one_shot, num_agents):
     # A one-shot game has one state: the rollout and the update run each
-    # agent's actor and critic on one row, which stands for every episode,
-    # and the mediator's actor on the game's state table: N * 2^N rows, a
-    # row per (coalition, agent), or N + 1 in the symmetric PGG, a row per
-    # size. A multi-step game runs the agents' actor on every episode at
-    # each step, their critic on every step of every episode, and the
-    # mediator's actor on every member.
+    # agent's actor and critic on one row, which stands for every episode.
+    # A multi-step game runs the agents' actor on every episode at each
+    # step and their critic on every step of every episode. At each step the
+    # mediator's actor runs on that turn's block of the game's state table:
+    # N * 2^N rows, a row per (coalition, agent), or N + 1 in the symmetric
+    # PGG, a row per size; in the iterative PGG on every member.
     config = replace(default_config(env, "constrained", k=k,
                                     num_agents=num_agents), batch_size=32)
     spec = config.validate()
@@ -670,12 +670,18 @@ def test_one_shot_agent_networks_run_one_row_per_agent(monkeypatch, env, k,
     med_rows = [shape[1] for shape in shapes[id(mediator.actor)]]
     assert all(shape[::2] == (1, mediator.actor.sizes[0])
                for shape in shapes[id(mediator.actor)])
-    if one_shot:
-        assert med_rows == [len(batch.actor_probs)]
-        assert med_rows[0] == (n + 1 if mediator.symmetric else n * 2 ** n)
-        assert med_rows[0] < members[0] == len(batch.actor_rows)
-    else:
+    if env == "pgg-iter":
         assert med_rows == members.tolist() and batch.actor_rows is None
+    else:
+        block = n + 1 if mediator.symmetric else n * 2 ** n
+        assert med_rows == [block] * t_max
+        assert len(batch.actor_probs) == t_max * block
+        assert len(batch.actor_rows) == members.sum()
+        # Each step's samples index its own block of the caches.
+        steps = batch.actor_step // config.batch_size
+        np.testing.assert_array_equal(batch.actor_rows // block, steps)
+        if one_shot:
+            assert block < members[0]
     assert len(batch.actor_actions) == members.sum()
 
 

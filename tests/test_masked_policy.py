@@ -6,7 +6,8 @@ them. A second masked softmax elsewhere in the package is free to drift from
 them, so the rollout runs neither an actor pass nor a softmax of its own.
 
 Likewise a coalition has one integer code, ``mediation.coalition_codes``,
-which the learners, the oracle and the report all read.
+which the learners, the oracle and the report all read, and one decoder,
+``mediation.state_table``, which lays out the states they share.
 """
 
 import ast
@@ -51,10 +52,15 @@ def test_rollout_runs_no_actor_pass_or_softmax_of_its_own():
 
 
 def test_coalition_bits_are_weighed_only_in_coalition_codes():
-    # ``1 << ...`` gives coalition bits their weights; a second such shift
-    # would be a second code, free to order the agents its own way.
+    # ``1 << ...`` gives coalition bits their weights, and ``code >> ...``
+    # takes them back out; a second such shift would be a second code, or a
+    # second state layout, free to order the agents its own way.
     def bit_weights(node):
         return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
                 and isinstance(node.left, ast.Constant) and node.left.value == 1)
 
+    def bit_decodes(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift)
+
     assert sites(bit_weights) == ["mediation:coalition_codes"]
+    assert sites(bit_decodes) == ["mediation:state_table"]

@@ -234,60 +234,75 @@ def test_one_shot_policy_gives_each_distinct_sample_its_own_row(spec):
 
 
 def test_one_shot_policy_runs_each_state_once():
-    # Samples of one (coalition, member) share their row of the state
-    # table, and a query at other observations than the game's is refused;
-    # a multi-step game runs a row per sample and has no index.
+    # Samples of one (turn, coalition, member) share their row of the turn's
+    # block of the state table, and a query at observations that are no
+    # turn's is refused; the iterative PGG runs a row per sample and has no
+    # index.
     mediator, spec = make_mediator(seed=3)
-    coalition = np.array([[True, True], [True, False], [True, True]])
-    row_probs, cache, rows = mediator.policy(np.ones((3, 2, 1)), coalition)
-    np.testing.assert_array_equal(rows, [6, 7, 4, 6, 7])
-    assert len(row_probs) == len(cache[-1]) == 8
-    base = np.ones((3, 2, 1))
-    base[2, 1] = 0.5
-    for query in (base, np.full((3, 2, 1), 0.5)):
-        with pytest.raises(ContractError, match="differ"):
-            mediator.policy(query, coalition)
     pd2 = MediatorLearner(games.two_step_pd(), make_params(), gamma=0.99,
                           rng=np.random.default_rng(3))
-    probs, cache, rows = pd2.policy(np.ones((3, 2, 1)), coalition)
+    coalition = np.array([[True, True], [True, False], [True, True]])
+    for learner, obs in ((mediator, 1.0), (pd2, 0.0), (pd2, 0.5)):
+        row_probs, cache, rows = learner.policy(np.full((3, 2, 1), obs), coalition)
+        np.testing.assert_array_equal(rows, [6, 7, 4, 6, 7])
+        assert len(row_probs) == len(cache[-1]) == 8
+        assert (cache[0][:, 0] == obs).all()
+    base = np.ones((3, 2, 1))
+    base[2, 1] = 0.5
+    for learner, query in ((mediator, base), (mediator, np.full((3, 2, 1), 0.5)),
+                           (pd2, base), (pd2, np.ones((3, 2, 1)))):
+        with pytest.raises(ContractError, match="match no turn"):
+            learner.policy(query, coalition)
+    spec = games.iterative_pgg(3, 2.0, 10)
+    pgg_iter = MediatorLearner(spec, make_params(), gamma=0.99,
+                               rng=np.random.default_rng(3))
+    coalition = np.array([[True, True, False], [True, False, True]])
+    probs, cache, rows = pgg_iter.policy(np.ones((2, 3, 2)), coalition)
     assert rows is None
     assert len(probs) == len(cache[-1]) == coalition.sum()
 
 
 @pytest.mark.parametrize("spec", [games.prisoners_dilemma(),
-                                  games.pd_with_sacrifice()],
-                         ids=["pd", "pds"])
+                                  games.pd_with_sacrifice(),
+                                  games.two_step_pd()],
+                         ids=["pd", "pds", "pd2"])
 def test_one_shot_table_has_the_oracles_coalition_layout(spec):
-    # Row code * N + i is agent i's policy in the coalition that
-    # coalition_codes numbers code, so the rows of the members fill an exact
-    # oracle profile as they are, and each member of each coalition finds
-    # its row at its flat index in the coalitions' (2^N, N) array.
+    # Row code * N + i of turn t's block is agent i's policy in the
+    # coalition that coalition_codes numbers code, so the rows of the
+    # members fill an exact oracle profile as they are, and each member of
+    # each coalition finds its row at its flat index in the coalitions'
+    # (2^N, N) array.
     mediator = MediatorLearner(spec, make_params(), gamma=0.99,
                                rng=np.random.default_rng(6))
     n = spec.num_agents
-    probs, cache, rows = mediator.policy(np.ones((1, n, 1)),
-                                         np.zeros((1, n), dtype=bool))
-    assert len(probs) == n * 2 ** n and len(rows) == 0
-    inputs = cache[0]  # the observation, C one-hot, then agent one-hot
-    assert not inputs.flags.writeable  # the table itself
-    coalitions = inputs[::n, 1:1 + n].astype(bool)
-    np.testing.assert_array_equal(coalition_codes(coalitions), np.arange(2 ** n))
-    np.testing.assert_array_equal(inputs[:, 1:1 + n], np.repeat(coalitions, n, axis=0))
-    np.testing.assert_array_equal(inputs[:, 1 + n:], np.tile(np.eye(n), (2 ** n, 1)))
-    _, _, rows = mediator.policy(np.ones((2 ** n, n, 1)), coalitions)
-    np.testing.assert_array_equal(rows, np.flatnonzero(coalitions))
-    by_coalition = {tuple(bits.astype(int).tolist()): {
-        i: probs[code * n + i, :spec.num_actions[i]] for i in np.flatnonzero(bits)}
-        for code, bits in enumerate(coalitions)}
+    blocks, tables = [], []
+    for t in range(spec.horizon):
+        obs = games.base_obs_batch(spec, t, None, 2 ** n)
+        probs, cache, rows = mediator.policy(obs[:1], np.zeros((1, n), dtype=bool))
+        assert len(probs) == n * 2 ** n and len(rows) == 0
+        inputs = cache[0]  # the observation, C one-hot, then agent one-hot
+        assert not inputs.flags.writeable  # the table itself
+        assert (inputs[:, 0] == obs[0, 0, 0]).all()
+        coalitions = inputs[::n, 1:1 + n].astype(bool)
+        np.testing.assert_array_equal(coalition_codes(coalitions), np.arange(2 ** n))
+        np.testing.assert_array_equal(inputs[:, 1:1 + n], np.repeat(coalitions, n, axis=0))
+        np.testing.assert_array_equal(inputs[:, 1 + n:], np.tile(np.eye(n), (2 ** n, 1)))
+        _, _, rows = mediator.policy(obs, coalitions)
+        np.testing.assert_array_equal(rows, np.flatnonzero(coalitions))
+        blocks.append(probs)
+        tables.append({tuple(bits.astype(int).tolist()): {
+            i: probs[code * n + i, :spec.num_actions[i]] for i in np.flatnonzero(bits)}
+            for code, bits in enumerate(coalitions)})
     uniform = [np.full(a + 1, 1 / (a + 1)) for a in spec.num_actions]
-    profile = MixedProfile([uniform], mediated=True,
-                           mediator_by_coalition=[by_coalition])
+    profile = MixedProfile([uniform] * spec.horizon, mediated=True,
+                           mediator_by_coalition=tables)
     _, dense = profile.check(spec)
-    for code, bits in enumerate(coalitions):
-        for i in np.flatnonzero(bits):
-            a = spec.num_actions[i]
-            np.testing.assert_array_equal(dense[0, code, i, :a],
-                                          probs[code * n + i, :a])
+    for t, probs in enumerate(blocks):
+        for code, bits in enumerate(coalitions):
+            for i in np.flatnonzero(bits):
+                a = spec.num_actions[i]
+                np.testing.assert_array_equal(dense[t, code, i, :a],
+                                              probs[code * n + i, :a])
 
 
 @pytest.mark.parametrize("n", [3, 16])

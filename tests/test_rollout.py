@@ -96,9 +96,10 @@ def test_unmediated_rollout_has_no_commit():
 def test_mediated_batch_without_members_has_empty_mediator_caches():
     # Nobody commits, so the mediator draws nothing: the generator ends where
     # the reference, which skips the mediator, leaves it, and the update
-    # still runs. A multi-step game runs the actor on zero rows, so its
-    # caches are empty arrays of the actor's widths; a one-shot game's hold
-    # its state table, N + 1 rows in the PGG and N * 2^N elsewhere.
+    # still runs. The iterative PGG runs the actor on zero rows, so its
+    # caches are empty arrays of the actor's widths; every other game's hold
+    # its state table, N + 1 rows in the one-shot PGG and T * N * 2^N
+    # elsewhere.
     for env in ("pd", "pds", "pd2", "pgg", "pgg-iter"):
         config, spec, rng, agents, mediator = learners_for(env, "constrained")
         for i, commit in enumerate(agents.num_env_actions):
@@ -111,8 +112,8 @@ def test_mediated_batch_without_members_has_empty_mediator_caches():
         assert rng.random() == after
         assert not traj.member.any()
         n = spec.num_agents
-        rows = (0 if spec.horizon > 1 else n + 1 if mediator.symmetric
-                else n * 2 ** n)
+        rows = (0 if env == "pgg-iter" else n + 1 if mediator.symmetric
+                else spec.horizon * n * 2 ** n)
         assert ([a.shape for a in traj.med_acts]
                 == [(rows, width) for width in mediator.actor.sizes])
         assert traj.med_probs.shape == (rows, mediator.max_env_actions)
